@@ -24,21 +24,15 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateCaseError, DomainError, ParameterError
 from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs
 from .numerics import (
+    DEFAULT_SERIES,
     SEMI_INFINITE_QUAD,
     QuadSpec,
+    SeriesControl,
     SeriesResult,
     quad_adaptive,
-    root_bracketed,
     series_accumulate,
 )
-from .specfun import (
-    DEFAULT_SERIES,
-    EULER_GAMMA,
-    SeriesControl,
-    bessel_xk1,
-    exp_integral_e1,
-    tricomi_psi,
-)
+from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 log = logging.getLogger(__name__)
 
@@ -155,31 +149,12 @@ def _corner_residual(params, coeffs, tau1, tau2, x0, y0) -> float:
     return max(abs(r1) / y0, abs(r2) / x0)
 
 
-def _y0_without_cross_term(params, coeffs, tau1, tau2) -> float:
-    # Variant whose linear coefficient drops the cross-traffic term (its two
-    # c contributions cancel); fails the defining system for asymmetric
-    # traffic and is retained only so the regression suite can prove it.
-    b, c = coeffs.b, coeffs.c
-    s2 = params.sigma2
-    lin_scaled = s2 * tau1 * tau2 * b * b / params.p2 + params.p2 * tau2 * c / params.p2 - tau2 * c
-    disc = math.sqrt(lin_scaled**2 + 4.0 * s2 * tau2**2 * tau1 * b * b * c / params.p2)
-    return (lin_scaled + disc) / (2.0 * tau2 * b)
-
-
 def corner_point(
-    params: SystemParams,
-    coeffs: DerivedCoeffs,
-    tau1: float,
-    tau2: float,
-    method: str = "closed_form",
+    params: SystemParams, coeffs: DerivedCoeffs, tau1: float, tau2: float
 ) -> CornerPoint:
     """Solve the boundary system Y = a1*(b + c/X), X = a2*(b + c/Y) with
-    a_i = sigma2*tau_i/P_j.
-
-    ``closed_form`` evaluates the quadratic-root expressions obtained by
-    substitution; ``root_solve`` brackets the same substituted quadratic
-    numerically and back-substitutes.  Both paths must satisfy the residual
-    invariant (< 1e-9 relative on each equation).
+    a_i = sigma2*tau_i/P_j, from the quadratic-root expressions obtained by
+    substitution.  The result must satisfy both equations to 1e-9 relative.
     """
     if tau1 <= 0 or tau2 <= 0:
         raise DomainError(f"corner point needs positive thresholds; got ({tau1}, {tau2})")
@@ -187,31 +162,10 @@ def corner_point(
     a1 = params.sigma2 * tau1 / params.p2
     a2 = params.sigma2 * tau2 / params.p1
     # Substituting Y(X) gives b*X^2 + (c - a2*b^2 - a2*c/a1)*X - a2*b*c = 0.
-    lin_x = c - a2 * b * b - a2 * c / a1
-    const_x = -a2 * b * c
-    if method == "closed_form":
-        x0 = _positive_quadratic_root(b, lin_x, const_x)
-        # The Y quadratic mirrors the X one with indices swapped; its linear
-        # coefficient carries the cross-traffic term a1*c/a2.
-        lin_y = c - a1 * b * b - a1 * c / a2
-        y0 = _positive_quadratic_root(b, lin_y, -a1 * b * c)
-    elif method == "root_solve":
-        def poly(x: float) -> float:
-            return b * x * x + lin_x * x + const_x
-
-        hi = 1.0
-        while poly(hi) <= 0.0:
-            hi *= 2.0
-            if hi > 1e300:
-                raise DegenerateCaseError(
-                    f"corner bracketing failed for tau=({tau1}, {tau2}), "
-                    f"b={b}, c={c}: no sign change up to {hi}"
-                )
-        x0 = root_bracketed(poly, 0.0, hi, tol=1e-14)
-        y0 = a1 * (b + c / x0)
-    else:
-        raise DomainError(f"unknown corner method {method!r}")
-    point = CornerPoint(x0=x0, y0=y0)
+    x0 = _positive_quadratic_root(b, c - a2 * b * b - a2 * c / a1, -a2 * b * c)
+    # The Y quadratic mirrors the X one with indices swapped; its linear
+    # coefficient carries the cross-traffic term a1*c/a2.
+    y0 = _positive_quadratic_root(b, c - a1 * b * b - a1 * c / a2, -a1 * b * c)
     residual = _corner_residual(params, coeffs, tau1, tau2, x0, y0)
     if residual > 1e-9:
         raise DegenerateCaseError(
@@ -219,7 +173,7 @@ def corner_point(
             f"by {residual:.3g} relative (tau=({tau1}, {tau2}), b={b}, c={c}, "
             f"P=({params.p1}, {params.p2}), sigma2={params.sigma2})"
         )
-    return point
+    return CornerPoint(x0=x0, y0=y0)
 
 
 def _segment_integral(k: float, omega: float, v: float, method: str) -> float:
@@ -423,13 +377,19 @@ def _direction_rates(params: SystemParams):
 
 def _survival_integral(s: float, mu: float, xk1) -> float:
     """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz, adaptively, for
-    ``xk1`` equal to x*K1(x) or one of the bounds on it."""
+    ``xk1`` equal to x*K1(x) or one of the bounds on it.
+
+    The 1/(1+z) knee at z = 1 is a breakpoint only while the decay length
+    1/s reaches it; for s >= 1 the mass sits in [0, 1/s] and a panel over
+    [0, 1] could miss it within the absolute tolerance.
+    """
 
     def integrand(z: float) -> float:
         return math.exp(-s * z) * xk1(2.0 * math.sqrt(mu * z)) / (1.0 + z)
 
     value, _ = quad_adaptive(
-        integrand, 0.0, math.inf, SEMI_INFINITE_QUAD, scale=1.0 / s, points=[1.0]
+        integrand, 0.0, math.inf, SEMI_INFINITE_QUAD, scale=1.0 / s,
+        points=[1.0] if s < 1.0 else None,
     )
     return value
 
@@ -464,6 +424,8 @@ def _scaled_series_factors(s: float, l: int, j_method: str) -> tuple[float, floa
             return 0.0
         return math.exp(-u + (l + 1) * math.log(u) - lg) / (1.0 + u / s)
 
+    # The knee of 1/(1 + u/s), and the sign change of ln(u/s), sit at u = s;
+    # past the kernel's bulk at u ~ n a panel ending there would miss it.
     breakpoints = [s] if s < 4.0 * n else None
     e_psi, _ = quad_adaptive(
         kernel, 0.0, math.inf, SEMI_INFINITE_QUAD, scale=float(n), points=breakpoints
@@ -480,7 +442,7 @@ def _scaled_series_factors(s: float, l: int, j_method: str) -> tuple[float, floa
 
         e_j, _ = quad_adaptive(
             j_kernel, 0.0, math.inf, SEMI_INFINITE_QUAD,
-            scale=float(n), points=[s],
+            scale=float(n), points=breakpoints,
         )
         j_scaled = e_j / s
     return psi_scaled, j_scaled
@@ -518,7 +480,7 @@ def capacity_direction_integral(
         raise DomainError(f"j_method must be 'quadrature' or 'approx'; got {j_method!r}")
     if mu < 0:
         raise DomainError(f"Bessel scale mu must be >= 0; got {mu}")
-    base = tricomi_psi(1, s)
+    base = tricomi_psi11(s)
     if mu == 0.0:
         return base, SeriesResult(0.0, 0, 0.0, True)
     ln_mu = math.log(mu)
@@ -611,7 +573,7 @@ def capacity_bounds(params: SystemParams) -> CapacityBounds:
     for s, mu in _direction_rates(params):
         lower += _survival_integral(s, mu, lambda x: math.exp(-x))
         tight += _survival_integral(s, mu, _xk1_upper)
-        loose += tricomi_psi(1, s)
+        loose += tricomi_psi11(s)
     return CapacityBounds(
         lower=lower / (2.0 * LN2),
         tight_upper=tight / (2.0 * LN2),

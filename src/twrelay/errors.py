@@ -25,10 +25,6 @@ class ConvergenceError(NumericalError):
     """Quadrature or series evaluation failed to meet its tolerance."""
 
 
-class BracketError(NumericalError):
-    """Root bracketing failed: no sign change over the supplied interval."""
-
-
 class InsufficientSamplesError(NumericalError):
     """A Monte Carlo estimate is too noisy for the requested use."""
 

@@ -1,7 +1,6 @@
 """Monte Carlo ground-truth oracles.
 
-Empirical outage probability, ergodic capacity, the empirical CDF of the
-harvest-scaled product variable Z = a*X*Y/(b*X + c), and a finite-difference
+Empirical outage probability, ergodic capacity, and a finite-difference
 diversity estimate.
 
 Determinism contract: draws are organized into fixed chunks of 2^16 samples;
@@ -18,13 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamplesError, ParameterError
+from .errors import InsufficientSamplesError, ParameterError
 from .model import (
     SystemParams,
     TargetRates,
     build_params,
+    end_to_end_snrs,
     end_to_end_snrs_exact_beta,
-    end_to_end_snrs_vec,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -66,7 +65,7 @@ def _draw_gains(params: SystemParams, seed: int, chunk: int, size: int):
 def _outage_chunk(args) -> int:
     params, tau1, tau2, seed, chunk, size, exact_beta = args
     g1, g2 = _draw_gains(params, seed, chunk, size)
-    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs_vec
+    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs
     gamma1, gamma2 = snrs(params, g1, g2)
     return int(np.count_nonzero((gamma1 < tau1) | (gamma2 < tau2)))
 
@@ -74,7 +73,7 @@ def _outage_chunk(args) -> int:
 def _rate_chunk(args):
     params, seed, chunk, size, exact_beta = args
     g1, g2 = _draw_gains(params, seed, chunk, size)
-    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs_vec
+    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs
     gamma1, gamma2 = snrs(params, g1, g2)
     r1 = 0.5 / LN2 * np.log1p(gamma1)
     r2 = 0.5 / LN2 * np.log1p(gamma2)
@@ -87,16 +86,6 @@ def _rate_chunk(args):
         float(np.sum(total)),
         float(np.sum(total * total)),
     )
-
-
-def _cdf_chunk(args):
-    a, b, c, omega1, omega2, z_grid, seed, chunk, size = args
-    rng = _chunk_rng(seed, chunk)
-    x = rng.exponential(omega1, size)
-    y = rng.exponential(omega2, size)
-    z = a * x * y / (b * x + c)
-    z.sort()
-    return np.searchsorted(z, z_grid, side="right").astype(np.int64)
 
 
 def _map_chunks(func, arglist, workers: int):
@@ -162,51 +151,6 @@ def estimate_capacity(
     n = _validate_n(n)
     totals = _rate_totals(params, n, seed, workers, exact_beta)
     return _to_estimate(totals[4], totals[5], n, seed)
-
-
-def estimate_rates(
-    params: SystemParams, n: int, seed: int, workers: int = 1
-) -> tuple[Estimate, Estimate]:
-    """Per-direction mean rates (shares the capacity sample stream)."""
-    n = _validate_n(n)
-    totals = _rate_totals(params, n, seed, workers, False)
-    return (
-        _to_estimate(totals[0], totals[1], n, seed),
-        _to_estimate(totals[2], totals[3], n, seed),
-    )
-
-
-def empirical_cdf_z(
-    a: float,
-    b: float,
-    c: float,
-    omega1: float,
-    omega2: float,
-    z_grid,
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> list[tuple[float, float]]:
-    """Empirical CDF of Z = a*X*Y/(b*X+c) on an ascending grid."""
-    if a <= 0:
-        raise DomainError(f"scale a must be positive; got {a}")
-    if b < 0 or c < 0 or b + c == 0:
-        raise DomainError(f"need b, c >= 0 with b + c > 0; got b={b}, c={c}")
-    if omega1 <= 0 or omega2 <= 0:
-        raise DomainError("fading means must be positive")
-    z_grid = np.asarray(z_grid, dtype=float)
-    if z_grid.ndim != 1 or np.any(np.diff(z_grid) < 0):
-        raise DomainError("z_grid must be one-dimensional and sorted ascending")
-    n = _validate_n(n)
-    sizes = _chunk_sizes(n)
-    args = [
-        (a, b, c, omega1, omega2, z_grid, seed, k, size)
-        for k, size in enumerate(sizes)
-    ]
-    counts = np.zeros(len(z_grid), dtype=np.int64)
-    for part in _map_chunks(_cdf_chunk, args, workers):
-        counts += part
-    return [(float(z), float(k) / n) for z, k in zip(z_grid, counts)]
 
 
 def estimate_diversity_fd(

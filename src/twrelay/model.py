@@ -11,9 +11,8 @@ the end-to-end SNR seen at source i reduces to
     gamma_i = (P_j / sigma2) * g1 * g2 / (b * g_i + c),
 
 with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
-form is the canonical computation here; the equivalent harvest-division
-form is kept as an assertion path because the two are algebraically
-identical.
+form is the one computation of it here; the tests check it against the
+algebraically identical harvest-division form.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import exp_integral_e1
+from .specfun import tricomi_psi11
 
 LN2 = math.log(2.0)
 
@@ -153,47 +152,13 @@ def relay_power(params: SystemParams, draw: ChannelDraw) -> float:
     return params.eta * params.lam * (params.p1 * draw.g1 + params.p2 * draw.g2)
 
 
-def _snrs_rational(params, coeffs, g1, g2):
-    prod = g1 * g2
-    gamma1 = (params.p2 / params.sigma2) * prod / (coeffs.b * g1 + coeffs.c)
-    gamma2 = (params.p1 / params.sigma2) * prod / (coeffs.b * g2 + coeffs.c)
-    return gamma1, gamma2
-
-
-def _snrs_harvest_form(params, draw):
-    # gamma_i = (P_j g_j / sigma2) / (1 + eps*lam/(1-lam) + 1/(eta*lam*g_i))
-    lam, eta, eps = params.lam, params.eta, params.epsilon
-    noise_amp = 1.0 + eps * lam / (1.0 - lam)
-    gamma1 = (params.p2 * draw.g2 / params.sigma2) / (
-        noise_amp + 1.0 / (eta * lam * draw.g1)
-    )
-    gamma2 = (params.p1 * draw.g1 / params.sigma2) / (
-        noise_amp + 1.0 / (eta * lam * draw.g2)
-    )
-    return gamma1, gamma2
-
-
-def end_to_end_snrs(params: SystemParams, draw: ChannelDraw) -> tuple[float, float]:
-    """End-to-end SNR pair (gamma1, gamma2) after the two-stage round.
-
-    Degenerate zero gains map to zero SNR.  Both algebraic forms of the
-    SNR are evaluated and asserted equal to 1e-12 relative; the rational
-    form is the returned canonical value.
-    """
-    if draw.g1 <= 0.0 or draw.g2 <= 0.0:
-        return 0.0, 0.0
-    coeffs = derived_coeffs(params)
-    gamma1, gamma2 = _snrs_rational(params, coeffs, draw.g1, draw.g2)
-    alt1, alt2 = _snrs_harvest_form(params, draw)
-    assert abs(gamma1 - alt1) <= 1e-12 * max(gamma1, alt1), (gamma1, alt1)
-    assert abs(gamma2 - alt2) <= 1e-12 * max(gamma2, alt2), (gamma2, alt2)
-    return gamma1, gamma2
-
-
-def end_to_end_snrs_vec(
+def end_to_end_snrs(
     params: SystemParams, g1: np.ndarray, g2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rational-form SNRs for the Monte Carlo hot path."""
+    """End-to-end SNR pair (gamma1, gamma2) after the two-stage round.
+
+    Takes scalar or array gains; zero gains give zero SNR.
+    """
     coeffs = derived_coeffs(params)
     prod = g1 * g2
     gamma1 = (params.p2 / params.sigma2) * prod / (coeffs.b * g1 + coeffs.c)
@@ -258,10 +223,6 @@ class NonCoopBaseline:
             self.params.p1 * self.omega_direct / self.params.sigma2,
         )
 
-    @property
-    def rate_law(self) -> str:
-        return "R_i = 0.5*log2(1 + P_j*g/sigma2), g ~ Exp(omega_direct), two equal slots"
-
     def outage(self, targets: TargetRates) -> float:
         """P(R1 < T1 or R2 < T2) over the shared reciprocal gain."""
         s2 = self.params.sigma2
@@ -274,7 +235,7 @@ class NonCoopBaseline:
         """Sum ergodic rate; per direction E[ln(1+rho g)] = e^(1/rho) E1(1/rho)."""
         total = 0.0
         for rho in self.snr_means:
-            total += math.exp(1.0 / rho) * exp_integral_e1(1.0 / rho)
+            total += tricomi_psi11(1.0 / rho)
         return total / (2.0 * LN2)
 
 

@@ -1,7 +1,7 @@
 """Shared numerical machinery.
 
-Adaptive quadrature on finite and semi-infinite intervals, bracketed root
-finding, tail-bounded series accumulation, and central finite differences.
+Adaptive quadrature on finite and semi-infinite intervals and
+tail-bounded series accumulation.
 
 Quadrature delegates to QUADPACK (``scipy.integrate.quad``), which is built
 from nested low/high-order Gauss-Kronrod rule pairs on adaptively bisected
@@ -17,9 +17,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from scipy import integrate, optimize
+from scipy import integrate
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError
 
 TRANSFORM_NONE = "none"
 TRANSFORM_SEMI_INFINITE = "semi_infinite_exp"
@@ -155,29 +155,25 @@ def quad_adaptive(
     return _run_quadpack(f, a, b, spec, points=pts)
 
 
-def root_bracketed(
-    g: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
-) -> float:
-    """Find a root of ``g`` inside [lo, hi] by Brent's method.
+@dataclass(frozen=True)
+class SeriesControl:
+    """Truncation policy for the infinite series this package evaluates."""
 
-    Requires a sign change over the bracket; a root sitting exactly on an
-    endpoint is returned as that endpoint.
-    """
-    glo = g(lo)
-    if glo == 0.0:
-        return lo
-    ghi = g(hi)
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        raise BracketError(
-            f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
-        )
-    return float(optimize.brentq(g, lo, hi, xtol=tol))
+    max_terms: int = 200
+    rel_tol: float = 1e-10
+
+    def __post_init__(self) -> None:
+        if self.max_terms < 1:
+            raise DomainError(f"max_terms must be >= 1; got {self.max_terms}")
+        if not 0 < self.rel_tol < 1:
+            raise DomainError(f"rel_tol must lie in (0, 1); got {self.rel_tol}")
+
+
+DEFAULT_SERIES = SeriesControl()
 
 
 def series_accumulate(
-    term: Callable[[int], float], control
+    term: Callable[[int], float], control: SeriesControl
 ) -> SeriesResult:
     """Sum ``term(0) + term(1) + ...`` until the tail is negligible.
 
@@ -201,10 +197,3 @@ def series_accumulate(
         else:
             small_streak = 0
     return SeriesResult(total, control.max_terms, abs(last), False)
-
-
-def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
-    """O(h^2) central difference (f(x+h) - f(x-h)) / (2h)."""
-    if h <= 0:
-        raise DomainError(f"step must be positive; got {h}")
-    return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -1,56 +1,30 @@
-"""Scalar special functions behind the closed-form evaluators.
+"""Special functions behind the closed-form evaluators.
 
-Provides the modified Bessel function K1, the exponential integral E1, the
-integer-parameter Tricomi confluent hypergeometric function Psi(n, n; z),
-and the digamma function at positive integers.
-
-Convention note: the handbook definition of the confluent hypergeometric
-function is ambiguous between the Kummer M and Tricomi U branches.  This
-module pins Psi to the Tricomi U function through the integral identity
-
-    Gamma(n) * Psi(n, n; z) = int_0^inf exp(-z*t) * t^(n-1) / (1+t) dt,
-
-which is the form every downstream capacity expression consumes.
+The closed forms need two: x*K1(x), the order-one modified Bessel function
+of the second kind times its argument, in the fading CDFs, and the Tricomi
+function Psi(1, 1; z) = e^z E1(z) in the capacity expressions.  Both are
+built on ``scipy.special``; the tests check them, and E1, against mpmath
+values frozen into ``tests/data/``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from scipy import special as _special
 
-from .errors import ConvergenceError, DomainError
-from .numerics import SEMI_INFINITE_QUAD, QuadSpec, quad_adaptive
+from .errors import DomainError
 
 #: Euler-Mascheroni constant to full double precision (displayed values in
 #: the literature are often rounded to 0.5772; never use that rounding here).
 EULER_GAMMA = 0.5772156649015328606065121
 
+#: Below this, x*K1(x) = 1 + (x^2/2)(ln(x/2) + ...) rounds to 1, while
+#: K1(x) ~ 1/x overflows for subnormal x.
+_XK1_UNIT_BELOW = 1e-10
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series this package evaluates."""
-
-    max_terms: int = 200
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1; got {self.max_terms}")
-        if not 0 < self.rel_tol < 1:
-            raise DomainError(f"rel_tol must lie in (0, 1); got {self.rel_tol}")
-
-
-DEFAULT_SERIES = SeriesControl()
-
-# Seam between the power-log series and the large-argument asymptotic
-# expansion of K1.  The nu=1 asymptotic series is truncation-limited to
-# ~1e-2 relative error at x=2, so the seam sits at x=8 where its minimal
-# term reaches ~2e-8 while the series branch still holds ~1e-9 despite the
-# ln(x/2)*I1(x) cancellation.
-_K1_SEAM = 8.0
+#: e^z overflows past z = 709.78, so Psi(1, 1; z) switches to hyperu above this.
+_PSI11_PRODUCT_MAX = 700.0
 
 
 def _require_positive_finite(x: float, what: str) -> float:
@@ -60,77 +34,18 @@ def _require_positive_finite(x: float, what: str) -> float:
     return x
 
 
-def _xk1_series(x: float) -> float:
-    # x*K1(x) = 1 + 2u ln(x/2) sum_k u^k/(k!(k+1)!)
-    #             - u sum_k [psi(k+1)+psi(k+2)] u^k/(k!(k+1)!),  u = x^2/4.
-    # Working on the scaled function keeps the x -> 0 limit exact (no
-    # 1/x * x rounding) and is the combination the fading CDFs consume.
-    u = 0.25 * x * x
-    base = 1.0  # u^k / (k! (k+1)!)
-    psi_a = -EULER_GAMMA  # psi(k+1)
-    psi_b = 1.0 - EULER_GAMMA  # psi(k+2)
-    i1_sum = 0.0
-    psi_sum = 0.0
-    for k in range(400):
-        i1_sum += base
-        psi_sum += (psi_a + psi_b) * base
-        if base < 1e-19 * max(i1_sum, 1.0):
-            break
-        base *= u / ((k + 1) * (k + 2))
-        psi_a += 1.0 / (k + 1)
-        psi_b += 1.0 / (k + 2)
-    else:  # pragma: no cover - unreachable below the seam
-        raise ConvergenceError(f"K1 power series did not settle for x={x}")
-    return 1.0 + u * (2.0 * math.log(0.5 * x) * i1_sum - psi_sum)
-
-
-def _xk1_asymptotic(x: float) -> float:
-    # x*K1(x) ~ sqrt(pi*x/2) e^{-x} sum_k a_k / x^k; the series is
-    # asymptotic (eventually divergent), so truncate at the smallest term.
-    coeff = 1.0  # a_k
-    total = 1.0
-    prev = math.inf
-    for k in range(1, 40):
-        coeff *= (4.0 - (2 * k - 1) ** 2) / (8.0 * k)
-        contrib = coeff / x**k
-        if abs(contrib) >= abs(prev):
-            break
-        total += contrib
-        if abs(contrib) < 1e-18 * abs(total):
-            break
-        prev = contrib
-    return math.sqrt(math.pi * x / 2.0) * math.exp(-x) * total
-
-
-def _xk1(x: float) -> float:
-    scaled = _xk1_series(x) if x < _K1_SEAM else _xk1_asymptotic(x)
-    assert math.exp(-x) <= scaled <= 1.0, (x, scaled)
-    return scaled
-
-
-def bessel_k1(x: float) -> float:
-    """Modified Bessel function of the second kind, order one.
-
-    Power-log series below the seam, asymptotic expansion above it; the
-    two branches are cross-checked at the seam by the test suite.  The
-    sandwich exp(-x) <= x*K1(x) <= 1 is asserted on every call.
-    """
-    x = _require_positive_finite(x, "bessel_k1 argument")
-    return _xk1(x) / x
-
-
 def bessel_xk1(x: float) -> float:
-    """x * K1(x), continuously extended to 1 at x = 0.
+    """x * K1(x) for finite x >= 0, continuously extended to 1 at x = 0.
 
-    This is the combination every fading CDF uses; evaluating it in scaled
-    form keeps the z -> 0 limit finite and exact.
+    This is the combination every fading CDF uses.  It decreases from 1 and
+    satisfies exp(-x) <= x*K1(x) <= 1.
     """
     x = float(x)
-    if math.isnan(x) or x < 0.0:
-        raise DomainError(f"bessel_xk1 argument must be >= 0; got {x}")
-    if x == 0.0:
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"bessel_xk1 argument must be finite and >= 0; got {x}")
+    if x < _XK1_UNIT_BELOW:
         return 1.0
-    return _xk1(x)
+    return x * float(_special.k1(x))
 
 
 def exp_integral_e1(x: float) -> float:
@@ -139,76 +54,13 @@ def exp_integral_e1(x: float) -> float:
     return float(_special.exp1(x))
 
 
-def tricomi_psi(n: int, z: float, spec: QuadSpec = SEMI_INFINITE_QUAD) -> float:
-    """Tricomi Psi(n, n; z) for integer n >= 1 and z > 0.
+def tricomi_psi11(z: float) -> float:
+    """Tricomi Psi(1, 1; z) = e^z E1(z) = int_0^inf e^(-z*t)/(1+t) dt, z > 0.
 
-    Evaluated from the defining semi-infinite integral by adaptive
-    quadrature (the integer-parameter Kummer series is numerically
-    treacherous; :func:`tricomi_psi_log_form` keeps it available as an
-    independent cross-check).  Strictly positive and decreasing in z.
+    The product e^z E1(z) is used up to z = 700 and ``hyperu(1, 1, z)`` above,
+    where e^z would overflow; both are within 1e-15 of mpmath.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"tricomi_psi order must be an integer >= 1; got {n}")
-    n = int(n)
-    z = _require_positive_finite(z, "tricomi_psi argument")
-    lgam = math.lgamma(n)
-
-    def integrand(t: float) -> float:
-        if t <= 0.0:
-            return 1.0 / math.exp(lgam) if n == 1 else 0.0
-        return math.exp(-z * t + (n - 1) * math.log(t) - lgam) / (1.0 + t)
-
-    # Breakpoint at the 1/(1+t) knee; tail scale follows the integrand peak.
-    scale = max(1.0, (n - 1)) / z
-    value, _ = quad_adaptive(integrand, 0.0, math.inf, spec, scale=scale, points=[1.0])
-    if not (value > 0.0 and math.isfinite(value)):
-        raise ConvergenceError(f"tricomi_psi({n}, {z}) quadrature returned {value}")
-    return value
-
-
-def tricomi_psi_log_form(n: int, z: float) -> float:
-    """Psi(n, n; z) through its logarithmic-case closed form.
-
-    Exact finite expression built on E1 (which carries the log term) and
-    lower incomplete-gamma pieces:
-
-        Gamma(n) Psi(n,n;z) = (-1)^(n-1) e^z E1(z)
-            + sum_{k=1}^{n-1} C(n-1, k) (-1)^(n-1-k) (k-1)!
-              * (sum_{j<k} z^j/j!) / z^k.
-
-    Alternating binomial cancellation makes this unreliable for large n at
-    small z; it is retained purely as a cross-check for the quadrature path.
-    """
-    if int(n) != n or n < 1:
-        raise DomainError(f"tricomi_psi_log_form order must be >= 1; got {n}")
-    n = int(n)
-    z = _require_positive_finite(z, "tricomi_psi_log_form argument")
-    total = (-1.0) ** (n - 1) * math.exp(z) * exp_integral_e1(z)
-    for k in range(1, n):
-        partial = sum(z**j / math.factorial(j) for j in range(k))
-        total += (
-            math.comb(n - 1, k)
-            * (-1.0) ** (n - 1 - k)
-            * math.factorial(k - 1)
-            * partial
-            / z**k
-        )
-    return total / math.gamma(n)
-
-
-def harmonic_number(k: int) -> Fraction:
-    """Exact harmonic number H_k = sum_{i<=k} 1/i (H_0 = 0)."""
-    if int(k) != k or k < 0:
-        raise DomainError(f"harmonic_number index must be >= 0; got {k}")
-    total = Fraction(0)
-    for i in range(1, int(k) + 1):
-        total += Fraction(1, i)
-    return total
-
-
-def digamma_nat(k: int) -> float:
-    """Digamma at a positive integer: psi(1) = -EULER_GAMMA, and
-    psi(k) = -EULER_GAMMA + H_{k-1} for k >= 2."""
-    if int(k) != k or k < 1:
-        raise DomainError(f"digamma_nat argument must be an integer >= 1; got {k}")
-    return -EULER_GAMMA + float(harmonic_number(int(k) - 1))
+    z = _require_positive_finite(z, "tricomi_psi11 argument")
+    if z <= _PSI11_PRODUCT_MAX:
+        return math.exp(z) * float(_special.exp1(z))
+    return float(_special.hyperu(1.0, 1.0, z))

@@ -11,6 +11,7 @@ with the same seed must reproduce the CSV byte for byte.
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -166,9 +167,12 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
     Deterministic given the seed; writes the CSV and a matplotlib script
-    referencing it (unless ``write=False``).
+    referencing it (unless ``write=False``).  The output directory is
+    checked before any evaluation, so a bad path fails fast.
     """
     config.validate()
+    if write:
+        _require_writable_dir(config.output_path)
     started = time.perf_counter()
     rows: list[SweepRow] = []
     for value in axis_grid(config):
@@ -191,6 +195,14 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
         write_csv(result, config.output_path)
         write_plot_script(config)
     return result
+
+
+def _require_writable_dir(path: str) -> None:
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"output directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"output directory {directory!r} is not writable")
 
 
 def _fmt(value: float) -> str:
@@ -270,8 +282,6 @@ def plot_script_path(config: ExperimentConfig) -> str:
 
 
 def write_plot_script(config: ExperimentConfig) -> str:
-    import os
-
     family = config.metric_family
     ylabel = {
         "outage": "outage probability",
@@ -415,8 +425,6 @@ def figure_preset(
     fig3: diversity gain vs SNR at r = 0.5, lambda = 3/4.
     fig4: diversity gain vs lambda at r = 0.5, 20 dB.
     """
-    import os
-
     presets = {
         1: dict(
             sweep="snr_db", start=0.0, stop=30.0, steps=7,

@@ -1,8 +1,26 @@
 """Shared test utilities: reference parameter sets and brute-force oracles."""
 
-import numpy as np
+import math
+from fractions import Fraction
+from typing import Callable
 
+import numpy as np
+from scipy import optimize
+
+from twrelay import analytic, mc
+from twrelay.analytic import CornerPoint
+from twrelay.errors import (
+    ConvergenceError,
+    DegenerateCaseError,
+    DomainError,
+    NumericalError,
+)
 from twrelay.model import SystemParams, build_params
+from twrelay.numerics import SEMI_INFINITE_QUAD, QuadSpec, quad_adaptive
+from twrelay.specfun import EULER_GAMMA, exp_integral_e1
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def make_params(
@@ -36,3 +54,205 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     upper = np.abs(np.arange(1, n + 1) / n - theo).max()
     lower = np.abs(theo - np.arange(0, n) / n).max()
     return float(max(upper, lower))
+
+
+# Oracles and variants that only the tests use.
+
+
+def _cdf_chunk(args):
+    a, b, c, omega1, omega2, z_grid, seed, chunk, size = args
+    rng = mc._chunk_rng(seed, chunk)
+    x = rng.exponential(omega1, size)
+    y = rng.exponential(omega2, size)
+    z = a * x * y / (b * x + c)
+    z.sort()
+    return np.searchsorted(z, z_grid, side="right").astype(np.int64)
+
+
+def empirical_cdf_z(
+    a: float,
+    b: float,
+    c: float,
+    omega1: float,
+    omega2: float,
+    z_grid,
+    n: int,
+    seed: int,
+    workers: int = 1,
+) -> list[tuple[float, float]]:
+    """Empirical CDF of Z = a*X*Y/(b*X+c) on an ascending grid, drawn in the
+    chunked, worker-invariant way of ``twrelay.mc``."""
+    if a <= 0:
+        raise DomainError(f"scale a must be positive; got {a}")
+    if b < 0 or c < 0 or b + c == 0:
+        raise DomainError(f"need b, c >= 0 with b + c > 0; got b={b}, c={c}")
+    if omega1 <= 0 or omega2 <= 0:
+        raise DomainError("fading means must be positive")
+    z_grid = np.asarray(z_grid, dtype=float)
+    if z_grid.ndim != 1 or np.any(np.diff(z_grid) < 0):
+        raise DomainError("z_grid must be one-dimensional and sorted ascending")
+    n = mc._validate_n(n)
+    args = [
+        (a, b, c, omega1, omega2, z_grid, seed, k, size)
+        for k, size in enumerate(mc._chunk_sizes(n))
+    ]
+    counts = np.zeros(len(z_grid), dtype=np.int64)
+    for part in mc._map_chunks(_cdf_chunk, args, workers):
+        counts += part
+    return [(float(z), float(k) / n) for z, k in zip(z_grid, counts)]
+
+
+def estimate_rates(
+    params: SystemParams, n: int, seed: int, workers: int = 1
+) -> tuple[mc.Estimate, mc.Estimate]:
+    """Per-direction mean rates (shares the capacity sample stream)."""
+    n = mc._validate_n(n)
+    totals = mc._rate_totals(params, n, seed, workers, False)
+    return (
+        mc._to_estimate(totals[0], totals[1], n, seed),
+        mc._to_estimate(totals[2], totals[3], n, seed),
+    )
+
+
+
+class BracketError(NumericalError):
+    """Root bracketing failed: no sign change over the supplied interval."""
+
+
+def central_diff(f: Callable[[float], float], x: float, h: float) -> float:
+    """O(h^2) central difference (f(x+h) - f(x-h)) / (2h)."""
+    if h <= 0:
+        raise DomainError(f"step must be positive; got {h}")
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def root_bracketed(
+    g: Callable[[float], float], lo: float, hi: float, tol: float = 4 * _EPS
+) -> float:
+    """Find a root of ``g`` inside [lo, hi] by Brent's method.
+
+    ``tol`` is relative to the root (at least 4 machine epsilons), so tiny
+    roots are found as precisely as large ones.  Requires a sign change
+    over the bracket; a root sitting exactly on an endpoint is returned as
+    that endpoint.
+    """
+    glo = g(lo)
+    if glo == 0.0:
+        return lo
+    ghi = g(hi)
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0:
+        raise BracketError(
+            f"no sign change on [{lo:.6g}, {hi:.6g}]: g(lo)={glo:.6g}, g(hi)={ghi:.6g}"
+        )
+    return float(optimize.brentq(g, lo, hi, xtol=_TINY, rtol=tol))
+
+
+def corner_point_root_solve(params, coeffs, tau1: float, tau2: float) -> CornerPoint:
+    """Corner point by bracketing the substituted X quadratic numerically
+    and back-substituting; the oracle for ``analytic.corner_point``, held
+    to the same 1e-9 relative residual."""
+    b, c = coeffs.b, coeffs.c
+    a1 = params.sigma2 * tau1 / params.p2
+    a2 = params.sigma2 * tau2 / params.p1
+    lin_x = c - a2 * b * b - a2 * c / a1
+    const_x = -a2 * b * c
+
+    def poly(x: float) -> float:
+        return b * x * x + lin_x * x + const_x
+
+    hi = 1.0
+    while poly(hi) <= 0.0:
+        hi *= 2.0
+        if hi > 1e300:
+            raise DegenerateCaseError(f"corner bracketing failed up to {hi}")
+    x0 = root_bracketed(poly, 0.0, hi)
+    y0 = a1 * (b + c / x0)
+    residual = analytic._corner_residual(params, coeffs, tau1, tau2, x0, y0)
+    if residual > 1e-9:
+        raise DegenerateCaseError(
+            f"root-solved corner ({x0:.6g}, {y0:.6g}) misses the boundary "
+            f"system by {residual:.3g} relative"
+        )
+    return CornerPoint(x0=x0, y0=y0)
+
+
+def y0_without_cross_term(params, coeffs, tau1: float, tau2: float) -> float:
+    """Corner Y0 from a linear coefficient that drops the cross-traffic term
+    (its two c contributions cancel); it fails the defining system for
+    asymmetric traffic, which the tests prove."""
+    b, c = coeffs.b, coeffs.c
+    s2 = params.sigma2
+    lin_scaled = s2 * tau1 * tau2 * b * b / params.p2 + params.p2 * tau2 * c / params.p2 - tau2 * c
+    disc = math.sqrt(lin_scaled**2 + 4.0 * s2 * tau2**2 * tau1 * b * b * c / params.p2)
+    return (lin_scaled + disc) / (2.0 * tau2 * b)
+
+
+def tricomi_psi(n: int, z: float, spec: QuadSpec = SEMI_INFINITE_QUAD) -> float:
+    """Tricomi Psi(n, n; z) for integer n >= 1 and z > 0, from the defining
+    integral Gamma(n) Psi(n, n; z) = int_0^inf e^(-z t) t^(n-1)/(1+t) dt by
+    adaptive quadrature.  Strictly positive and decreasing in z.
+    """
+    if int(n) != n or n < 1:
+        raise DomainError(f"tricomi_psi order must be an integer >= 1; got {n}")
+    n = int(n)
+    if not 0.0 < z < math.inf:
+        raise DomainError(f"tricomi_psi argument must be positive and finite; got {z}")
+    lgam = math.lgamma(n)
+
+    def integrand(t: float) -> float:
+        if t <= 0.0:
+            return 1.0 / math.exp(lgam) if n == 1 else 0.0
+        return math.exp(-z * t + (n - 1) * math.log(t) - lgam) / (1.0 + t)
+
+    # Breakpoint at the 1/(1+t) knee; tail scale follows the integrand peak.
+    scale = max(1.0, (n - 1)) / z
+    value, _ = quad_adaptive(integrand, 0.0, math.inf, spec, scale=scale, points=[1.0])
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ConvergenceError(f"tricomi_psi({n}, {z}) quadrature returned {value}")
+    return value
+
+
+def tricomi_psi_log_form(n: int, z: float) -> float:
+    """Psi(n, n; z) through its logarithmic-case closed form:
+
+        Gamma(n) Psi(n,n;z) = (-1)^(n-1) e^z E1(z)
+            + sum_{k=1}^{n-1} C(n-1, k) (-1)^(n-1-k) (k-1)!
+              * (sum_{j<k} z^j/j!) / z^k.
+
+    Alternating binomial cancellation makes this unreliable for large n at
+    small z; it is a cross-check for the quadrature path.
+    """
+    if int(n) != n or n < 1:
+        raise DomainError(f"tricomi_psi_log_form order must be >= 1; got {n}")
+    n = int(n)
+    total = (-1.0) ** (n - 1) * math.exp(z) * exp_integral_e1(z)
+    for k in range(1, n):
+        partial = sum(z**j / math.factorial(j) for j in range(k))
+        total += (
+            math.comb(n - 1, k)
+            * (-1.0) ** (n - 1 - k)
+            * math.factorial(k - 1)
+            * partial
+            / z**k
+        )
+    return total / math.gamma(n)
+
+
+def harmonic_number(k: int) -> Fraction:
+    """Exact harmonic number H_k = sum_{i<=k} 1/i (H_0 = 0)."""
+    if int(k) != k or k < 0:
+        raise DomainError(f"harmonic_number index must be >= 0; got {k}")
+    total = Fraction(0)
+    for i in range(1, int(k) + 1):
+        total += Fraction(1, i)
+    return total
+
+
+def digamma_nat(k: int) -> float:
+    """Digamma at a positive integer: psi(1) = -EULER_GAMMA, and
+    psi(k) = -EULER_GAMMA + H_{k-1} for k >= 2."""
+    if int(k) != k or k < 1:
+        raise DomainError(f"digamma_nat argument must be an integer >= 1; got {k}")
+    return -EULER_GAMMA + float(harmonic_number(int(k) - 1))

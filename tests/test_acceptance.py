@@ -11,7 +11,16 @@ import tempfile
 import numpy as np
 import pytest
 
-from helpers import make_params
+from helpers import (
+    central_diff,
+    corner_point_root_solve,
+    digamma_nat,
+    empirical_cdf_z,
+    harmonic_number,
+    make_params,
+    tricomi_psi,
+    y0_without_cross_term,
+)
 
 from twrelay import analytic, mc
 from twrelay.analytic import (
@@ -28,15 +37,7 @@ from twrelay.analytic import (
     x0_symmetric,
 )
 from twrelay.model import TargetRates, derived_coeffs
-from twrelay.numerics import central_diff
-from twrelay.specfun import (
-    EULER_GAMMA,
-    bessel_k1,
-    digamma_nat,
-    exp_integral_e1,
-    harmonic_number,
-    tricomi_psi,
-)
+from twrelay.specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 from twrelay.sweep import figure_preset, run_sweep
 
 
@@ -58,7 +59,7 @@ def test_c01_fading_cdf_matches_simulation():
         a = params.p2 / params.sigma2
         z_hi = 10.0 * a * params.omega2 / coeffs.b
         grid = np.linspace(0.0, z_hi, 200)
-        rows = mc.empirical_cdf_z(
+        rows = empirical_cdf_z(
             a, coeffs.b, coeffs.c, params.omega1, params.omega2,
             grid, 1_000_000, seed=int(rng.integers(1 << 30)),
         )
@@ -313,14 +314,14 @@ def test_c11_corner_point_cross_term():
         coeffs = derived_coeffs(params)
         tau1 = float(rng.uniform(0.5, 10.0))
         tau2 = float(rng.uniform(0.5, 10.0))
-        closed = corner_point(params, coeffs, tau1, tau2, method="closed_form")
-        solved = corner_point(params, coeffs, tau1, tau2, method="root_solve")
+        closed = corner_point(params, coeffs, tau1, tau2)
+        solved = corner_point_root_solve(params, coeffs, tau1, tau2)
         worst = max(
             worst,
             abs(closed.x0 - solved.x0) / solved.x0,
             abs(closed.y0 - solved.y0) / solved.y0,
         )
-        bad_y0 = analytic._y0_without_cross_term(params, coeffs, tau1, tau2)
+        bad_y0 = y0_without_cross_term(params, coeffs, tau1, tau2)
         bad_residuals.append(
             analytic._corner_residual(params, coeffs, tau1, tau2, closed.x0, bad_y0)
         )
@@ -361,12 +362,12 @@ def test_c12_preset_determinism_across_workers():
 def test_c13_special_function_floor():
     """Bessel sandwich on a 1e4 grid; hypergeometric and digamma identities."""
     sandwich_ok = all(
-        math.exp(-x) <= x * bessel_k1(float(x)) <= 1.0
+        math.exp(-x) <= bessel_xk1(float(x)) <= 1.0
         for x in np.geomspace(1e-6, 50.0, 10_000)
     )
     psi_ok = all(
-        abs(tricomi_psi(1, float(z)) - math.exp(z) * exp_integral_e1(float(z)))
-        <= 1e-8 * tricomi_psi(1, float(z))
+        abs(tricomi_psi11(float(z)) - math.exp(z) * exp_integral_e1(float(z)))
+        <= 1e-8 * tricomi_psi11(float(z))
         for z in np.geomspace(1e-3, 50.0, 40)
     )
     import scipy.integrate as si

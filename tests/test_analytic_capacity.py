@@ -14,9 +14,12 @@ from twrelay.analytic import (
     capacity_series,
     _direction_rates,
 )
+from twrelay.config import ExperimentConfig
 from twrelay.errors import DomainError
 from twrelay.mc import estimate_capacity
-from twrelay.specfun import SeriesControl, tricomi_psi
+from twrelay.numerics import SeriesControl
+from twrelay.specfun import tricomi_psi11
+from twrelay.sweep import run_sweep
 
 LOG2_SCALE = 2.0 * np.log(2.0)
 
@@ -68,7 +71,7 @@ class TestCapacitySeries:
         # with the harvest-inverse coefficient forced to zero every series
         # term vanishes and only the hypergeometric base survives
         value, result = capacity_direction_integral(0.01, 0.0)
-        assert value == tricomi_psi(1, 0.01)
+        assert value == tricomi_psi11(0.01)
         assert result.terms_used == 0
 
     def test_invalid_j_method(self):
@@ -164,3 +167,32 @@ class TestDirectionRates:
     def test_survival_parameters_positive(self):
         for s, mu in _direction_rates(make_params(d1=0.3, p2_scale=0.5)):
             assert s > 0 and mu > 0
+
+
+class TestLowSnr:
+    """Below about -20 dB the survival decay length 1/s is far shorter than
+    the z = 1 knee, and e^(1/rho) overflows for the direct link; every
+    capacity row must still see the mass near 0."""
+
+    def test_rows_match_simulation_and_keep_the_chain(self, tmp_path):
+        config = ExperimentConfig(
+            sweep="snr_db", start=-60.0, stop=-50.0, steps=2,
+            methods=("mc", "capacity_quadrature", "capacity_series", "capacity_bounds",
+                     "non_coop"),
+            seed=83, output_path=str(tmp_path / "low.csv"),
+        )
+        rows = run_sweep(config, write=False).rows
+        for snr_db in (-60.0, -50.0):
+            point = {r.method: r for r in rows if r.axis_value == snr_db}
+            mc, slack = point["mc"].value, 3.0 * point["mc"].std_err
+            for method in ("capacity_quadrature", "capacity_series"):
+                assert abs(point[method].value - mc) <= slack, (snr_db, method)
+            lower = point["capacity_bounds:lower"].value
+            tight = point["capacity_bounds:tight_upper"].value
+            loose = point["capacity_bounds:loose_upper"].value
+            exact = point["capacity_quadrature"].value
+            assert 0.0 < lower <= exact <= tight <= loose
+            assert lower <= mc + slack and tight >= mc - slack
+            # direct link: E[ln(1 + rho*g)] = rho - rho^2 + O(rho^3) per direction
+            rho = 10.0 ** (snr_db / 10.0)
+            assert point["non_coop"].value == pytest.approx(rho / np.log(2.0), rel=1e-4)

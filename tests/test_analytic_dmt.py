@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from helpers import make_params
+from helpers import central_diff, corner_point_root_solve, make_params
 
 from twrelay.analytic import (
-    corner_point,
     dmt,
     dmt_coefficients,
     outage_bounds,
@@ -15,7 +14,6 @@ from twrelay.analytic import (
 )
 from twrelay.errors import DomainError, ParameterError
 from twrelay.model import DerivedCoeffs, TargetRates, derived_coeffs
-from twrelay.numerics import central_diff
 
 COEFFS = DerivedCoeffs(b=2.5, c=4.0 / 3.0)
 
@@ -34,7 +32,7 @@ class TestX0Symmetric:
                 params = make_params(snr_db=10.0 * math.log10(gamma))
                 coeffs = derived_coeffs(params)
                 tau = (1.0 + gamma) ** r - 1.0
-                point = corner_point(params, coeffs, tau, tau, method="root_solve")
+                point = corner_point_root_solve(params, coeffs, tau, tau)
                 assert x0_symmetric(r, gamma, coeffs) == pytest.approx(
                     point.x0, rel=1e-9
                 )

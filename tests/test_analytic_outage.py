@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_params
+from helpers import corner_point_root_solve, make_params, y0_without_cross_term
 
 from twrelay import analytic
 from twrelay.analytic import (
@@ -22,7 +22,7 @@ from twrelay.errors import DomainError
 from twrelay.model import (
     TargetRates,
     derived_coeffs,
-    end_to_end_snrs_vec,
+    end_to_end_snrs,
 )
 
 
@@ -31,7 +31,7 @@ def mc_event_probability(params, predicate, n=1_000_000, seed=0):
     rng = np.random.default_rng(seed)
     g1 = rng.exponential(params.omega1, n)
     g2 = rng.exponential(params.omega2, n)
-    gamma1, gamma2 = end_to_end_snrs_vec(params, g1, g2)
+    gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
     hits = int(np.count_nonzero(predicate(gamma1, gamma2)))
     p = hits / n
     return p, math.sqrt(max(p * (1 - p), 1e-12) / n)
@@ -125,12 +125,19 @@ class TestCornerPoint:
         assert point.x0 == pytest.approx(2.9517, abs=1e-4)
 
     def test_closed_form_matches_root_solve_asymmetric(self):
-        params = make_params(snr_db=13.0, d1=0.3, p2_scale=0.6)
-        coeffs = derived_coeffs(params)
-        a = corner_point(params, coeffs, 2.0, 5.0, method="closed_form")
-        b = corner_point(params, coeffs, 2.0, 5.0, method="root_solve")
-        assert a.x0 == pytest.approx(b.x0, rel=1e-9)
-        assert a.y0 == pytest.approx(b.y0, rel=1e-9)
+        cases = [(make_params(snr_db=13.0, d1=0.3, p2_scale=0.6), 2.0, 5.0)]
+        # 80 dB with a positive linear coefficient: the root x0 ~ 3e-8 is
+        # far below an absolute solver tolerance
+        high = TargetRates.from_rates(1.0, 0.7)
+        cases.append(
+            (make_params(snr_db=80.0, lam=0.3, p2_scale=0.5), high.tau1, high.tau2)
+        )
+        for params, tau1, tau2 in cases:
+            coeffs = derived_coeffs(params)
+            a = corner_point(params, coeffs, tau1, tau2)
+            b = corner_point_root_solve(params, coeffs, tau1, tau2)
+            assert a.x0 == pytest.approx(b.x0, rel=1e-9)
+            assert a.y0 == pytest.approx(b.y0, rel=1e-9)
 
     def test_closed_form_stable_with_positive_linear_coefficient(self):
         # asymmetric powers and targets at 80 dB give the X quadratic a
@@ -166,7 +173,7 @@ class TestCornerPoint:
         params = make_params(snr_db=13.0, d1=0.3, p2_scale=0.6)
         coeffs = derived_coeffs(params)
         good = corner_point(params, coeffs, 2.0, 5.0)
-        bad_y0 = analytic._y0_without_cross_term(params, coeffs, 2.0, 5.0)
+        bad_y0 = y0_without_cross_term(params, coeffs, 2.0, 5.0)
         residual = analytic._corner_residual(
             params, coeffs, 2.0, 5.0, good.x0, bad_y0
         )

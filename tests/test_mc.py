@@ -5,17 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import make_params
+from helpers import empirical_cdf_z, estimate_rates, make_params
 
 from twrelay import analytic
 from twrelay.errors import InsufficientSamplesError, ParameterError
 from twrelay.mc import (
     CHUNK_DRAWS,
-    empirical_cdf_z,
     estimate_capacity,
     estimate_diversity_fd,
     estimate_outage,
-    estimate_rates,
 )
 from twrelay.model import TargetRates
 

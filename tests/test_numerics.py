@@ -4,19 +4,18 @@ import math
 
 import pytest
 
-from helpers import simpson_panels
+from helpers import BracketError, central_diff, root_bracketed, simpson_panels
 
-from twrelay.errors import BracketError, ConvergenceError, DomainError
+from twrelay.errors import ConvergenceError, DomainError
 from twrelay.numerics import (
     DEFAULT_QUAD,
     SEMI_INFINITE_QUAD,
     QuadSpec,
-    central_diff,
+    SeriesControl,
     quad_adaptive,
-    root_bracketed,
     series_accumulate,
 )
-from twrelay.specfun import SeriesControl, exp_integral_e1
+from twrelay.specfun import exp_integral_e1
 
 
 class TestQuadAdaptive:

@@ -5,27 +5,21 @@ representations with adaptive quadrature before the implementations
 existed; the oracles are re-evaluated here so drift in either side fails.
 """
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.special as sp
 
-from twrelay import specfun
+from helpers import digamma_nat, harmonic_number, tricomi_psi, tricomi_psi_log_form
+
 from twrelay.errors import DomainError
-from twrelay.specfun import (
-    EULER_GAMMA,
-    SeriesControl,
-    bessel_k1,
-    bessel_xk1,
-    digamma_nat,
-    exp_integral_e1,
-    harmonic_number,
-    tricomi_psi,
-    tricomi_psi_log_form,
-)
+from twrelay.numerics import SeriesControl
+from twrelay.specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 
 def k1_integral_oracle(x: float) -> float:
@@ -50,36 +44,37 @@ def k1_integral_oracle(x: float) -> float:
 class TestBesselK1:
     def test_frozen_oracle_value_at_one(self):
         # frozen from k1_integral_oracle(1.0)
-        assert bessel_k1(1.0) == pytest.approx(0.6019072301972347, abs=1e-5)
+        assert bessel_xk1(1.0) == pytest.approx(0.6019072301972347, abs=1e-5)
         assert k1_integral_oracle(1.0) == pytest.approx(0.6019072301972347, abs=1e-9)
 
     @pytest.mark.parametrize("x", [0.25, 1.0, 2.5, 5.0, 8.0, 12.0, 20.0])
     def test_matches_integral_representation(self, x):
-        assert bessel_k1(x) == pytest.approx(k1_integral_oracle(x), rel=1e-6)
+        assert bessel_xk1(x) / x == pytest.approx(k1_integral_oracle(x), rel=1e-6)
 
     def test_small_argument_scaled_limit(self):
         x = 1e-8
-        assert x * bessel_k1(x) == pytest.approx(1.0, abs=1e-6)
+        assert bessel_xk1(x) == pytest.approx(1.0, abs=1e-6)
 
     def test_sandwich_holds_over_sweep(self):
         # exp(-x) <= x*K1(x) <= 1 on (0, 50]
         for x in np.geomspace(1e-6, 50.0, 10_000):
-            scaled = x * bessel_k1(float(x))
+            scaled = bessel_xk1(float(x))
             assert math.exp(-x) <= scaled <= 1.0
 
     def test_branch_seam_is_continuous(self):
-        lo = specfun._xk1_series(7.999999999)
-        hi = specfun._xk1_asymptotic(8.000000001)
+        # scipy's K1 (cephes) switches Chebyshev expansions at x = 2
+        lo = bessel_xk1(1.999999999)
+        hi = bessel_xk1(2.000000001)
         assert lo == pytest.approx(hi, rel=5e-8)
 
     def test_matches_scipy_across_range(self):
         for x in np.geomspace(1e-6, 50.0, 500):
-            assert bessel_k1(float(x)) == pytest.approx(float(sp.k1(x)), rel=5e-8)
+            assert bessel_xk1(float(x)) / x == pytest.approx(float(sp.k1(x)), rel=5e-8)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
-            bessel_k1(bad)
+            bessel_xk1(bad)
 
     def test_scaled_variant_extends_to_zero(self):
         assert bessel_xk1(0.0) == 1.0
@@ -131,13 +126,13 @@ def psi_integral_oracle(n: int, z: float) -> float:
 class TestTricomiPsi:
     def test_order_one_equals_scaled_e1(self):
         # frozen from quad of int_0^inf e^-t/(1+t) dt
-        assert tricomi_psi(1, 1.0) == pytest.approx(0.5963473623231728, abs=1e-5)
+        assert tricomi_psi11(1.0) == pytest.approx(0.5963473623231728, abs=1e-5)
         assert math.e * exp_integral_e1(1.0) == pytest.approx(
             0.5963473623231728, rel=1e-10
         )
 
     def test_large_argument_asymptote(self):
-        assert tricomi_psi(1, 100.0) == pytest.approx(0.01, rel=0.05)
+        assert tricomi_psi11(100.0) == pytest.approx(0.01, rel=0.05)
 
     def test_order_two_against_oracle(self):
         # frozen from psi_integral_oracle(2, 0.5)
@@ -146,7 +141,7 @@ class TestTricomiPsi:
     def test_identity_with_e1_across_range(self):
         # Psi(1,1;z) = e^z E1(z): two independent code paths
         for z in np.geomspace(1e-3, 50.0, 60):
-            lhs = tricomi_psi(1, float(z))
+            lhs = tricomi_psi11(float(z))
             rhs = math.exp(z) * exp_integral_e1(float(z))
             assert lhs == pytest.approx(rhs, rel=1e-8)
 
@@ -176,6 +171,28 @@ class TestTricomiPsi:
             tricomi_psi(2, 0.0)
         with pytest.raises(DomainError):
             tricomi_psi(1.5, 1.0)
+
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_specfun.json").read_text(encoding="utf-8")
+)
+
+
+class TestGoldenValues:
+    """Against mpmath values frozen by tests/data/make_golden.py."""
+
+    @pytest.mark.parametrize(
+        "key, func",
+        [("xk1", bessel_xk1), ("psi11", tricomi_psi11), ("e1", exp_integral_e1)],
+    )
+    def test_matches_mpmath(self, key, func):
+        worst = max(abs(func(x) - ref) / ref for x, ref in GOLDEN[key])
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_psi11_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            tricomi_psi11(bad)
 
 
 class TestDigamma:

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from twrelay import analytic, cli
+from twrelay import analytic, cli, sweep
 from twrelay.config import (
     ExperimentConfig,
     canonical_items,
@@ -331,6 +331,17 @@ class TestCli:
             cli.main(["run", "--config", str(tmp_path / "nope.cfg")])
             == cli.EXIT_CONFIG
         )
+
+    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output path was checked")
+
+        monkeypatch.setattr(sweep, "estimate_capacity", no_compute)
+        missing = tmp_path / "missing"
+        argv = ["reproduce", "--figure", "2", "--out", str(missing)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "does not exist" in capsys.readouterr().err
+        assert not missing.exists()
 
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "exp.cfg"
