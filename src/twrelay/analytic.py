@@ -25,8 +25,6 @@ from .errors import ConvergenceError, DegenerateCaseError, DomainError, Paramete
 from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs
 from .numerics import (
     DEFAULT_SERIES,
-    SEMI_INFINITE_QUAD,
-    QuadSpec,
     SeriesControl,
     SeriesResult,
     quad_adaptive,
@@ -196,7 +194,7 @@ def _segment_integral(k: float, omega: float, v: float, method: str) -> float:
                 return 0.0
             return math.exp(-k / z - z / omega)
 
-        value, _ = quad_adaptive(integrand, 0.0, v, QuadSpec())
+        value, _ = quad_adaptive(integrand, 0.0, v)
         return value
     if method != "taylor":
         raise DomainError(f"unknown outage method {method!r}")
@@ -388,7 +386,7 @@ def _survival_integral(s: float, mu: float, xk1) -> float:
         return math.exp(-s * z) * xk1(2.0 * math.sqrt(mu * z)) / (1.0 + z)
 
     value, _ = quad_adaptive(
-        integrand, 0.0, math.inf, SEMI_INFINITE_QUAD, scale=1.0 / s,
+        integrand, 0.0, math.inf, scale=1.0 / s,
         points=[1.0] if s < 1.0 else None,
     )
     return value
@@ -428,7 +426,7 @@ def _scaled_series_factors(s: float, l: int, j_method: str) -> tuple[float, floa
     # past the kernel's bulk at u ~ n a panel ending there would miss it.
     breakpoints = [s] if s < 4.0 * n else None
     e_psi, _ = quad_adaptive(
-        kernel, 0.0, math.inf, SEMI_INFINITE_QUAD, scale=float(n), points=breakpoints
+        kernel, 0.0, math.inf, scale=float(n), points=breakpoints
     )
     psi_scaled = e_psi / s
     if j_method == "approx":
@@ -441,7 +439,7 @@ def _scaled_series_factors(s: float, l: int, j_method: str) -> tuple[float, floa
             return kernel(u) * (math.log(u) - ln_s)
 
         e_j, _ = quad_adaptive(
-            j_kernel, 0.0, math.inf, SEMI_INFINITE_QUAD,
+            j_kernel, 0.0, math.inf,
             scale=float(n), points=breakpoints,
         )
         j_scaled = e_j / s

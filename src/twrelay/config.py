@@ -13,19 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ParameterError
+from .methods import FAMILIES, METHODS
 from .model import SystemParams, build_params
 
 SWEEP_AXES = ("snr_db", "lambda", "r", "d1")
-
-OUTAGE_ANALYTIC = frozenset(
-    {"exact_taylor", "exact_quadrature", "lower_bound", "upper_bound", "high_snr"}
-)
-CAPACITY_ANALYTIC = frozenset(
-    {"capacity_series", "capacity_quadrature", "capacity_bounds"}
-)
-DMT_ANALYTIC = frozenset({"dmt"})
-SHARED_METHODS = frozenset({"mc", "non_coop"})
-ALL_METHODS = OUTAGE_ANALYTIC | CAPACITY_ANALYTIC | DMT_ANALYTIC | SHARED_METHODS
 
 
 @dataclass(frozen=True)
@@ -57,14 +48,8 @@ class ExperimentConfig:
     @property
     def metric_family(self) -> str:
         """outage / capacity / dmt, inferred from the analytic methods."""
-        families = set()
-        method_set = set(self.methods)
-        if method_set & OUTAGE_ANALYTIC:
-            families.add("outage")
-        if method_set & CAPACITY_ANALYTIC:
-            families.add("capacity")
-        if method_set & DMT_ANALYTIC:
-            families.add("dmt")
+        specs = [METHODS[m] for m in self.methods if m in METHODS]
+        families = {f for spec in specs if spec.analytic for f in spec.evaluators}
         if len(families) > 1:
             raise ConfigError(
                 f"methods mix metric families {sorted(families)}; "
@@ -96,14 +81,15 @@ class ExperimentConfig:
             )
         if not self.methods:
             raise ConfigError("methods must be nonempty")
-        unknown = sorted(set(self.methods) - ALL_METHODS)
+        unknown = sorted(set(self.methods) - METHODS.keys())
         if unknown:
-            raise ConfigError(f"unknown methods {unknown}; valid: {sorted(ALL_METHODS)}")
+            raise ConfigError(f"unknown methods {unknown}; valid: {sorted(METHODS)}")
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("methods contains duplicates")
         family = self.metric_family
-        if family == "dmt" and "non_coop" in self.methods:
-            raise ConfigError("non_coop has no diversity-gain interpretation")
+        for m in self.methods:
+            if family not in METHODS[m].evaluators:
+                raise ConfigError(f"{m} has no {FAMILIES[family].noun} interpretation")
         if self.sweep == "lambda" and not (0.0 < self.start and self.stop < 1.0):
             raise ConfigError(
                 f"lambda sweep must stay strictly inside (0, 1); got "

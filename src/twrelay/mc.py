@@ -23,7 +23,6 @@ from .model import (
     TargetRates,
     build_params,
     end_to_end_snrs,
-    end_to_end_snrs_exact_beta,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -63,18 +62,16 @@ def _draw_gains(params: SystemParams, seed: int, chunk: int, size: int):
 
 
 def _outage_chunk(args) -> int:
-    params, tau1, tau2, seed, chunk, size, exact_beta = args
+    params, tau1, tau2, seed, chunk, size = args
     g1, g2 = _draw_gains(params, seed, chunk, size)
-    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs
-    gamma1, gamma2 = snrs(params, g1, g2)
+    gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
     return int(np.count_nonzero((gamma1 < tau1) | (gamma2 < tau2)))
 
 
 def _rate_chunk(args):
-    params, seed, chunk, size, exact_beta = args
+    params, seed, chunk, size = args
     g1, g2 = _draw_gains(params, seed, chunk, size)
-    snrs = end_to_end_snrs_exact_beta if exact_beta else end_to_end_snrs
-    gamma1, gamma2 = snrs(params, g1, g2)
+    gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
     r1 = 0.5 / LN2 * np.log1p(gamma1)
     r2 = 0.5 / LN2 * np.log1p(gamma2)
     total = r1 + r2
@@ -107,26 +104,22 @@ def estimate_outage(
     n: int,
     seed: int,
     workers: int = 1,
-    exact_beta: bool = False,
 ) -> Estimate:
     """Fraction of rounds where either direction misses its target rate."""
     n = _validate_n(n)
     sizes = _chunk_sizes(n)
     args = [
-        (params, targets.tau1, targets.tau2, seed, k, size, exact_beta)
+        (params, targets.tau1, targets.tau2, seed, k, size)
         for k, size in enumerate(sizes)
     ]
-    count = 0
-    for part in _map_chunks(_outage_chunk, args, workers):
-        count += part
-    p = count / n
+    p = sum(_map_chunks(_outage_chunk, args, workers)) / n
     var = p * (1.0 - p) * n / (n - 1) if n > 1 else 0.0
     return Estimate(mean=p, std_err=math.sqrt(var / n), n=n, seed=seed)
 
 
-def _rate_totals(params, n, seed, workers, exact_beta):
+def _rate_totals(params, n, seed, workers):
     sizes = _chunk_sizes(n)
-    args = [(params, seed, k, size, exact_beta) for k, size in enumerate(sizes)]
+    args = [(params, seed, k, size) for k, size in enumerate(sizes)]
     totals = [0.0] * 6
     for part in _map_chunks(_rate_chunk, args, workers):
         for i, v in enumerate(part):
@@ -145,11 +138,10 @@ def estimate_capacity(
     n: int,
     seed: int,
     workers: int = 1,
-    exact_beta: bool = False,
 ) -> Estimate:
     """Sample mean of the sum rate R1 + R2 over fading rounds."""
     n = _validate_n(n)
-    totals = _rate_totals(params, n, seed, workers, exact_beta)
+    totals = _rate_totals(params, n, seed, workers)
     return _to_estimate(totals[4], totals[5], n, seed)
 
 

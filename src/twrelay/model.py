@@ -166,33 +166,6 @@ def end_to_end_snrs(
     return gamma1, gamma2
 
 
-def end_to_end_snrs_exact_beta(
-    params: SystemParams, g1: np.ndarray, g2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """SNRs without dropping the noise terms from the relay power constraint.
-
-    The canonical model approximates the amplification constraint by the
-    signal power alone; this variant keeps (1-lam)*sigma_a^2 + sigma_b^2 in
-    the constraint so the approximation gap can be quantified by simulation.
-    The noise split is sigma_b^2 = epsilon*sigma2, sigma_a^2 = (1-epsilon)*sigma2.
-    """
-    lam, eta, eps, s2 = params.lam, params.eta, params.epsilon, params.sigma2
-    sa2 = (1.0 - eps) * s2
-    sb2 = eps * s2
-    received = params.p1 * g1 + params.p2 * g2
-    beta2 = 1.0 / ((1.0 - lam) * received + (1.0 - lam) * sa2 + sb2)
-    pr = eta * lam * received
-    amp2 = beta2 * pr  # squared amplifier gain applied to the split signal
-    relay_noise = amp2 * ((1.0 - lam) * sa2 + sb2)
-    gamma1 = (
-        amp2 * (1.0 - lam) * params.p2 * g1 * g2 / (relay_noise * g1 + s2)
-    )
-    gamma2 = (
-        amp2 * (1.0 - lam) * params.p1 * g1 * g2 / (relay_noise * g2 + s2)
-    )
-    return gamma1, gamma2
-
-
 def achievable_rates(gamma1: float, gamma2: float) -> tuple[float, float]:
     """Half-duplex rates R_i = (1/2) log2(1 + gamma_i)."""
     if gamma1 < 0 or gamma2 < 0:

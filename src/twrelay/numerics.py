@@ -6,8 +6,8 @@ tail-bounded series accumulation.
 Quadrature delegates to QUADPACK (``scipy.integrate.quad``), which is built
 from nested low/high-order Gauss-Kronrod rule pairs on adaptively bisected
 panels, so the error estimate comes for free from the rule pair.  This
-module owns the semi-infinite transform, the tolerance policy, and the
-failure reporting used by the rest of the package.
+module owns the semi-infinite map, the tolerance policy, and the failure
+reporting used by the rest of the package.
 """
 
 from __future__ import annotations
@@ -21,23 +21,14 @@ from scipy import integrate
 
 from .errors import ConvergenceError, DomainError
 
-TRANSFORM_NONE = "none"
-TRANSFORM_SEMI_INFINITE = "semi_infinite_exp"
-
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature tolerances and the declared interval transform.
-
-    ``semi_infinite_exp`` maps z = a + scale*t/(1-t) onto t in (0, 1); it is
-    meant for integrands with exponential tail decay, which all of the
-    integrals in this package have.
-    """
+    """Quadrature tolerances."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    transform: str = TRANSFORM_NONE
 
     def __post_init__(self) -> None:
         if not 0 < self.rel_tol < 1:
@@ -48,12 +39,9 @@ class QuadSpec:
             raise DomainError(
                 f"max_subdivisions must be >= 1; got {self.max_subdivisions}"
             )
-        if self.transform not in (TRANSFORM_NONE, TRANSFORM_SEMI_INFINITE):
-            raise DomainError(f"unknown transform {self.transform!r}")
 
 
 DEFAULT_QUAD = QuadSpec()
-SEMI_INFINITE_QUAD = QuadSpec(transform=TRANSFORM_SEMI_INFINITE)
 
 
 class QuadResult(NamedTuple):
@@ -114,33 +102,25 @@ def quad_adaptive(
 ) -> QuadResult:
     """Integrate ``f`` over (a, b) adaptively.
 
-    ``b`` may be ``math.inf`` when ``spec.transform`` declares the
-    semi-infinite mapping; ``scale`` then sets the decay length of the
-    z = a + scale*t/(1-t) substitution.  ``points`` are interior
-    breakpoints the integration is split at (e.g. sign changes or knees).
+    ``b`` may be ``math.inf``: the tail past the last breakpoint ``lo`` is
+    then mapped onto (0, 1) by z = lo + scale*t/(1-t), which suits the
+    exponentially decaying integrands of this package; ``scale`` sets the
+    decay length.  ``points`` are interior breakpoints the integration is
+    split at (e.g. sign changes or knees).
 
     Returns ``(value, error_estimate)``; raises :class:`ConvergenceError`
     when the achieved estimate cannot meet ``max(abs_tol, rel_tol*|value|)``.
     """
     if math.isinf(b):
-        if spec.transform != TRANSFORM_SEMI_INFINITE:
-            raise DomainError(
-                "infinite upper limit requires the semi_infinite_exp transform"
-            )
         if scale <= 0 or not math.isfinite(scale):
             raise DomainError(f"transform scale must be positive; got {scale}")
-        pieces = []
-        lo = a
+        lo, total, err = a, 0.0, 0.0
         for p in sorted(points or []):
             if lo < p < math.inf:
-                pieces.append((lo, p))
+                r = _run_quadpack(f, lo, p, spec)
+                total += r.value
+                err += r.error_estimate
                 lo = p
-        total = 0.0
-        err = 0.0
-        for plo, phi in pieces:
-            r = _run_quadpack(f, plo, phi, spec)
-            total += r.value
-            err += r.error_estimate
 
         def transformed(t: float) -> float:
             w = 1.0 - t
@@ -149,8 +129,6 @@ def quad_adaptive(
         r = _run_quadpack(transformed, 0.0, 1.0, spec)
         return QuadResult(total + r.value, err + r.error_estimate)
 
-    if spec.transform == TRANSFORM_SEMI_INFINITE:
-        raise DomainError("semi_infinite_exp transform requires an infinite limit")
     pts = sorted(p for p in (points or []) if a < p < b) or None
     return _run_quadpack(f, a, b, spec, points=pts)
 

@@ -10,7 +10,6 @@ with the same seed must reproduce the CSV byte for byte.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -18,33 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .analytic import (
-    capacity_bounds,
-    capacity_quadrature,
-    capacity_series,
-    dmt,
-    outage_bounds,
-    outage_exact,
-    outage_high_snr,
-)
 from .config import (
     ExperimentConfig,
     canonical_items,
     with_overrides,
 )
 from .errors import ConfigError, DomainError, NumericalError
-from .mc import estimate_capacity, estimate_diversity_fd, estimate_outage
-from .model import SystemParams, TargetRates, build_params, non_coop_baseline
-
-#: Methods whose values claim to match simulation (validated at 3*std_err);
-#: bounds are validated by bracketing instead, reference curves are skipped.
-EXACT_METHODS = frozenset(
-    {"exact_taylor", "exact_quadrature", "capacity_quadrature", "capacity_series", "dmt"}
-)
-LOWER_BOUND_METHODS = frozenset({"lower_bound", "capacity_bounds:lower"})
-UPPER_BOUND_METHODS = frozenset(
-    {"upper_bound", "capacity_bounds:tight_upper", "capacity_bounds:loose_upper"}
-)
+from .mc import Estimate
+from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
+from .model import SystemParams, TargetRates, build_params
 
 
 @dataclass(frozen=True)
@@ -67,9 +48,6 @@ class SweepResult:
             if row.method not in seen:
                 seen.append(row.method)
         return seen
-
-    def series(self, method: str) -> list[tuple[float, float]]:
-        return [(r.axis_value, r.value) for r in self.rows if r.method == method]
 
 
 def axis_grid(config: ExperimentConfig) -> list[float]:
@@ -108,61 +86,6 @@ def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
     return SweepPoint(params=params, targets=targets, r=r, gamma=gamma)
 
 
-def _evaluate_method(
-    config: ExperimentConfig, method: str, point: SweepPoint
-) -> list[tuple[str, float, float | None]]:
-    family = config.metric_family
-    params, targets = point.params, point.targets
-    if method == "mc":
-        if family == "outage":
-            est = estimate_outage(
-                params, targets, config.mc_n, config.seed, workers=config.workers
-            )
-        elif family == "capacity":
-            est = estimate_capacity(
-                params, config.mc_n, config.seed, workers=config.workers
-            )
-        else:
-            est = estimate_diversity_fd(
-                params,
-                point.r,
-                10.0 * math.log10(point.gamma),
-                n=config.mc_n,
-                seed=config.seed,
-                workers=config.workers,
-            )
-        return [("mc", est.mean, est.std_err)]
-    if method == "non_coop":
-        baseline = non_coop_baseline(params)
-        if family == "outage":
-            return [("non_coop", baseline.outage(targets), None)]
-        return [("non_coop", baseline.capacity(), None)]
-    if method == "exact_taylor":
-        return [(method, outage_exact(params, targets, "taylor"), None)]
-    if method == "exact_quadrature":
-        return [(method, outage_exact(params, targets, "quadrature"), None)]
-    if method == "lower_bound":
-        return [(method, outage_bounds(params, targets)[0], None)]
-    if method == "upper_bound":
-        return [(method, outage_bounds(params, targets)[1], None)]
-    if method == "high_snr":
-        return [(method, outage_high_snr(params, targets), None)]
-    if method == "capacity_quadrature":
-        return [(method, capacity_quadrature(params), None)]
-    if method == "capacity_series":
-        return [(method, capacity_series(params).value, None)]
-    if method == "capacity_bounds":
-        bounds = capacity_bounds(params)
-        return [
-            ("capacity_bounds:lower", bounds.lower, None),
-            ("capacity_bounds:tight_upper", bounds.tight_upper, None),
-            ("capacity_bounds:loose_upper", bounds.loose_upper, None),
-        ]
-    if method == "dmt":
-        return [(method, dmt(point.r, point.gamma, params), None)]
-    raise ConfigError(f"unknown method {method!r}")
-
-
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
@@ -175,17 +98,20 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
         _require_writable_dir(config.output_path)
     started = time.perf_counter()
     rows: list[SweepRow] = []
+    family = config.metric_family
     for value in axis_grid(config):
         point = resolve_point(config, value)
         for method in config.methods:
+            spec = METHODS[method]
             try:
-                outputs = _evaluate_method(config, method, point)
+                outputs = spec.evaluators[family](config, point)
             except (NumericalError, DomainError) as exc:
                 raise type(exc)(
                     f"{config.sweep}={value:.6g}, method={method}: {exc}"
                 ) from exc
-            for name, val, err in outputs:
-                rows.append(SweepRow(value, name, val, err))
+            for (suffix, _), out in zip(spec.rows, outputs):
+                mean, err = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, None)
+                rows.append(SweepRow(value, method + suffix, mean, err))
     metadata = {f"config.{k}": v for k, v in canonical_items(config)}
     metadata["version"] = __version__
     result = SweepResult(
@@ -321,14 +247,18 @@ class ValidationReport:
 def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     """Compare analytic methods against the Monte Carlo reference per point.
 
-    Exact methods must sit within 3 standard errors of the MC mean; bound
-    methods must bracket it (with the same 3*std_err slack); reference
-    curves (high_snr, non_coop) are reported but not judged.
+    Each row is judged as its method's table entry says: exact rows must
+    sit within 3 standard errors of the MC mean; bound rows must bracket it
+    (with the same 3*std_err slack); reference curves (high_snr, non_coop)
+    are reported but not judged.
     """
-    if "mc" not in config.methods:
-        raise ConfigError("validate needs the mc method in the sweep")
-    if not set(config.methods) - {"mc"}:
-        raise ConfigError("validate needs at least one analytic method")
+    config.validate()
+    judgments = {m + sfx: j for m in config.methods for sfx, j in METHODS[m].rows}
+    if "mc" not in config.methods or set(judgments.values()) == {REFERENCE}:
+        raise ConfigError(
+            "validate needs the mc method and an exact or bound method to judge "
+            f"against it; got {config.methods}"
+        )
     result = run_sweep(config)
     by_axis: dict[float, dict[str, SweepRow]] = {}
     for row in result.rows:
@@ -342,33 +272,18 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
         for method, row in point.items():
             if method == "mc":
                 continue
-            if method in EXACT_METHODS:
-                gap = abs(row.value - mc_row.value)
-                ok = gap <= slack
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{config.sweep}={value:.6g} {method}: |analytic-mc|="
-                    f"{gap:.6g} vs 3*std_err={slack:.6g} -> {verdict}"
-                )
-            elif method in LOWER_BOUND_METHODS:
-                ok = row.value <= mc_row.value + slack
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{config.sweep}={value:.6g} {method}: {row.value:.6g} <= "
-                    f"mc+3se={mc_row.value + slack:.6g} -> {verdict}"
-                )
-            elif method in UPPER_BOUND_METHODS:
-                ok = row.value >= mc_row.value - slack
-                verdict = "PASS" if ok else "FAIL"
-                lines.append(
-                    f"{config.sweep}={value:.6g} {method}: {row.value:.6g} >= "
-                    f"mc-3se={mc_row.value - slack:.6g} -> {verdict}"
-                )
-            else:
-                lines.append(
-                    f"{config.sweep}={value:.6g} {method}: reference curve (not judged)"
-                )
+            head = f"{config.sweep}={value:.6g} {method}:"
+            if judgments[method] == REFERENCE:
+                lines.append(f"{head} reference curve (not judged)")
                 continue
+            gap = abs(row.value - mc_row.value)
+            ceiling, floor = mc_row.value + slack, mc_row.value - slack
+            ok, claim = {
+                EXACT: (gap <= slack, f"|analytic-mc|={gap:.6g} vs 3*std_err={slack:.6g}"),
+                LOWER: (row.value <= ceiling, f"{row.value:.6g} <= mc+3se={ceiling:.6g}"),
+                UPPER: (row.value >= floor, f"{row.value:.6g} >= mc-3se={floor:.6g}"),
+            }[judgments[method]]
+            lines.append(f"{head} {claim} -> {'PASS' if ok else 'FAIL'}")
             all_passed = all_passed and ok
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
     report_path = config.output_path + ".validation.txt"
@@ -387,24 +302,25 @@ class LambdaStar:
 
 
 def find_lambda_star(config: ExperimentConfig) -> LambdaStar:
-    """Grid argmax of a single analytic metric over a lambda sweep.
+    """Best grid point of a single analytic metric over a lambda sweep.
 
+    Best is the maximum for capacity and dmt, the minimum for outage.
     Reports the neighboring grid bracket; no interpolation is attempted.
     A constant metric returns the first grid point, flagged as flat.
     """
     if config.sweep != "lambda":
         raise ConfigError(f"lambda-star needs a lambda sweep; got {config.sweep!r}")
-    if len(config.methods) != 1 or config.methods[0] in ("mc", "non_coop", "capacity_bounds"):
+    spec = METHODS.get(config.methods[0]) if len(config.methods) == 1 else None
+    if spec is None or not spec.analytic or len(spec.rows) != 1:
         raise ConfigError(
             "lambda-star needs exactly one single-valued analytic method; "
             f"got {config.methods}"
         )
-    result = run_sweep(config)
-    series = result.series(config.methods[0])
-    values = [v for _, v in series]
-    grid = [x for x, _ in series]
+    rows = run_sweep(config).rows
+    grid, values = [r.axis_value for r in rows], [r.value for r in rows]
     flat = max(values) == min(values)
-    best = 0 if flat else int(np.argmax(values))
+    pick = np.argmax if FAMILIES[config.metric_family].maximise else np.argmin
+    best = 0 if flat else int(pick(values))
     bracket = (grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)])
     return LambdaStar(
         lambda_star=grid[best], value=values[best], bracket=bracket, flat=flat

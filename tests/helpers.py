@@ -16,7 +16,7 @@ from twrelay.errors import (
     NumericalError,
 )
 from twrelay.model import SystemParams, build_params
-from twrelay.numerics import SEMI_INFINITE_QUAD, QuadSpec, quad_adaptive
+from twrelay.numerics import DEFAULT_QUAD, QuadSpec, quad_adaptive
 from twrelay.specfun import EULER_GAMMA, exp_integral_e1
 
 _EPS = float(np.finfo(float).eps)
@@ -102,12 +102,39 @@ def empirical_cdf_z(
     return [(float(z), float(k) / n) for z, k in zip(z_grid, counts)]
 
 
+def end_to_end_snrs_exact_beta(
+    params: SystemParams, g1: np.ndarray, g2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """SNRs without dropping the noise terms from the relay power constraint.
+
+    The canonical model approximates the amplification constraint by the
+    signal power alone; this variant keeps (1-lam)*sigma_a^2 + sigma_b^2 in
+    the constraint so the approximation gap can be quantified by simulation.
+    The noise split is sigma_b^2 = epsilon*sigma2, sigma_a^2 = (1-epsilon)*sigma2.
+    """
+    lam, eta, eps, s2 = params.lam, params.eta, params.epsilon, params.sigma2
+    sa2 = (1.0 - eps) * s2
+    sb2 = eps * s2
+    received = params.p1 * g1 + params.p2 * g2
+    beta2 = 1.0 / ((1.0 - lam) * received + (1.0 - lam) * sa2 + sb2)
+    pr = eta * lam * received
+    amp2 = beta2 * pr  # squared amplifier gain applied to the split signal
+    relay_noise = amp2 * ((1.0 - lam) * sa2 + sb2)
+    gamma1 = (
+        amp2 * (1.0 - lam) * params.p2 * g1 * g2 / (relay_noise * g1 + s2)
+    )
+    gamma2 = (
+        amp2 * (1.0 - lam) * params.p1 * g1 * g2 / (relay_noise * g2 + s2)
+    )
+    return gamma1, gamma2
+
+
 def estimate_rates(
     params: SystemParams, n: int, seed: int, workers: int = 1
 ) -> tuple[mc.Estimate, mc.Estimate]:
     """Per-direction mean rates (shares the capacity sample stream)."""
     n = mc._validate_n(n)
-    totals = mc._rate_totals(params, n, seed, workers, False)
+    totals = mc._rate_totals(params, n, seed, workers)
     return (
         mc._to_estimate(totals[0], totals[1], n, seed),
         mc._to_estimate(totals[2], totals[3], n, seed),
@@ -189,7 +216,7 @@ def y0_without_cross_term(params, coeffs, tau1: float, tau2: float) -> float:
     return (lin_scaled + disc) / (2.0 * tau2 * b)
 
 
-def tricomi_psi(n: int, z: float, spec: QuadSpec = SEMI_INFINITE_QUAD) -> float:
+def tricomi_psi(n: int, z: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Tricomi Psi(n, n; z) for integer n >= 1 and z > 0, from the defining
     integral Gamma(n) Psi(n, n; z) = int_0^inf e^(-z t) t^(n-1)/(1+t) dt by
     adaptive quadrature.  Strictly positive and decreasing in z.

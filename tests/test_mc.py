@@ -5,9 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from helpers import empirical_cdf_z, estimate_rates, make_params
+from helpers import (
+    empirical_cdf_z,
+    end_to_end_snrs_exact_beta,
+    estimate_rates,
+    make_params,
+)
 
-from twrelay import analytic
+from twrelay import analytic, mc
 from twrelay.errors import InsufficientSamplesError, ParameterError
 from twrelay.mc import (
     CHUNK_DRAWS,
@@ -15,7 +20,7 @@ from twrelay.mc import (
     estimate_diversity_fd,
     estimate_outage,
 )
-from twrelay.model import TargetRates
+from twrelay.model import TargetRates, end_to_end_snrs
 
 # Enough samples to span several chunks so the ordered reduction is exercised.
 N_MULTI_CHUNK = 3 * CHUNK_DRAWS + 1234
@@ -51,13 +56,29 @@ class TestEstimateOutage:
         assert results[0] == results[1] == results[2]
 
     def test_exact_beta_mode_runs_and_stays_in_range(self):
+        # keeping the dropped noise terms can only degrade the SNR: compare
+        # both SNR forms sample by sample on the draws estimate_outage makes
         params = make_params(snr_db=10.0)
         targets = TargetRates.from_rates(1.0, 1.0)
-        approx = estimate_outage(params, targets, 100_000, seed=5)
-        exact = estimate_outage(params, targets, 100_000, seed=5, exact_beta=True)
-        assert 0.0 <= exact.mean <= 1.0
-        # keeping the dropped noise terms can only degrade the SNR
-        assert exact.mean >= approx.mean
+        n = 100_000
+        counts = {"canonical": 0, "exact": 0}
+        for k, size in enumerate(mc._chunk_sizes(n)):
+            g1, g2 = mc._draw_gains(params, 5, k, size)
+            forms = {
+                "canonical": end_to_end_snrs(params, g1, g2),
+                "exact": end_to_end_snrs_exact_beta(params, g1, g2),
+            }
+            for direction in (0, 1):
+                assert np.all(forms["exact"][direction] <= forms["canonical"][direction])
+            for name, (gamma1, gamma2) in forms.items():
+                counts[name] += int(
+                    np.count_nonzero((gamma1 < targets.tau1) | (gamma2 < targets.tau2))
+                )
+        approx = estimate_outage(params, targets, n, seed=5)
+        assert counts["canonical"] / n == approx.mean
+        exact = counts["exact"] / n
+        assert 0.0 <= exact <= 1.0
+        assert exact >= approx.mean
 
 
 class TestEstimateCapacity:

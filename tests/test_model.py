@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ks_distance, make_params
+from helpers import end_to_end_snrs_exact_beta, ks_distance, make_params
 
 from twrelay.errors import ParameterError
 from twrelay.model import (
@@ -15,7 +15,6 @@ from twrelay.model import (
     build_params,
     derived_coeffs,
     end_to_end_snrs,
-    end_to_end_snrs_exact_beta,
     non_coop_baseline,
     relay_power,
     sample_channel,

@@ -1,10 +1,12 @@
 """Config parsing, sweep engine, CSV round-trips, CLI exit codes."""
 
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from twrelay import analytic, cli, sweep
+from twrelay import analytic, cli, mc
 from twrelay.config import (
     ExperimentConfig,
     canonical_items,
@@ -12,6 +14,7 @@ from twrelay.config import (
     parse_config_text,
 )
 from twrelay.errors import ConfigError
+from twrelay.methods import METHODS
 from twrelay.model import DerivedCoeffs
 from twrelay.sweep import (
     figure_preset,
@@ -234,10 +237,14 @@ class TestValidate:
         result = read_csv(config.output_path)
         assert all(row.value == 0.0 for row in result.rows)
 
-    def test_requires_mc_plus_analytic(self, tmp_path):
-        config = ExperimentConfig(
-            methods=("exact_quadrature",), output_path=str(tmp_path / "x.csv")
-        )
+    @pytest.mark.parametrize(
+        "methods",
+        [("exact_quadrature",), ("mc", "non_coop"), ("mc", "high_snr")],
+        ids=["exact_quadrature", "mc_non_coop", "mc_high_snr"],
+    )
+    def test_requires_mc_plus_analytic(self, tmp_path, methods):
+        # reference curves alone leave nothing to judge
+        config = ExperimentConfig(methods=methods, output_path=str(tmp_path / "x.csv"))
         with pytest.raises(ConfigError, match="mc"):
             validate_sweep(config)
 
@@ -271,6 +278,21 @@ class TestLambdaStar:
         )
         best = find_lambda_star(config)
         assert best.lambda_star <= 0.2
+
+    def test_outage_picks_the_minimum(self, tmp_path):
+        config = ExperimentConfig(
+            sweep="lambda",
+            start=0.05,
+            stop=0.95,
+            steps=19,
+            snr_db=10.0,
+            methods=("exact_quadrature",),
+            output_path=str(tmp_path / "ls_out.csv"),
+        )
+        best = find_lambda_star(config)
+        assert best.lambda_star == pytest.approx(0.40)
+        assert best.value == pytest.approx(0.1352, abs=1e-4)
+        assert best.bracket == pytest.approx((0.35, 0.45))
 
     def test_flat_grid_returns_first_point_with_flag(self, tmp_path):
         # r = 1 makes the diversity identically zero across lambda
@@ -336,7 +358,7 @@ class TestCli:
         def no_compute(*args, **kwargs):
             raise AssertionError("the sweep ran before the output path was checked")
 
-        monkeypatch.setattr(sweep, "estimate_capacity", no_compute)
+        monkeypatch.setattr(mc, "estimate_capacity", no_compute)
         missing = tmp_path / "missing"
         argv = ["reproduce", "--figure", "2", "--out", str(missing)]
         assert cli.main(argv) == cli.EXIT_CONFIG
@@ -394,3 +416,22 @@ class TestMetadata:
         items = dict(canonical_items(config))
         assert "workers" not in items
         assert items["output_path"] == "out.csv"
+
+
+class TestMethodTable:
+    def test_readme_table_matches_registry(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        section = readme.read_text(encoding="utf-8").split("Methods by metric family", 1)[1]
+        lines = [ln for ln in section.split("\n\n", 2)[1].splitlines() if ln.startswith("|")]
+        listed = {}
+        for line in lines[2:]:  # skip the header and the rule
+            method, families, rows = (c.strip() for c in line.strip("|").split("|"))
+            listed[method.strip("`")] = (
+                {f.strip() for f in families.split(",")},
+                re.findall(r"`([^`]+)`:\s*(\w+)", rows),
+            )
+        expected = {
+            name: (set(spec.evaluators), [(name + sfx, j) for sfx, j in spec.rows])
+            for name, spec in METHODS.items()
+        }
+        assert listed == expected
