@@ -37,30 +37,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a sweep described by a config file")
     run_p.add_argument("--config", required=True, help="path to key = value config")
-    run_p.add_argument("--workers", type=int, help="Monte Carlo worker processes")
 
     val_p = sub.add_parser(
         "validate", help="run a sweep and judge analytic-vs-MC agreement"
     )
     val_p.add_argument("--config", required=True)
-    val_p.add_argument("--workers", type=int)
 
     rep_p = sub.add_parser("reproduce", help="run a frozen figure preset")
     rep_p.add_argument("--figure", type=int, required=True, choices=(1, 2, 3, 4))
     rep_p.add_argument("--n", type=int, help="Monte Carlo sample count override")
     rep_p.add_argument("--seed", type=int, help="root seed override")
     rep_p.add_argument("--out", default=".", help="output directory")
-    rep_p.add_argument("--workers", type=int)
 
     ls_p = sub.add_parser("lambda-star", help="grid-search the power split")
     ls_p.add_argument("--config", required=True)
-    ls_p.add_argument("--workers", type=int)
+
+    for sub_p in (run_p, val_p, rep_p, ls_p):
+        sub_p.add_argument("--workers", type=int, help="Monte Carlo threads")
     return parser
 
 
 def _configured(args):
-    config = load_config(args.config)
-    if getattr(args, "workers", None):
+    if args.command == "reproduce":
+        config = figure_preset(args.figure, n=args.n, seed=args.seed, out_dir=args.out)
+    else:
+        config = load_config(args.config)
+    # 0 and negative counts go on to config validation, which rejects them
+    if args.workers is not None:
         config = with_overrides(config, workers=args.workers)
     return config
 
@@ -68,7 +71,7 @@ def _configured(args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "reproduce"):
             config = _configured(args)
             result = run_sweep(config)
             print(f"wrote {config.output_path} ({len(result.rows)} rows)")
@@ -81,15 +84,6 @@ def main(argv=None) -> int:
             print(report.text(), end="")
             print(f"wrote {report.report_path}")
             return EXIT_OK if report.passed else EXIT_VALIDATION
-        if args.command == "reproduce":
-            config = figure_preset(args.figure, n=args.n, seed=args.seed, out_dir=args.out)
-            if args.workers:
-                config = with_overrides(config, workers=args.workers)
-            result = run_sweep(config)
-            print(f"wrote {config.output_path} ({len(result.rows)} rows)")
-            print(f"wrote {plot_script_path(config)}")
-            print(f"wall time: {result.wall_time_s:.2f} s", file=sys.stderr)
-            return EXIT_OK
         if args.command == "lambda-star":
             config = _configured(args)
             best = find_lambda_star(config)

@@ -7,12 +7,17 @@ Determinism contract: draws are organized into fixed chunks of 2^16 samples;
 chunk k uses the substream ``SeedSequence(entropy=seed, spawn_key=(k,))`` and
 the reduction always runs in chunk-index order, so results are bit-identical
 for any worker count.  Within a chunk, g1 is drawn as one block, then g2.
+
+With ``workers > 1`` the chunks run on a thread pool in this process: numpy
+releases the interpreter lock while it draws exponentials and evaluates
+ufuncs on whole chunks, so threads overlap the sampling without the start-up
+and pickling cost of worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +93,7 @@ def _rate_chunk(args):
 def _map_chunks(func, arglist, workers: int):
     if workers <= 1 or len(arglist) <= 1:
         return [func(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
         return list(pool.map(func, arglist))
 
 

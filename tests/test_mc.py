@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     empirical_cdf_z,
@@ -170,6 +172,14 @@ class TestEstimateDiversityFd:
         with pytest.raises(InsufficientSamplesError):
             estimate_diversity_fd(make_params(), 0.05, 20.0, n=2_000, seed=1)
 
+    def test_worker_count_invariance(self):
+        params = make_params()
+        results = [
+            estimate_diversity_fd(params, 0.5, 20.0, n=N_MULTI_CHUNK, seed=17, workers=w)
+            for w in (1, 2, 8)
+        ]
+        assert results[0] == results[1] == results[2]
+
 
 class TestDeterminismContract:
     def test_rerun_bit_identical(self):
@@ -185,3 +195,37 @@ class TestDeterminismContract:
         a = estimate_outage(params, targets, 100_000, seed=1)
         b = estimate_outage(params, targets, 100_000, seed=2)
         assert a.mean != b.mean
+
+    def test_chunks_run_in_this_process(self):
+        # a closure over a local list cannot be pickled to a worker process
+        seen = []
+
+        def chunk(k):
+            seen.append(k)
+            return k * k
+
+        args = list(range(5))
+        assert mc._map_chunks(chunk, args, workers=2) == mc._map_chunks(
+            chunk, args, workers=1
+        )
+        assert sorted(seen) == sorted(args + args)
+
+    # n spans one partial chunk, whole chunks and a remainder chunk
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n=st.integers(1, 3 * CHUNK_DRAWS + 17),
+        seed=st.integers(0, 2**32 - 1),
+        workers=st.integers(1, 4),
+    )
+    @example(n=1, seed=0, workers=2)
+    @example(n=CHUNK_DRAWS, seed=0, workers=2)
+    @example(n=3 * CHUNK_DRAWS + 17, seed=0, workers=4)
+    def test_estimates_do_not_depend_on_workers(self, n, seed, workers):
+        params = make_params(snr_db=10.0)
+        targets = TargetRates.from_rates(1.0, 1.0)
+        assert estimate_outage(params, targets, n, seed, workers) == estimate_outage(
+            params, targets, n, seed
+        )
+        assert estimate_capacity(params, n, seed, workers) == estimate_capacity(
+            params, n, seed
+        )

@@ -343,6 +343,18 @@ class TestCli:
         assert (tmp_path / "fig3.csv").exists()
         assert (tmp_path / "fig3_plot.py").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate", "reproduce", "lambda-star"])
+    def test_zero_workers_exit_code(self, tmp_path, capsys, command):
+        if command == "reproduce":
+            source = ["--figure", "3", "--out", str(tmp_path)]
+        else:
+            path = tmp_path / "exp.cfg"
+            path.write_text(GOOD_CONFIG.format(path=tmp_path / "out.csv"))
+            source = ["--config", str(path)]
+        assert cli.main([command, *source, "--workers", "0"]) == cli.EXIT_CONFIG
+        assert "workers must be >= 1" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense_key = 1\n")
