@@ -59,10 +59,11 @@ METHODS: dict[str, Method] = {
         "outage": lambda c, p: (non_coop_baseline(p.params).outage(p.targets),),
         "capacity": lambda c, p: (non_coop_baseline(p.params).capacity(),),
     }, (("", REFERENCE),)),
+    # Two names for the one exact outage, kept so existing configs still run.
     "exact_taylor": _one("outage", EXACT, lambda c, p: (
-        analytic.outage_exact(p.params, p.targets, "taylor"),)),
+        analytic.outage_exact(p.params, p.targets),)),
     "exact_quadrature": _one("outage", EXACT, lambda c, p: (
-        analytic.outage_exact(p.params, p.targets, "quadrature"),)),
+        analytic.outage_exact(p.params, p.targets),)),
     "lower_bound": _one("outage", LOWER, lambda c, p: (
         analytic.outage_bounds(p.params, p.targets)[0],)),
     "upper_bound": _one("outage", UPPER, lambda c, p: (

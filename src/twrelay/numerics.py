@@ -1,52 +1,26 @@
-"""Shared numerical machinery.
+"""Shared numerical machinery: one integration rule and tail-bounded
+series accumulation.
 
-Adaptive quadrature on finite and semi-infinite intervals and
-tail-bounded series accumulation.
-
-Quadrature delegates to QUADPACK (``scipy.integrate.quad``), which is built
-from nested low/high-order Gauss-Kronrod rule pairs on adaptively bisected
-panels, so the error estimate comes for free from the rule pair.  This
-module owns the semi-infinite map, the tolerance policy, and the failure
-reporting used by the rest of the package.
+Every closed-form integral in the package, the outage boundary strips, the
+capacity survival integrals and the capacity-series factors, runs on one
+primitive: the n-point Gauss-Legendre rule in a log variable t = ln z
+(:func:`log_rule`).  The integrands of this package have an exp(-k/z)
+boundary layer, a 1/(1+z) knee or a Gamma-shaped bulk, all of which are
+smooth on the log scale, so a fixed node set over a window that drops only
+negligible mass reaches about 1e-13 relative without adaptivity or error
+estimates.  The adaptive QUADPACK reference the tests hold it against lives
+in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from scipy import integrate
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature tolerances."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self) -> None:
-        if not 0 < self.rel_tol < 1:
-            raise DomainError(f"rel_tol must lie in (0, 1); got {self.rel_tol}")
-        if self.abs_tol < 0:
-            raise DomainError(f"abs_tol must be nonnegative; got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise DomainError(
-                f"max_subdivisions must be >= 1; got {self.max_subdivisions}"
-            )
-
-
-DEFAULT_QUAD = QuadSpec()
-
-
-class QuadResult(NamedTuple):
-    value: float
-    error_estimate: float
 
 
 class SeriesResult(NamedTuple):
@@ -56,81 +30,59 @@ class SeriesResult(NamedTuple):
     converged: bool
 
 
-def _run_quadpack(f, a: float, b: float, spec: QuadSpec, points=None) -> QuadResult:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
-        out = integrate.quad(
-            f,
-            a,
-            b,
-            epsabs=spec.abs_tol,
-            epsrel=spec.rel_tol,
-            limit=spec.max_subdivisions,
-            points=points,
-            full_output=True,
-        )
-    value, estimate, info = out[0], out[1], out[2]
-    if len(out) > 3:
-        # QUADPACK gave up; report the panel carrying the largest error.
-        last = info.get("last", 0)
-        detail = ""
-        if last and "elist" in info:
-            worst = int(info["elist"][:last].argmax())
-            detail = (
-                f"; worst subinterval [{info['alist'][worst]:.6g}, "
-                f"{info['blist'][worst]:.6g}] with error {info['elist'][worst]:.3g}"
-            )
-        raise ConvergenceError(
-            f"quadrature failed on [{a:.6g}, {b:.6g}]: {out[3]}{detail}"
-        )
-    if estimate > max(spec.abs_tol, spec.rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"quadrature error estimate {estimate:.3g} exceeds tolerance for "
-            f"value {value:.6g} on [{a:.6g}, {b:.6g}]"
-        )
-    return QuadResult(value, estimate)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
 
-
-def quad_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    spec: QuadSpec = DEFAULT_QUAD,
-    *,
-    scale: float = 1.0,
-    points: Iterable[float] | None = None,
-) -> QuadResult:
-    """Integrate ``f`` over (a, b) adaptively.
-
-    ``b`` may be ``math.inf``: the tail past the last breakpoint ``lo`` is
-    then mapped onto (0, 1) by z = lo + scale*t/(1-t), which suits the
-    exponentially decaying integrands of this package; ``scale`` sets the
-    decay length.  ``points`` are interior breakpoints the integration is
-    split at (e.g. sign changes or knees).
-
-    Returns ``(value, error_estimate)``; raises :class:`ConvergenceError`
-    when the achieved estimate cannot meet ``max(abs_tol, rel_tol*|value|)``.
+    Newton's method on the Legendre three-term recurrence, from the usual
+    cosine guesses; six steps reach full precision for n = 64 and 128.  It
+    avoids the eigenvalue solve of ``numpy.polynomial.legendre.leggauss``,
+    whose first LAPACK call adds about 1 MB to the resident size of every
+    process that imports this module.
     """
-    if math.isinf(b):
-        if scale <= 0 or not math.isfinite(scale):
-            raise DomainError(f"transform scale must be positive; got {scale}")
-        lo, total, err = a, 0.0, 0.0
-        for p in sorted(points or []):
-            if lo < p < math.inf:
-                r = _run_quadpack(f, lo, p, spec)
-                total += r.value
-                err += r.error_estimate
-                lo = p
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
-        def transformed(t: float) -> float:
-            w = 1.0 - t
-            return f(lo + scale * t / w) * scale / (w * w)
 
-        r = _run_quadpack(transformed, 0.0, 1.0, spec)
-        return QuadResult(total + r.value, err + r.error_estimate)
+#: The one node count: 128 nodes hold every integral of the package to
+#: about 1e-13 relative on its window (64 nodes left survival integrals
+#: 3e-6 off mpmath).
+RULE_NODES = 128
+_NODES, _WEIGHTS = _gauss_legendre(RULE_NODES)
 
-    pts = sorted(p for p in (points or []) if a < p < b) or None
-    return _run_quadpack(f, a, b, spec, points=pts)
+
+def log_rule(ln_lo, ln_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t and weights w of the Gauss-Legendre rule on [ln_lo, ln_hi].
+
+    With t = ln z, int_{e^ln_lo}^{e^ln_hi} f(z) dz is approximated by
+    sum(w * e^t * f(e^t)).  The bounds broadcast: array bounds give one row
+    of nodes per element, shape ``bounds.shape + (RULE_NODES,)``.
+    """
+    ln_lo = np.asarray(ln_lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(ln_hi, dtype=float)[..., None] - ln_lo)
+    return ln_lo + half * (_NODES + 1.0), half * _WEIGHTS
+
+
+def log_integral(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, splits=()
+) -> float:
+    """int_lo^hi f(z) dz for 0 < lo < hi by :func:`log_rule`, one panel
+    between each pair of consecutive ends among lo, the ``splits`` inside
+    (lo, hi), and hi; ``f`` maps an array of nodes to integrand values.
+
+    A pole of f off the real line, or a kink on it, next to the middle of
+    a panel slows the rule down; at a panel end it does not, so the
+    callers split there.
+    """
+    ends = np.log([lo, *sorted(p for p in splits if lo < p < hi), hi])
+    t, w = log_rule(ends[:-1], ends[1:])
+    z = np.exp(t)
+    return float(np.sum(w * z * f(z)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _special
 
 from .errors import DomainError
@@ -34,12 +35,18 @@ def _require_positive_finite(x: float, what: str) -> float:
     return x
 
 
-def bessel_xk1(x: float) -> float:
+def bessel_xk1(x):
     """x * K1(x) for finite x >= 0, continuously extended to 1 at x = 0.
 
     This is the combination every fading CDF uses.  It decreases from 1 and
-    satisfies exp(-x) <= x*K1(x) <= 1.
+    satisfies exp(-x) <= x*K1(x) <= 1.  A float gives a float; an array,
+    such as the nodes of the integration rule, gives an array.
     """
+    if isinstance(x, np.ndarray):
+        if not np.all((0.0 <= x) & (x < math.inf)):
+            raise DomainError("bessel_xk1 arguments must be finite and >= 0")
+        xs = np.maximum(x, _XK1_UNIT_BELOW)
+        return np.where(x < _XK1_UNIT_BELOW, 1.0, xs * _special.k1(xs))
     x = float(x)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"bessel_xk1 argument must be finite and >= 0; got {x}")

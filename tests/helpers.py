@@ -1,11 +1,16 @@
 """Shared test utilities: reference parameter sets and brute-force oracles."""
 
+import json
 import math
+import warnings
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
+from unittest import mock
 
 import numpy as np
-from scipy import optimize
+from scipy import integrate, optimize
 
 from twrelay import analytic, mc
 from twrelay.analytic import CornerPoint
@@ -16,11 +21,16 @@ from twrelay.errors import (
     NumericalError,
 )
 from twrelay.model import SystemParams, build_params
-from twrelay.numerics import DEFAULT_QUAD, QuadSpec, quad_adaptive
-from twrelay.specfun import EULER_GAMMA, exp_integral_e1
+from twrelay.numerics import DEFAULT_SERIES, SeriesControl
+from twrelay.specfun import EULER_GAMMA, exp_integral_e1, tricomi_psi11
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+
+#: mpmath values of the package's integrals, frozen by data/make_golden.py.
+GOLDEN_INTEGRALS = json.loads(
+    (Path(__file__).parent / "data" / "golden_integrals.json").read_text(encoding="utf-8")
+)
 
 
 def make_params(
@@ -54,6 +64,139 @@ def ks_distance(samples: np.ndarray, cdf) -> float:
     upper = np.abs(np.arange(1, n + 1) / n - theo).max()
     lower = np.abs(theo - np.arange(0, n) / n).max()
     return float(max(upper, lower))
+
+
+# The adaptive QUADPACK reference: an integrator independent of the
+# package's fixed log-variable rule, held against it by the tests.
+
+
+@dataclass(frozen=True)
+class QuadSpec:
+    """Quadrature tolerances."""
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-10
+    max_subdivisions: int = 2000
+
+    def __post_init__(self) -> None:
+        if not 0 < self.rel_tol < 1:
+            raise DomainError(f"rel_tol must lie in (0, 1); got {self.rel_tol}")
+        if self.abs_tol < 0:
+            raise DomainError(f"abs_tol must be nonnegative; got {self.abs_tol}")
+        if self.max_subdivisions < 1:
+            raise DomainError(
+                f"max_subdivisions must be >= 1; got {self.max_subdivisions}"
+            )
+
+
+DEFAULT_QUAD = QuadSpec()
+
+
+class QuadResult(NamedTuple):
+    value: float
+    error_estimate: float
+
+
+def _run_quadpack(f, a: float, b: float, spec: QuadSpec, points=None) -> QuadResult:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", category=integrate.IntegrationWarning)
+        out = integrate.quad(
+            f,
+            a,
+            b,
+            epsabs=spec.abs_tol,
+            epsrel=spec.rel_tol,
+            limit=spec.max_subdivisions,
+            points=points,
+            full_output=True,
+        )
+    value, estimate, info = out[0], out[1], out[2]
+    if len(out) > 3:
+        # QUADPACK gave up; report the panel carrying the largest error.
+        last = info.get("last", 0)
+        detail = ""
+        if last and "elist" in info:
+            worst = int(info["elist"][:last].argmax())
+            detail = (
+                f"; worst subinterval [{info['alist'][worst]:.6g}, "
+                f"{info['blist'][worst]:.6g}] with error {info['elist'][worst]:.3g}"
+            )
+        raise ConvergenceError(
+            f"quadrature failed on [{a:.6g}, {b:.6g}]: {out[3]}{detail}"
+        )
+    if estimate > max(spec.abs_tol, spec.rel_tol * abs(value)):
+        raise ConvergenceError(
+            f"quadrature error estimate {estimate:.3g} exceeds tolerance for "
+            f"value {value:.6g} on [{a:.6g}, {b:.6g}]"
+        )
+    return QuadResult(value, estimate)
+
+
+def quad_adaptive(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    spec: QuadSpec = DEFAULT_QUAD,
+    *,
+    scale: float = 1.0,
+    points: Iterable[float] | None = None,
+) -> QuadResult:
+    """Integrate ``f`` over (a, b) adaptively.
+
+    ``b`` may be ``math.inf``: the tail past the last breakpoint ``lo`` is
+    then mapped onto (0, 1) by z = lo + scale*t/(1-t), which suits the
+    exponentially decaying integrands of this package; ``scale`` sets the
+    decay length.  ``points`` are interior breakpoints the integration is
+    split at (e.g. sign changes or knees).
+
+    Returns ``(value, error_estimate)``; raises :class:`ConvergenceError`
+    when the achieved estimate cannot meet ``max(abs_tol, rel_tol*|value|)``.
+    """
+    if math.isinf(b):
+        if scale <= 0 or not math.isfinite(scale):
+            raise DomainError(f"transform scale must be positive; got {scale}")
+        lo, total, err = a, 0.0, 0.0
+        for p in sorted(points or []):
+            if lo < p < math.inf:
+                r = _run_quadpack(f, lo, p, spec)
+                total += r.value
+                err += r.error_estimate
+                lo = p
+
+        def transformed(t: float) -> float:
+            w = 1.0 - t
+            return f(lo + scale * t / w) * scale / (w * w)
+
+        r = _run_quadpack(transformed, 0.0, 1.0, spec)
+        return QuadResult(total + r.value, err + r.error_estimate)
+
+    pts = sorted(p for p in (points or []) if a < p < b) or None
+    return _run_quadpack(f, a, b, spec, points=pts)
+
+
+def segment_integral_quadpack(k: float, omega: float, v: float) -> float:
+    """Boundary-strip integral int_0^v exp(-k/z - z/omega) dz by QUADPACK;
+    good to about 2e-10 absolute, where the exp(-k/z) layer fools its
+    error estimate."""
+    if v <= 0.0:
+        return 0.0
+
+    def integrand(z: float) -> float:
+        return math.exp(-k / z - z / omega) if z > 0.0 else 0.0
+
+    return quad_adaptive(integrand, 0.0, v).value
+
+
+def outage_exact_quadpack(params, targets) -> float:
+    """``analytic.outage_exact`` with every boundary strip on QUADPACK."""
+    with mock.patch.object(analytic, "_segment_integral", segment_integral_quadpack):
+        return analytic.outage_exact(params, targets)
+
+
+def joint_outage_quadpack(params, coeffs, tau1: float, tau2: float) -> float:
+    """``analytic.joint_outage`` with every boundary strip on QUADPACK."""
+    with mock.patch.object(analytic, "_segment_integral", segment_integral_quadpack):
+        return analytic.joint_outage(params, coeffs, tau1, tau2)
 
 
 # Oracles and variants that only the tests use.
@@ -283,3 +426,24 @@ def digamma_nat(k: int) -> float:
     if int(k) != k or k < 1:
         raise DomainError(f"digamma_nat argument must be an integer >= 1; got {k}")
     return -EULER_GAMMA + float(harmonic_number(int(k) - 1))
+
+
+def capacity_series_approx_j(
+    params: SystemParams, control: SeriesControl = DEFAULT_SERIES
+) -> float:
+    """``analytic.capacity_series`` with each J_l replaced by its polynomial
+    approximation, from dropping 1/(1+z) against z^l: scaled,
+    (psi(l+1) - ln s)/(l+1).  It is not a bound: the error has no fixed sign.
+    """
+
+    def factors(s: float, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        psi_scaled, _ = analytic._scaled_series_factors(s, orders)
+        j_scaled = np.array(
+            [(digamma_nat(int(n) - 1) - math.log(s)) / (n - 1) for n in orders]
+        )
+        return psi_scaled, j_scaled
+
+    total = 0.0
+    for s, mu in analytic._direction_rates(params):
+        total += tricomi_psi11(s) + analytic._series_sum(s, mu, control, factors).total
+    return total / (2.0 * math.log(2.0))

@@ -18,6 +18,7 @@ from helpers import (
     empirical_cdf_z,
     harmonic_number,
     make_params,
+    outage_exact_quadpack,
     tricomi_psi,
     y0_without_cross_term,
 )
@@ -74,32 +75,30 @@ def test_c01_fading_cdf_matches_simulation():
 
 def test_c02_exact_outage_grid_agreement():
     """Exact outage vs MC at 3*std_err on the outage preset grid, plus the
-    fast ``taylor`` path staying within 1e-3 of the quadrature reference."""
+    strip rule staying within 1e-3 of the adaptive QUADPACK reference."""
     targets = TargetRates.from_rates(1.0, 1.0)
     mc_ok = True
     mc_detail = []
     gaps = {}
     for snr_db in np.linspace(0.0, 30.0, 7):
         params = make_params(snr_db=float(snr_db))
-        reference = outage_exact(params, targets, "quadrature")
+        reference = outage_exact(params, targets)
         est = mc.estimate_outage(params, targets, 1_000_000, seed=1001)
         mc_ok &= abs(est.mean - reference) <= 3.0 * est.std_err
         mc_detail.append(f"{snr_db:.0f}dB:{abs(est.mean - reference) / est.std_err:.2f}se")
-        gaps[float(snr_db)] = abs(
-            outage_exact(params, targets, "taylor") - reference
-        )
+        gaps[float(snr_db)] = abs(outage_exact_quadpack(params, targets) - reference)
     assert report(
         "C2a exact outage vs MC", mc_ok, "gaps " + " ".join(mc_detail) + " (<= 3se)"
     )
-    taylor_ok = max(gaps.values()) < 1e-3
+    rule_ok = max(gaps.values()) < 1e-3
     report(
-        "C2b taylor path vs quadrature",
-        taylor_ok,
+        "C2b strip rule vs QUADPACK",
+        rule_ok,
         "absolute gaps " + " ".join(f"{k:.0f}dB:{v:.2e}" for k, v in gaps.items()),
     )
     assert mc_ok
-    assert taylor_ok, (
-        f"taylor-path outage deviates from the quadrature reference by "
+    assert rule_ok, (
+        f"strip-rule outage deviates from the QUADPACK reference by "
         f"{max(gaps.values()):.2e} (> 1e-3) on the 0-30 dB grid (see gaps above)"
     )
 
@@ -117,7 +116,7 @@ def test_c03_outage_bound_chain():
             d1=float(rng.uniform(0.1, 0.9)),
         )
         lower, upper = outage_bounds(params, targets)
-        exact = outage_exact(params, targets, "quadrature")
+        exact = outage_exact(params, targets)
         worst_violation = max(worst_violation, lower - exact, exact - upper)
     chain_ok = worst_violation <= 1e-9
     gaps = []
@@ -140,7 +139,7 @@ def test_c04_high_snr_limit_relative_gap():
     """High-SNR outage asymptote vs exact(quadrature) at 40 dB: relative gap < 5%."""
     params = make_params(snr_db=40.0)
     targets = TargetRates.from_rates(1.0, 1.0)
-    exact = outage_exact(params, targets, "quadrature")
+    exact = outage_exact(params, targets)
     limit = outage_high_snr(params, targets)
     rel_gap = abs(limit - exact) / exact
     ok = rel_gap < 0.05
@@ -163,7 +162,7 @@ def test_c05_capacity_consistency():
     series_detail = []
     for lam in (0.3, 0.5, 0.75):
         params = make_params(lam=lam)
-        series = capacity_series(params, j_method="quadrature").value
+        series = capacity_series(params).value
         reference = capacity_quadrature(params)
         rel = abs(series - reference) / reference
         series_ok &= rel < 1e-3

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from helpers import make_params
+from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params
 
 from twrelay.analytic import (
+    _survival_integral,
     _xk1_upper,
     capacity_bounds,
     capacity_direction_integral,
@@ -15,10 +16,9 @@ from twrelay.analytic import (
     _direction_rates,
 )
 from twrelay.config import ExperimentConfig
-from twrelay.errors import DomainError
 from twrelay.mc import estimate_capacity
 from twrelay.numerics import SeriesControl
-from twrelay.specfun import tricomi_psi11
+from twrelay.specfun import bessel_xk1, tricomi_psi11
 from twrelay.sweep import run_sweep
 
 LOG2_SCALE = 2.0 * np.log(2.0)
@@ -39,7 +39,7 @@ class TestCapacitySeries:
     @pytest.mark.parametrize("lam", [0.3, 0.5, 0.75])
     def test_agrees_with_quadrature(self, lam):
         params = make_params(lam=lam)
-        series = capacity_series(params, j_method="quadrature")
+        series = capacity_series(params)
         reference = capacity_quadrature(params)
         assert series.value == pytest.approx(reference, rel=1e-3)
         assert series.converged
@@ -54,7 +54,7 @@ class TestCapacitySeries:
                 lam=float(rng.uniform(0.05, 0.95)),
                 d1=float(rng.uniform(0.1, 0.9)),
             )
-            series = capacity_series(params, j_method="quadrature")
+            series = capacity_series(params)
             reference = capacity_quadrature(params)
             assert series.value == pytest.approx(reference, rel=1e-3)
 
@@ -64,7 +64,7 @@ class TestCapacitySeries:
 
     def test_polynomial_surrogate_upper_variant(self):
         params = make_params(lam=0.75)
-        tight = capacity_series(params, j_method="approx").value
+        tight = capacity_series_approx_j(params)
         assert tight >= capacity_quadrature(params)
 
     def test_zero_bessel_scale_collapses_to_base_term(self):
@@ -73,10 +73,6 @@ class TestCapacitySeries:
         value, result = capacity_direction_integral(0.01, 0.0)
         assert value == tricomi_psi11(0.01)
         assert result.terms_used == 0
-
-    def test_invalid_j_method(self):
-        with pytest.raises(DomainError):
-            capacity_series(make_params(), j_method="bogus")
 
 
 class TestCapacityBounds:
@@ -146,6 +142,58 @@ class TestCapacityBounds:
             exact = capacity_quadrature(params)
             gap[lam] = (capacity_bounds(params).loose_upper - exact) / exact
         assert gap[0.1] > gap[0.8]
+
+
+def golden_point(row):
+    """Parameters and mpmath capacity of one frozen capacity point."""
+    snr_db, lam, eta, epsilon, d1, ple, capacity = row
+    params = make_params(
+        snr_db=snr_db, lam=lam, eta=eta, epsilon=epsilon, d1=d1, path_loss_exp=ple
+    )
+    return params, capacity
+
+
+class TestGoldenValues:
+    """Against mpmath values frozen by tests/data/make_golden.py."""
+
+    def test_survival_integrals(self):
+        # the first point is one where adaptive QUADPACK returned 0.4707
+        # instead of 0.8256 without raising
+        errors = [
+            abs(_survival_integral(s, mu, bessel_xk1) - ref) / ref
+            for s, mu, ref in GOLDEN_INTEGRALS["survival"]
+        ]
+        assert max(errors) <= 1e-12, errors
+
+    def test_capacity_quadrature(self):
+        errors = []
+        for row in GOLDEN_INTEGRALS["capacity"]:
+            params, ref = golden_point(row)
+            errors.append(abs(capacity_quadrature(params) - ref) / ref)
+        assert max(errors) <= 1e-12, errors
+
+    def test_quadrature_converges_at_tiny_harvest(self):
+        # 60 dB with lambda = eta = 0.002, where adaptive QUADPACK raised
+        # ConvergenceError
+        params, ref = golden_point(GOLDEN_INTEGRALS["capacity"][2])
+        assert (params.lam, params.eta) == (0.002, 0.002)
+        assert capacity_quadrature(params) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_series_where_adaptive_factors_failed(self, index):
+        # mu/s reaches 29 and 23 here, so the series cancels from a peak
+        # near e^(mu/s); with adaptive factors it read 474 at the first
+        # point and was 1.3% off at the second
+        params, ref = golden_point(GOLDEN_INTEGRALS["capacity"][index])
+        assert capacity_series(params).value == pytest.approx(ref, rel=1e-3)
+
+    def test_bound_chain(self):
+        for row in GOLDEN_INTEGRALS["capacity"]:
+            params, ref = golden_point(row)
+            bounds = capacity_bounds(params)
+            assert bounds.lower <= ref * (1.0 + 1e-12)
+            assert ref <= bounds.tight_upper * (1.0 + 1e-12)
+            assert bounds.tight_upper <= bounds.loose_upper * (1.0 + 1e-12)
 
 
 class TestXk1Upper:

@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import corner_point_root_solve, make_params, y0_without_cross_term
+from helpers import (
+    GOLDEN_INTEGRALS,
+    corner_point_root_solve,
+    joint_outage_quadpack,
+    make_params,
+    y0_without_cross_term,
+)
 
-from twrelay import analytic
+from twrelay import analytic, numerics
 from twrelay.analytic import (
     cdf_z,
     corner_point,
@@ -195,16 +201,14 @@ class TestJointOutage:
             )
             coeffs = derived_coeffs(params)
             tau1, tau2 = rng.uniform(0.5, 8.0, 2)
-            joint = joint_outage(params, coeffs, tau1, tau2, "quadrature")
+            joint = joint_outage(params, coeffs, tau1, tau2)
             m1 = marginal_outage(params, coeffs, tau1, 1)
             m2 = marginal_outage(params, coeffs, tau2, 2)
             assert joint <= min(m1, m2) + 1e-12
 
     def test_against_simulation(self, params20, unit_targets):
         coeffs = derived_coeffs(params20)
-        value = joint_outage(
-            params20, coeffs, unit_targets.tau1, unit_targets.tau2, "quadrature"
-        )
+        value = joint_outage(params20, coeffs, unit_targets.tau1, unit_targets.tau2)
         p_hat, se = mc_event_probability(
             params20,
             lambda g1, g2: (g1 < unit_targets.tau1) & (g2 < unit_targets.tau2),
@@ -212,29 +216,37 @@ class TestJointOutage:
         )
         assert abs(value - p_hat) <= 3.0 * se
 
-    def test_strip_rule_is_gauss_legendre(self):
-        nodes, weights = np.polynomial.legendre.leggauss(64)
-        assert np.allclose(analytic._STRIP_NODES[::-1], nodes, rtol=0, atol=1e-14)
-        assert np.allclose(analytic._STRIP_WEIGHTS[::-1], weights, rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_strip_rule_is_gauss_legendre(self, n):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        ours, our_weights = numerics._gauss_legendre(n)
+        assert np.allclose(ours[::-1], nodes, rtol=0, atol=1e-14)
+        assert np.allclose(our_weights[::-1], weights, rtol=0, atol=1e-14)
+
+    def test_strip_integrals_match_mpmath(self):
+        # the second strip is one where adaptive QUADPACK misses by 6.9e-11
+        errors = [
+            abs(analytic._segment_integral(k, omega, v) - ref)
+            for k, omega, v, ref in GOLDEN_INTEGRALS["strip"]
+        ]
+        assert max(errors) <= 1e-13, errors
 
     def test_midpoint_expansion_tracks_quadrature(self, unit_targets):
-        # Required tolerance: the fast ``taylor`` path within 1e-3 of the
-        # reference on the 10-30 dB grid.  The path is a fixed 64-node
+        # Required tolerance: the strip rule within 1e-3 of the adaptive
+        # QUADPACK reference on the 10-30 dB grid.  The rule is a fixed
         # Gauss-Legendre rule in ln z, which resolves the exp(-k/z)
         # boundary layer.
         gaps = {}
         for snr_db in (10.0, 15.0, 20.0, 25.0, 30.0):
             params = make_params(snr_db=snr_db)
             coeffs = derived_coeffs(params)
-            taylor = joint_outage(
-                params, coeffs, unit_targets.tau1, unit_targets.tau2, "taylor"
+            rule = joint_outage(params, coeffs, unit_targets.tau1, unit_targets.tau2)
+            reference = joint_outage_quadpack(
+                params, coeffs, unit_targets.tau1, unit_targets.tau2
             )
-            reference = joint_outage(
-                params, coeffs, unit_targets.tau1, unit_targets.tau2, "quadrature"
-            )
-            gaps[snr_db] = abs(taylor - reference)
+            gaps[snr_db] = abs(rule - reference)
         assert max(gaps.values()) < 1e-3, (
-            f"midpoint-expansion gap exceeds 1e-3: {gaps}"
+            f"strip-rule gap to QUADPACK exceeds 1e-3: {gaps}"
         )
 
 
@@ -251,13 +263,13 @@ class TestOutageExact:
 
     def test_nonincreasing_in_snr(self, unit_targets):
         values = [
-            outage_exact(make_params(snr_db=s), unit_targets, "quadrature")
+            outage_exact(make_params(snr_db=s), unit_targets)
             for s in np.linspace(0.0, 30.0, 7)
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_against_simulation(self, params20, unit_targets):
-        value = outage_exact(params20, unit_targets, "quadrature")
+        value = outage_exact(params20, unit_targets)
         p_hat, se = mc_event_probability(
             params20,
             lambda g1, g2: (g1 < unit_targets.tau1) | (g2 < unit_targets.tau2),
@@ -280,7 +292,7 @@ class TestOutageBounds:
                 d1=rng.uniform(0.1, 0.9),
             )
             lower, upper = outage_bounds(params, unit_targets)
-            exact = outage_exact(params, unit_targets, "quadrature")
+            exact = outage_exact(params, unit_targets)
             assert lower <= exact + 1e-9
             assert exact <= upper + 1e-9
 
@@ -305,7 +317,7 @@ class TestOutageHighSnr:
         # exact value and both bounds collapse onto the limit (absolutely)
         params = make_params(snr_db=40.0)
         limit = outage_high_snr(params, unit_targets)
-        exact = outage_exact(params, unit_targets, "quadrature")
+        exact = outage_exact(params, unit_targets)
         lower, upper = outage_bounds(params, unit_targets)
         assert abs(limit - exact) < 1e-3
         assert abs(limit - lower) < 1e-3
@@ -326,7 +338,7 @@ class TestOutageHighSnr:
         errors = []
         for snr_db in (40.0, 60.0, 80.0):
             params = make_params(snr_db=snr_db, **point)
-            exact = outage_exact(params, targets, "quadrature")
+            exact = outage_exact(params, targets)
             errors.append(abs(outage_high_snr(params, targets) - exact) / exact)
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-4
@@ -335,5 +347,5 @@ class TestOutageHighSnr:
         # regime check: the limit is a high-SNR shape only
         params = make_params(snr_db=0.0)
         limit = outage_high_snr(params, unit_targets)
-        exact = outage_exact(params, unit_targets, "quadrature")
+        exact = outage_exact(params, unit_targets)
         assert abs(limit - exact) / exact > 0.10

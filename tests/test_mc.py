@@ -45,7 +45,7 @@ class TestEstimateOutage:
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)
         est = estimate_outage(params, targets, 1_000_000, seed=2024)
-        exact = analytic.outage_exact(params, targets, "quadrature")
+        exact = analytic.outage_exact(params, targets)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
 
     def test_worker_count_invariance(self):

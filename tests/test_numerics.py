@@ -1,17 +1,27 @@
-"""Quadrature, root-finding, series, and finite-difference machinery."""
+"""The integration rule, the QUADPACK reference in helpers, root-finding,
+series, and finite-difference machinery."""
 
 import math
 
+import numpy as np
 import pytest
 
-from helpers import BracketError, central_diff, root_bracketed, simpson_panels
+from helpers import (
+    DEFAULT_QUAD,
+    BracketError,
+    QuadSpec,
+    central_diff,
+    quad_adaptive,
+    root_bracketed,
+    simpson_panels,
+)
 
 from twrelay.errors import ConvergenceError, DomainError
 from twrelay.numerics import (
-    DEFAULT_QUAD,
-    QuadSpec,
+    RULE_NODES,
     SeriesControl,
-    quad_adaptive,
+    log_integral,
+    log_rule,
     series_accumulate,
 )
 from twrelay.specfun import exp_integral_e1
@@ -81,6 +91,27 @@ class TestQuadAdaptive:
         spec = QuadSpec(abs_tol=1e-14, rel_tol=1e-13, max_subdivisions=2)
         with pytest.raises(ConvergenceError, match="subinterval"):
             quad_adaptive(lambda z: math.sin(1.0 / (z + 1e-4)), 0.0, 1.0, spec)
+
+
+class TestLogRule:
+    def test_exponential_over_its_whole_mass(self):
+        value = log_integral(lambda z: np.exp(-z), 1e-17, 745.0)
+        assert value == pytest.approx(1.0, rel=1e-14)
+
+    def test_array_bounds_give_one_row_each(self):
+        # int_{e^a}^{e^b} dz = e^b - e^a, row by row
+        t, w = log_rule(np.array([0.0, 1.0]), np.array([1.0, 3.0]))
+        assert t.shape == w.shape == (2, RULE_NODES)
+        rows = np.sum(w * np.exp(t), axis=1)
+        assert rows == pytest.approx([math.e - 1.0, math.e**3 - math.e], rel=1e-14)
+
+    def test_boundary_layer_integrand_vs_panel_oracle(self):
+        # int_0^2 exp(-1/z - z) dz, below z = 1/700 under e^-700
+        oracle = simpson_panels(
+            lambda z: math.exp(-1.0 / z - z) if z > 0 else 0.0, 0.0, 2.0, 10**6
+        )
+        value = log_integral(lambda z: np.exp(-1.0 / z - z), 1.0 / 700.0, 2.0)
+        assert value == pytest.approx(oracle, abs=1e-10)
 
 
 class TestRootBracketed:

@@ -2,6 +2,8 @@
 
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,6 +422,24 @@ class TestCli:
         )
         assert cli.main(["lambda-star", "--config", str(path)]) == 0
         assert "lambda_star" in capsys.readouterr().out
+
+
+class TestImports:
+    def test_cli_import_leaves_out_quadpack(self):
+        # scipy.integrate, which pulls in scipy.optimize, cost about 0.2 s of
+        # every fresh process; the package integrates on its own fixed rule
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        probe = (
+            "import sys, twrelay.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestMetadata:
