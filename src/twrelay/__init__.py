@@ -17,5 +17,4 @@ from .model import (  # noqa: F401
     sample_channel,
 )
 from .mc import Estimate  # noqa: F401
-from .numerics import SeriesControl  # noqa: F401
 from .specfun import EULER_GAMMA  # noqa: F401

@@ -8,7 +8,9 @@ the finite-SNR diversity-multiplexing tradeoff.
 
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
-Gauss-Legendre rule in a log variable of :mod:`twrelay.numerics`.
+Gauss-Legendre rule in a log variable of :mod:`twrelay.numerics`.  The
+series is summed as arrays, a block of orders at a time, from tables built
+at import; beyond its reach it raises ConvergenceError.
 
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
@@ -26,14 +28,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DegenerateCaseError, DomainError, ParameterError
 from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs
-from .numerics import (
-    DEFAULT_SERIES,
-    SeriesControl,
-    SeriesResult,
-    log_integral,
-    log_rule,
-    series_accumulate,
-)
+from .numerics import log_integral, log_rule
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 log = logging.getLogger(__name__)
@@ -79,10 +74,14 @@ def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) 
         raise DomainError(f"need b, c >= 0; got b={b}, c={c}")
     if omega1 <= 0 or omega2 <= 0:
         raise DomainError("fading means must be positive")
-    survival = math.exp(-z * b / (a * omega2)) * bessel_xk1(
+    return _clamp_probability(1.0 - _survival_z(z, a, b, c, omega1, omega2), "cdf_z")
+
+
+def _survival_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
+    """1 - F_Z(z) of :func:`cdf_z`, without its argument checks."""
+    return math.exp(-z * b / (a * omega2)) * bessel_xk1(
         math.sqrt(4.0 * z * c / (a * omega1 * omega2))
     )
-    return _clamp_probability(1.0 - survival, "cdf_z")
 
 
 def marginal_outage(
@@ -227,6 +226,11 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
 
     and the upper bound multiplies each marginal survival term by the
     corner attenuation e^(-V/omega).
+
+    At low SNR the two attenuated survival terms can sum to less than the
+    corner mass, so the upper bound exceeds 1 (1.0027 at 1.76 dB in one
+    valid config whose exact outage is 0.982); it is then returned as 1.
+    The exact value and the lower bound keep the excursion check.
     """
     tau1, tau2 = targets.tau1, targets.tau2
     coeffs = derived_coeffs(params)
@@ -239,12 +243,8 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
     om1, om2 = params.omega1, params.omega2
     corner_mass = math.exp(-corner.x0 / om1 - corner.y0 / om2)
     # Marginal survival factors, direction 1 then direction 2.
-    surv1 = math.exp(-s2 * tau1 * b / (params.p2 * om2)) * bessel_xk1(
-        math.sqrt(4.0 * s2 * tau1 * c / (params.p2 * om1 * om2))
-    )
-    surv2 = math.exp(-s2 * tau2 * b / (params.p1 * om1)) * bessel_xk1(
-        math.sqrt(4.0 * s2 * tau2 * c / (params.p1 * om1 * om2))
-    )
+    surv1 = _survival_z(tau1, params.p2 / s2, b, c, om1, om2)
+    surv2 = _survival_z(tau2, params.p1 / s2, b, c, om2, om1)
     lower = (
         1.0
         + corner_mass
@@ -259,7 +259,7 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
     )
     return (
         _clamp_probability(lower, "outage lower bound"),
-        _clamp_probability(upper, "outage upper bound"),
+        _clamp_probability(min(1.0, upper), "outage upper bound"),
     )
 
 
@@ -356,73 +356,62 @@ def capacity_quadrature(params: SystemParams) -> float:
     return total / (2.0 * LN2)
 
 
-def _scaled_series_factors(s: float, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled ingredients of the capacity-series terms of orders ``n``.
+#: Term budget and stop tolerance of :func:`capacity_direction_integral`.
+SERIES_MAX_TERMS = 200
+SERIES_REL_TOL = 1e-10
+
+#: H_l, summed in index order, and ln l!, for l = 0..SERIES_MAX_TERMS.
+_HARMONIC = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, SERIES_MAX_TERMS + 1))))
+_LN_FACTORIAL = np.array([math.lgamma(l + 1.0) for l in range(SERIES_MAX_TERMS + 1)])
+
+#: Terms computed in one array pass.
+_SERIES_BLOCK = 32
+
+
+def _factor_kernels():
+    """The parts of the series-factor integrals that do not depend on s,
+    one row per term l, of order n = l + 2: the rule's nodes x = ln u on
+    [ln n - 40/(n-1) - 1, ln(n + 40 + 10*sqrt(n))], a window around the
+    Gamma(n) bulk that drops a negligible part of the kernel's mass; u = e^x;
+    and the weights times u * e^-u u^(n-1) / Gamma(n), the kernel with the
+    Jacobian of x = ln u."""
+    n = np.arange(2.0, SERIES_MAX_TERMS + 2.0)
+    x, w = log_rule(np.log(n) - 40.0 / (n - 1.0) - 1.0, np.log(n + 40.0 + 10.0 * np.sqrt(n)))
+    u = np.exp(x)
+    return x, u, w * np.exp(n[:, None] * x - u - _LN_FACTORIAL[1:, None])
+
+
+_FACTOR_X, _FACTOR_U, _FACTOR_KERNEL = _factor_kernels()
+
+
+def _scaled_series_factors(s: float, terms: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled ingredients of the capacity-series terms l in ``terms``.
 
     For n = l + 2 the two arrays hold ``s^(l+1) * Psi(n, n; s)`` and
     ``s^(l+1) * J_l(s) / (l+1)!``, where J_l(s) = int_0^inf exp(-s*z)
     z^(l+1) ln(z)/(1+z) dz.  Substituting u = s*z turns both into 1/s times
     integrals of the well-scaled kernel e^-u u^(n-1) / Gamma(n) / (1 + u/s),
     the second with the factor ln(u/s), so nothing here grows like
-    s^-(l+1) even when s is tiny and l large.
-
-    Order n runs the rule in x = ln u on [ln n - 40/(n-1) - 1,
-    ln(n + 40 + 10*sqrt(n))], a window around the Gamma(n) bulk that drops
-    a negligible part of the kernel's mass; all orders form one
-    (orders x nodes) array.  Against mpmath both factors agree to about
+    s^-(l+1) even when s is tiny and l large.  Each row runs the rule of
+    :func:`_factor_kernels`; against mpmath both factors agree to about
     3e-14 relative for s in [1e-6, 1e6] and n up to 200.
     """
-    n = np.asarray(n, dtype=float)
-    x, w = log_rule(
-        np.log(n) - 40.0 / (n - 1.0) - 1.0, np.log(n + 40.0 + 10.0 * np.sqrt(n))
-    )
-    u = np.exp(x)
-    lg = np.array([math.lgamma(v) for v in n])[:, None]
-    kernel = w * np.exp(n[:, None] * x - u - lg) / (1.0 + u / s)
+    kernel = _FACTOR_KERNEL[terms] / (1.0 + _FACTOR_U[terms] / s)
     psi_scaled = kernel.sum(axis=1) / s
-    j_scaled = (kernel * (x - math.log(s))).sum(axis=1) / s
+    j_scaled = (kernel * (_FACTOR_X[terms] - math.log(s))).sum(axis=1) / s
     return psi_scaled, j_scaled
 
 
 @dataclass(frozen=True)
-class CapacitySeriesResult:
+class CapacitySeries:
     """Truncated-series capacity value with its truncation diagnostics."""
 
     value: float
     terms_used: tuple[int, int]
     tail_estimate: float
-    converged: bool
 
 
-def _series_sum(
-    s: float, mu: float, control: SeriesControl, factors=_scaled_series_factors
-) -> SeriesResult:
-    """The series part of :func:`capacity_direction_integral`.
-
-    ``factors`` gives the scaled factors for an array of orders; they are
-    taken 32 orders at a time, as the accumulation reaches them.
-    """
-    ln_mu = math.log(mu)
-    ratio = mu / s  # geometric-ish scale of the scaled terms
-    known: list[tuple[float, float]] = []
-
-    def term(l: int) -> float:
-        if l == len(known):
-            orders = np.arange(l + 2, min(l + 32, control.max_terms) + 2)
-            known.extend(zip(*(f.tolist() for f in factors(s, orders))))
-        psi_scaled, j_scaled = known[l]
-        h_l = sum(1.0 / i for i in range(1, l + 1))
-        h_l1 = h_l + 1.0 / (l + 1)
-        return (ratio ** (l + 1) / math.factorial(l)) * (
-            (ln_mu + 2.0 * EULER_GAMMA - h_l - h_l1) * psi_scaled + j_scaled
-        )
-
-    return series_accumulate(term, control)
-
-
-def capacity_direction_integral(
-    s: float, mu: float, control: SeriesControl = DEFAULT_SERIES
-):
+def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]:
     """One direction's survival integral int_0^inf (1-F)/(1+z) dz in series
     form, for 1 - F(z) = exp(-s*z) * xK1(2*sqrt(mu*z)):
 
@@ -430,44 +419,67 @@ def capacity_direction_integral(
             [ (ln mu + 2*EULER - H_l - H_{l+1}) * Psi(l+2, l+2; s)
               + J_l / (l+1)! ].
 
+    Term l is exp((l+1)*ln(mu/s) - ln l!) times the bracket in the scaled
+    factors of :func:`_scaled_series_factors`.  The terms are built
+    ``_SERIES_BLOCK`` at a time and summed in index order up to the first
+    of three consecutive |term| <= SERIES_REL_TOL * |partial sum|; a term
+    that is not finite before that stop, or SERIES_MAX_TERMS terms without
+    it, raise ConvergenceError.
+
     The terms scale like (mu/s)^l / l!, so the sum cancels from a peak near
     e^(mu/s): the factors' 3e-14 relative error becomes an error of roughly
     3e-14 * e^(mu/s) in the value.  For mu = 0 every series term carries a
     factor mu and the integral collapses to Psi(1, 1; s).  Returns
-    ``(value, SeriesResult)``.
+    ``(value, terms_used, |last term|)``.
     """
     if mu < 0:
         raise DomainError(f"Bessel scale mu must be >= 0; got {mu}")
     base = tricomi_psi11(s)
     if mu == 0.0:
-        return base, SeriesResult(0.0, 0, 0.0, True)
-    result = _series_sum(s, mu, control)
-    if not result.converged:
-        raise ConvergenceError(
-            f"capacity series did not converge within {control.max_terms} "
-            f"terms (s={s:.3g}, mu={mu:.3g}; tail {result.tail_estimate:.3g})"
-        )
-    return base + result.total, result
+        return base, 0, 0.0
+    ln_ratio = math.log(mu / s)
+    offset = math.log(mu) + 2.0 * EULER_GAMMA
+    total = 0.0
+    small = np.zeros(2, dtype=bool)  # the last two stop flags of the block before
+    for start in range(0, SERIES_MAX_TERMS, _SERIES_BLOCK):
+        stop = min(start + _SERIES_BLOCK, SERIES_MAX_TERMS)
+        psi_scaled, j_scaled = _scaled_series_factors(s, slice(start, stop))
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.exp(np.arange(start + 1.0, stop + 1.0) * ln_ratio - _LN_FACTORIAL[start:stop])
+            harmonic = offset - _HARMONIC[start:stop] - _HARMONIC[start + 1 : stop + 1]
+            terms = scale * (harmonic * psi_scaled + j_scaled)
+            partial = np.cumsum(np.concatenate(([total], terms)))[1:]
+            small = np.concatenate((small[-2:], np.abs(terms) <= SERIES_REL_TOL * np.abs(partial)))
+        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
+        end = stops[0] + 1 if stops.size else terms.size
+        finite = np.isfinite(terms[:end])
+        if not finite.all():
+            raise ConvergenceError(
+                f"capacity series term {start + np.argmin(finite)} is not finite "
+                f"(s={s:.3g}, mu={mu:.3g}, mu/s={mu / s:.3g})"
+            )
+        if stops.size:
+            return base + float(partial[end - 1]), int(start + end), abs(float(terms[end - 1]))
+        total = partial[-1]
+    raise ConvergenceError(
+        f"capacity series did not converge within {SERIES_MAX_TERMS} terms "
+        f"(s={s:.3g}, mu={mu:.3g}; last term {abs(terms[-1]):.3g})"
+    )
 
 
-def capacity_series(
-    params: SystemParams, control: SeriesControl = DEFAULT_SERIES
-) -> CapacitySeriesResult:
+def capacity_series(params: SystemParams) -> CapacitySeries:
     """Ergodic capacity via the Bessel-series decomposition (both
     directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2))."""
     total = 0.0
     terms_used = []
     tail = 0.0
     for s, mu in _direction_rates(params):
-        value, result = capacity_direction_integral(s, mu, control)
+        value, used, last = capacity_direction_integral(s, mu)
         total += value
-        terms_used.append(result.terms_used)
-        tail = max(tail, result.tail_estimate)
-    return CapacitySeriesResult(
-        value=total / (2.0 * LN2),
-        terms_used=tuple(terms_used),
-        tail_estimate=tail,
-        converged=True,
+        terms_used.append(used)
+        tail = max(tail, last)
+    return CapacitySeries(
+        value=total / (2.0 * LN2), terms_used=tuple(terms_used), tail_estimate=tail
     )
 
 

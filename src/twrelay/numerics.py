@@ -1,5 +1,4 @@
-"""Shared numerical machinery: one integration rule and tail-bounded
-series accumulation.
+"""Shared numerical machinery: one integration rule.
 
 Every closed-form integral in the package, the outage boundary strips, the
 capacity survival integrals and the capacity-series factors, runs on one
@@ -14,20 +13,9 @@ in ``tests/helpers.py``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
-
-from .errors import ConvergenceError, DomainError
-
-
-class SeriesResult(NamedTuple):
-    total: float
-    terms_used: int
-    tail_estimate: float
-    converged: bool
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,47 +71,3 @@ def log_integral(
     t, w = log_rule(ends[:-1], ends[1:])
     z = np.exp(t)
     return float(np.sum(w * z * f(z)))
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the infinite series this package evaluates."""
-
-    max_terms: int = 200
-    rel_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1; got {self.max_terms}")
-        if not 0 < self.rel_tol < 1:
-            raise DomainError(f"rel_tol must lie in (0, 1); got {self.rel_tol}")
-
-
-DEFAULT_SERIES = SeriesControl()
-
-
-def series_accumulate(
-    term: Callable[[int], float], control: SeriesControl
-) -> SeriesResult:
-    """Sum ``term(0) + term(1) + ...`` until the tail is negligible.
-
-    Stops once three consecutive terms fall below ``rel_tol`` times the
-    running partial sum (terms are assumed eventually decreasing on the
-    supported regimes).  Exhausting ``max_terms`` is flagged via
-    ``converged=False``; the partial sum is still returned.
-    """
-    total = 0.0
-    small_streak = 0
-    last = 0.0
-    for k in range(control.max_terms):
-        last = term(k)
-        if not math.isfinite(last):
-            raise ConvergenceError(f"series term {k} is not finite: {last}")
-        total += last
-        if abs(last) <= control.rel_tol * abs(total):
-            small_streak += 1
-            if small_streak >= 3:
-                return SeriesResult(total, k + 1, abs(last), True)
-        else:
-            small_streak = 0
-    return SeriesResult(total, control.max_terms, abs(last), False)

@@ -21,8 +21,7 @@ from twrelay.errors import (
     NumericalError,
 )
 from twrelay.model import SystemParams, build_params
-from twrelay.numerics import DEFAULT_SERIES, SeriesControl
-from twrelay.specfun import EULER_GAMMA, exp_integral_e1, tricomi_psi11
+from twrelay.specfun import EULER_GAMMA, exp_integral_e1
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -428,22 +427,18 @@ def digamma_nat(k: int) -> float:
     return -EULER_GAMMA + float(harmonic_number(int(k) - 1))
 
 
-def capacity_series_approx_j(
-    params: SystemParams, control: SeriesControl = DEFAULT_SERIES
-) -> float:
+def capacity_series_approx_j(params: SystemParams) -> float:
     """``analytic.capacity_series`` with each J_l replaced by its polynomial
     approximation, from dropping 1/(1+z) against z^l: scaled,
     (psi(l+1) - ln s)/(l+1).  It is not a bound: the error has no fixed sign.
     """
+    exact_factors = analytic._scaled_series_factors
 
-    def factors(s: float, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        psi_scaled, _ = analytic._scaled_series_factors(s, orders)
-        j_scaled = np.array(
-            [(digamma_nat(int(n) - 1) - math.log(s)) / (n - 1) for n in orders]
-        )
+    def factors(s: float, terms: slice) -> tuple[np.ndarray, np.ndarray]:
+        psi_scaled, _ = exact_factors(s, terms)
+        ls = range(analytic.SERIES_MAX_TERMS)[terms]
+        j_scaled = np.array([(digamma_nat(l + 1) - math.log(s)) / (l + 1) for l in ls])
         return psi_scaled, j_scaled
 
-    total = 0.0
-    for s, mu in analytic._direction_rates(params):
-        total += tricomi_psi11(s) + analytic._series_sum(s, mu, control, factors).total
-    return total / (2.0 * math.log(2.0))
+    with mock.patch.object(analytic, "_scaled_series_factors", factors):
+        return analytic.capacity_series(params).value

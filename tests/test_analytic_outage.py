@@ -296,6 +296,20 @@ class TestOutageBounds:
             assert lower <= exact + 1e-9
             assert exact <= upper + 1e-9
 
+    def test_upper_bound_saturates_at_one(self):
+        # 1 + corner mass - attenuated survivals reads 1.00273 here, a valid
+        # point where the exact outage is 0.98191
+        params = make_params(
+            snr_db=1.76, lam=0.172, eta=0.854, epsilon=0.675, d1=0.437,
+            path_loss_exp=2.051,
+        )
+        targets = TargetRates.from_rates(1.524, 1.524)
+        lower, upper = outage_bounds(params, targets)
+        exact = outage_exact(params, targets)
+        assert upper == 1.0
+        assert lower <= exact < upper
+        assert exact == pytest.approx(0.98191, abs=1e-5)
+
     def test_asymmetric_bounds_are_tight_at_20db(self):
         params = make_params(snr_db=20.0, d1=0.3)
         targets = TargetRates.from_rates(1.5, 1.0)

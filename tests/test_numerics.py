@@ -1,5 +1,5 @@
-"""The integration rule, the QUADPACK reference in helpers, root-finding,
-series, and finite-difference machinery."""
+"""The integration rule, the QUADPACK reference in helpers, root-finding
+and finite-difference machinery."""
 
 import math
 
@@ -17,13 +17,7 @@ from helpers import (
 )
 
 from twrelay.errors import ConvergenceError, DomainError
-from twrelay.numerics import (
-    RULE_NODES,
-    SeriesControl,
-    log_integral,
-    log_rule,
-    series_accumulate,
-)
+from twrelay.numerics import RULE_NODES, log_integral, log_rule
 from twrelay.specfun import exp_integral_e1
 
 
@@ -133,38 +127,6 @@ class TestRootBracketed:
         wide = root_bracketed(f, 0.5, 3.0, tol=1e-13)
         assert narrow == pytest.approx(wide, abs=1e-12)
         assert narrow == pytest.approx(math.pi / 2, abs=1e-12)
-
-
-class TestSeriesAccumulate:
-    def test_geometric(self):
-        result = series_accumulate(lambda k: 0.5**k, SeriesControl())
-        assert result.converged
-        assert result.total == pytest.approx(2.0, rel=1e-10)
-
-    def test_exponential_series(self):
-        result = series_accumulate(
-            lambda k: 1.0 / math.factorial(k), SeriesControl()
-        )
-        assert result.converged
-        assert result.total == pytest.approx(math.e, rel=1e-10)
-
-    def test_exhaustion_flagged_with_partial_sum(self):
-        result = series_accumulate(
-            lambda k: 1.0 / (k + 1.0), SeriesControl(max_terms=50)
-        )
-        assert not result.converged
-        assert result.terms_used == 50
-        assert result.total == pytest.approx(sum(1.0 / (k + 1) for k in range(50)))
-        assert result.tail_estimate == pytest.approx(1.0 / 50.0)
-
-    def test_non_finite_term_raises(self):
-        with pytest.raises(ConvergenceError):
-            series_accumulate(lambda k: math.inf, SeriesControl())
-
-    def test_all_zero_terms_converge(self):
-        result = series_accumulate(lambda k: 0.0, SeriesControl())
-        assert result.converged
-        assert result.total == 0.0
 
 
 class TestCentralDiff:

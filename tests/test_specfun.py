@@ -18,7 +18,6 @@ import scipy.special as sp
 from helpers import digamma_nat, harmonic_number, tricomi_psi, tricomi_psi_log_form
 
 from twrelay.errors import DomainError
-from twrelay.numerics import SeriesControl
 from twrelay.specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 
@@ -221,14 +220,3 @@ class TestDigamma:
             digamma_nat(0)
         with pytest.raises(DomainError):
             digamma_nat(2.5)
-
-
-class TestSeriesControl:
-    def test_invariants(self):
-        SeriesControl()  # defaults valid
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=0)
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=1.5)

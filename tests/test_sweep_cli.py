@@ -388,6 +388,32 @@ class TestCli:
         )
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
 
+    def test_series_beyond_reach_exit_code(self, tmp_path, capsys):
+        # 60 dB with lambda = eta = 0.002 puts mu/s at 3.1e4 in each direction
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "sweep = snr_db\nstart = 60\nstop = 61\nsteps = 2\n"
+            "lambda = 0.002\neta = 0.002\nmethods = capacity_series\n"
+            f"output_path = {tmp_path / 'x.csv'}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert "capacity series" in capsys.readouterr().err
+
+    def test_upper_bound_above_one_runs(self, tmp_path):
+        # at low SNR the outage upper bound exceeds 1 and is returned as 1
+        path = tmp_path / "exp.cfg"
+        out = tmp_path / "x.csv"
+        path.write_text(
+            "sweep = snr_db\nstart = 0\nstop = 6\nsteps = 4\n"
+            "lambda = 0.172\neta = 0.854\nepsilon = 0.675\nd1 = 0.437\n"
+            "path_loss_exp = 2.051\nt1 = 1.524\nt2 = 1.524\n"
+            "methods = exact_quadrature, upper_bound\n"
+            f"output_path = {out}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == 0
+        upper = [r.value for r in read_csv(out).rows if r.method == "upper_bound"]
+        assert upper[:2] == [1.0, 1.0] and upper[3] < 1.0
+
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         true_fn = analytic.derived_coeffs
 
