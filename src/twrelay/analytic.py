@@ -3,8 +3,9 @@
 Implements the fading CDF of the harvest-scaled product variable, exact
 outage (corner-point decomposition), outage bounds and the first-order
 high-SNR asymptote, ergodic capacity (the survival integral, a
-hypergeometric series, and a bound chain that holds by construction), and
-the finite-SNR diversity-multiplexing tradeoff.
+hypergeometric series, and a bound chain that holds by construction), the
+finite-SNR diversity-multiplexing tradeoff, and the non-cooperative
+direct-link baseline.
 
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
@@ -15,7 +16,9 @@ at import; beyond its reach it raises ConvergenceError.
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
 the rational SNR form gamma_i = (P_j/sigma2) * g1*g2 / (b*g_i + c), the
-coefficient b multiplies the gain on source i's own side.
+coefficient b multiplies the gain on source i's own side.  :func:`directions`
+is the one place that pairs a direction with its power and gains; every
+closed form below is a sum over its two rows.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,6 +62,44 @@ def _clamp_probability(value: float, context: str) -> float:
     return min(1.0, max(0.0, value))
 
 
+class Direction(NamedTuple):
+    """One direction's SNR law, gamma = a*X*Y/(b*X + c) with X ~ Exp(own)
+    and Y ~ Exp(other), and its survival function
+
+        P(gamma > z) = exp(-s*z) * xK1(2*sqrt(mu*z)).
+    """
+
+    a: float  # P_j/sigma2, the power that carries the direction
+    own: float  # omega_i, the mean of the gain that b multiplies
+    other: float  # omega_j
+    s: float  # b/(a*other)
+    mu: float  # c/(a*own*other)
+
+
+def _direction(a: float, own: float, other: float, b: float, c: float) -> Direction:
+    # own*other is the same float in both directions, so equal powers give
+    # bit-equal mu.
+    return Direction(a, own, other, b / (a * other), c / (a * (own * other)))
+
+
+def _directions(params: SystemParams, coeffs: DerivedCoeffs) -> tuple[Direction, Direction]:
+    b, c = coeffs
+    return (
+        _direction(params.p2 / params.sigma2, params.omega1, params.omega2, b, c),
+        _direction(params.p1 / params.sigma2, params.omega2, params.omega1, b, c),
+    )
+
+
+def directions(params: SystemParams) -> tuple[Direction, Direction]:
+    """The two directions of a round, direction 1 (into source 1) first."""
+    return _directions(params, derived_coeffs(params))
+
+
+def _survival(d: Direction, z: float) -> float:
+    """P(gamma > z) for direction ``d``, z >= 0."""
+    return math.exp(-d.s * z) * bessel_xk1(2.0 * math.sqrt(d.mu * z))
+
+
 def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
     """CDF of Z = a*X*Y/(b*X + c) with X ~ Exp(omega1), Y ~ Exp(omega2).
 
@@ -74,36 +116,13 @@ def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) 
         raise DomainError(f"need b, c >= 0; got b={b}, c={c}")
     if omega1 <= 0 or omega2 <= 0:
         raise DomainError("fading means must be positive")
-    return _clamp_probability(1.0 - _survival_z(z, a, b, c, omega1, omega2), "cdf_z")
+    d = _direction(a, omega1, omega2, b, c)
+    return _clamp_probability(1.0 - _survival(d, z), "cdf_z")
 
 
-def _survival_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
-    """1 - F_Z(z) of :func:`cdf_z`, without its argument checks."""
-    return math.exp(-z * b / (a * omega2)) * bessel_xk1(
-        math.sqrt(4.0 * z * c / (a * omega1 * omega2))
-    )
-
-
-def marginal_outage(
-    params: SystemParams, coeffs: DerivedCoeffs, tau: float, direction: int
-) -> float:
-    """P(gamma_i < tau) for direction i in {1, 2}; a thin cdf_z wrapper."""
-    if direction not in (1, 2):
-        raise DomainError(f"direction must be 1 or 2; got {direction}")
-    if tau < 0:
-        raise DomainError(f"threshold must be >= 0; got {tau}")
-    if direction == 1:
-        a = params.p2 / params.sigma2
-        om_b, om_other = params.omega1, params.omega2
-    else:
-        a = params.p1 / params.sigma2
-        om_b, om_other = params.omega2, params.omega1
-    return cdf_z(tau, a, coeffs.b, coeffs.c, om_b, om_other)
-
-
-@dataclass(frozen=True)
-class CornerPoint:
-    """Intersection of the two outage-boundary curves in the gain plane."""
+class CornerPoint(NamedTuple):
+    """Intersection of the two outage-boundary curves in the gain plane:
+    x0 on the |h1|^2 axis (direction 1's own), y0 on the |h2|^2 axis."""
 
     x0: float
     y0: float
@@ -121,39 +140,40 @@ def _positive_quadratic_root(quad: float, lin: float, const: float) -> float:
     return (-lin + disc) / (2.0 * quad)
 
 
-def _corner_residual(params, coeffs, tau1, tau2, x0, y0) -> float:
-    a1 = params.sigma2 * tau1 / params.p2
-    a2 = params.sigma2 * tau2 / params.p1
-    r1 = y0 - a1 * (coeffs.b + coeffs.c / x0)
-    r2 = x0 - a2 * (coeffs.b + coeffs.c / y0)
+def _corner_residual(b, c, eps1, eps2, x0, y0) -> float:
+    r1 = y0 - eps1 * (b + c / x0)
+    r2 = x0 - eps2 * (b + c / y0)
     return max(abs(r1) / y0, abs(r2) / x0)
 
 
-def corner_point(
-    params: SystemParams, coeffs: DerivedCoeffs, tau1: float, tau2: float
-) -> CornerPoint:
-    """Solve the boundary system Y = a1*(b + c/X), X = a2*(b + c/Y) with
-    a_i = sigma2*tau_i/P_j, from the quadratic-root expressions obtained by
-    substitution.  The result must satisfy both equations to 1e-9 relative.
-    """
+def _corner_point(coeffs: DerivedCoeffs, dirs, taus) -> CornerPoint:
+    (tau1, tau2), (one, two) = taus, dirs
     if tau1 <= 0 or tau2 <= 0:
         raise DomainError(f"corner point needs positive thresholds; got ({tau1}, {tau2})")
     b, c = coeffs.b, coeffs.c
-    a1 = params.sigma2 * tau1 / params.p2
-    a2 = params.sigma2 * tau2 / params.p1
-    # Substituting Y(X) gives b*X^2 + (c - a2*b^2 - a2*c/a1)*X - a2*b*c = 0.
-    x0 = _positive_quadratic_root(b, c - a2 * b * b - a2 * c / a1, -a2 * b * c)
+    eps1, eps2 = tau1 / one.a, tau2 / two.a
+    # Substituting Y(X) gives b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0.
+    x0 = _positive_quadratic_root(b, c - eps2 * b * b - eps2 * c / eps1, -eps2 * b * c)
     # The Y quadratic mirrors the X one with indices swapped; its linear
-    # coefficient carries the cross-traffic term a1*c/a2.
-    y0 = _positive_quadratic_root(b, c - a1 * b * b - a1 * c / a2, -a1 * b * c)
-    residual = _corner_residual(params, coeffs, tau1, tau2, x0, y0)
+    # coefficient carries the cross-traffic term eps1*c/eps2.
+    y0 = _positive_quadratic_root(b, c - eps1 * b * b - eps1 * c / eps2, -eps1 * b * c)
+    residual = _corner_residual(b, c, eps1, eps2, x0, y0)
     if residual > 1e-9:
         raise DegenerateCaseError(
             f"corner point ({x0:.6g}, {y0:.6g}) violates the boundary system "
             f"by {residual:.3g} relative (tau=({tau1}, {tau2}), b={b}, c={c}, "
-            f"P=({params.p1}, {params.p2}), sigma2={params.sigma2})"
+            f"eps=({eps1}, {eps2}))"
         )
-    return CornerPoint(x0=x0, y0=y0)
+    return CornerPoint(x0, y0)
+
+
+def corner_point(params: SystemParams, tau1: float, tau2: float) -> CornerPoint:
+    """Solve the boundary system Y = eps1*(b + c/X), X = eps2*(b + c/Y) with
+    eps_i = tau_i/a_i, from the quadratic-root expressions obtained by
+    substitution.  The result must satisfy both equations to 1e-9 relative.
+    """
+    coeffs = derived_coeffs(params)
+    return _corner_point(coeffs, _directions(params, coeffs), (tau1, tau2))
 
 
 def _segment_integral(k: float, omega: float, v: float) -> float:
@@ -171,46 +191,45 @@ def _segment_integral(k: float, omega: float, v: float) -> float:
     return log_integral(lambda z: np.exp(-k / z - z / omega), lo, hi)
 
 
-def joint_outage(
-    params: SystemParams, coeffs: DerivedCoeffs, tau1: float, tau2: float
-) -> float:
+def _corner_mass(dirs, corner: CornerPoint) -> float:
+    """P(|h1|^2 > X0, |h2|^2 > Y0) = exp(-X0/omega1 - Y0/omega2)."""
+    one, two = dirs
+    return math.exp(-corner.x0 / one.own - corner.y0 / two.own)
+
+
+def _joint_outage(coeffs: DerivedCoeffs, dirs, taus) -> float:
+    corner = _corner_point(coeffs, dirs, taus)
+    total = 1.0 - _corner_mass(dirs, corner)
+    for d, tau, v in zip(dirs, taus, corner):
+        total -= math.exp(-d.s * tau) / d.own * _segment_integral(tau * d.mu * d.own, d.own, v)
+    return _clamp_probability(total, "joint_outage")
+
+
+def joint_outage(params: SystemParams, tau1: float, tau2: float) -> float:
     """P(gamma_1 < tau1, gamma_2 < tau2) via the corner-point decomposition:
 
         1 - exp(-X0/omega1 - Y0/omega2)
-          - sum_{i != j} (1/omega_j) exp(-sigma2*tau_j*b/(P_i*omega_i)) * I_i,
+          - sum_i (1/own_i) exp(-s_i*tau_i) * I(tau_i*mu_i*own_i, own_i, V_i),
 
-    where I_i integrates the boundary strip between the corner and the
-    curve (see :func:`_segment_integral`).
+    where V_i is the corner coordinate on direction i's own axis (X0 for
+    direction 1, Y0 for direction 2) and I integrates the boundary strip
+    between the corner and the curve (see :func:`_segment_integral`).
     """
     if tau1 <= 0.0 or tau2 <= 0.0:
         return 0.0
-    b, c = coeffs.b, coeffs.c
-    corner = corner_point(params, coeffs, tau1, tau2)
-    s2 = params.sigma2
-    total = 1.0 - math.exp(-corner.x0 / params.omega1 - corner.y0 / params.omega2)
-    strips = (
-        # (tau_j, P_i, omega_i, omega_j, V_i): i = 1 integrates over the
-        # |h2|^2 axis up to Y0; i = 2 over the |h1|^2 axis up to X0.
-        (tau2, params.p1, params.omega1, params.omega2, corner.y0),
-        (tau1, params.p2, params.omega2, params.omega1, corner.x0),
-    )
-    for tau_j, p_i, om_i, om_j, v in strips:
-        k = s2 * tau_j * c / (p_i * om_i)
-        pref = math.exp(-s2 * tau_j * b / (p_i * om_i)) / om_j
-        total -= pref * _segment_integral(k, om_j, v)
-    return _clamp_probability(total, "joint_outage")
+    coeffs = derived_coeffs(params)
+    return _joint_outage(coeffs, _directions(params, coeffs), (tau1, tau2))
 
 
 def outage_exact(params: SystemParams, targets: TargetRates) -> float:
     """System outage by inclusion-exclusion over the two directions."""
     coeffs = derived_coeffs(params)
-    m1 = marginal_outage(params, coeffs, targets.tau1, 1) if targets.tau1 > 0 else 0.0
-    m2 = marginal_outage(params, coeffs, targets.tau2, 2) if targets.tau2 > 0 else 0.0
-    if targets.tau1 <= 0.0 or targets.tau2 <= 0.0:
-        joint = 0.0
-    else:
-        joint = joint_outage(params, coeffs, targets.tau1, targets.tau2)
-    return _clamp_probability(m1 + m2 - joint, "outage_exact")
+    dirs = _directions(params, coeffs)
+    taus = (targets.tau1, targets.tau2)
+    total = sum(1.0 - _survival(d, tau) for d, tau in zip(dirs, taus) if tau > 0.0)
+    if min(taus) > 0.0:
+        total -= _joint_outage(coeffs, dirs, taus)
+    return _clamp_probability(total, "outage_exact")
 
 
 def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, float]:
@@ -218,45 +237,33 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
 
     Both come from sandwiching the boundary-strip integrals I_i: dropping
     exp(-k/z) on the tail yields the upper bound, shifting the full-line
-    integral by exp(-V/omega) the lower one.  The lower bound is
-    Bessel-free:
+    integral by exp(-V/omega) the lower one.  With the corner mass
+    M = exp(-X0/omega1 - Y0/omega2) and V_i, own_i as in
+    :func:`joint_outage`, the lower bound is Bessel-free:
 
-        P >= 1 + e^(-X0/om1 - Y0/om2) - e^(-s2*tau2*b/(P1*om1) - Y0/om2)
-                                      - e^(-s2*tau1*b/(P2*om2) - X0/om1),
+        P >= 1 + M - sum_i exp(-s_i*tau_i - V_i/own_i),
 
-    and the upper bound multiplies each marginal survival term by the
-    corner attenuation e^(-V/omega).
+    and the upper bound multiplies each direction's survival
+    P(gamma_i > tau_i) by the corner attenuation exp(-V_i/own_i):
+
+        P <= 1 + M - sum_i P(gamma_i > tau_i) * exp(-V_i/own_i).
 
     At low SNR the two attenuated survival terms can sum to less than the
     corner mass, so the upper bound exceeds 1 (1.0027 at 1.76 dB in one
     valid config whose exact outage is 0.982); it is then returned as 1.
     The exact value and the lower bound keep the excursion check.
     """
-    tau1, tau2 = targets.tau1, targets.tau2
-    coeffs = derived_coeffs(params)
-    if tau1 <= 0.0 or tau2 <= 0.0:
+    taus = (targets.tau1, targets.tau2)
+    if min(taus) <= 0.0:
         value = outage_exact(params, targets)
         return value, value
-    b, c = coeffs.b, coeffs.c
-    s2 = params.sigma2
-    corner = corner_point(params, coeffs, tau1, tau2)
-    om1, om2 = params.omega1, params.omega2
-    corner_mass = math.exp(-corner.x0 / om1 - corner.y0 / om2)
-    # Marginal survival factors, direction 1 then direction 2.
-    surv1 = _survival_z(tau1, params.p2 / s2, b, c, om1, om2)
-    surv2 = _survival_z(tau2, params.p1 / s2, b, c, om2, om1)
-    lower = (
-        1.0
-        + corner_mass
-        - math.exp(-s2 * tau2 * b / (params.p1 * om1) - corner.y0 / om2)
-        - math.exp(-s2 * tau1 * b / (params.p2 * om2) - corner.x0 / om1)
-    )
-    upper = (
-        1.0
-        + corner_mass
-        - surv2 * math.exp(-corner.y0 / om2)
-        - surv1 * math.exp(-corner.x0 / om1)
-    )
+    coeffs = derived_coeffs(params)
+    dirs = _directions(params, coeffs)
+    corner = _corner_point(coeffs, dirs, taus)
+    lower = upper = 1.0 + _corner_mass(dirs, corner)
+    for d, tau, v in zip(dirs, taus, corner):
+        lower -= math.exp(-d.s * tau - v / d.own)
+        upper -= _survival(d, tau) * math.exp(-v / d.own)
     return (
         _clamp_probability(lower, "outage lower bound"),
         _clamp_probability(min(1.0, upper), "outage upper bound"),
@@ -266,66 +273,48 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
 def outage_high_snr(params: SystemParams, targets: TargetRates) -> float:
     """First-order high-SNR asymptote of the exact outage.
 
-    With eps1 = s2*tau1/P2 and eps2 = s2*tau2/P1 labelled so that
-    eps1 <= eps2 (otherwise swap the indices, omega1 and omega2 with them),
-    kappa = eps2*c/(om1*om2) and X = c*(eps2 - eps1)/(b*eps1):
+    Per direction, m_i = s_i*tau_i is the b part and kappa_i = mu_i*tau_i
+    the harvest part of its marginal outage.  Label the directions weak (w)
+    and strong (s) so that kappa_s <= kappa_w (the weak one has the larger
+    tau_i/a_i), and let X = (kappa_w - kappa_s)/m_s.  Then
 
-        P_out ~ eps2*b/om1 + kappa*(ln(1/kappa) + 1 - 2*EULER_GAMMA)
-                + (eps1*b/om2)*e^(-X/om1)
-                - ((eps2 - eps1)*c/(om1*om2))*E1(X/om1),
+        P_out ~ m_w + kappa_w*(ln(1/kappa_w) + 1 - 2*EULER_GAMMA)
+                + m_s*e^(-X) - (kappa_w - kappa_s)*E1(X),
 
-    and the last two terms reduce to eps1*b/om2 when eps1 = eps2.  The
-    first two terms are the weaker direction's marginal outage, expanded
+    and the last two terms reduce to m_s when the two are equal.  The
+    first two terms are the weak direction's marginal outage, expanded
     through x*K1(x) = 1 + (x^2/2)(ln(x/2) + EULER_GAMMA - 1/2) + O(x^4 ln x);
-    the last two are the part of the other direction's outage region that
-    lies outside it, a strip of width O(eps) over |h1|^2 > X that starts at
-    an O(1) corner whenever eps1 != eps2.  The relative error vanishes as
-    the SNR grows.
+    the last two are the part of the strong direction's outage region that
+    lies outside the weak one's: a strip of width O(1/SNR) in its other
+    gain, beyond a corner at the O(1) gain own_s*X on its own axis
+    whenever kappa_s != kappa_w.  The relative error vanishes as the SNR
+    grows.
 
-    The paper's limit 2 - e^(-eps2*b/om1) - e^(-eps1*b/om2) is the b-only
-    part of this asymptote: it drops the kappa*ln(1/kappa) term, which is of
-    the same order, so its relative gap grows with SNR.  The lower bound
-    has no log term either, so the exact value, the bounds and these
-    curves share only their absolute limit of 0.
+    The paper's limit 2 - e^(-m_1) - e^(-m_2) is the b-only part of this
+    asymptote: it drops the kappa*ln(1/kappa) term, which is of the same
+    order, so its relative gap grows with SNR.  The lower bound has no log
+    term either, so the exact value, the bounds and these curves share
+    only their absolute limit of 0.
 
     At low SNR the expression exceeds 1, so the contract clamps rather
     than errors.
     """
-    coeffs = derived_coeffs(params)
-    b, c = coeffs.b, coeffs.c
-    eps1 = params.sigma2 * targets.tau1 / params.p2
-    eps2 = params.sigma2 * targets.tau2 / params.p1
-    om1, om2 = params.omega1, params.omega2
-    if eps1 > eps2:
-        eps1, eps2, om1, om2 = eps2, eps1, om2, om1
-    if eps2 <= 0.0:
+    one, two = directions(params)
+    (m_s, kappa_s), (m_w, kappa_w) = (
+        (one.s * targets.tau1, one.mu * targets.tau1),
+        (two.s * targets.tau2, two.mu * targets.tau2),
+    )
+    if kappa_s > kappa_w:
+        (m_s, kappa_s), (m_w, kappa_w) = (m_w, kappa_w), (m_s, kappa_s)
+    if kappa_w <= 0.0:
         return 0.0
-    kappa = eps2 * c / (om1 * om2)
-    value = eps2 * b / om1 + kappa * (math.log(1.0 / kappa) + 1.0 - 2.0 * EULER_GAMMA)
-    if eps1 == eps2:
-        value += eps1 * b / om2
-    elif eps1 > 0.0:
-        x = c * (eps2 - eps1) / (b * eps1 * om1)
-        value += eps1 * b / om2 * math.exp(-x) - (
-            (eps2 - eps1) * c / (om1 * om2) * exp_integral_e1(x)
-        )
+    value = m_w + kappa_w * (math.log(1.0 / kappa_w) + 1.0 - 2.0 * EULER_GAMMA)
+    if kappa_s == kappa_w:
+        value += m_s
+    elif kappa_s > 0.0:
+        x = (kappa_w - kappa_s) / m_s
+        value += m_s * math.exp(-x) - (kappa_w - kappa_s) * exp_integral_e1(x)
     return min(1.0, max(0.0, value))
-
-
-def _direction_rates(params: SystemParams):
-    """Per-direction (decay s, Bessel scale mu) of the SNR survival function:
-
-    1 - F_i(z) = exp(-s*z) * xK1(2*sqrt(mu*z)).
-    """
-    coeffs = derived_coeffs(params)
-    b, c = coeffs.b, coeffs.c
-    out = []
-    for p_j, om_other in ((params.p2, params.omega2), (params.p1, params.omega1)):
-        a = p_j / params.sigma2
-        out.append(
-            (b / (a * om_other), c / (a * params.omega1 * params.omega2))
-        )
-    return out
 
 
 def _survival_integral(s: float, mu: float, xk1, kink: float | None = None) -> float:
@@ -352,13 +341,21 @@ def _survival_integral(s: float, mu: float, xk1, kink: float | None = None) -> f
 def capacity_quadrature(params: SystemParams) -> float:
     """Ergodic capacity: (1/(2 ln 2)) * sum_i int_0^inf (1 - F_i(z))/(1+z) dz,
     each survival integral on the log-variable rule."""
-    total = sum(_survival_integral(s, mu, bessel_xk1) for s, mu in _direction_rates(params))
+    total = sum(_survival_integral(d.s, d.mu, bessel_xk1) for d in directions(params))
     return total / (2.0 * LN2)
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
 SERIES_MAX_TERMS = 200
 SERIES_REL_TOL = 1e-10
+
+#: The series raises ConvergenceError once sum|term| exceeds this multiple
+#: of |value|.  The terms cancel, so the value carries an error of about
+#: eps*sum|term|; the limit is eps*sum|term| = 1.1e-5*|value|.  Against the
+#: survival-integral rule on 1500 directions (mu/s 22-32, s 1e-8 to 1), no
+#: value more than 1e-3 off passes at this limit (the worst that passes is
+#: 6.2e-4 off), where at 1e11 one 1.9e-3 off would.
+SERIES_CANCELLATION_LIMIT = 5e10
 
 #: H_l, summed in index order, and ln l!, for l = 0..SERIES_MAX_TERMS.
 _HARMONIC = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, SERIES_MAX_TERMS + 1))))
@@ -428,8 +425,11 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
 
     The terms scale like (mu/s)^l / l!, so the sum cancels from a peak near
     e^(mu/s): the factors' 3e-14 relative error becomes an error of roughly
-    3e-14 * e^(mu/s) in the value.  For mu = 0 every series term carries a
-    factor mu and the integral collapses to Psi(1, 1; s).  Returns
+    3e-14 * e^(mu/s) in the value.  A sum of |term| above
+    SERIES_CANCELLATION_LIMIT times |value| raises ConvergenceError too,
+    from mu/s of about 23 at s = 1 and about 29 at s = 1e-8.  For mu = 0
+    every series term carries a factor mu and the integral collapses to
+    Psi(1, 1; s).  Returns
     ``(value, terms_used, |last term|)``.
     """
     if mu < 0:
@@ -439,7 +439,7 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
         return base, 0, 0.0
     ln_ratio = math.log(mu / s)
     offset = math.log(mu) + 2.0 * EULER_GAMMA
-    total = 0.0
+    total = magnitude = 0.0
     small = np.zeros(2, dtype=bool)  # the last two stop flags of the block before
     for start in range(0, SERIES_MAX_TERMS, _SERIES_BLOCK):
         stop = min(start + _SERIES_BLOCK, SERIES_MAX_TERMS)
@@ -448,8 +448,10 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
             scale = np.exp(np.arange(start + 1.0, stop + 1.0) * ln_ratio - _LN_FACTORIAL[start:stop])
             harmonic = offset - _HARMONIC[start:stop] - _HARMONIC[start + 1 : stop + 1]
             terms = scale * (harmonic * psi_scaled + j_scaled)
+            size = np.abs(terms)
             partial = np.cumsum(np.concatenate(([total], terms)))[1:]
-            small = np.concatenate((small[-2:], np.abs(terms) <= SERIES_REL_TOL * np.abs(partial)))
+            magnitudes = magnitude + size.cumsum()
+            small = np.concatenate((small[-2:], size <= SERIES_REL_TOL * np.abs(partial)))
         stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
         end = stops[0] + 1 if stops.size else terms.size
         finite = np.isfinite(terms[:end])
@@ -459,8 +461,15 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
                 f"(s={s:.3g}, mu={mu:.3g}, mu/s={mu / s:.3g})"
             )
         if stops.size:
-            return base + float(partial[end - 1]), int(start + end), abs(float(terms[end - 1]))
-        total = partial[-1]
+            value = base + float(partial[end - 1])
+            if magnitudes[end - 1] > SERIES_CANCELLATION_LIMIT * abs(value):
+                raise ConvergenceError(
+                    f"capacity series cancels: sum|term| = {magnitudes[end - 1]:.3g} is "
+                    f"{magnitudes[end - 1] / abs(value):.3g} times its value {value:.6g} "
+                    f"(s={s:.3g}, mu={mu:.3g}, mu/s={mu / s:.3g})"
+                )
+            return value, int(start + end), float(size[end - 1])
+        total, magnitude = partial[-1], magnitudes[-1]
     raise ConvergenceError(
         f"capacity series did not converge within {SERIES_MAX_TERMS} terms "
         f"(s={s:.3g}, mu={mu:.3g}; last term {abs(terms[-1]):.3g})"
@@ -473,8 +482,8 @@ def capacity_series(params: SystemParams) -> CapacitySeries:
     total = 0.0
     terms_used = []
     tail = 0.0
-    for s, mu in _direction_rates(params):
-        value, used, last = capacity_direction_integral(s, mu)
+    for d in directions(params):
+        value, used, last = capacity_direction_integral(d.s, d.mu)
         total += value
         terms_used.append(used)
         tail = max(tail, last)
@@ -531,10 +540,10 @@ def capacity_bounds(params: SystemParams) -> CapacityBounds:
     lower = 0.0
     tight = 0.0
     loose = 0.0
-    for s, mu in _direction_rates(params):
-        lower += _survival_integral(s, mu, lambda x: np.exp(-x))
-        tight += _survival_integral(s, mu, _xk1_upper, _XK1_UPPER_KINK)
-        loose += tricomi_psi11(s)
+    for d in directions(params):
+        lower += _survival_integral(d.s, d.mu, lambda x: np.exp(-x))
+        tight += _survival_integral(d.s, d.mu, _xk1_upper, _XK1_UPPER_KINK)
+        loose += tricomi_psi11(d.s)
     return CapacityBounds(
         lower=lower / (2.0 * LN2),
         tight_upper=tight / (2.0 * LN2),
@@ -598,14 +607,13 @@ def dmt(r: float, gamma: float, params: SystemParams) -> float:
     tau = (1.0 + gamma) ** r - 1.0
     x0 = x0_symmetric(r, gamma, coeffs)
     big_a, big_b = dmt_coefficients(r, gamma, coeffs)
-    om1, om2 = params.omega1, params.omega2
-    weight = 1.0 / om1 + 1.0 / om2
+    weight = 1.0 / params.omega1 + 1.0 / params.omega2
     corner_mass = math.exp(-weight * x0)
     numer = big_a * weight * corner_mass
     denom = 1.0 + corner_mass
-    for om_i, om_j in ((om1, om2), (om2, om1)):
-        mass = math.exp(-b * tau / (gamma * om_i) - x0 / om_j)
-        numer -= (big_b * b / om_i + big_a / om_j) * mass
+    for d in _directions(params, coeffs):
+        mass = math.exp(-b * tau / (gamma * d.other) - x0 / d.own)
+        numer -= (big_b * b / d.other + big_a / d.own) * mass
         denom -= mass
     if denom <= 0.0 or not math.isfinite(denom):
         raise DegenerateCaseError(
@@ -613,3 +621,24 @@ def dmt(r: float, gamma: float, params: SystemParams) -> float:
             f"(r={r}); the log-derivative is undefined there"
         )
     return gamma * numer / denom
+
+
+def non_coop_outage(params: SystemParams, targets: TargetRates) -> float:
+    """Outage of the non-cooperative baseline: no relay, the sources exchange
+    over the unit-distance direct link in two equal half-duplex slots, so
+    the resource budget matches the relay round.  The link is reciprocal,
+    one gain g ~ Exp(1) for both directions within a round, so
+
+        P(R1 < T1 or R2 < T2) = 1 - exp(-max_i tau_i/a_i).
+
+    This time-sharing convention is a modelling choice, not a uniquely
+    determined one.
+    """
+    taus = (targets.tau1, targets.tau2)
+    return 1.0 - math.exp(-max(tau / d.a for d, tau in zip(directions(params), taus)))
+
+
+def non_coop_capacity(params: SystemParams) -> float:
+    """Sum ergodic rate of the non-cooperative baseline: per direction
+    E[ln(1 + a*g)] = e^(1/a) E1(1/a) = Psi(1, 1; 1/a), over 2 ln 2."""
+    return sum(tricomi_psi11(1.0 / d.a) for d in directions(params)) / (2.0 * LN2)

@@ -73,21 +73,13 @@ def _outage_chunk(args) -> int:
     return int(np.count_nonzero((gamma1 < tau1) | (gamma2 < tau2)))
 
 
-def _rate_chunk(args):
+def _rate_chunk(args) -> tuple[float, float]:
+    """Sum and sum of squares of the chunk's sum rates R1 + R2."""
     params, seed, chunk, size = args
     g1, g2 = _draw_gains(params, seed, chunk, size)
     gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
-    r1 = 0.5 / LN2 * np.log1p(gamma1)
-    r2 = 0.5 / LN2 * np.log1p(gamma2)
-    total = r1 + r2
-    return (
-        float(np.sum(r1)),
-        float(np.sum(r1 * r1)),
-        float(np.sum(r2)),
-        float(np.sum(r2 * r2)),
-        float(np.sum(total)),
-        float(np.sum(total * total)),
-    )
+    total = 0.5 / LN2 * np.log1p(gamma1) + 0.5 / LN2 * np.log1p(gamma2)
+    return float(np.sum(total)), float(np.sum(total * total))
 
 
 def _map_chunks(func, arglist, workers: int):
@@ -122,16 +114,6 @@ def estimate_outage(
     return Estimate(mean=p, std_err=math.sqrt(var / n), n=n, seed=seed)
 
 
-def _rate_totals(params, n, seed, workers):
-    sizes = _chunk_sizes(n)
-    args = [(params, seed, k, size) for k, size in enumerate(sizes)]
-    totals = [0.0] * 6
-    for part in _map_chunks(_rate_chunk, args, workers):
-        for i, v in enumerate(part):
-            totals[i] += v
-    return totals
-
-
 def _to_estimate(s: float, q: float, n: int, seed: int) -> Estimate:
     mean = s / n
     var = max(q - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
@@ -146,8 +128,12 @@ def estimate_capacity(
 ) -> Estimate:
     """Sample mean of the sum rate R1 + R2 over fading rounds."""
     n = _validate_n(n)
-    totals = _rate_totals(params, n, seed, workers)
-    return _to_estimate(totals[4], totals[5], n, seed)
+    args = [(params, seed, k, size) for k, size in enumerate(_chunk_sizes(n))]
+    s = q = 0.0
+    for part_s, part_q in _map_chunks(_rate_chunk, args, workers):
+        s += part_s
+        q += part_q
+    return _to_estimate(s, q, n, seed)
 
 
 def estimate_diversity_fd(

@@ -12,7 +12,6 @@ from dataclasses import astuple
 from typing import Callable, NamedTuple
 
 from . import analytic, mc
-from .model import non_coop_baseline
 
 # How validate judges a row against Monte Carlo: within 3 standard errors
 # (exact), at or below it (lower), at or above it (upper), or not at all.
@@ -56,8 +55,8 @@ METHODS: dict[str, Method] = {
             workers=c.workers),),
     }, (("", REFERENCE),)),
     "non_coop": Method({
-        "outage": lambda c, p: (non_coop_baseline(p.params).outage(p.targets),),
-        "capacity": lambda c, p: (non_coop_baseline(p.params).capacity(),),
+        "outage": lambda c, p: (analytic.non_coop_outage(p.params, p.targets),),
+        "capacity": lambda c, p: (analytic.non_coop_capacity(p.params),),
     }, (("", REFERENCE),)),
     # Two names for the one exact outage, kept so existing configs still run.
     "exact_taylor": _one("outage", EXACT, lambda c, p: (

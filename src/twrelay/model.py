@@ -1,6 +1,5 @@
-"""Protocol model: parameters, derived coefficients, fading draws, harvested
-relay power, end-to-end SNRs, achievable rates, and the non-cooperative
-direct-link baseline.
+"""Protocol model: parameters, derived coefficients, target rates and
+end-to-end SNRs.
 
 The round has two half-duplex stages of equal duration: both sources
 transmit to the relay (which splits the received power, harvesting a
@@ -19,13 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .specfun import tricomi_psi11
-
-LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -44,20 +41,11 @@ class SystemParams:
     omega2: float
 
 
-@dataclass(frozen=True)
-class DerivedCoeffs:
+class DerivedCoeffs(NamedTuple):
     """Amplification-noise coefficient b >= 1 and harvest-inverse c > 0."""
 
     b: float
     c: float
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the squared channel gains |h1|^2, |h2|^2."""
-
-    g1: float
-    g2: float
 
 
 @dataclass(frozen=True)
@@ -139,19 +127,6 @@ def derived_coeffs(params: SystemParams) -> DerivedCoeffs:
     )
 
 
-def sample_channel(params: SystemParams, rng: np.random.Generator) -> ChannelDraw:
-    """Draw one pair of independent exponential power gains (g1 first)."""
-    return ChannelDraw(
-        g1=float(rng.exponential(params.omega1)),
-        g2=float(rng.exponential(params.omega2)),
-    )
-
-
-def relay_power(params: SystemParams, draw: ChannelDraw) -> float:
-    """Harvested transmit power P_r = eta*lam*(P1 g1 + P2 g2)."""
-    return params.eta * params.lam * (params.p1 * draw.g1 + params.p2 * draw.g2)
-
-
 def end_to_end_snrs(
     params: SystemParams, g1: np.ndarray, g2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -164,53 +139,3 @@ def end_to_end_snrs(
     gamma1 = (params.p2 / params.sigma2) * prod / (coeffs.b * g1 + coeffs.c)
     gamma2 = (params.p1 / params.sigma2) * prod / (coeffs.b * g2 + coeffs.c)
     return gamma1, gamma2
-
-
-def achievable_rates(gamma1: float, gamma2: float) -> tuple[float, float]:
-    """Half-duplex rates R_i = (1/2) log2(1 + gamma_i)."""
-    if gamma1 < 0 or gamma2 < 0:
-        raise ParameterError(f"SNRs must be >= 0; got ({gamma1}, {gamma2})")
-    return 0.5 * math.log2(1.0 + gamma1), 0.5 * math.log2(1.0 + gamma2)
-
-
-@dataclass(frozen=True)
-class NonCoopBaseline:
-    """Direct-link comparison scheme: no relay, same resource budget.
-
-    Both sources exchange over the unit-distance direct channel (mean gain
-    omega_direct = 1 under the same path-loss law) in two equal half-duplex
-    slots, so the time/energy/bandwidth budget matches the relay round.
-    The channel is reciprocal: one gain g ~ Exp(1) serves both directions
-    within a round.  This time-sharing convention is a modeling choice, not
-    a uniquely determined one.
-    """
-
-    params: SystemParams
-    omega_direct: float = 1.0
-
-    @property
-    def snr_means(self) -> tuple[float, float]:
-        """Mean direct-link SNR into S1 (powered by P2) and into S2."""
-        return (
-            self.params.p2 * self.omega_direct / self.params.sigma2,
-            self.params.p1 * self.omega_direct / self.params.sigma2,
-        )
-
-    def outage(self, targets: TargetRates) -> float:
-        """P(R1 < T1 or R2 < T2) over the shared reciprocal gain."""
-        s2 = self.params.sigma2
-        need = max(
-            s2 * targets.tau1 / self.params.p2, s2 * targets.tau2 / self.params.p1
-        )
-        return 1.0 - math.exp(-need / self.omega_direct)
-
-    def capacity(self) -> float:
-        """Sum ergodic rate; per direction E[ln(1+rho g)] = e^(1/rho) E1(1/rho)."""
-        total = 0.0
-        for rho in self.snr_means:
-            total += tricomi_psi11(1.0 / rho)
-        return total / (2.0 * LN2)
-
-
-def non_coop_baseline(params: SystemParams) -> NonCoopBaseline:
-    return NonCoopBaseline(params=params)

@@ -20,7 +20,13 @@ from twrelay.errors import (
     DomainError,
     NumericalError,
 )
-from twrelay.model import SystemParams, build_params
+from twrelay.model import (
+    SystemParams,
+    TargetRates,
+    build_params,
+    derived_coeffs,
+    end_to_end_snrs,
+)
 from twrelay.specfun import EULER_GAMMA, exp_integral_e1
 
 _EPS = float(np.finfo(float).eps)
@@ -192,10 +198,27 @@ def outage_exact_quadpack(params, targets) -> float:
         return analytic.outage_exact(params, targets)
 
 
-def joint_outage_quadpack(params, coeffs, tau1: float, tau2: float) -> float:
+def joint_outage_quadpack(params, tau1: float, tau2: float) -> float:
     """``analytic.joint_outage`` with every boundary strip on QUADPACK."""
     with mock.patch.object(analytic, "_segment_integral", segment_integral_quadpack):
-        return analytic.joint_outage(params, coeffs, tau1, tau2)
+        return analytic.joint_outage(params, tau1, tau2)
+
+
+def one_way(tau: float, direction: int) -> TargetRates:
+    """Threshold ``tau`` on direction 1 or 2 and 0 on the other, so that
+    ``outage_exact`` gives that direction's marginal outage."""
+    rate = 0.5 * math.log2(1.0 + tau)
+    if direction == 1:
+        return TargetRates(rate, 0.0, tau, 0.0)
+    return TargetRates(0.0, rate, 0.0, tau)
+
+
+def corner_residual(params, tau1: float, tau2: float, x0: float, y0: float) -> float:
+    """``analytic._corner_residual`` of a candidate corner (x0, y0) of the
+    boundary system of ``params`` at thresholds (tau1, tau2)."""
+    coeffs = derived_coeffs(params)
+    eps1, eps2 = (tau / d.a for d, tau in zip(analytic.directions(params), (tau1, tau2)))
+    return analytic._corner_residual(coeffs.b, coeffs.c, eps1, eps2, x0, y0)
 
 
 # Oracles and variants that only the tests use.
@@ -272,15 +295,18 @@ def end_to_end_snrs_exact_beta(
 
 
 def estimate_rates(
-    params: SystemParams, n: int, seed: int, workers: int = 1
+    params: SystemParams, n: int, seed: int
 ) -> tuple[mc.Estimate, mc.Estimate]:
-    """Per-direction mean rates (shares the capacity sample stream)."""
+    """Per-direction mean rates, drawn chunk by chunk from the stream that
+    ``mc.estimate_capacity`` draws."""
     n = mc._validate_n(n)
-    totals = mc._rate_totals(params, n, seed, workers)
-    return (
-        mc._to_estimate(totals[0], totals[1], n, seed),
-        mc._to_estimate(totals[2], totals[3], n, seed),
-    )
+    sums = np.zeros((2, 2))  # per direction: sum of rates, sum of squares
+    for k, size in enumerate(mc._chunk_sizes(n)):
+        g1, g2 = mc._draw_gains(params, seed, k, size)
+        for row, gamma in zip(sums, end_to_end_snrs(params, g1, g2)):
+            rate = 0.5 / mc.LN2 * np.log1p(gamma)
+            row += (np.sum(rate), np.sum(rate * rate))
+    return tuple(mc._to_estimate(float(s), float(q), n, seed) for s, q in sums)
 
 
 
@@ -338,7 +364,7 @@ def corner_point_root_solve(params, coeffs, tau1: float, tau2: float) -> CornerP
             raise DegenerateCaseError(f"corner bracketing failed up to {hi}")
     x0 = root_bracketed(poly, 0.0, hi)
     y0 = a1 * (b + c / x0)
-    residual = analytic._corner_residual(params, coeffs, tau1, tau2, x0, y0)
+    residual = analytic._corner_residual(b, c, a1, a2, x0, y0)
     if residual > 1e-9:
         raise DegenerateCaseError(
             f"root-solved corner ({x0:.6g}, {y0:.6g}) misses the boundary "

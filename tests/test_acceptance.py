@@ -14,6 +14,7 @@ import pytest
 from helpers import (
     central_diff,
     corner_point_root_solve,
+    corner_residual,
     digamma_nat,
     empirical_cdf_z,
     harmonic_number,
@@ -23,7 +24,7 @@ from helpers import (
     y0_without_cross_term,
 )
 
-from twrelay import analytic, mc
+from twrelay import mc
 from twrelay.analytic import (
     capacity_bounds,
     capacity_quadrature,
@@ -313,7 +314,7 @@ def test_c11_corner_point_cross_term():
         coeffs = derived_coeffs(params)
         tau1 = float(rng.uniform(0.5, 10.0))
         tau2 = float(rng.uniform(0.5, 10.0))
-        closed = corner_point(params, coeffs, tau1, tau2)
+        closed = corner_point(params, tau1, tau2)
         solved = corner_point_root_solve(params, coeffs, tau1, tau2)
         worst = max(
             worst,
@@ -322,7 +323,7 @@ def test_c11_corner_point_cross_term():
         )
         bad_y0 = y0_without_cross_term(params, coeffs, tau1, tau2)
         bad_residuals.append(
-            analytic._corner_residual(params, coeffs, tau1, tau2, closed.x0, bad_y0)
+            corner_residual(params, tau1, tau2, closed.x0, bad_y0)
         )
     variant_fails = max(bad_residuals) > 1e-9
     ok = worst < 1e-9 and variant_fails

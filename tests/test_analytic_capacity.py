@@ -14,7 +14,7 @@ from twrelay.analytic import (
     capacity_direction_integral,
     capacity_quadrature,
     capacity_series,
-    _direction_rates,
+    directions,
 )
 from twrelay.config import ExperimentConfig
 from twrelay.errors import ConvergenceError
@@ -72,6 +72,12 @@ class TestCapacitySeries:
         # still far above the stop at the last allowed term
         with pytest.raises(ConvergenceError, match=f"{SERIES_MAX_TERMS} terms"):
             capacity_direction_integral(1e-3, 0.1)
+
+    def test_raises_where_terms_cancel(self):
+        # mu/s = 30: the terms cancel from a peak near e^30, and the value
+        # they leave is 4.2e-3 off the survival-integral rule
+        with pytest.raises(ConvergenceError, match="cancels"):
+            capacity_direction_integral(1e-4, 3e-3)
 
     def test_zero_bessel_scale_collapses_to_base_term(self):
         # with the harvest-inverse coefficient forced to zero every series
@@ -227,12 +233,12 @@ class TestXk1Upper:
 
 class TestDirectionRates:
     def test_symmetric_setup_has_equal_directions(self):
-        rates = _direction_rates(make_params())
+        rates = directions(make_params())
         assert rates[0] == rates[1]
 
     def test_survival_parameters_positive(self):
-        for s, mu in _direction_rates(make_params(d1=0.3, p2_scale=0.5)):
-            assert s > 0 and mu > 0
+        for d in directions(make_params(d1=0.3, p2_scale=0.5)):
+            assert d.s > 0 and d.mu > 0
 
 
 class TestLowSnr:

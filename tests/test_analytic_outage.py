@@ -8,8 +8,10 @@ import pytest
 from helpers import (
     GOLDEN_INTEGRALS,
     corner_point_root_solve,
+    corner_residual,
     joint_outage_quadpack,
     make_params,
+    one_way,
     y0_without_cross_term,
 )
 
@@ -18,7 +20,6 @@ from twrelay.analytic import (
     cdf_z,
     corner_point,
     joint_outage,
-    marginal_outage,
     outage_bounds,
     outage_exact,
     outage_high_snr,
@@ -81,8 +82,7 @@ class TestCdfZ:
 
 class TestMarginalOutage:
     def test_zero_threshold(self, params20):
-        coeffs = derived_coeffs(params20)
-        assert marginal_outage(params20, coeffs, 0.0, 1) == 0.0
+        assert outage_exact(params20, one_way(0.0, 1)) == 0.0
 
     def test_is_cdf_z_in_disguise(self, params20):
         coeffs = derived_coeffs(params20)
@@ -95,16 +95,15 @@ class TestMarginalOutage:
             tau, params20.p1 / params20.sigma2, coeffs.b, coeffs.c,
             params20.omega2, params20.omega1,
         )
-        assert marginal_outage(params20, coeffs, tau, 1) == pytest.approx(
+        assert outage_exact(params20, one_way(tau, 1)) == pytest.approx(
             direct1, rel=1e-12
         )
-        assert marginal_outage(params20, coeffs, tau, 2) == pytest.approx(
+        assert outage_exact(params20, one_way(tau, 2)) == pytest.approx(
             direct2, rel=1e-12
         )
 
     def test_against_simulation(self, params20, unit_targets):
-        coeffs = derived_coeffs(params20)
-        value = marginal_outage(params20, coeffs, unit_targets.tau1, 1)
+        value = outage_exact(params20, one_way(unit_targets.tau1, 1))
         p_hat, se = mc_event_probability(
             params20, lambda g1, g2: g1 < unit_targets.tau1, seed=41
         )
@@ -114,7 +113,7 @@ class TestMarginalOutage:
 class TestCornerPoint:
     def test_symmetric_case_reduces_to_single_root(self, params20, unit_targets):
         coeffs = derived_coeffs(params20)
-        point = corner_point(params20, coeffs, unit_targets.tau1, unit_targets.tau2)
+        point = corner_point(params20, unit_targets.tau1, unit_targets.tau2)
         assert point.x0 == pytest.approx(point.y0, rel=1e-12)
         gamma = params20.p1 / params20.sigma2
         # tau = 3 corresponds to r with (1+gamma)^r - 1 = 3
@@ -124,8 +123,7 @@ class TestCornerPoint:
     def test_unit_rate_symmetric_value(self):
         # b=2.5, c=4/3, tau = gamma: X0 = (b/2)(1 + sqrt(1 + 4c/b^2))
         params = make_params(snr_db=10.0 * math.log10(3.0))
-        coeffs = derived_coeffs(params)
-        point = corner_point(params, coeffs, 3.0, 3.0)
+        point = corner_point(params, 3.0, 3.0)
         expect = 1.25 * (1.0 + math.sqrt(1.0 + 4.0 * (4.0 / 3.0) / 6.25))
         assert point.x0 == pytest.approx(expect, rel=1e-12)
         assert point.x0 == pytest.approx(2.9517, abs=1e-4)
@@ -139,9 +137,8 @@ class TestCornerPoint:
             (make_params(snr_db=80.0, lam=0.3, p2_scale=0.5), high.tau1, high.tau2)
         )
         for params, tau1, tau2 in cases:
-            coeffs = derived_coeffs(params)
-            a = corner_point(params, coeffs, tau1, tau2)
-            b = corner_point_root_solve(params, coeffs, tau1, tau2)
+            a = corner_point(params, tau1, tau2)
+            b = corner_point_root_solve(params, derived_coeffs(params), tau1, tau2)
             assert a.x0 == pytest.approx(b.x0, rel=1e-9)
             assert a.y0 == pytest.approx(b.y0, rel=1e-9)
 
@@ -149,11 +146,10 @@ class TestCornerPoint:
         # asymmetric powers and targets at 80 dB give the X quadratic a
         # positive linear coefficient, where the textbook root cancels
         params = make_params(snr_db=80.0, lam=0.3, p2_scale=0.5)
-        coeffs = derived_coeffs(params)
         targets = TargetRates.from_rates(1.0, 0.7)
-        point = corner_point(params, coeffs, targets.tau1, targets.tau2)
-        residual = analytic._corner_residual(
-            params, coeffs, targets.tau1, targets.tau2, point.x0, point.y0
+        point = corner_point(params, targets.tau1, targets.tau2)
+        residual = corner_residual(
+            params, targets.tau1, targets.tau2, point.x0, point.y0
         )
         assert residual < 1e-14
 
@@ -162,34 +158,29 @@ class TestCornerPoint:
         previous = math.inf
         for snr_db in (10.0, 20.0, 30.0, 40.0):
             params = make_params(snr_db=snr_db)
-            point = corner_point(
-                params, derived_coeffs(params), coeffs_tau.tau1, coeffs_tau.tau2
-            )
+            point = corner_point(params, coeffs_tau.tau1, coeffs_tau.tau2)
             assert point.x0 < previous
             previous = point.x0
         assert previous < 0.05
 
     def test_degenerate_threshold_rejected(self, params20):
         with pytest.raises(DomainError):
-            corner_point(params20, derived_coeffs(params20), 0.0, 1.0)
+            corner_point(params20, 0.0, 1.0)
 
     def test_cross_term_free_variant_fails_the_system(self):
         # the y-root variant whose linear coefficient self-cancels cannot
         # satisfy the boundary system once the traffic is asymmetric
         params = make_params(snr_db=13.0, d1=0.3, p2_scale=0.6)
         coeffs = derived_coeffs(params)
-        good = corner_point(params, coeffs, 2.0, 5.0)
+        good = corner_point(params, 2.0, 5.0)
         bad_y0 = y0_without_cross_term(params, coeffs, 2.0, 5.0)
-        residual = analytic._corner_residual(
-            params, coeffs, 2.0, 5.0, good.x0, bad_y0
-        )
+        residual = corner_residual(params, 2.0, 5.0, good.x0, bad_y0)
         assert residual > 1e-3
 
 
 class TestJointOutage:
     def test_vanishing_thresholds(self, params20):
-        coeffs = derived_coeffs(params20)
-        assert joint_outage(params20, coeffs, 0.0, 0.0) == 0.0
+        assert joint_outage(params20, 0.0, 0.0) == 0.0
 
     def test_never_exceeds_either_marginal(self):
         rng = np.random.default_rng(77)
@@ -199,16 +190,14 @@ class TestJointOutage:
                 lam=rng.uniform(0.1, 0.9),
                 d1=rng.uniform(0.2, 0.8),
             )
-            coeffs = derived_coeffs(params)
             tau1, tau2 = rng.uniform(0.5, 8.0, 2)
-            joint = joint_outage(params, coeffs, tau1, tau2)
-            m1 = marginal_outage(params, coeffs, tau1, 1)
-            m2 = marginal_outage(params, coeffs, tau2, 2)
+            joint = joint_outage(params, tau1, tau2)
+            m1 = outage_exact(params, one_way(tau1, 1))
+            m2 = outage_exact(params, one_way(tau2, 2))
             assert joint <= min(m1, m2) + 1e-12
 
     def test_against_simulation(self, params20, unit_targets):
-        coeffs = derived_coeffs(params20)
-        value = joint_outage(params20, coeffs, unit_targets.tau1, unit_targets.tau2)
+        value = joint_outage(params20, unit_targets.tau1, unit_targets.tau2)
         p_hat, se = mc_event_probability(
             params20,
             lambda g1, g2: (g1 < unit_targets.tau1) & (g2 < unit_targets.tau2),
@@ -239,10 +228,9 @@ class TestJointOutage:
         gaps = {}
         for snr_db in (10.0, 15.0, 20.0, 25.0, 30.0):
             params = make_params(snr_db=snr_db)
-            coeffs = derived_coeffs(params)
-            rule = joint_outage(params, coeffs, unit_targets.tau1, unit_targets.tau2)
+            rule = joint_outage(params, unit_targets.tau1, unit_targets.tau2)
             reference = joint_outage_quadpack(
-                params, coeffs, unit_targets.tau1, unit_targets.tau2
+                params, unit_targets.tau1, unit_targets.tau2
             )
             gaps[snr_db] = abs(rule - reference)
         assert max(gaps.values()) < 1e-3, (
@@ -258,7 +246,11 @@ class TestOutageExact:
         targets = TargetRates.from_rates(0.0, 1.0)
         coeffs = derived_coeffs(params20)
         assert outage_exact(params20, targets) == pytest.approx(
-            marginal_outage(params20, coeffs, targets.tau2, 2), rel=1e-12
+            cdf_z(
+                targets.tau2, params20.p1 / params20.sigma2, coeffs.b, coeffs.c,
+                params20.omega2, params20.omega1,
+            ),
+            rel=1e-12,
         )
 
     def test_nonincreasing_in_snr(self, unit_targets):

@@ -7,17 +7,13 @@ import pytest
 
 from helpers import end_to_end_snrs_exact_beta, ks_distance, make_params
 
+from twrelay.analytic import non_coop_capacity, non_coop_outage
 from twrelay.errors import ParameterError
 from twrelay.model import (
-    ChannelDraw,
     TargetRates,
-    achievable_rates,
     build_params,
     derived_coeffs,
     end_to_end_snrs,
-    non_coop_baseline,
-    relay_power,
-    sample_channel,
 )
 
 
@@ -82,39 +78,12 @@ class TestSampleChannel:
         assert g1.mean() == pytest.approx(params.omega1, rel=0.01)
         assert g1.var() == pytest.approx(params.omega1**2, rel=0.03)
 
-    def test_single_draws_reproducible(self):
-        params = make_params()
-        d1 = sample_channel(params, np.random.default_rng(7))
-        d2 = sample_channel(params, np.random.default_rng(7))
-        assert d1 == d2
-        assert d1.g1 >= 0 and d1.g2 >= 0
-
     def test_distribution_ks(self):
         params = make_params(d1=0.3)
         rng = np.random.default_rng(11)
         sample = rng.exponential(params.omega1, 100_000)
         dist = ks_distance(sample, lambda x: 1.0 - math.exp(-x / params.omega1))
         assert dist < 0.01
-
-
-class TestRelayPower:
-    def test_reference_point(self):
-        p = build_params(1, 1, 1, 1, 0.75, 0.5, 0.5, 3)
-        assert relay_power(p, ChannelDraw(1.0, 1.0)) == pytest.approx(1.5)
-
-    def test_no_received_energy(self):
-        p = make_params()
-        assert relay_power(p, ChannelDraw(0.0, 0.0)) == 0.0
-
-    def test_linear_in_source_powers(self):
-        rng = np.random.default_rng(3)
-        base = make_params()
-        doubled = make_params(snr_db=20.0 + 10.0 * math.log10(2.0))
-        for _ in range(50):
-            draw = sample_channel(base, rng)
-            assert relay_power(doubled, draw) == pytest.approx(
-                2.0 * relay_power(base, draw), rel=1e-12
-            )
 
 
 class TestEndToEndSnrs:
@@ -182,10 +151,9 @@ class TestEndToEndSnrs:
             assert up2[0] >= base[0] and up2[1] >= base[1]
 
     def test_split_ratio_extremes_kill_snr(self):
-        draw = ChannelDraw(2.0, 3.0)
         for lam in (1e-9, 1.0 - 1e-12):
             params = make_params(lam=lam)
-            gamma1, gamma2 = end_to_end_snrs(params, draw.g1, draw.g2)
+            gamma1, gamma2 = end_to_end_snrs(params, 2.0, 3.0)
             assert gamma1 < 1e-6 and gamma2 < 1e-6
 
     def test_exact_beta_recovers_canonical_form_at_high_power(self):
@@ -199,50 +167,34 @@ class TestEndToEndSnrs:
         np.testing.assert_allclose(exact[1], approx[1], rtol=1e-5)
 
 
-class TestAchievableRates:
-    def test_reference_points(self):
-        assert achievable_rates(3.0, 3.0) == (1.0, 1.0)
-        assert achievable_rates(0.0, 0.0) == (0.0, 0.0)
-        assert achievable_rates(15.0, 15.0) == (2.0, 2.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ParameterError):
-            achievable_rates(-1.0, 0.0)
-
-
 class TestNonCoopBaseline:
-    def test_unit_direct_gain(self):
-        baseline = non_coop_baseline(make_params())
-        assert baseline.omega_direct == 1.0
-
     def test_outage_closed_form(self):
         # at P/sigma2 = 20 dB, T = 1: 1 - exp(-3/100)
-        baseline = non_coop_baseline(make_params(snr_db=20.0))
+        params = make_params(snr_db=20.0)
         targets = TargetRates.from_rates(1.0, 1.0)
-        assert baseline.outage(targets) == pytest.approx(
+        assert non_coop_outage(params, targets) == pytest.approx(
             1.0 - math.exp(-0.03), rel=1e-12
         )
-        assert baseline.outage(targets) == pytest.approx(0.02955, abs=1e-5)
+        assert non_coop_outage(params, targets) == pytest.approx(0.02955, abs=1e-5)
 
     def test_outage_uses_worse_direction(self):
-        baseline = non_coop_baseline(make_params(p2_scale=0.25))
+        params = make_params(p2_scale=0.25)
         targets = TargetRates.from_rates(1.0, 1.0)
-        s2 = baseline.params.sigma2
+        s2 = params.sigma2
         need = max(
-            s2 * targets.tau1 / baseline.params.p2,
-            s2 * targets.tau2 / baseline.params.p1,
+            s2 * targets.tau1 / params.p2,
+            s2 * targets.tau2 / params.p1,
         )
-        assert baseline.outage(targets) == pytest.approx(1.0 - math.exp(-need))
+        assert non_coop_outage(params, targets) == pytest.approx(1.0 - math.exp(-need))
 
     def test_capacity_against_direct_simulation(self):
         params = make_params(snr_db=20.0)
-        baseline = non_coop_baseline(params)
         rng = np.random.default_rng(31)
         g = rng.exponential(1.0, 1_000_000)
         rho = params.p1 / params.sigma2
         sim = float(np.mean(np.log1p(rho * g))) / math.log(2.0)  # both directions
         se = float(np.std(np.log1p(rho * g))) / math.log(2.0) / math.sqrt(1e6)
-        assert baseline.capacity() == pytest.approx(sim, abs=3 * se)
+        assert non_coop_capacity(params) == pytest.approx(sim, abs=3 * se)
 
 
 class TestTargetRates:

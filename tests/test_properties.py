@@ -2,13 +2,23 @@
 lambda 0.05-0.95, eta 0.3-1, epsilon 0-1, d1 0.1-0.9, path-loss exponent
 2-4, and target rates T1, T2 in [0.1, 2] bit/s/Hz."""
 
+from dataclasses import astuple
+
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import make_params
 
-from twrelay.analytic import capacity_bounds, capacity_quadrature, outage_bounds, outage_exact
-from twrelay.model import TargetRates
+from twrelay.analytic import (
+    capacity_bounds,
+    capacity_quadrature,
+    non_coop_capacity,
+    non_coop_outage,
+    outage_bounds,
+    outage_exact,
+    outage_high_snr,
+)
+from twrelay.model import TargetRates, build_params
 
 # Absolute slack for probabilities, relative slack for capacities: a few
 # hundred ulp, far below any modelling error these checks look for.
@@ -59,3 +69,39 @@ def test_capacity_bound_chain(snr, point):
     assert bounds.lower <= exact * (1.0 + REL_SLACK)
     assert exact <= bounds.tight_upper * (1.0 + REL_SLACK)
     assert bounds.tight_upper <= bounds.loose_upper * (1.0 + REL_SLACK)
+
+
+def _probabilities(params, rates):
+    return (
+        outage_exact(params, rates),
+        *outage_bounds(params, rates),
+        outage_high_snr(params, rates),
+        non_coop_outage(params, rates),
+    )
+
+
+def _capacities(params):
+    return (
+        capacity_quadrature(params),
+        *astuple(capacity_bounds(params)),
+        non_coop_capacity(params),
+    )
+
+
+@seed(20134)
+@box_settings
+@given(snr_db, box, targets, st.floats(0.25, 4.0))
+def test_relabelling_the_sources_changes_no_closed_form(snr, point, rates, p2_scale):
+    # (p1, p2) -> (p2, p1), d1 -> 1 - d1 and (T1, T2) -> (T2, T1) describe
+    # the same round; a closed form that pairs one direction with the
+    # other's power or gain breaks this
+    params = make_params(snr_db=snr, p2_scale=p2_scale, **point)
+    swapped = build_params(
+        params.p2, params.p1, params.sigma2, params.eta, params.lam,
+        params.epsilon, 1.0 - params.d1, params.path_loss_exp,
+    )
+    flipped = TargetRates.from_rates(rates.t2, rates.t1)
+    for p, q in zip(_probabilities(params, rates), _probabilities(swapped, flipped)):
+        assert abs(p - q) <= PROB_SLACK
+    for c, d in zip(_capacities(params), _capacities(swapped)):
+        assert abs(c - d) <= REL_SLACK * c
