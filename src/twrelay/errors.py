@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: configuration problems exit 2,
-numerical failures exit 3.
+numerical failures exit 3.  A batched call that fails at one of its points
+marks the error with that point's index (``failed_at``), so a sweep can name
+the axis value.
 """
 
 
@@ -31,3 +33,9 @@ class InsufficientSamplesError(NumericalError):
 
 class DegenerateCaseError(NumericalError):
     """A formula degenerates (e.g. an underflowing denominator)."""
+
+
+def failed_at(point: int, error: Exception) -> Exception:
+    """Mark ``error`` as raised at index ``point`` of a batched call."""
+    error.point = point
+    return error

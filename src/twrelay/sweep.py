@@ -89,27 +89,36 @@ def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
-    Deterministic given the seed; writes the CSV and a matplotlib script
-    referencing it (unless ``write=False``).  The output directory is
-    checked before any evaluation, so a bad path fails fast.
+    Each method's evaluator runs once over the whole grid (methods that
+    share one share its run), then the rows are emitted point by point in
+    method order.  Deterministic given the seed; writes the CSV and a
+    matplotlib script referencing it (unless ``write=False``).  The output
+    directory is checked before any evaluation, so a bad path fails fast.
     """
     config.validate()
     if write:
         _require_writable_dir(config.output_path)
     started = time.perf_counter()
-    rows: list[SweepRow] = []
     family = config.metric_family
-    for value in axis_grid(config):
-        point = resolve_point(config, value)
+    grid = axis_grid(config)
+    points = [resolve_point(config, value) for value in grid]
+    outputs: dict = {}  # evaluator -> its output tuple per point
+    for method in config.methods:
+        evaluate = METHODS[method].evaluators[family]
+        if evaluate in outputs:
+            continue
+        try:
+            outputs[evaluate] = evaluate(config, points)
+        except (NumericalError, DomainError) as exc:
+            raise type(exc)(
+                f"{config.sweep}={grid[exc.point]:.6g}, method={method}: {exc}"
+            ) from exc
+    rows: list[SweepRow] = []
+    for i, value in enumerate(grid):
         for method in config.methods:
             spec = METHODS[method]
-            try:
-                outputs = spec.evaluators[family](config, point)
-            except (NumericalError, DomainError) as exc:
-                raise type(exc)(
-                    f"{config.sweep}={value:.6g}, method={method}: {exc}"
-                ) from exc
-            for (suffix, _), out in zip(spec.rows, outputs):
+            point_outputs = outputs[spec.evaluators[family]][i][spec.first:]
+            for (suffix, _), out in zip(spec.rows, point_outputs):
                 mean, err = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, None)
                 rows.append(SweepRow(value, method + suffix, mean, err))
     metadata = {f"config.{k}": v for k, v in canonical_items(config)}

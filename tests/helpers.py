@@ -302,7 +302,8 @@ def estimate_rates(
     n = mc._validate_n(n)
     sums = np.zeros((2, 2))  # per direction: sum of rates, sum of squares
     for k, size in enumerate(mc._chunk_sizes(n)):
-        g1, g2 = mc._draw_gains(params, seed, k, size)
+        e1, e2 = mc._draw_exponentials(seed, k, size)
+        g1, g2 = params.omega1 * e1, params.omega2 * e2
         for row, gamma in zip(sums, end_to_end_snrs(params, g1, g2)):
             rate = 0.5 / mc.LN2 * np.log1p(gamma)
             row += (np.sum(rate), np.sum(rate * rate))

@@ -84,7 +84,7 @@ def test_c02_exact_outage_grid_agreement():
     for snr_db in np.linspace(0.0, 30.0, 7):
         params = make_params(snr_db=float(snr_db))
         reference = outage_exact(params, targets)
-        est = mc.estimate_outage(params, targets, 1_000_000, seed=1001)
+        (est,) = mc.estimate_outage(params, targets, 1_000_000, seed=1001)
         mc_ok &= abs(est.mean - reference) <= 3.0 * est.std_err
         mc_detail.append(f"{snr_db:.0f}dB:{abs(est.mean - reference) / est.std_err:.2f}se")
         gaps[float(snr_db)] = abs(outage_exact_quadpack(params, targets) - reference)
@@ -172,7 +172,7 @@ def test_c05_capacity_consistency():
     mc_detail = []
     for lam in np.linspace(0.05, 0.95, 19):
         params = make_params(lam=float(lam))
-        est = mc.estimate_capacity(params, 1_000_000, seed=1002)
+        (est,) = mc.estimate_capacity(params, 1_000_000, seed=1002)
         reference = capacity_quadrature(params)
         ratio = abs(est.mean - reference) / est.std_err
         mc_ok &= ratio <= 3.0

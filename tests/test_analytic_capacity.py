@@ -32,7 +32,7 @@ class TestCapacityQuadrature:
 
     def test_matches_simulation_at_half_split(self):
         params = make_params(lam=0.5)
-        est = estimate_capacity(params, 1_000_000, seed=61)
+        (est,) = estimate_capacity(params, 1_000_000, seed=61)
         assert abs(capacity_quadrature(params) - est.mean) <= 3.0 * est.std_err
 
 

@@ -1,6 +1,8 @@
 """Monte Carlo estimators: correctness, determinism, and error scaling."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,14 +17,23 @@ from helpers import (
 )
 
 from twrelay import analytic, mc
+from twrelay.config import ExperimentConfig
 from twrelay.errors import InsufficientSamplesError, ParameterError
 from twrelay.mc import (
     CHUNK_DRAWS,
+    Estimate,
+    Estimates,
     estimate_capacity,
     estimate_diversity_fd,
     estimate_outage,
 )
 from twrelay.model import TargetRates, end_to_end_snrs
+from twrelay.sweep import figure_preset, run_sweep
+
+#: MC rows of four sweeps, frozen by data/make_golden_mc.py.
+GOLDEN_MC = json.loads(
+    (Path(__file__).parent / "data" / "golden_mc.json").read_text(encoding="utf-8")
+)
 
 # Enough samples to span several chunks so the ordered reduction is exercised.
 N_MULTI_CHUNK = 3 * CHUNK_DRAWS + 1234
@@ -30,13 +41,13 @@ N_MULTI_CHUNK = 3 * CHUNK_DRAWS + 1234
 
 class TestEstimateOutage:
     def test_zero_targets_never_outage(self):
-        est = estimate_outage(
+        (est,) = estimate_outage(
             make_params(), TargetRates.from_rates(0.0, 0.0), 10_000, seed=1
         )
         assert est.mean == 0.0
 
     def test_huge_targets_always_outage(self):
-        est = estimate_outage(
+        (est,) = estimate_outage(
             make_params(), TargetRates.from_rates(25.0, 25.0), 10_000, seed=1
         )
         assert est.mean == 1.0
@@ -44,7 +55,7 @@ class TestEstimateOutage:
     def test_matches_closed_form(self):
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)
-        est = estimate_outage(params, targets, 1_000_000, seed=2024)
+        (est,) = estimate_outage(params, targets, 1_000_000, seed=2024)
         exact = analytic.outage_exact(params, targets)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
 
@@ -65,7 +76,8 @@ class TestEstimateOutage:
         n = 100_000
         counts = {"canonical": 0, "exact": 0}
         for k, size in enumerate(mc._chunk_sizes(n)):
-            g1, g2 = mc._draw_gains(params, 5, k, size)
+            e1, e2 = mc._draw_exponentials(5, k, size)
+            g1, g2 = params.omega1 * e1, params.omega2 * e2
             forms = {
                 "canonical": end_to_end_snrs(params, g1, g2),
                 "exact": end_to_end_snrs_exact_beta(params, g1, g2),
@@ -76,7 +88,7 @@ class TestEstimateOutage:
                 counts[name] += int(
                     np.count_nonzero((gamma1 < targets.tau1) | (gamma2 < targets.tau2))
                 )
-        approx = estimate_outage(params, targets, n, seed=5)
+        (approx,) = estimate_outage(params, targets, n, seed=5)
         assert counts["canonical"] / n == approx.mean
         exact = counts["exact"] / n
         assert 0.0 <= exact <= 1.0
@@ -85,7 +97,7 @@ class TestEstimateOutage:
 
 class TestEstimateCapacity:
     def test_starved_relay_has_no_rate(self):
-        est = estimate_capacity(make_params(lam=1e-6), 50_000, seed=3)
+        (est,) = estimate_capacity(make_params(lam=1e-6), 50_000, seed=3)
         assert est.mean < 1e-2
 
     def test_symmetric_setup_balances_directions(self):
@@ -94,7 +106,7 @@ class TestEstimateCapacity:
 
     def test_matches_quadrature(self):
         params = make_params(lam=0.5)
-        est = estimate_capacity(params, 1_000_000, seed=6)
+        (est,) = estimate_capacity(params, 1_000_000, seed=6)
         assert abs(est.mean - analytic.capacity_quadrature(params)) <= 3.0 * est.std_err
 
     def test_worker_count_invariance(self):
@@ -155,7 +167,7 @@ class TestEstimateDiversityFd:
 
     def test_matches_closed_form_within_combined_error(self):
         params = make_params()
-        est = estimate_diversity_fd(params, 0.5, 20.0, n=1_000_000, seed=3)
+        (est,) = estimate_diversity_fd(params, 0.5, 20.0, n=1_000_000, seed=3)
         formula = analytic.dmt(0.5, 100.0, params)
         assert abs(est.mean - formula) <= 3.0 * est.std_err
 
@@ -163,8 +175,8 @@ class TestEstimateDiversityFd:
         # doubling n scales the underlying standard errors by 1/sqrt(2)
         params = make_params(snr_db=10.0)
         targets = TargetRates.from_rates(1.0, 1.0)
-        small = estimate_outage(params, targets, 400_000, seed=21)
-        large = estimate_outage(params, targets, 800_000, seed=21)
+        (small,) = estimate_outage(params, targets, 400_000, seed=21)
+        (large,) = estimate_outage(params, targets, 800_000, seed=21)
         ratio = large.std_err / small.std_err
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.10)
 
@@ -192,8 +204,8 @@ class TestDeterminismContract:
     def test_different_seeds_differ(self):
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)
-        a = estimate_outage(params, targets, 100_000, seed=1)
-        b = estimate_outage(params, targets, 100_000, seed=2)
+        (a,) = estimate_outage(params, targets, 100_000, seed=1)
+        (b,) = estimate_outage(params, targets, 100_000, seed=2)
         assert a.mean != b.mean
 
     def test_chunks_run_in_this_process(self):
@@ -229,3 +241,93 @@ class TestDeterminismContract:
         assert estimate_capacity(params, n, seed, workers) == estimate_capacity(
             params, n, seed
         )
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("omega", [1e-3, 0.37, 1.0, 8.0, 123.456, 1e6])
+    def test_scaled_unit_draws_are_numpys_exponential(self, omega):
+        # numpy's exponential(omega) is omega * standard_exponential, bit for bit
+        unit = mc._chunk_rng(5, 3).standard_exponential(CHUNK_DRAWS)
+        direct = mc._chunk_rng(5, 3).exponential(omega, CHUNK_DRAWS)
+        assert np.array_equal(omega * unit, direct)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MC))
+    def test_sweep_reproduces_frozen_bits(self, name, workers):
+        entry = GOLDEN_MC[name]
+        fields = dict(entry["config"], methods=tuple(entry["config"]["methods"]))
+        config = ExperimentConfig(**fields, workers=workers)
+        rows = run_sweep(config, write=False).rows
+        got = [[r.value.hex(), r.std_err.hex()] for r in rows if r.method == "mc"]
+        assert got == entry["mc"]
+
+    def test_sweep_draws_each_chunk_once(self, monkeypatch):
+        built = []
+        true_rng = mc._chunk_rng
+
+        def counting(seed, chunk):
+            built.append(chunk)
+            return true_rng(seed, chunk)
+
+        monkeypatch.setattr(mc, "_chunk_rng", counting)
+        run_sweep(figure_preset(2, n=2 * CHUNK_DRAWS + 1), write=False)
+        assert sorted(built) == [0, 1, 2]
+
+    def test_batch_matches_one_call_per_point(self):
+        # different d1 gives different fading means, so different scalings
+        params = [make_params(d1=0.3), make_params(d1=0.5), make_params(d1=0.3, snr_db=10.0)]
+        targets = [TargetRates.from_rates(1.0, 1.0), TargetRates.from_rates(0.5, 2.0),
+                   TargetRates.from_rates(1.0, 1.0)]
+        batch = estimate_outage(params, targets, N_MULTI_CHUNK, seed=31, workers=2)
+        assert list(batch) == [
+            estimate_outage(p, t, N_MULTI_CHUNK, seed=31)[0] for p, t in zip(params, targets)
+        ]
+        rates = estimate_capacity(params, N_MULTI_CHUNK, seed=32)
+        assert list(rates) == [estimate_capacity(p, N_MULTI_CHUNK, seed=32)[0] for p in params]
+
+    def test_one_value_holds_at_every_point(self):
+        params = make_params()
+        targets = [TargetRates.from_rates(t, t) for t in (0.5, 1.0)]
+        batch = estimate_outage(params, targets, 10_000, seed=1)
+        assert isinstance(batch, Estimates) and len(batch) == 2 and batch.n == 10_000
+        assert batch[1] == estimate_outage(params, targets[1], 10_000, seed=1)[0]
+
+    def test_point_sequences_must_agree_in_length(self):
+        with pytest.raises(ParameterError, match="differ in length"):
+            estimate_outage([make_params()] * 2, [TargetRates.from_rates(1, 1)] * 3, 100, 1)
+
+    def test_no_points_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr(mc, "_chunk_rng", None)
+        assert estimate_capacity([], 1000, seed=1) == ()
+
+
+class TestDiversityStencilErrors:
+    """The first failing stencil point is named: points in order, the higher
+    SNR of each point before the lower."""
+
+    @staticmethod
+    def _with_events(monkeypatch, events):
+        # events: outage events per stencil point, as estimate_outage orders them
+        def fake(params, targets, n, seed, workers=1):
+            assert len(params) == len(targets) == len(events)
+            return Estimates(Estimate(e / n, 0.01, n, seed) for e in events)
+
+        monkeypatch.setattr(mc, "estimate_outage", fake)
+
+    def test_higher_stencil_point_checked_first(self, monkeypatch):
+        self._with_events(monkeypatch, [500, 800, 50, 60])
+        with pytest.raises(InsufficientSamplesError, match="50 outage events at gamma_db=30.2") as info:
+            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+        assert info.value.point == 1
+
+    def test_lower_stencil_point_named_when_only_it_fails(self, monkeypatch):
+        self._with_events(monkeypatch, [500, 800, 200, 60])
+        with pytest.raises(InsufficientSamplesError, match="60 outage events at gamma_db=29.8") as info:
+            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+        assert info.value.point == 1
+
+    def test_first_failing_point_wins(self, monkeypatch):
+        self._with_events(monkeypatch, [500, 90, 50, 60])
+        with pytest.raises(InsufficientSamplesError, match="gamma_db=19.8") as info:
+            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+        assert info.value.point == 0

@@ -15,7 +15,7 @@ from twrelay.config import (
     load_config,
     parse_config_text,
 )
-from twrelay.errors import ConfigError
+from twrelay.errors import ConfigError, ConvergenceError, InsufficientSamplesError
 from twrelay.methods import METHODS
 from twrelay.model import DerivedCoeffs
 from twrelay.sweep import (
@@ -188,6 +188,56 @@ class TestSweepEngine:
 
         with pytest.raises(InsufficientSamplesError, match="snr_db=20"):
             run_sweep(config)
+
+
+    def test_batched_mc_failure_names_its_point(self, tmp_path, capsys):
+        # 10 dB has enough outage events; 40.25 dB, the higher stencil point
+        # of the second point, has 34 in 5000 draws
+        config = ExperimentConfig(
+            sweep="snr_db", start=10.0, stop=40.0, steps=2, r=0.5,
+            methods=("mc", "dmt"), mc_n=5_000, output_path=str(tmp_path / "x.csv"),
+        )
+        head = r"snr_db=40, method=mc: only 34 outage events at gamma_db=40\.2;"
+        with pytest.raises(InsufficientSamplesError, match="^" + head):
+            run_sweep(config)
+        path = tmp_path / "x.cfg"
+        path.write_text(
+            "sweep = snr_db\nstart = 10\nstop = 40\nsteps = 2\nr = 0.5\n"
+            f"methods = mc, dmt\nmc_n = 5000\noutput_path = {config.output_path}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert re.match("numerical failure: " + head, capsys.readouterr().err)
+
+    def test_batched_analytic_failure_names_its_point(self, tmp_path):
+        # mu/s grows as d1^3 in direction 1: 6 at d1 = 0.5, 36 at d1 = 0.9
+        config = ExperimentConfig(
+            sweep="d1", start=0.5, stop=0.9, steps=2, lam=0.02,
+            methods=("capacity_quadrature", "capacity_series"),
+            output_path=str(tmp_path / "x.csv"),
+        )
+        with pytest.raises(ConvergenceError, match="^d1=0.9, method=capacity_series: "):
+            run_sweep(config)
+
+    def test_each_closed_form_runs_once_per_point(self, tmp_path, monkeypatch):
+        calls = {"outage_exact": 0, "outage_bounds": 0}
+        for name in calls:
+            true_fn = getattr(analytic, name)
+
+            def counted(*args, _fn=true_fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(analytic, name, counted)
+        config = ExperimentConfig(
+            methods=("exact_quadrature", "exact_taylor", "lower_bound", "upper_bound"),
+            output_path=str(tmp_path / "x.csv"),
+        )
+        rows = run_sweep(config, write=False).rows
+        assert calls == {"outage_exact": config.steps, "outage_bounds": config.steps}
+        for i in range(config.steps):
+            point = {r.method: r.value for r in rows[4 * i:4 * i + 4]}
+            assert point["exact_quadrature"] == point["exact_taylor"]
+            assert point["lower_bound"] <= point["exact_quadrature"] <= point["upper_bound"]
 
 
 class TestValidate:
