@@ -1,4 +1,4 @@
-"""Closed-form performance evaluators.
+"""Closed-form performance evaluators, each over a whole batch of points.
 
 Implements the fading CDF of the harvest-scaled product variable, exact
 outage (corner-point decomposition), outage bounds and the first-order
@@ -7,11 +7,20 @@ hypergeometric series, and a bound chain that holds by construction), the
 finite-SNR diversity-multiplexing tradeoff, and the non-cooperative
 direct-link baseline.
 
+Each evaluator takes one point, its ``SystemParams`` (with its
+``TargetRates``, or its multiplexing gain and SNR), and returns one value;
+or it takes sequences, one value per point (a single value holds at every
+point, see ``model.per_point``), and returns a tuple of one value per
+point.  The single call is the batch of one: every formula runs as numpy
+array passes over all points of the call.  A point that fails raises for
+the first failing point, marked with its index (``errors.failed_at``).
+
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
-Gauss-Legendre rule in a log variable of :mod:`twrelay.numerics`.  The
-series is summed as arrays, a block of orders at a time, from tables built
-at import; beyond its reach it raises ConvergenceError.
+Gauss-Legendre rule in a log variable of :mod:`twrelay.numerics`, one row
+of nodes per direction and point, in slabs of rows.  The series is summed
+as arrays, a block of orders at a time for every direction still running,
+from tables built at import; beyond its reach it raises ConvergenceError.
 
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
@@ -26,13 +35,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateCaseError, DomainError, ParameterError
-from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs
-from .numerics import log_integral, log_rule
+from .errors import (
+    ConvergenceError,
+    DegenerateCaseError,
+    DomainError,
+    ParameterError,
+    failed_at,
+)
+from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs, per_point
+from .numerics import log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 log = logging.getLogger(__name__)
@@ -51,15 +66,39 @@ _XK1_LOG_BOUND_MAX = 3.9
 #: The two branches of that bound cross here; the minimum of them has a kink.
 _XK1_UPPER_KINK = 1.1386957064214889
 
+#: A check over a batch: which points fail it, and the error of point i.
+Check = tuple[np.ndarray, Callable[[int], Exception]]
 
-def _clamp_probability(value: float, context: str) -> float:
-    if 0.0 <= value <= 1.0:
-        return value
-    excess = max(-value, value - 1.0)
-    if excess > CLAMP_TOL:
-        raise DomainError(f"{context} produced {value}, outside [0, 1] by {excess:.3g}")
-    log.debug("%s clamped by %.3g", context, excess)
-    return min(1.0, max(0.0, value))
+
+def _raise_first(*checks: Check) -> None:
+    """Raise the error of the first point that fails any of ``checks``,
+    marked with its index; a point runs the checks in the order given."""
+    first = None
+    for bad, error in checks:
+        if bad.any():
+            hit = int(np.argmax(bad))
+            if first is None or hit < first[0]:
+                first = (hit, error)
+    if first is not None:
+        point, error = first
+        raise failed_at(point, error(point))
+
+
+def _result(batched: bool, values):
+    """A tuple of one value per point, or the value of a single call."""
+    values = tuple(values)
+    return values if batched else values[0]
+
+
+def _clamp_probability(values: np.ndarray, context: str) -> tuple[np.ndarray, Check]:
+    """``values`` clipped to [0, 1], and the check that fails a point whose
+    value leaves [0, 1] by more than CLAMP_TOL."""
+    excess = np.maximum(-values, values - 1.0)
+    if (excess > 0.0).any():
+        log.debug("%s clamped by up to %.3g", context, np.max(excess))
+    return np.minimum(np.maximum(values, 0.0), 1.0), (excess > CLAMP_TOL, lambda i: DomainError(
+        f"{context} produced {float(values[i])}, outside [0, 1] by {excess[i]:.3g}"
+    ))
 
 
 class Direction(NamedTuple):
@@ -67,6 +106,8 @@ class Direction(NamedTuple):
     and Y ~ Exp(other), and its survival function
 
         P(gamma > z) = exp(-s*z) * xK1(2*sqrt(mu*z)).
+
+    For a batch each field holds one value per point.
     """
 
     a: float  # P_j/sigma2, the power that carries the direction
@@ -76,28 +117,60 @@ class Direction(NamedTuple):
     mu: float  # c/(a*own*other)
 
 
-def _direction(a: float, own: float, other: float, b: float, c: float) -> Direction:
+def _direction(a, own, other, b, c) -> Direction:
     # own*other is the same float in both directions, so equal powers give
     # bit-equal mu.
     return Direction(a, own, other, b / (a * other), c / (a * (own * other)))
 
 
-def _directions(params: SystemParams, coeffs: DerivedCoeffs) -> tuple[Direction, Direction]:
-    b, c = coeffs
-    return (
-        _direction(params.p2 / params.sigma2, params.omega1, params.omega2, b, c),
-        _direction(params.p1 / params.sigma2, params.omega2, params.omega1, b, c),
-    )
+class _Batch(NamedTuple):
+    """Coefficients b, c and the two directions of a batch's points."""
+
+    b: np.ndarray
+    c: np.ndarray
+    dirs: tuple[Direction, Direction]
 
 
-def directions(params: SystemParams) -> tuple[Direction, Direction]:
-    """The two directions of a round, direction 1 (into source 1) first."""
-    return _directions(params, derived_coeffs(params))
+def _batch(params: list[SystemParams]) -> _Batch:
+    b, c = np.array([tuple(derived_coeffs(p)) for p in params], dtype=float).reshape(-1, 2).T
+    p1, p2, sigma2, omega1, omega2 = np.array(
+        [(p.p1, p.p2, p.sigma2, p.omega1, p.omega2) for p in params], dtype=float
+    ).reshape(-1, 5).T
+    return _Batch(b, c, (
+        _direction(p2 / sigma2, omega1, omega2, b, c),
+        _direction(p1 / sigma2, omega2, omega1, b, c),
+    ))
 
 
-def _survival(d: Direction, z: float) -> float:
+def _taus(targets: list[TargetRates]) -> tuple[np.ndarray, np.ndarray]:
+    tau1, tau2 = np.array([(t.tau1, t.tau2) for t in targets], dtype=float).reshape(-1, 2).T
+    return tau1, tau2
+
+
+def directions(params) -> tuple[Direction, Direction]:
+    """The two directions of a round, direction 1 (into source 1) first;
+    for a batch, each field holds one value per point."""
+    (params,), batched = per_point(params)
+    dirs = _batch(params).dirs
+    if batched:
+        return dirs
+    return tuple(Direction(*(float(field[0]) for field in d)) for d in dirs)
+
+
+def _by_direction(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """s and mu of every direction, point by point, direction 1 first."""
+    one, two = batch.dirs
+    return np.stack((one.s, two.s), axis=-1).ravel(), np.stack((one.mu, two.mu), axis=-1).ravel()
+
+
+def _per_point(values: np.ndarray) -> np.ndarray:
+    """The sum of each point's two directions in a ``_by_direction`` array."""
+    return values[0::2] + values[1::2]
+
+
+def _survival(d: Direction, z):
     """P(gamma > z) for direction ``d``, z >= 0."""
-    return math.exp(-d.s * z) * bessel_xk1(2.0 * math.sqrt(d.mu * z))
+    return np.exp(-d.s * z) * bessel_xk1(2.0 * np.sqrt(d.mu * z))
 
 
 def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
@@ -117,7 +190,9 @@ def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) 
     if omega1 <= 0 or omega2 <= 0:
         raise DomainError("fading means must be positive")
     d = _direction(a, omega1, omega2, b, c)
-    return _clamp_probability(1.0 - _survival(d, z), "cdf_z")
+    value, check = _clamp_probability(np.array([1.0 - _survival(d, z)]), "cdf_z")
+    _raise_first(check)
+    return float(value[0])
 
 
 class CornerPoint(NamedTuple):
@@ -128,29 +203,27 @@ class CornerPoint(NamedTuple):
     y0: float
 
 
-def _positive_quadratic_root(quad: float, lin: float, const: float) -> float:
+def _positive_quadratic_root(quad, lin, const):
     """Positive root of quad*x^2 + lin*x + const with quad > 0, const < 0.
 
     For lin > 0 the textbook form (-lin + disc)/(2*quad) cancels, so the root
     is taken from the product of the roots instead.
     """
-    disc = math.sqrt(lin * lin - 4.0 * quad * const)
-    if lin > 0.0:
-        return 2.0 * const / (-lin - disc)
-    return (-lin + disc) / (2.0 * quad)
+    disc = np.sqrt(lin * lin - 4.0 * quad * const)
+    product = lin > 0.0  # one division per point: the form not taken may divide by 0
+    return np.where(product, 2.0 * const, -lin + disc) / np.where(product, -lin - disc, 2.0 * quad)
 
 
-def _corner_residual(b, c, eps1, eps2, x0, y0) -> float:
+def _corner_residual(b, c, eps1, eps2, x0, y0):
     r1 = y0 - eps1 * (b + c / x0)
     r2 = x0 - eps2 * (b + c / y0)
-    return max(abs(r1) / y0, abs(r2) / x0)
+    return np.maximum(np.abs(r1) / y0, np.abs(r2) / x0)
 
 
-def _corner_point(coeffs: DerivedCoeffs, dirs, taus) -> CornerPoint:
-    (tau1, tau2), (one, two) = taus, dirs
-    if tau1 <= 0 or tau2 <= 0:
-        raise DomainError(f"corner point needs positive thresholds; got ({tau1}, {tau2})")
-    b, c = coeffs.b, coeffs.c
+def _corner_point(batch: _Batch, taus) -> tuple[CornerPoint, Check]:
+    """The corner of every point, for positive thresholds, and the check
+    that it satisfies the boundary system to 1e-9 relative."""
+    (tau1, tau2), (one, two), b, c = taus, batch.dirs, batch.b, batch.c
     eps1, eps2 = tau1 / one.a, tau2 / two.a
     # Substituting Y(X) gives b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0.
     x0 = _positive_quadratic_root(b, c - eps2 * b * b - eps2 * c / eps1, -eps2 * b * c)
@@ -158,54 +231,95 @@ def _corner_point(coeffs: DerivedCoeffs, dirs, taus) -> CornerPoint:
     # coefficient carries the cross-traffic term eps1*c/eps2.
     y0 = _positive_quadratic_root(b, c - eps1 * b * b - eps1 * c / eps2, -eps1 * b * c)
     residual = _corner_residual(b, c, eps1, eps2, x0, y0)
-    if residual > 1e-9:
-        raise DegenerateCaseError(
-            f"corner point ({x0:.6g}, {y0:.6g}) violates the boundary system "
-            f"by {residual:.3g} relative (tau=({tau1}, {tau2}), b={b}, c={c}, "
-            f"eps=({eps1}, {eps2}))"
+
+    def error(i: int) -> Exception:
+        return DegenerateCaseError(
+            f"corner point ({x0[i]:.6g}, {y0[i]:.6g}) violates the boundary system "
+            f"by {residual[i]:.3g} relative (tau=({tau1[i]}, {tau2[i]}), b={b[i]}, "
+            f"c={c[i]}, eps=({eps1[i]}, {eps2[i]}))"
         )
-    return CornerPoint(x0, y0)
+
+    return CornerPoint(x0, y0), (residual > 1e-9, error)
 
 
-def corner_point(params: SystemParams, tau1: float, tau2: float) -> CornerPoint:
+def _thresholds(tau1, tau2) -> tuple[np.ndarray, np.ndarray]:
+    return np.array(tau1, dtype=float), np.array(tau2, dtype=float)
+
+
+def corner_point(params, tau1, tau2) -> CornerPoint:
     """Solve the boundary system Y = eps1*(b + c/X), X = eps2*(b + c/Y) with
     eps_i = tau_i/a_i, from the quadratic-root expressions obtained by
     substitution.  The result must satisfy both equations to 1e-9 relative.
     """
-    coeffs = derived_coeffs(params)
-    return _corner_point(coeffs, _directions(params, coeffs), (tau1, tau2))
+    (params, tau1, tau2), batched = per_point(params, tau1, tau2)
+    taus = _thresholds(tau1, tau2)
+    _raise_first(((taus[0] <= 0.0) | (taus[1] <= 0.0), lambda i: DomainError(
+        f"corner point needs positive thresholds; got ({tau1[i]}, {tau2[i]})"
+    )))
+    corner, check = _corner_point(_batch(params), taus)
+    _raise_first(check)
+    return _result(batched, map(CornerPoint, corner.x0.tolist(), corner.y0.tolist()))
 
 
-def _segment_integral(k: float, omega: float, v: float) -> float:
-    """I = int_0^v exp(-k/z - z/omega) dz by the log-variable rule.
+def _segment_integral(k, omega, v):
+    """I = int_0^v exp(-k/z - z/omega) dz by the log-variable rule, per
+    element of k, omega and v.
 
     The rule runs in t = ln z on [k/700, min(v, 50*omega)].  Below k/700
     the integrand is under e^-700 and above 50*omega the tail is under
-    omega*e^-50, so an empty interval means a negligible integral.  In ln z
-    the exp(-k/z) boundary layer is smooth: on random strips the rule
-    agrees with an mpmath reference to about 1e-14 absolute.
+    omega*e^-50, so an empty interval means a negligible integral, and the
+    strip is 0.  In ln z the exp(-k/z) boundary layer is smooth: on random
+    strips the rule agrees with an mpmath reference to about 1e-14 absolute.
     """
-    lo, hi = k / 700.0, min(v, 50.0 * omega)
-    if lo >= hi:
-        return 0.0
-    return log_integral(lambda z: np.exp(-k / z - z / omega), lo, hi)
+    lo = k / 700.0
+    return log_integral(
+        lambda z, k, omega: np.exp(-k / z - z / omega),
+        lo, np.maximum(lo, np.minimum(v, 50.0 * omega)), args=(k, omega),
+    )
 
 
-def _corner_mass(dirs, corner: CornerPoint) -> float:
+def _corner_mass(dirs, corner: CornerPoint):
     """P(|h1|^2 > X0, |h2|^2 > Y0) = exp(-X0/omega1 - Y0/omega2)."""
     one, two = dirs
-    return math.exp(-corner.x0 / one.own - corner.y0 / two.own)
+    return np.exp(-corner.x0 / one.own - corner.y0 / two.own)
 
 
-def _joint_outage(coeffs: DerivedCoeffs, dirs, taus) -> float:
-    corner = _corner_point(coeffs, dirs, taus)
+def _survivals(dirs, taus) -> list:
+    """P(gamma_i > tau_i) of both directions; 1 where tau_i <= 0."""
+    return [_survival(d, np.maximum(tau, 0.0)) for d, tau in zip(dirs, taus)]
+
+
+def _marginals(survivals) -> np.ndarray:
+    """The sum of the two directions' outage probabilities."""
+    one, two = survivals
+    return (1.0 - one) + (1.0 - two)
+
+
+def _joint_thresholds(taus):
+    """Which points have a joint outage region (both thresholds positive),
+    and the thresholds with 1 in place of the other points' ones, so that
+    every lane of the corner and strip arrays stays finite."""
+    joint = (taus[0] > 0.0) & (taus[1] > 0.0)
+    return joint, tuple(np.where(joint, tau, 1.0) for tau in taus)
+
+
+def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
+    joint, taus = _joint_thresholds(taus)
+    dirs = batch.dirs
+    corner, residual = _corner_point(batch, taus)
+    strips = _segment_integral(
+        np.stack([tau * d.mu * d.own for d, tau in zip(dirs, taus)], axis=-1),
+        np.stack([d.own for d in dirs], axis=-1),
+        np.stack(corner, axis=-1),
+    )
     total = 1.0 - _corner_mass(dirs, corner)
-    for d, tau, v in zip(dirs, taus, corner):
-        total -= math.exp(-d.s * tau) / d.own * _segment_integral(tau * d.mu * d.own, d.own, v)
-    return _clamp_probability(total, "joint_outage")
+    for d, tau, strip in zip(dirs, taus, strips.T):
+        total = total - np.exp(-d.s * tau) / d.own * strip
+    value, clamp = _clamp_probability(total, "joint_outage")
+    return np.where(joint, value, 0.0), [(joint & bad, error) for bad, error in (residual, clamp)]
 
 
-def joint_outage(params: SystemParams, tau1: float, tau2: float) -> float:
+def joint_outage(params, tau1, tau2) -> float:
     """P(gamma_1 < tau1, gamma_2 < tau2) via the corner-point decomposition:
 
         1 - exp(-X0/omega1 - Y0/omega2)
@@ -213,27 +327,29 @@ def joint_outage(params: SystemParams, tau1: float, tau2: float) -> float:
 
     where V_i is the corner coordinate on direction i's own axis (X0 for
     direction 1, Y0 for direction 2) and I integrates the boundary strip
-    between the corner and the curve (see :func:`_segment_integral`).
+    between the corner and the curve (see :func:`_segment_integral`); 0
+    where a threshold is 0.  The strips of all points and both directions
+    are one array pass.
     """
-    if tau1 <= 0.0 or tau2 <= 0.0:
-        return 0.0
-    coeffs = derived_coeffs(params)
-    return _joint_outage(coeffs, _directions(params, coeffs), (tau1, tau2))
+    (params, tau1, tau2), batched = per_point(params, tau1, tau2)
+    value, checks = _joint_outage(_batch(params), _thresholds(tau1, tau2))
+    _raise_first(*checks)
+    return _result(batched, value.tolist())
 
 
-def outage_exact(params: SystemParams, targets: TargetRates) -> float:
+def outage_exact(params, targets) -> float:
     """System outage by inclusion-exclusion over the two directions."""
-    coeffs = derived_coeffs(params)
-    dirs = _directions(params, coeffs)
-    taus = (targets.tau1, targets.tau2)
-    total = sum(1.0 - _survival(d, tau) for d, tau in zip(dirs, taus) if tau > 0.0)
-    if min(taus) > 0.0:
-        total -= _joint_outage(coeffs, dirs, taus)
-    return _clamp_probability(total, "outage_exact")
+    (params, targets), batched = per_point(params, targets)
+    batch, taus = _batch(params), _taus(targets)
+    joint, checks = _joint_outage(batch, taus)
+    marginals = _marginals(_survivals(batch.dirs, taus))
+    value, clamp = _clamp_probability(marginals - joint, "outage_exact")
+    _raise_first(*checks, clamp)
+    return _result(batched, value.tolist())
 
 
-def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, float]:
-    """Closed-form lower/upper outage bounds.
+def outage_bounds(params, targets) -> tuple[float, float]:
+    """Closed-form lower/upper outage bounds, one (lower, upper) pair per point.
 
     Both come from sandwiching the boundary-strip integrals I_i: dropping
     exp(-k/z) on the tail yields the upper bound, shifting the full-line
@@ -251,26 +367,32 @@ def outage_bounds(params: SystemParams, targets: TargetRates) -> tuple[float, fl
     At low SNR the two attenuated survival terms can sum to less than the
     corner mass, so the upper bound exceeds 1 (1.0027 at 1.76 dB in one
     valid config whose exact outage is 0.982); it is then returned as 1.
-    The exact value and the lower bound keep the excursion check.
+    The exact value and the lower bound keep the excursion check.  A point
+    with a zero threshold has no corner: both bounds are its exact outage.
     """
-    taus = (targets.tau1, targets.tau2)
-    if min(taus) <= 0.0:
-        value = outage_exact(params, targets)
-        return value, value
-    coeffs = derived_coeffs(params)
-    dirs = _directions(params, coeffs)
-    corner = _corner_point(coeffs, dirs, taus)
+    (params, targets), batched = per_point(params, targets)
+    batch, taus = _batch(params), _taus(targets)
+    dirs = batch.dirs
+    survivals = _survivals(dirs, taus)
+    exact, exact_check = _clamp_probability(_marginals(survivals), "outage_exact")
+    joint, taus = _joint_thresholds(taus)
+    corner, residual = _corner_point(batch, taus)
     lower = upper = 1.0 + _corner_mass(dirs, corner)
-    for d, tau, v in zip(dirs, taus, corner):
-        lower -= math.exp(-d.s * tau - v / d.own)
-        upper -= _survival(d, tau) * math.exp(-v / d.own)
-    return (
-        _clamp_probability(lower, "outage lower bound"),
-        _clamp_probability(min(1.0, upper), "outage upper bound"),
+    for d, tau, v, survival in zip(dirs, taus, corner, survivals):
+        lower = lower - np.exp(-d.s * tau - v / d.own)
+        upper = upper - survival * np.exp(-v / d.own)
+    lower, lower_check = _clamp_probability(lower, "outage lower bound")
+    upper, upper_check = _clamp_probability(np.minimum(1.0, upper), "outage upper bound")
+    _raise_first(
+        (~joint & exact_check[0], exact_check[1]),
+        *((joint & bad, error) for bad, error in (residual, lower_check, upper_check)),
     )
+    return _result(batched, zip(
+        np.where(joint, lower, exact).tolist(), np.where(joint, upper, exact).tolist()
+    ))
 
 
-def outage_high_snr(params: SystemParams, targets: TargetRates) -> float:
+def outage_high_snr(params, targets) -> float:
     """First-order high-SNR asymptote of the exact outage.
 
     Per direction, m_i = s_i*tau_i is the b part and kappa_i = mu_i*tau_i
@@ -299,27 +421,30 @@ def outage_high_snr(params: SystemParams, targets: TargetRates) -> float:
     At low SNR the expression exceeds 1, so the contract clamps rather
     than errors.
     """
-    one, two = directions(params)
-    (m_s, kappa_s), (m_w, kappa_w) = (
-        (one.s * targets.tau1, one.mu * targets.tau1),
-        (two.s * targets.tau2, two.mu * targets.tau2),
+    (params, targets), batched = per_point(params, targets)
+    (one, two), (tau1, tau2) = _batch(params).dirs, _taus(targets)
+    m1, kappa1, m2, kappa2 = one.s * tau1, one.mu * tau1, two.s * tau2, two.mu * tau2
+    swap = kappa1 > kappa2
+    m_s, kappa_s = np.where(swap, m2, m1), np.where(swap, kappa2, kappa1)
+    m_w, kappa_w = np.where(swap, m1, m2), np.where(swap, kappa1, kappa2)
+    live = kappa_w > 0.0
+    kw = np.where(live, kappa_w, 1.0)
+    value = m_w + kw * (np.log(1.0 / kw) + 1.0 - 2.0 * EULER_GAMMA)
+    apart = live & (kappa_s > 0.0) & (kappa_s != kappa_w)
+    gap = kappa_w - kappa_s
+    x = np.where(apart, gap, 1.0) / np.where(apart, m_s, 1.0)
+    strong = np.where(
+        kappa_s == kappa_w, m_s,
+        np.where(apart, m_s * np.exp(-x) - gap * exp_integral_e1(x), 0.0),
     )
-    if kappa_s > kappa_w:
-        (m_s, kappa_s), (m_w, kappa_w) = (m_w, kappa_w), (m_s, kappa_s)
-    if kappa_w <= 0.0:
-        return 0.0
-    value = m_w + kappa_w * (math.log(1.0 / kappa_w) + 1.0 - 2.0 * EULER_GAMMA)
-    if kappa_s == kappa_w:
-        value += m_s
-    elif kappa_s > 0.0:
-        x = (kappa_w - kappa_s) / m_s
-        value += m_s * math.exp(-x) - (kappa_w - kappa_s) * exp_integral_e1(x)
-    return min(1.0, max(0.0, value))
+    value = np.where(live, np.minimum(np.maximum(value + strong, 0.0), 1.0), 0.0)
+    return _result(batched, value.tolist())
 
 
-def _survival_integral(s: float, mu: float, xk1, kink: float | None = None) -> float:
-    """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz for ``xk1`` equal
-    to x*K1(x) or one of the bounds on it, each taking an array.
+def _survival_integral(s, mu, xk1, kink: float | None = None):
+    """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz per element of s
+    and mu, for ``xk1`` equal to x*K1(x) or one of the bounds on it, each
+    taking an array.
 
     The rule runs in t = ln z on [1e-17*min(1, 1/s), min(745/s, 745^2/(4*mu))].
     The integrand is at most 1 and the value scales with the decay length
@@ -329,20 +454,27 @@ def _survival_integral(s: float, mu: float, xk1, kink: float | None = None) -> f
     at x = ``kink`` where ``xk1`` has one.
     """
 
-    def integrand(z: np.ndarray) -> np.ndarray:
+    def integrand(z, s, mu):
         return np.exp(-s * z) * xk1(2.0 * np.sqrt(mu * z)) / (1.0 + z)
 
-    splits = (1.0,) if kink is None else (1.0, kink * kink / (4.0 * mu))
+    splits = (1.0,)
+    if kink is not None:
+        at_kink = kink * kink / (4.0 * mu)
+        splits = (np.minimum(1.0, at_kink), np.maximum(1.0, at_kink))
     return log_integral(
-        integrand, 1e-17 * min(1.0, 1.0 / s), 745.0 / max(s, 4.0 * mu / 745.0), splits
+        integrand, 1e-17 * np.minimum(1.0, 1.0 / s), 745.0 / np.maximum(s, 4.0 * mu / 745.0),
+        splits, args=(s, mu),
     )
 
 
-def capacity_quadrature(params: SystemParams) -> float:
+def capacity_quadrature(params) -> float:
     """Ergodic capacity: (1/(2 ln 2)) * sum_i int_0^inf (1 - F_i(z))/(1+z) dz,
-    each survival integral on the log-variable rule."""
-    total = sum(_survival_integral(d.s, d.mu, bessel_xk1) for d in directions(params))
-    return total / (2.0 * LN2)
+    each survival integral on the log-variable rule, all directions of all
+    points in one pass."""
+    (params,), batched = per_point(params)
+    s, mu = _by_direction(_batch(params))
+    total = _per_point(_survival_integral(s, mu, bessel_xk1))
+    return _result(batched, (total / (2.0 * LN2)).tolist())
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -361,8 +493,10 @@ SERIES_CANCELLATION_LIMIT = 5e10
 _HARMONIC = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1.0, SERIES_MAX_TERMS + 1))))
 _LN_FACTORIAL = np.array([math.lgamma(l + 1.0) for l in range(SERIES_MAX_TERMS + 1)])
 
-#: Terms computed in one array pass.
-_SERIES_BLOCK = 32
+#: Terms computed in one array pass.  Every sum over the terms runs in index
+#: order across blocks, so the block size changes no bit of a result; 16
+#: covers nine in ten directions of the preset sweeps in one block.
+_SERIES_BLOCK = 16
 
 
 def _factor_kernels():
@@ -381,8 +515,9 @@ def _factor_kernels():
 _FACTOR_X, _FACTOR_U, _FACTOR_KERNEL = _factor_kernels()
 
 
-def _scaled_series_factors(s: float, terms: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled ingredients of the capacity-series terms l in ``terms``.
+def _scaled_series_factors(s: np.ndarray, terms: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled ingredients of the capacity-series terms l in ``terms``, one
+    row per element of the 1-D array ``s``.
 
     For n = l + 2 the two arrays hold ``s^(l+1) * Psi(n, n; s)`` and
     ``s^(l+1) * J_l(s) / (l+1)!``, where J_l(s) = int_0^inf exp(-s*z)
@@ -393,9 +528,14 @@ def _scaled_series_factors(s: float, terms: slice) -> tuple[np.ndarray, np.ndarr
     :func:`_factor_kernels`; against mpmath both factors agree to about
     3e-14 relative for s in [1e-6, 1e6] and n up to 200.
     """
-    kernel = _FACTOR_KERNEL[terms] / (1.0 + _FACTOR_U[terms] / s)
-    psi_scaled = kernel.sum(axis=1) / s
-    j_scaled = (kernel * (_FACTOR_X[terms] - math.log(s))).sum(axis=1) / s
+    kernel, x, u = _FACTOR_KERNEL[terms], _FACTOR_X[terms], _FACTOR_U[terms]
+    psi_scaled = np.empty((s.size, len(kernel)))
+    j_scaled = np.empty_like(psi_scaled)
+    for rows in slabs(s.size, kernel.size):
+        scale = s[rows, None, None]
+        weighted = kernel / (1.0 + u / scale)
+        psi_scaled[rows] = weighted.sum(axis=-1) / scale[..., 0]
+        j_scaled[rows] = (weighted * (x - np.log(scale))).sum(axis=-1) / scale[..., 0]
     return psi_scaled, j_scaled
 
 
@@ -408,9 +548,19 @@ class CapacitySeries:
     tail_estimate: float
 
 
-def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]:
+class CapacitySeriesBatch(tuple):
+    """One ``CapacitySeries`` per point of a batched call."""
+
+    @property
+    def terms_used(self) -> tuple[int, ...]:
+        """Terms used by each direction of each point, in order."""
+        return tuple(n for point in self for n in point.terms_used)
+
+
+def capacity_direction_integral(s, mu):
     """One direction's survival integral int_0^inf (1-F)/(1+z) dz in series
-    form, for 1 - F(z) = exp(-s*z) * xK1(2*sqrt(mu*z)):
+    form, for 1 - F(z) = exp(-s*z) * xK1(2*sqrt(mu*z)), per element of s
+    and mu:
 
         Psi(1,1;s) + sum_{l>=0} (mu^(l+1)/l!) *
             [ (ln mu + 2*EULER - H_l - H_{l+1}) * Psi(l+2, l+2; s)
@@ -418,10 +568,11 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
 
     Term l is exp((l+1)*ln(mu/s) - ln l!) times the bracket in the scaled
     factors of :func:`_scaled_series_factors`.  The terms are built
-    ``_SERIES_BLOCK`` at a time and summed in index order up to the first
-    of three consecutive |term| <= SERIES_REL_TOL * |partial sum|; a term
-    that is not finite before that stop, or SERIES_MAX_TERMS terms without
-    it, raise ConvergenceError.
+    ``_SERIES_BLOCK`` at a time for every direction still running, and each
+    direction's are summed in index order up to the first of three
+    consecutive |term| <= SERIES_REL_TOL * |partial sum|, where it leaves
+    the block; a term that is not finite before that stop, or
+    SERIES_MAX_TERMS terms without it, raise ConvergenceError.
 
     The terms scale like (mu/s)^l / l!, so the sum cancels from a peak near
     e^(mu/s): the factors' 3e-14 relative error becomes an error of roughly
@@ -429,67 +580,95 @@ def capacity_direction_integral(s: float, mu: float) -> tuple[float, int, float]
     SERIES_CANCELLATION_LIMIT times |value| raises ConvergenceError too,
     from mu/s of about 23 at s = 1 and about 29 at s = 1e-8.  For mu = 0
     every series term carries a factor mu and the integral collapses to
-    Psi(1, 1; s).  Returns
-    ``(value, terms_used, |last term|)``.
+    Psi(1, 1; s).  Returns ``(value, terms_used, |last term|)``, each shaped
+    like ``s``; the error is that of the first failing element, marked with
+    its index.
     """
-    if mu < 0:
-        raise DomainError(f"Bessel scale mu must be >= 0; got {mu}")
-    base = tricomi_psi11(s)
-    if mu == 0.0:
-        return base, 0, 0.0
-    ln_ratio = math.log(mu / s)
-    offset = math.log(mu) + 2.0 * EULER_GAMMA
-    total = magnitude = 0.0
-    small = np.zeros(2, dtype=bool)  # the last two stop flags of the block before
+    s, mu = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(mu, dtype=float))
+    shape, s, mu = s.shape, s.ravel(), mu.ravel()
+    _raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
+    value = tricomi_psi11(s)
+    used = np.zeros(s.size, dtype=int)
+    last = np.zeros(s.size)
+    errors: dict[int, str] = {}
+
+    def where(i: int) -> str:
+        return f"s={s[i]:.3g}, mu={mu[i]:.3g}"
+
+    rows = np.flatnonzero(mu > 0.0)
+    ln_ratio = np.log(mu[rows] / s[rows])[:, None]
+    offset = (np.log(mu[rows]) + 2.0 * EULER_GAMMA)[:, None]
+    total, magnitude = np.zeros((rows.size, 1)), np.zeros((rows.size, 1))
+    small = np.zeros((rows.size, 2), dtype=bool)  # the last two stop flags of the block before
     for start in range(0, SERIES_MAX_TERMS, _SERIES_BLOCK):
+        if not rows.size:
+            break
         stop = min(start + _SERIES_BLOCK, SERIES_MAX_TERMS)
-        psi_scaled, j_scaled = _scaled_series_factors(s, slice(start, stop))
+        psi_scaled, j_scaled = _scaled_series_factors(s[rows], slice(start, stop))
         with np.errstate(over="ignore", invalid="ignore"):
             scale = np.exp(np.arange(start + 1.0, stop + 1.0) * ln_ratio - _LN_FACTORIAL[start:stop])
             harmonic = offset - _HARMONIC[start:stop] - _HARMONIC[start + 1 : stop + 1]
             terms = scale * (harmonic * psi_scaled + j_scaled)
             size = np.abs(terms)
-            partial = np.cumsum(np.concatenate(([total], terms)))[1:]
-            magnitudes = magnitude + size.cumsum()
-            small = np.concatenate((small[-2:], size <= SERIES_REL_TOL * np.abs(partial)))
-        stops = np.flatnonzero(small[:-2] & small[1:-1] & small[2:])
-        end = stops[0] + 1 if stops.size else terms.size
-        finite = np.isfinite(terms[:end])
-        if not finite.all():
-            raise ConvergenceError(
-                f"capacity series term {start + np.argmin(finite)} is not finite "
-                f"(s={s:.3g}, mu={mu:.3g}, mu/s={mu / s:.3g})"
+            partial = np.cumsum(np.concatenate((total, terms), axis=1), axis=1)[:, 1:]
+            magnitudes = np.cumsum(np.concatenate((magnitude, size), axis=1), axis=1)[:, 1:]
+            small = np.concatenate((small, size <= SERIES_REL_TOL * np.abs(partial)), axis=1)
+        stops = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
+        stopped = stops.any(axis=1)
+        end = np.where(stopped, stops.argmax(axis=1) + 1, stop - start)
+        blown = ~np.isfinite(terms) & (np.arange(stop - start) < end[:, None])
+        broken = blown.any(axis=1)
+        for k in np.flatnonzero(broken):
+            errors[rows[k]] = (
+                f"capacity series term {start + blown[k].argmax()} is not finite "
+                f"({where(rows[k])}, mu/s={mu[rows[k]] / s[rows[k]]:.3g})"
             )
-        if stops.size:
-            value = base + float(partial[end - 1])
-            if magnitudes[end - 1] > SERIES_CANCELLATION_LIMIT * abs(value):
-                raise ConvergenceError(
-                    f"capacity series cancels: sum|term| = {magnitudes[end - 1]:.3g} is "
-                    f"{magnitudes[end - 1] / abs(value):.3g} times its value {value:.6g} "
-                    f"(s={s:.3g}, mu={mu:.3g}, mu/s={mu / s:.3g})"
-                )
-            return value, int(start + end), float(size[end - 1])
-        total, magnitude = partial[-1], magnitudes[-1]
-    raise ConvergenceError(
-        f"capacity series did not converge within {SERIES_MAX_TERMS} terms "
-        f"(s={s:.3g}, mu={mu:.3g}; last term {abs(terms[-1]):.3g})"
-    )
+        done = np.flatnonzero(stopped & ~broken)
+        at = end[done] - 1
+        finished = rows[done]
+        value[finished] = value[finished] + partial[done, at]
+        used[finished] = start + end[done]
+        last[finished] = size[done, at]
+        cancels = magnitudes[done, at] > SERIES_CANCELLATION_LIMIT * np.abs(value[finished])
+        for k in np.flatnonzero(cancels):
+            i, m = finished[k], magnitudes[done[k], at[k]]
+            errors[i] = (
+                f"capacity series cancels: sum|term| = {m:.3g} is "
+                f"{m / abs(value[i]):.3g} times its value {value[i]:.6g} "
+                f"({where(i)}, mu/s={mu[i] / s[i]:.3g})"
+            )
+        going = ~(stopped | broken)
+        rows, ln_ratio, offset = rows[going], ln_ratio[going], offset[going]
+        total, magnitude = partial[going, -1:], magnitudes[going, -1:]
+        small, tail = small[going, -2:], size[going, -1]
+    for i, t in zip(rows, tail if rows.size else ()):
+        errors[i] = (
+            f"capacity series did not converge within {SERIES_MAX_TERMS} terms "
+            f"({where(i)}; last term {t:.3g})"
+        )
+    if errors:
+        first = min(errors)
+        raise failed_at(int(first), ConvergenceError(errors[first]))
+    return value.reshape(shape), used.reshape(shape), last.reshape(shape)
 
 
-def capacity_series(params: SystemParams) -> CapacitySeries:
+def capacity_series(params) -> CapacitySeries:
     """Ergodic capacity via the Bessel-series decomposition (both
-    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2))."""
-    total = 0.0
-    terms_used = []
-    tail = 0.0
-    for d in directions(params):
-        value, used, last = capacity_direction_integral(d.s, d.mu)
-        total += value
-        terms_used.append(used)
-        tail = max(tail, last)
-    return CapacitySeries(
-        value=total / (2.0 * LN2), terms_used=tuple(terms_used), tail_estimate=tail
+    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2));
+    a batch gives a ``CapacitySeriesBatch``."""
+    (params,), batched = per_point(params)
+    s, mu = _by_direction(_batch(params))
+    try:
+        value, used, last = capacity_direction_integral(s, mu)
+    except ConvergenceError as exc:
+        raise failed_at(exc.point // 2, exc)
+    results = map(
+        CapacitySeries,
+        (_per_point(value) / (2.0 * LN2)).tolist(),
+        zip(used[0::2].tolist(), used[1::2].tolist()),
+        np.maximum(np.maximum(0.0, last[0::2]), last[1::2]).tolist(),
     )
+    return CapacitySeriesBatch(results) if batched else next(results)
 
 
 @dataclass(frozen=True)
@@ -526,7 +705,7 @@ def _xk1_upper(x):
     return np.where(inside, np.minimum(bound, log_branch), bound)
 
 
-def capacity_bounds(params: SystemParams) -> CapacityBounds:
+def capacity_bounds(params) -> CapacityBounds:
     """Capacity bound chain ``lower <= C_e <= tight_upper <= loose_upper``.
 
     Each bound replaces x*K1(x) inside the survival integral of
@@ -537,40 +716,40 @@ def capacity_bounds(params: SystemParams) -> CapacityBounds:
     ``lower <= C_e <= tight_upper`` holds exactly on the shared nodes, and
     ``tight_upper <= loose_upper`` to the rule's accuracy.
     """
-    lower = 0.0
-    tight = 0.0
-    loose = 0.0
-    for d in directions(params):
-        lower += _survival_integral(d.s, d.mu, lambda x: np.exp(-x))
-        tight += _survival_integral(d.s, d.mu, _xk1_upper, _XK1_UPPER_KINK)
-        loose += tricomi_psi11(d.s)
-    return CapacityBounds(
-        lower=lower / (2.0 * LN2),
-        tight_upper=tight / (2.0 * LN2),
-        loose_upper=loose / (2.0 * LN2),
+    (params,), batched = per_point(params)
+    s, mu = _by_direction(_batch(params))
+    lower = _per_point(_survival_integral(s, mu, lambda x: np.exp(-x)))
+    tight = _per_point(_survival_integral(s, mu, _xk1_upper, _XK1_UPPER_KINK))
+    loose = _per_point(tricomi_psi11(s))
+    return _result(batched, map(
+        CapacityBounds, *((v / (2.0 * LN2)).tolist() for v in (lower, tight, loose))
+    ))
+
+
+def _positive_r_and_gamma(r, gamma) -> None:
+    _raise_first(
+        (np.asarray(r) <= 0, lambda i: DomainError(
+            f"multiplexing gain must be positive; got {np.ravel(r)[i]}")),
+        (np.asarray(gamma) <= 0, lambda i: DomainError(
+            f"SNR must be positive; got {np.ravel(gamma)[i]}")),
     )
 
 
-def x0_symmetric(r: float, gamma: float, coeffs: DerivedCoeffs) -> float:
+def x0_symmetric(r, gamma, coeffs: DerivedCoeffs):
     """Corner coordinate under symmetric traffic (equal powers and targets):
 
         X0 = b*tau/(2*gamma) * (1 + sqrt(1 + 4*c*gamma/(b^2*tau))),
 
-    with tau = (1+gamma)^r - 1.
+    with tau = (1+gamma)^r - 1, elementwise.
     """
-    if r <= 0:
-        raise DomainError(f"multiplexing gain must be positive; got {r}")
-    if gamma <= 0:
-        raise DomainError(f"SNR must be positive; got {gamma}")
+    _positive_r_and_gamma(r, gamma)
     b, c = coeffs.b, coeffs.c
     tau = (1.0 + gamma) ** r - 1.0
-    return b * tau / (2.0 * gamma) * (
-        1.0 + math.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau))
-    )
+    return b * tau / (2.0 * gamma) * (1.0 + np.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau)))
 
 
-def dmt_coefficients(r: float, gamma: float, coeffs: DerivedCoeffs) -> tuple[float, float]:
-    """SNR derivatives feeding the finite-SNR diversity formula.
+def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
+    """SNR derivatives feeding the finite-SNR diversity formula, elementwise.
 
     B = d/dgamma [((1+gamma)^r - 1)/gamma]; A = dX0/dgamma follows by the
     chain rule:
@@ -580,50 +759,52 @@ def dmt_coefficients(r: float, gamma: float, coeffs: DerivedCoeffs) -> tuple[flo
 
     Both are verified against central finite differences in the test suite.
     """
-    if r <= 0 or gamma <= 0:
-        raise DomainError(f"need r > 0 and gamma > 0; got r={r}, gamma={gamma}")
+    _positive_r_and_gamma(r, gamma)
     b, c = coeffs.b, coeffs.c
     tau = (1.0 + gamma) ** r - 1.0
     numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - (1.0 + gamma) ** r + 1.0
     big_b = numer / gamma**2
-    s_fac = math.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau))
+    s_fac = np.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau))
     big_a = big_b * (0.5 * b * (1.0 + s_fac) - c * gamma / (b * tau * s_fac))
     return big_a, big_b
 
 
-def dmt(r: float, gamma: float, params: SystemParams) -> float:
+def dmt(r, gamma, params) -> float:
     """Finite-SNR diversity gain d(r, gamma) = -d ln(P_out) / d ln(gamma).
 
     Evaluated on the closed-form lower-bound outage under symmetric traffic
     (P1 = P2, equal targets induced by the multiplexing gain r); requires a
     symmetric power setup.
     """
-    if not math.isclose(params.p1, params.p2, rel_tol=1e-12):
-        raise ParameterError(
-            f"diversity formula assumes symmetric powers; got ({params.p1}, {params.p2})"
-        )
-    coeffs = derived_coeffs(params)
+    (r, gamma, params), batched = per_point(r, gamma, params)
+    p1, p2 = np.array([(p.p1, p.p2) for p in params], dtype=float).reshape(-1, 2).T
+    _raise_first((np.abs(p1 - p2) > 1e-12 * np.maximum(np.abs(p1), np.abs(p2)),
+                  lambda i: ParameterError(
+                      f"diversity formula assumes symmetric powers; got ({p1[i]}, {p2[i]})")))
+    r, gamma = np.array(r, dtype=float), np.array(gamma, dtype=float)
+    batch = _batch(params)
+    coeffs = DerivedCoeffs(batch.b, batch.c)
     b = coeffs.b
     tau = (1.0 + gamma) ** r - 1.0
     x0 = x0_symmetric(r, gamma, coeffs)
     big_a, big_b = dmt_coefficients(r, gamma, coeffs)
-    weight = 1.0 / params.omega1 + 1.0 / params.omega2
-    corner_mass = math.exp(-weight * x0)
+    one, two = batch.dirs
+    weight = 1.0 / one.own + 1.0 / two.own
+    corner_mass = np.exp(-weight * x0)
     numer = big_a * weight * corner_mass
     denom = 1.0 + corner_mass
-    for d in _directions(params, coeffs):
-        mass = math.exp(-b * tau / (gamma * d.other) - x0 / d.own)
-        numer -= (big_b * b / d.other + big_a / d.own) * mass
-        denom -= mass
-    if denom <= 0.0 or not math.isfinite(denom):
-        raise DegenerateCaseError(
-            f"lower-bound outage underflowed to {denom} at gamma={gamma} "
-            f"(r={r}); the log-derivative is undefined there"
-        )
-    return gamma * numer / denom
+    for d in batch.dirs:
+        mass = np.exp(-b * tau / (gamma * d.other) - x0 / d.own)
+        numer = numer - (big_b * b / d.other + big_a / d.own) * mass
+        denom = denom - mass
+    _raise_first(((denom <= 0.0) | ~np.isfinite(denom), lambda i: DegenerateCaseError(
+        f"lower-bound outage underflowed to {denom[i]} at gamma={gamma[i]} "
+        f"(r={r[i]}); the log-derivative is undefined there"
+    )))
+    return _result(batched, (gamma * numer / denom).tolist())
 
 
-def non_coop_outage(params: SystemParams, targets: TargetRates) -> float:
+def non_coop_outage(params, targets) -> float:
     """Outage of the non-cooperative baseline: no relay, the sources exchange
     over the unit-distance direct link in two equal half-duplex slots, so
     the resource budget matches the relay round.  The link is reciprocal,
@@ -634,11 +815,15 @@ def non_coop_outage(params: SystemParams, targets: TargetRates) -> float:
     This time-sharing convention is a modelling choice, not a uniquely
     determined one.
     """
-    taus = (targets.tau1, targets.tau2)
-    return 1.0 - math.exp(-max(tau / d.a for d, tau in zip(directions(params), taus)))
+    (params, targets), batched = per_point(params, targets)
+    (one, two), (tau1, tau2) = _batch(params).dirs, _taus(targets)
+    return _result(batched, (1.0 - np.exp(-np.maximum(tau1 / one.a, tau2 / two.a))).tolist())
 
 
-def non_coop_capacity(params: SystemParams) -> float:
+def non_coop_capacity(params) -> float:
     """Sum ergodic rate of the non-cooperative baseline: per direction
     E[ln(1 + a*g)] = e^(1/a) E1(1/a) = Psi(1, 1; 1/a), over 2 ln 2."""
-    return sum(tricomi_psi11(1.0 / d.a) for d in directions(params)) / (2.0 * LN2)
+    (params,), batched = per_point(params)
+    one, two = _batch(params).dirs
+    total = tricomi_psi11(1.0 / one.a) + tricomi_psi11(1.0 / two.a)
+    return _result(batched, (total / (2.0 * LN2)).tolist())

@@ -37,6 +37,7 @@ from .model import (
     TargetRates,
     build_params,
     end_to_end_snrs,
+    per_point,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -138,12 +139,8 @@ def _map_points(kernel, points: list[tuple], n: int, seed: int, workers: int):
 
 
 def _points(*columns) -> list[tuple]:
-    """Zip per-point columns; a column given as one value holds at every point."""
-    lengths = {len(c) for c in columns if isinstance(c, Sequence)}
-    if len(lengths) > 1:
-        raise ParameterError(f"per-point sequences differ in length: {sorted(lengths)}")
-    m = lengths.pop() if lengths else 1
-    return list(zip(*(c if isinstance(c, Sequence) else [c] * m for c in columns)))
+    """Zip per-point columns (see ``model.per_point``)."""
+    return list(zip(*per_point(*columns)[0]))
 
 
 def _validate_n(n: int) -> int:

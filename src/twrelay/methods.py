@@ -1,12 +1,13 @@
 """The sweep methods in one table: for each method name a config may list,
 one evaluator per metric family it serves, and its CSV rows with how
 ``validate`` judges each.  An evaluator maps ``(config, points)`` to one
-output tuple per point, each value a float or an ``mc.Estimate``; a failure
-at a point is marked with its index (``errors.failed_at``).  Methods that
-share an evaluator share its outputs, each taking its rows from ``first`` on,
-so a sweep evaluates each closed form once per point.  Evaluators look up
-``analytic.*`` and ``mc.*`` when called, so a function rebound there is the
-one that runs.
+output tuple per point, each value a float or an ``mc.Estimate``, by one
+batched call of an ``analytic.*`` or ``mc.*`` function over all points; a
+failure is marked with the index of its first failing point
+(``errors.failed_at``).  Methods that share an evaluator share its outputs,
+each taking its rows from ``first`` on, so a sweep runs each closed form
+once.  Evaluators look up ``analytic.*`` and ``mc.*`` when called, so a
+function rebound there is the one that runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import astuple
 from typing import Callable, NamedTuple
 
 from . import analytic, mc
-from .errors import DomainError, NumericalError, failed_at
 
 # How validate judges a row against Monte Carlo: within 3 standard errors
 # (exact), at or below it (lower), at or above it (upper), or not at all.
@@ -46,41 +46,46 @@ class Method(NamedTuple):
         return len(self.evaluators) == 1
 
 
-def _each(evaluate: Callable) -> Callable:
-    """Batch an evaluator of ``(config, point)`` over the points of a sweep."""
-    def batch(c, points):
-        outputs = []
-        for i, p in enumerate(points):
-            try:
-                outputs.append(evaluate(c, p))
-            except (NumericalError, DomainError) as exc:
-                raise failed_at(i, exc)
-        return outputs
-    return batch
-
-
 def _one(family: str, judgment: str, evaluate: Callable, first: int = 0) -> Method:
     return Method({family: evaluate}, (("", judgment),), first)
 
 
-_outage_exact = _each(lambda c, p: (analytic.outage_exact(p.params, p.targets),))
-_outage_bounds = _each(lambda c, p: analytic.outage_bounds(p.params, p.targets))
+def _params(points) -> list:
+    return [p.params for p in points]
+
+
+def _targets(points) -> list:
+    return [p.targets for p in points]
+
+
+def _column(values) -> list[tuple]:
+    """One output tuple per point from a batch of one value per point."""
+    return [(v,) for v in values]
+
+
+def _outage_exact(c, points):
+    return _column(analytic.outage_exact(_params(points), _targets(points)))
+
+
+def _outage_bounds(c, points):
+    return analytic.outage_bounds(_params(points), _targets(points))
+
 
 METHODS: dict[str, Method] = {
     "mc": Method({
-        "outage": lambda c, points: [(e,) for e in mc.estimate_outage(
-            [p.params for p in points], [p.targets for p in points], c.mc_n,
-            c.seed, workers=c.workers)],
-        "capacity": lambda c, points: [(e,) for e in mc.estimate_capacity(
-            [p.params for p in points], c.mc_n, c.seed, workers=c.workers)],
-        "dmt": lambda c, points: [(e,) for e in mc.estimate_diversity_fd(
-            [p.params for p in points], [p.r for p in points],
+        "outage": lambda c, points: _column(mc.estimate_outage(
+            _params(points), _targets(points), c.mc_n, c.seed, workers=c.workers)),
+        "capacity": lambda c, points: _column(mc.estimate_capacity(
+            _params(points), c.mc_n, c.seed, workers=c.workers)),
+        "dmt": lambda c, points: _column(mc.estimate_diversity_fd(
+            _params(points), [p.r for p in points],
             [10.0 * math.log10(p.gamma) for p in points], n=c.mc_n, seed=c.seed,
-            workers=c.workers)],
+            workers=c.workers)),
     }, (("", REFERENCE),)),
     "non_coop": Method({
-        "outage": _each(lambda c, p: (analytic.non_coop_outage(p.params, p.targets),)),
-        "capacity": _each(lambda c, p: (analytic.non_coop_capacity(p.params),)),
+        "outage": lambda c, points: _column(
+            analytic.non_coop_outage(_params(points), _targets(points))),
+        "capacity": lambda c, points: _column(analytic.non_coop_capacity(_params(points))),
     }, (("", REFERENCE),)),
     # Two names for the one exact outage, kept so existing configs still run.
     "exact_taylor": _one("outage", EXACT, _outage_exact),
@@ -88,16 +93,18 @@ METHODS: dict[str, Method] = {
     # The bounds come as one (lower, upper) pair per point.
     "lower_bound": _one("outage", LOWER, _outage_bounds),
     "upper_bound": _one("outage", UPPER, _outage_bounds, first=1),
-    "high_snr": _one("outage", REFERENCE, _each(lambda c, p: (
-        analytic.outage_high_snr(p.params, p.targets),))),
-    "capacity_quadrature": _one("capacity", EXACT, _each(lambda c, p: (
-        analytic.capacity_quadrature(p.params),))),
-    "capacity_series": _one("capacity", EXACT, _each(lambda c, p: (
-        analytic.capacity_series(p.params).value,))),
+    "high_snr": _one("outage", REFERENCE, lambda c, points: _column(
+        analytic.outage_high_snr(_params(points), _targets(points)))),
+    "capacity_quadrature": _one("capacity", EXACT, lambda c, points: _column(
+        analytic.capacity_quadrature(_params(points)))),
+    "capacity_series": _one("capacity", EXACT, lambda c, points: _column(
+        r.value for r in analytic.capacity_series(_params(points)))),
     # astuple gives CapacityBounds' fields in row order: lower, tight, loose.
     "capacity_bounds": Method(
-        {"capacity": _each(lambda c, p: astuple(analytic.capacity_bounds(p.params)))},
+        {"capacity": lambda c, points: [
+            astuple(b) for b in analytic.capacity_bounds(_params(points))]},
         ((":lower", LOWER), (":tight_upper", UPPER), (":loose_upper", UPPER)),
     ),
-    "dmt": _one("dmt", EXACT, _each(lambda c, p: (analytic.dmt(p.r, p.gamma, p.params),))),
+    "dmt": _one("dmt", EXACT, lambda c, points: _column(analytic.dmt(
+        [p.r for p in points], [p.gamma for p in points], _params(points)))),
 }

@@ -17,6 +17,7 @@ algebraically identical harvest-division form.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -117,6 +118,24 @@ def build_params(
         omega1=1.0 / d1**path_loss_exp,
         omega2=1.0 / (1.0 - d1) ** path_loss_exp,
     )
+
+
+def per_point(*columns) -> tuple[list[list], bool]:
+    """The columns of a batched call, each as one value per point, and
+    whether any column was given per point.
+
+    A sequence or a numpy array gives one value per element; any other
+    value is a single value and holds at every point, so a call of single
+    values is the batch of one.
+    """
+    def each(column) -> bool:
+        return isinstance(column, (Sequence, np.ndarray)) and np.ndim(column) > 0
+
+    lengths = {len(c) for c in columns if each(c)}
+    if len(lengths) > 1:
+        raise ParameterError(f"per-point sequences differ in length: {sorted(lengths)}")
+    m = next(iter(lengths), 1)
+    return [list(c) if each(c) else [c] * m for c in columns], bool(lengths)
 
 
 def derived_coeffs(params: SystemParams) -> DerivedCoeffs:

@@ -7,8 +7,9 @@ primitive: the n-point Gauss-Legendre rule in a log variable t = ln z
 boundary layer, a 1/(1+z) knee or a Gamma-shaped bulk, all of which are
 smooth on the log scale, so a fixed node set over a window that drops only
 negligible mass reaches about 1e-13 relative without adaptivity or error
-estimates.  The adaptive QUADPACK reference the tests hold it against lives
-in ``tests/helpers.py``.
+estimates.  :func:`log_integral` integrates one row of nodes per element of
+its bounds, all rows in array passes of a bounded size.  The adaptive
+QUADPACK reference the tests hold it against lives in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
@@ -56,18 +57,41 @@ def log_rule(ln_lo, ln_hi) -> tuple[np.ndarray, np.ndarray]:
     return ln_lo + half * (_NODES + 1.0), half * _WEIGHTS
 
 
-def log_integral(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, splits=()
-) -> float:
-    """int_lo^hi f(z) dz for 0 < lo < hi by :func:`log_rule`, one panel
-    between each pair of consecutive ends among lo, the ``splits`` inside
-    (lo, hi), and hi; ``f`` maps an array of nodes to integrand values.
+#: Elements of one temporary array in an array pass (64 kB of floats).
+#: Longer batches run in slabs of rows, so the size of a sweep does not show
+#: in the peak resident size.
+SLAB_ELEMENTS = 1 << 13
 
-    A pole of f off the real line, or a kink on it, next to the middle of
-    a panel slows the rule down; at a panel end it does not, so the
-    callers split there.
+
+def slabs(rows: int, row_elements: int) -> list[slice]:
+    """Consecutive slices of ``rows`` rows of ``row_elements`` elements each,
+    as many rows per slice as fit in SLAB_ELEMENTS (at least one)."""
+    step = max(1, SLAB_ELEMENTS // row_elements)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def log_integral(f: Callable[..., np.ndarray], lo, hi, splits=(), args=()):
+    """Per element of the bounds, int_lo^hi f(z) dz for 0 < lo <= hi by
+    :func:`log_rule`, one panel between each pair of consecutive ends among
+    lo, the ``splits`` (in increasing order) and hi.
+
+    The bounds, each split and each of ``args`` broadcast to one shape; a
+    split outside [lo, hi] is moved to the nearer end, where its panel is
+    empty, and lo = hi gives 0.  ``f(z, *args)`` maps the nodes, shape
+    ``(rows, panels, RULE_NODES)``, and each argument's values for those
+    rows, shape ``(rows, 1, 1)``, to integrand values.  A pole of f off the
+    real line, or a kink on it, next to the middle of a panel slows the rule
+    down; at a panel end it does not, so the callers split there.
     """
-    ends = np.log([lo, *sorted(p for p in splits if lo < p < hi), hi])
-    t, w = log_rule(ends[:-1], ends[1:])
-    z = np.exp(t)
-    return float(np.sum(w * z * f(z)))
+    lo, hi, *rest = np.broadcast_arrays(lo, hi, *splits, *args)
+    shape, lo, hi = lo.shape, np.ravel(lo), np.ravel(hi)
+    rest = [np.ravel(r) for r in rest]
+    cuts, args = rest[: len(splits)], rest[len(splits):]
+    ends = np.log(np.stack([lo, *(np.clip(p, lo, hi) for p in cuts), hi], axis=-1))
+    out = np.empty(lo.size)
+    for rows in slabs(lo.size, ends.shape[-1] * RULE_NODES):
+        t, w = log_rule(ends[rows, :-1], ends[rows, 1:])
+        z = np.exp(t)
+        values = w * z * f(z, *(a[rows, None, None] for a in args))
+        out[rows] = np.sum(values.reshape(len(z), -1), axis=-1)
+    return out.reshape(shape)[()]

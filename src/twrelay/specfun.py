@@ -4,7 +4,8 @@ The closed forms need two: x*K1(x), the order-one modified Bessel function
 of the second kind times its argument, in the fading CDFs, and the Tricomi
 function Psi(1, 1; z) = e^z E1(z) in the capacity expressions.  Both are
 built on ``scipy.special``; the tests check them, and E1, against mpmath
-values frozen into ``tests/data/``.
+values frozen into ``tests/data/``.  Each takes a float or an array and
+evaluates elementwise: a float gives a float, an array an array.
 """
 
 from __future__ import annotations
@@ -28,46 +29,50 @@ _XK1_UNIT_BELOW = 1e-10
 _PSI11_PRODUCT_MAX = 700.0
 
 
-def _require_positive_finite(x: float, what: str) -> float:
-    x = float(x)
-    if math.isnan(x) or math.isinf(x) or x <= 0.0:
-        raise DomainError(f"{what} must be a positive finite real; got {x}")
-    return x
+def _require(x, ok: np.ndarray, what: str) -> None:
+    if not ok.all():
+        raise DomainError(f"{what}; got {x[~ok].flat[0]}")
+
+
+def _like(x: np.ndarray, value: np.ndarray):
+    """``value`` as a float when the argument ``x`` was a single value."""
+    return float(value) if x.ndim == 0 else value
 
 
 def bessel_xk1(x):
     """x * K1(x) for finite x >= 0, continuously extended to 1 at x = 0.
 
     This is the combination every fading CDF uses.  It decreases from 1 and
-    satisfies exp(-x) <= x*K1(x) <= 1.  A float gives a float; an array,
-    such as the nodes of the integration rule, gives an array.
+    satisfies exp(-x) <= x*K1(x) <= 1.
     """
-    if isinstance(x, np.ndarray):
-        if not np.all((0.0 <= x) & (x < math.inf)):
-            raise DomainError("bessel_xk1 arguments must be finite and >= 0")
-        xs = np.maximum(x, _XK1_UNIT_BELOW)
-        return np.where(x < _XK1_UNIT_BELOW, 1.0, xs * _special.k1(xs))
-    x = float(x)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"bessel_xk1 argument must be finite and >= 0; got {x}")
-    if x < _XK1_UNIT_BELOW:
-        return 1.0
-    return x * float(_special.k1(x))
+    x = np.asarray(x, dtype=float)
+    _require(x, (0.0 <= x) & (x < math.inf), "bessel_xk1 arguments must be finite and >= 0")
+    xs = np.maximum(x, _XK1_UNIT_BELOW)
+    return _like(x, np.where(x < _XK1_UNIT_BELOW, 1.0, xs * _special.k1(xs)))
 
 
-def exp_integral_e1(x: float) -> float:
+def _positive_finite(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    _require(x, (0.0 < x) & (x < math.inf), f"{what} must be positive finite reals")
+    return x
+
+
+def exp_integral_e1(x):
     """Exponential integral E1(x) = int_1^inf exp(-x*t)/t dt for x > 0."""
-    x = _require_positive_finite(x, "exp_integral_e1 argument")
-    return float(_special.exp1(x))
+    x = _positive_finite(x, "exp_integral_e1 arguments")
+    return _like(x, _special.exp1(x))
 
 
-def tricomi_psi11(z: float) -> float:
+def tricomi_psi11(z):
     """Tricomi Psi(1, 1; z) = e^z E1(z) = int_0^inf e^(-z*t)/(1+t) dt, z > 0.
 
     The product e^z E1(z) is used up to z = 700 and ``hyperu(1, 1, z)`` above,
     where e^z would overflow; both are within 1e-15 of mpmath.
     """
-    z = _require_positive_finite(z, "tricomi_psi11 argument")
-    if z <= _PSI11_PRODUCT_MAX:
-        return math.exp(z) * float(_special.exp1(z))
-    return float(_special.hyperu(1.0, 1.0, z))
+    z = _positive_finite(z, "tricomi_psi11 arguments")
+    large = z > _PSI11_PRODUCT_MAX
+    zp = np.where(large, _PSI11_PRODUCT_MAX, z)
+    value = np.exp(zp) * _special.exp1(zp)
+    if large.any():
+        value = np.where(large, _special.hyperu(1.0, 1.0, z), value)
+    return _like(z, value)

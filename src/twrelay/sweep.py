@@ -62,8 +62,9 @@ class SweepPoint:
     gamma: float
 
 
-def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
-    """Bind one axis value to concrete system parameters and targets."""
+def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepPoint:
+    """Bind one axis value to concrete system parameters and targets for a
+    sweep of the metric ``family``."""
     p1, p2 = config.base_powers()
     lam, d1, r = config.lam, config.d1, config.r
     if config.sweep == "snr_db":
@@ -79,7 +80,7 @@ def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
         config.path_loss_exp,
     )
     gamma = p1 / config.sigma2
-    if config.metric_family == "dmt":
+    if family == "dmt":
         targets = TargetRates.from_multiplexing_gain(r, gamma)
     else:
         targets = TargetRates.from_rates(config.t1, config.t2)
@@ -101,7 +102,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     started = time.perf_counter()
     family = config.metric_family
     grid = axis_grid(config)
-    points = [resolve_point(config, value) for value in grid]
+    points = [resolve_point(config, value, family) for value in grid]
     outputs: dict = {}  # evaluator -> its output tuple per point
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
@@ -110,9 +111,9 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
         try:
             outputs[evaluate] = evaluate(config, points)
         except (NumericalError, DomainError) as exc:
-            raise type(exc)(
-                f"{config.sweep}={grid[exc.point]:.6g}, method={method}: {exc}"
-            ) from exc
+            # an error raised inside an array pass may not know its point
+            point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
+            raise type(exc)(f"{point}method={method}: {exc}") from exc
     rows: list[SweepRow] = []
     for i, value in enumerate(grid):
         for method in config.methods:

@@ -1,0 +1,70 @@
+"""Regenerate golden_sweeps.json: every closed-form row of ten sweeps, frozen
+bit for bit.
+
+The sweeps are the four figure presets without their ``mc`` rows and six
+dense closed-form sweeps: capacity against lambda at 20 dB and at 2 dB,
+capacity against SNR, outage against SNR and against the relay position
+d1, and the diversity gain against the multiplexing gain r.  Each entry
+holds the sweep's config (every field but ``workers`` and ``output_path``)
+and its rows as ``[axis, method, value]``, the numbers as ``float.hex``.
+Rerun this only for a change meant to alter closed-form output:
+
+    PYTHONPATH=src python tests/data/make_golden_sweeps.py
+"""
+
+import dataclasses
+import json
+from pathlib import Path
+
+from twrelay.config import ExperimentConfig
+from twrelay.sweep import figure_preset, run_sweep
+
+OUTAGE = ("exact_quadrature", "exact_taylor", "lower_bound", "upper_bound",
+          "high_snr", "non_coop")
+CAPACITY = ("capacity_quadrature", "capacity_series", "capacity_bounds", "non_coop")
+
+
+def golden_configs() -> dict[str, ExperimentConfig]:
+    configs = {}
+    for figure in (1, 2, 3, 4):
+        preset = figure_preset(figure)
+        configs[f"fig{figure}"] = dataclasses.replace(
+            preset, methods=tuple(m for m in preset.methods if m != "mc")
+        )
+    configs.update({
+        "cap_lambda_20db": ExperimentConfig(
+            sweep="lambda", start=0.05, stop=0.95, steps=37, snr_db=20.0,
+            methods=CAPACITY),
+        "cap_lambda_2db": ExperimentConfig(
+            sweep="lambda", start=0.05, stop=0.95, steps=37, snr_db=2.0,
+            methods=CAPACITY),
+        "cap_snr": ExperimentConfig(
+            sweep="snr_db", start=0.0, stop=30.0, steps=31, lam=0.5, methods=CAPACITY),
+        "out_snr": ExperimentConfig(
+            sweep="snr_db", start=0.0, stop=40.0, steps=81, methods=OUTAGE),
+        "out_d1": ExperimentConfig(
+            sweep="d1", start=0.05, stop=0.95, steps=91, snr_db=15.0, methods=OUTAGE),
+        "dmt_r": ExperimentConfig(
+            sweep="r", start=0.05, stop=1.0, steps=96, methods=("dmt",)),
+    })
+    return configs
+
+
+def main() -> None:
+    data = {}
+    for name, config in golden_configs().items():
+        fields = dataclasses.asdict(config)
+        del fields["workers"], fields["output_path"]
+        data[name] = {
+            "config": fields,
+            "rows": [
+                [r.axis_value.hex(), r.method, r.value.hex()]
+                for r in run_sweep(config, write=False).rows
+            ],
+        }
+    path = Path(__file__).parent / "golden_sweeps.json"
+    path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

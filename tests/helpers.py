@@ -192,15 +192,20 @@ def segment_integral_quadpack(k: float, omega: float, v: float) -> float:
     return quad_adaptive(integrand, 0.0, v).value
 
 
+#: ``segment_integral_quadpack`` per element, in the array form of
+#: ``analytic._segment_integral``.
+_segment_integrals_quadpack = np.vectorize(segment_integral_quadpack, otypes=[float])
+
+
 def outage_exact_quadpack(params, targets) -> float:
     """``analytic.outage_exact`` with every boundary strip on QUADPACK."""
-    with mock.patch.object(analytic, "_segment_integral", segment_integral_quadpack):
+    with mock.patch.object(analytic, "_segment_integral", _segment_integrals_quadpack):
         return analytic.outage_exact(params, targets)
 
 
 def joint_outage_quadpack(params, tau1: float, tau2: float) -> float:
     """``analytic.joint_outage`` with every boundary strip on QUADPACK."""
-    with mock.patch.object(analytic, "_segment_integral", segment_integral_quadpack):
+    with mock.patch.object(analytic, "_segment_integral", _segment_integrals_quadpack):
         return analytic.joint_outage(params, tau1, tau2)
 
 
@@ -461,11 +466,11 @@ def capacity_series_approx_j(params: SystemParams) -> float:
     """
     exact_factors = analytic._scaled_series_factors
 
-    def factors(s: float, terms: slice) -> tuple[np.ndarray, np.ndarray]:
+    def factors(s: np.ndarray, terms: slice) -> tuple[np.ndarray, np.ndarray]:
         psi_scaled, _ = exact_factors(s, terms)
-        ls = range(analytic.SERIES_MAX_TERMS)[terms]
-        j_scaled = np.array([(digamma_nat(l + 1) - math.log(s)) / (l + 1) for l in ls])
-        return psi_scaled, j_scaled
+        ls = np.arange(analytic.SERIES_MAX_TERMS)[terms]
+        digamma = np.array([digamma_nat(l + 1) for l in ls])
+        return psi_scaled, (digamma - np.log(s)[:, None]) / (ls + 1)
 
     with mock.patch.object(analytic, "_scaled_series_factors", factors):
         return analytic.capacity_series(params).value

@@ -201,7 +201,7 @@ class TestGoldenValues:
 
     @pytest.mark.parametrize("index, terms_used", [(0, (9, 98)), (1, (82, 12))])
     def test_series_terms_used(self, index, terms_used):
-        # both cross block boundaries of the factor arrays, one three times
+        # both cross block boundaries of the factor arrays, one six times
         params, _ = golden_point(GOLDEN_INTEGRALS["capacity"][index])
         assert capacity_series(params).terms_used == terms_used
 

@@ -285,6 +285,14 @@ class TestBatchedDraws:
         rates = estimate_capacity(params, N_MULTI_CHUNK, seed=32)
         assert list(rates) == [estimate_capacity(p, N_MULTI_CHUNK, seed=32)[0] for p in params]
 
+    def test_numpy_array_gives_one_value_per_element(self):
+        # an array column once counted as one value and failed on its truth value
+        as_list = estimate_diversity_fd(make_params(), 0.5, [10.0, 15.0], n=20_000, seed=3)
+        as_array = estimate_diversity_fd(
+            make_params(), 0.5, np.array([10.0, 15.0]), n=20_000, seed=3
+        )
+        assert len(as_array) == 2 and as_array == as_list
+
     def test_one_value_holds_at_every_point(self):
         params = make_params()
         targets = [TargetRates.from_rates(t, t) for t in (0.5, 1.0)]

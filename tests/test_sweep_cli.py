@@ -218,9 +218,14 @@ class TestSweepEngine:
         with pytest.raises(ConvergenceError, match="^d1=0.9, method=capacity_series: "):
             run_sweep(config)
 
-    def test_each_closed_form_runs_once_per_point(self, tmp_path, monkeypatch):
-        calls = {"outage_exact": 0, "outage_bounds": 0}
-        for name in calls:
+    def test_each_closed_form_runs_once_per_sweep(self, tmp_path, monkeypatch):
+        names = (
+            "outage_exact", "outage_bounds", "outage_high_snr", "non_coop_outage",
+            "capacity_quadrature", "capacity_series", "capacity_bounds",
+            "non_coop_capacity", "dmt",
+        )
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             true_fn = getattr(analytic, name)
 
             def counted(*args, _fn=true_fn, _name=name):
@@ -229,15 +234,21 @@ class TestSweepEngine:
 
             monkeypatch.setattr(analytic, name, counted)
         config = ExperimentConfig(
-            methods=("exact_quadrature", "exact_taylor", "lower_bound", "upper_bound"),
+            methods=("exact_quadrature", "exact_taylor", "lower_bound", "upper_bound",
+                     "high_snr", "non_coop"),
             output_path=str(tmp_path / "x.csv"),
         )
         rows = run_sweep(config, write=False).rows
-        assert calls == {"outage_exact": config.steps, "outage_bounds": config.steps}
         for i in range(config.steps):
-            point = {r.method: r.value for r in rows[4 * i:4 * i + 4]}
+            point = {r.method: r.value for r in rows[6 * i:6 * i + 6]}
             assert point["exact_quadrature"] == point["exact_taylor"]
             assert point["lower_bound"] <= point["exact_quadrature"] <= point["upper_bound"]
+        run_sweep(ExperimentConfig(
+            sweep="lambda", start=0.1, stop=0.9, steps=5,
+            methods=("capacity_quadrature", "capacity_series", "capacity_bounds", "non_coop"),
+        ), write=False)
+        run_sweep(ExperimentConfig(steps=4, methods=("dmt",)), write=False)
+        assert calls == dict.fromkeys(names, 1)
 
 
 class TestValidate:
