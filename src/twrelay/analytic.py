@@ -8,7 +8,7 @@ finite-SNR diversity-multiplexing tradeoff, and the non-cooperative
 direct-link baseline.
 
 Each evaluator takes one point, its ``SystemParams`` (with its
-``TargetRates``, or its multiplexing gain and SNR), and returns one value;
+``TargetRates``, or its multiplexing gain), and returns one value;
 or it takes sequences, one value per point (a single value holds at every
 point, see ``model.per_point``), and returns a tuple of one value per
 point.  The single call is the batch of one: every formula runs as numpy
@@ -43,10 +43,16 @@ from .errors import (
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
-    ParameterError,
     failed_at,
 )
-from .model import DerivedCoeffs, SystemParams, TargetRates, derived_coeffs, per_point
+from .model import (
+    DerivedCoeffs,
+    SystemParams,
+    TargetRates,
+    check_symmetric_powers,
+    derived_coeffs,
+    per_point,
+)
 from .numerics import log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
@@ -671,8 +677,7 @@ def capacity_series(params) -> CapacitySeries:
     return CapacitySeriesBatch(results) if batched else next(results)
 
 
-@dataclass(frozen=True)
-class CapacityBounds:
+class CapacityBounds(NamedTuple):
     lower: float
     tight_upper: float
     loose_upper: float
@@ -769,26 +774,24 @@ def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
     return big_a, big_b
 
 
-def dmt(r, gamma, params) -> float:
-    """Finite-SNR diversity gain d(r, gamma) = -d ln(P_out) / d ln(gamma).
+def dmt(params, r) -> float:
+    """Finite-SNR diversity gain d(r, gamma) = -d ln(P_out) / d ln(gamma) at
+    each point's own SNR gamma = P/sigma2, with multiplexing gain ``r``.
 
     Evaluated on the closed-form lower-bound outage under symmetric traffic
-    (P1 = P2, equal targets induced by the multiplexing gain r); requires a
-    symmetric power setup.
+    (P1 = P2 = P, equal targets induced by r); powers that differ raise
+    ParameterError (``model.check_symmetric_powers``).
     """
-    (r, gamma, params), batched = per_point(r, gamma, params)
-    p1, p2 = np.array([(p.p1, p.p2) for p in params], dtype=float).reshape(-1, 2).T
-    _raise_first((np.abs(p1 - p2) > 1e-12 * np.maximum(np.abs(p1), np.abs(p2)),
-                  lambda i: ParameterError(
-                      f"diversity formula assumes symmetric powers; got ({p1[i]}, {p2[i]})")))
-    r, gamma = np.array(r, dtype=float), np.array(gamma, dtype=float)
+    (params, r), batched = per_point(params, r)
+    check_symmetric_powers(params)
     batch = _batch(params)
+    one, two = batch.dirs
+    r, gamma = np.array(r, dtype=float), two.a  # direction 2 carries P1/sigma2
     coeffs = DerivedCoeffs(batch.b, batch.c)
     b = coeffs.b
     tau = (1.0 + gamma) ** r - 1.0
     x0 = x0_symmetric(r, gamma, coeffs)
     big_a, big_b = dmt_coefficients(r, gamma, coeffs)
-    one, two = batch.dirs
     weight = 1.0 / one.own + 1.0 / two.own
     corner_mass = np.exp(-weight * x0)
     numer = big_a * weight * corner_mass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ParameterError
 from .methods import FAMILIES, METHODS
-from .model import SystemParams, build_params
+from .model import SystemParams, TargetRates, build_params, check_symmetric_powers
 
 SWEEP_AXES = ("snr_db", "lambda", "r", "d1")
 
@@ -90,24 +90,8 @@ class ExperimentConfig:
         for m in self.methods:
             if family not in METHODS[m].evaluators:
                 raise ConfigError(f"{m} has no {FAMILIES[family].noun} interpretation")
-        if self.sweep == "lambda" and not (0.0 < self.start and self.stop < 1.0):
-            raise ConfigError(
-                f"lambda sweep must stay strictly inside (0, 1); got "
-                f"[{self.start}, {self.stop}]"
-            )
-        if self.sweep == "d1" and not (0.0 < self.start and self.stop < 1.0):
-            raise ConfigError(
-                f"d1 sweep must stay strictly inside (0, 1); got [{self.start}, {self.stop}]"
-            )
-        if self.sweep == "r":
-            if family != "dmt":
-                raise ConfigError("an r sweep only applies to the dmt metric")
-            if not (0.0 < self.start and self.stop <= 2.0):
-                raise ConfigError(
-                    f"r sweep must stay inside (0, 2]; got [{self.start}, {self.stop}]"
-                )
-        if not 0.0 < self.r <= 2.0:
-            raise ConfigError(f"r must lie in (0, 2]; got {self.r}")
+        if self.sweep == "r" and family != "dmt":
+            raise ConfigError("an r sweep only applies to the dmt metric")
         if self.t1 < 0 or self.t2 < 0:
             raise ConfigError(f"target rates must be >= 0; got ({self.t1}, {self.t2})")
         if self.mc_n < 1:
@@ -116,30 +100,70 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1; got {self.workers}")
         if (self.p1 is None) != (self.p2 is None):
             raise ConfigError("p1 and p2 must be given together")
-        if family == "dmt":
-            p1, p2 = self.base_powers()
-            if p1 != p2:
-                raise ConfigError(
-                    f"the dmt metric assumes symmetric powers; got ({p1}, {p2})"
-                )
         if not self.output_path:
             raise ConfigError("output_path must be set")
+        # Each point check bounds one key by an interval, so a sweep whose two
+        # ends resolve has every point in range.
         try:
-            self.base_params()
+            base = self.base_params()
+            if family == "dmt":
+                check_symmetric_powers([base])
+            for end in (self.start, self.stop):
+                resolve_point(self, end, family)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
 
-_KEY_TO_FIELD = {
-    "lambda": "lam",
-    **{f.name: f.name for f in fields(ExperimentConfig) if f.name != "lam"},
-}
+@dataclass(frozen=True)
+class SweepPoint:
+    params: SystemParams
+    targets: TargetRates
+    r: float
 
-_FLOAT_KEYS = {
-    "p1", "p2", "snr_db", "sigma2", "eta", "lambda", "epsilon", "d1",
-    "path_loss_exp", "t1", "t2", "r", "start", "stop",
+
+def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepPoint:
+    """Bind one value of ``config``'s sweep axis to its config key and return
+    the point: its system parameters, its targets (for the ``dmt`` family
+    set by r at the point's SNR P1/sigma2, else by t1 and t2) and its
+    multiplexing gain r.  This is the one binding of a swept value, used by
+    the sweep engine for every point and by ``validate`` for the two ends;
+    a value outside its key's range raises ParameterError."""
+    p1, p2 = config.base_powers()
+    lam, d1, r = config.lam, config.d1, config.r
+    if config.sweep == "snr_db":
+        p1 = p2 = config.sigma2 * 10.0 ** (value / 10.0)
+    elif config.sweep == "lambda":
+        lam = value
+    elif config.sweep == "d1":
+        d1 = value
+    elif config.sweep == "r":
+        r = value
+    if not 0.0 < r <= 2.0:
+        raise ParameterError(f"r must lie in (0, 2]; got {r}")
+    params = build_params(
+        p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
+        config.path_loss_exp,
+    )
+    if family == "dmt":
+        targets = TargetRates.from_multiplexing_gain(r, p1 / config.sigma2)
+    else:
+        targets = TargetRates.from_rates(config.t1, config.t2)
+    return SweepPoint(params=params, targets=targets, r=r)
+
+
+#: The one config key that is not its field's name: a Python keyword cannot be one.
+_FIELD_TO_KEY = {"lam": "lambda"}
+_KEY_TO_FIELD = {_FIELD_TO_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+
+#: How a value is read, by the annotation of its field.
+_PARSERS = {
+    "float": float,
+    "float | None": float,
+    "int": int,
+    "str": str,
+    "tuple[str, ...]": lambda value: tuple(m.strip() for m in value.split(",") if m.strip()),
 }
-_INT_KEYS = {"steps", "mc_n", "seed", "workers"}
+_PARSE = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -162,15 +186,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         seen.add(key)
         field = _KEY_TO_FIELD[key]
         try:
-            if key in _FLOAT_KEYS:
-                values[field] = float(value)
-            elif key in _INT_KEYS:
-                values[field] = int(value)
-            elif key == "methods":
-                methods = tuple(m.strip() for m in value.split(",") if m.strip())
-                values[field] = methods
-            else:
-                values[field] = value
+            values[field] = _PARSE[field](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     if "snr_db" in seen and ("p1" in seen or "p2" in seen):
@@ -202,7 +218,7 @@ def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     for f in fields(ExperimentConfig):
         if f.name == "workers":
             continue
-        key = "lambda" if f.name == "lam" else f.name
+        key = _FIELD_TO_KEY.get(f.name, f.name)
         value = getattr(config, f.name)
         if value is None:
             continue

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,12 +35,15 @@ from .errors import InsufficientSamplesError, ParameterError, failed_at
 from .model import (
     SystemParams,
     TargetRates,
-    build_params,
+    check_symmetric_powers,
     end_to_end_snrs,
     per_point,
 )
 
 CHUNK_DRAWS = 1 << 16
+
+#: The diversity stencil's SNRs sit this far above and below a point's SNR.
+DIVERSITY_STEP_DB = 0.25
 
 LN2 = math.log(2.0)
 
@@ -199,52 +202,43 @@ def estimate_capacity(
 def estimate_diversity_fd(
     params: SystemParams | Sequence[SystemParams],
     r: float | Sequence[float],
-    gamma_db: float | Sequence[float],
-    delta_db: float = 0.25,
-    n: int = 1_000_000,
-    seed: int = 0,
+    n: int,
+    seed: int,
     workers: int = 1,
 ) -> Estimates:
     """Per point, a central finite difference of -ln(P_out) in ln(gamma) at
-    finite SNR.
+    the point's own SNR gamma = P/sigma2.
 
-    ``params``, ``r`` and ``gamma_db`` give one value per point; any of them
-    may be a single value, which then holds at every point.  Uses the
-    symmetric setup P1 = P2 = gamma*sigma2 with thresholds
-    tau = (1+gamma)^r - 1 re-derived at each stencil point.  All stencil
-    evaluations run in one ``estimate_outage`` call on the same seed (common
-    random numbers), so the independence-based error propagation below is
-    conservative.  A stencil point with fewer than 100 outage events raises
-    ``InsufficientSamplesError`` naming its gamma_db, for the first point
-    with one, its higher stencil point checked first; the error's ``point``
-    is that point's index.
+    ``params`` and ``r`` give one value per point; either may be a single
+    value, which then holds at every point.  The powers must be symmetric
+    (``model.check_symmetric_powers``).  The stencil sits DIVERSITY_STEP_DB
+    above and below each point's SNR, with P1 = P2 = gamma*sigma2 and
+    thresholds tau = (1+gamma)^r - 1 re-derived at each stencil point; every
+    other parameter is the point's own.  All stencil evaluations run in one
+    ``estimate_outage`` call on the same seed (common random numbers), so the
+    independence-based error propagation below is conservative.  A stencil
+    point with fewer than 100 outage events raises ``InsufficientSamplesError``
+    naming its SNR in dB, for the first point with one, its higher stencil
+    point checked first; the error's ``point`` is that point's index.
     """
-    points = _points(params, r, gamma_db)
-    for _, r_i, _ in points:
+    points = _points(params, r)
+    check_symmetric_powers([base for base, _ in points])
+    for _, r_i in points:
         if r_i <= 0:
             raise ParameterError(
                 f"multiplexing gain must be positive (r = 0 gives tau = 0 and an "
                 f"undefined log-derivative); got {r_i}"
             )
-    if delta_db <= 0:
-        raise ParameterError(f"stencil width must be positive; got {delta_db}")
     stencil = []  # (gamma_db, gamma) of each point's higher, then lower SNR
     stencil_params, stencil_targets = [], []
-    for base, r_i, db in points:
+    for base, r_i in points:
+        db = 10.0 * math.log10(base.p1 / base.sigma2)
         for sign in (+1.0, -1.0):
-            point_db = db + sign * delta_db
+            point_db = db + sign * DIVERSITY_STEP_DB
             gamma = 10.0 ** (point_db / 10.0)
             stencil.append((point_db, gamma))
-            stencil_params.append(build_params(
-                p1=gamma * base.sigma2,
-                p2=gamma * base.sigma2,
-                sigma2=base.sigma2,
-                eta=base.eta,
-                lam=base.lam,
-                epsilon=base.epsilon,
-                d1=base.d1,
-                path_loss_exp=base.path_loss_exp,
-            ))
+            power = gamma * base.sigma2
+            stencil_params.append(replace(base, p1=power, p2=power))
             stencil_targets.append(TargetRates.from_multiplexing_gain(r_i, gamma))
     outage = estimate_outage(stencil_params, stencil_targets, n, seed, workers=workers)
     for k, (est, (point_db, _)) in enumerate(zip(outage, stencil)):

@@ -12,8 +12,6 @@ function rebound there is the one that runs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import astuple
 from typing import Callable, NamedTuple
 
 from . import analytic, mc
@@ -78,9 +76,7 @@ METHODS: dict[str, Method] = {
         "capacity": lambda c, points: _column(mc.estimate_capacity(
             _params(points), c.mc_n, c.seed, workers=c.workers)),
         "dmt": lambda c, points: _column(mc.estimate_diversity_fd(
-            _params(points), [p.r for p in points],
-            [10.0 * math.log10(p.gamma) for p in points], n=c.mc_n, seed=c.seed,
-            workers=c.workers)),
+            _params(points), [p.r for p in points], c.mc_n, c.seed, workers=c.workers)),
     }, (("", REFERENCE),)),
     "non_coop": Method({
         "outage": lambda c, points: _column(
@@ -99,12 +95,11 @@ METHODS: dict[str, Method] = {
         analytic.capacity_quadrature(_params(points)))),
     "capacity_series": _one("capacity", EXACT, lambda c, points: _column(
         r.value for r in analytic.capacity_series(_params(points)))),
-    # astuple gives CapacityBounds' fields in row order: lower, tight, loose.
+    # The bounds come as one (lower, tight_upper, loose_upper) triple per point.
     "capacity_bounds": Method(
-        {"capacity": lambda c, points: [
-            astuple(b) for b in analytic.capacity_bounds(_params(points))]},
+        {"capacity": lambda c, points: analytic.capacity_bounds(_params(points))},
         ((":lower", LOWER), (":tight_upper", UPPER), (":loose_upper", UPPER)),
     ),
-    "dmt": _one("dmt", EXACT, lambda c, points: _column(analytic.dmt(
-        [p.r for p in points], [p.gamma for p in points], _params(points)))),
+    "dmt": _one("dmt", EXACT, lambda c, points: _column(
+        analytic.dmt(_params(points), [p.r for p in points]))),
 }

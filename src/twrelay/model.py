@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, failed_at
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,17 @@ def per_point(*columns) -> tuple[list[list], bool]:
         raise ParameterError(f"per-point sequences differ in length: {sorted(lengths)}")
     m = next(iter(lengths), 1)
     return [list(c) if each(c) else [c] * m for c in columns], bool(lengths)
+
+
+def check_symmetric_powers(params: Sequence[SystemParams]) -> None:
+    """Raise ParameterError, marked with its index, for the first point whose
+    powers differ by more than 1e-12 relative: the diversity formula and its
+    Monte Carlo estimate both assume P1 = P2."""
+    for i, p in enumerate(params):
+        if abs(p.p1 - p.p2) > 1e-12 * max(abs(p.p1), abs(p.p2)):
+            raise failed_at(i, ParameterError(
+                f"the diversity metric assumes symmetric powers; got ({p.p1}, {p.p2})"
+            ))
 
 
 def derived_coeffs(params: SystemParams) -> DerivedCoeffs:

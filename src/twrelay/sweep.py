@@ -20,12 +20,12 @@ from . import __version__
 from .config import (
     ExperimentConfig,
     canonical_items,
+    resolve_point,
     with_overrides,
 )
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
-from .model import SystemParams, TargetRates, build_params
 
 
 @dataclass(frozen=True)
@@ -42,49 +42,9 @@ class SweepResult:
     metadata: dict[str, str]
     wall_time_s: float = 0.0
 
-    def methods(self) -> list[str]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.method not in seen:
-                seen.append(row.method)
-        return seen
-
 
 def axis_grid(config: ExperimentConfig) -> list[float]:
     return [float(v) for v in np.linspace(config.start, config.stop, config.steps)]
-
-
-@dataclass(frozen=True)
-class SweepPoint:
-    params: SystemParams
-    targets: TargetRates
-    r: float
-    gamma: float
-
-
-def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepPoint:
-    """Bind one axis value to concrete system parameters and targets for a
-    sweep of the metric ``family``."""
-    p1, p2 = config.base_powers()
-    lam, d1, r = config.lam, config.d1, config.r
-    if config.sweep == "snr_db":
-        p1 = p2 = config.sigma2 * 10.0 ** (value / 10.0)
-    elif config.sweep == "lambda":
-        lam = value
-    elif config.sweep == "d1":
-        d1 = value
-    elif config.sweep == "r":
-        r = value
-    params = build_params(
-        p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
-        config.path_loss_exp,
-    )
-    gamma = p1 / config.sigma2
-    if family == "dmt":
-        targets = TargetRates.from_multiplexing_gain(r, gamma)
-    else:
-        targets = TargetRates.from_rates(config.t1, config.t2)
-    return SweepPoint(params=params, targets=targets, r=r, gamma=gamma)
 
 
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
@@ -210,11 +170,13 @@ print("wrote {stem}.png")
 '''
 
 
+def _stem(config: ExperimentConfig) -> str:
+    """The output path without its .csv suffix; the plot files share it."""
+    return config.output_path.removesuffix(".csv")
+
+
 def plot_script_path(config: ExperimentConfig) -> str:
-    stem = config.output_path
-    if stem.endswith(".csv"):
-        stem = stem[:-4]
-    return stem + "_plot.py"
+    return _stem(config) + "_plot.py"
 
 
 def write_plot_script(config: ExperimentConfig) -> str:
@@ -230,13 +192,12 @@ def write_plot_script(config: ExperimentConfig) -> str:
         "r": "multiplexing gain",
         "d1": "relay position",
     }[config.sweep]
-    stem = config.output_path[:-4] if config.output_path.endswith(".csv") else config.output_path
     script = _PLOT_TEMPLATE.format(
         csv_name=os.path.basename(config.output_path),
         xlabel=xlabel,
         ylabel=ylabel,
         yscale='ax.set_yscale("log")\n' if family == "outage" else "",
-        stem=os.path.basename(stem),
+        stem=os.path.basename(_stem(config)),
     )
     path = plot_script_path(config)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

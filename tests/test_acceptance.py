@@ -232,7 +232,7 @@ def test_c07_diversity_self_consistency():
             fd = -gamma * central_diff(
                 lambda g: math.log(lower_bound(r, g)), gamma, 1e-5 * gamma
             )
-            rel = abs(dmt(r, gamma, params) - fd) / abs(fd)
+            rel = abs(dmt(make_params(snr_db=snr_db), r) - fd) / abs(fd)
             worst_d = max(worst_d, rel)
     worst_ab = 0.0
     for r in (0.25, 0.5, 0.75):
@@ -255,8 +255,7 @@ def test_c07_diversity_self_consistency():
 
 def test_c08_diversity_grows_with_snr():
     """d(r = 0.5, gamma) strictly increasing over 5..20 dB."""
-    params = make_params()
-    values = [dmt(0.5, 10.0 ** (s / 10.0), params) for s in (5, 10, 15, 20)]
+    values = [dmt(make_params(snr_db=s), 0.5) for s in (5, 10, 15, 20)]
     ok = all(a < b for a, b in zip(values, values[1:]))
     assert report(
         "C8 diversity vs SNR",
@@ -287,7 +286,7 @@ def test_c10_diversity_peak_tracks_relay_position():
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
     argmaxes = {}
     for d1 in (0.5, 0.1):
-        values = [dmt(0.5, 100.0, make_params(lam=lam, d1=d1)) for lam in grid]
+        values = [dmt(make_params(lam=lam, d1=d1), 0.5) for lam in grid]
         argmaxes[d1] = grid[int(np.argmax(values))]
     ok = 0.4 <= argmaxes[0.5] <= 0.6 and argmaxes[0.1] <= 0.2
     assert report(

@@ -81,7 +81,7 @@ def lower_bound_outage(r, gamma):
 
 
 class TestDmt:
-    def test_is_log_derivative_of_lower_bound(self, params20):
+    def test_is_log_derivative_of_lower_bound(self):
         for r in (0.25, 0.5, 0.75):
             for snr_db in (10.0, 15.0, 20.0):
                 gamma = 10.0 ** (snr_db / 10.0)
@@ -89,27 +89,27 @@ class TestDmt:
                 fd = -gamma * central_diff(
                     lambda g: math.log(lower_bound_outage(r, g)), gamma, h
                 )
-                assert dmt(r, gamma, params20) == pytest.approx(fd, rel=1e-3)
+                assert dmt(make_params(snr_db=snr_db), r) == pytest.approx(fd, rel=1e-3)
 
-    def test_increasing_in_snr(self, params20):
-        values = [dmt(0.5, 10.0 ** (s / 10.0), params20) for s in (5, 10, 15, 20)]
+    def test_increasing_in_snr(self):
+        values = [dmt(make_params(snr_db=s), 0.5) for s in (5, 10, 15, 20)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_decreasing_in_multiplexing_gain(self, params20):
-        values = [dmt(r, 100.0, params20) for r in (0.25, 0.5, 0.75, 1.0)]
+        values = [dmt(params20, r) for r in (0.25, 0.5, 0.75, 1.0)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_symmetric_powers(self):
         with pytest.raises(ParameterError):
-            dmt(0.5, 100.0, make_params(p2_scale=0.5))
+            dmt(make_params(p2_scale=0.5), 0.5)
 
-    def test_nonnegative_on_operating_range(self, params20):
+    def test_nonnegative_on_operating_range(self):
         # r <= 1 and moderate-to-high SNR; past r = 1 at low SNR the target
         # rate genuinely outpaces the SNR and the log-slope turns negative
         # (the finite-difference oracle agrees), so that region is excluded.
         for r in (0.25, 0.5, 0.75, 1.0):
             for snr_db in (5.0, 10.0, 20.0, 30.0):
-                value = dmt(r, 10.0 ** (snr_db / 10.0), params20)
+                value = dmt(make_params(snr_db=snr_db), r)
                 assert value >= 0.0
                 assert math.isfinite(value)

@@ -87,8 +87,8 @@ class TestBatchEqualsOnePointCalls:
         assert all(isinstance(n, int) for n in batch.terms_used)
 
     def test_dmt(self):
-        assert analytic.dmt(R, GAMMA, SYMMETRIC) == tuple(
-            analytic.dmt(r, g, p) for r, g, p in zip(R, GAMMA, SYMMETRIC)
+        assert analytic.dmt(SYMMETRIC, R) == tuple(
+            analytic.dmt(p, r) for p, r in zip(SYMMETRIC, R)
         )
 
     def test_single_values_hold_at_every_point(self):
@@ -97,9 +97,7 @@ class TestBatchEqualsOnePointCalls:
         )
 
     def test_numpy_arrays_give_one_value_per_element(self):
-        assert analytic.dmt(np.array(R), np.array(GAMMA), SYMMETRIC) == analytic.dmt(
-            R, GAMMA, SYMMETRIC
-        )
+        assert analytic.dmt(SYMMETRIC, np.array(R)) == analytic.dmt(SYMMETRIC, R)
 
     @pytest.mark.parametrize("call", [
         lambda: analytic.outage_exact([], []),
@@ -109,7 +107,7 @@ class TestBatchEqualsOnePointCalls:
         lambda: analytic.capacity_quadrature([]),
         lambda: analytic.capacity_bounds([]),
         lambda: analytic.non_coop_capacity([]),
-        lambda: analytic.dmt([], [], []),
+        lambda: analytic.dmt([], []),
     ])
     def test_empty_batch_gives_empty_result(self, call):
         assert call() == ()

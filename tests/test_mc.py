@@ -163,12 +163,21 @@ class TestEmpiricalCdfZ:
 class TestEstimateDiversityFd:
     def test_degenerate_threshold_rejected(self):
         with pytest.raises(ParameterError):
-            estimate_diversity_fd(make_params(), 0.0, 20.0, n=10_000, seed=1)
+            estimate_diversity_fd(make_params(), 0.0, n=10_000, seed=1)
+
+    def test_asymmetric_powers_rejected_like_the_closed_form(self):
+        # the stencil once set both powers from the SNR, so p2 went unread
+        params = make_params(p2_scale=0.5)
+        with pytest.raises(ParameterError, match="symmetric powers") as estimate:
+            estimate_diversity_fd(params, 0.5, n=200_000, seed=1)
+        with pytest.raises(ParameterError) as closed_form:
+            analytic.dmt(params, 0.5)
+        assert str(estimate.value) == str(closed_form.value)
 
     def test_matches_closed_form_within_combined_error(self):
         params = make_params()
-        (est,) = estimate_diversity_fd(params, 0.5, 20.0, n=1_000_000, seed=3)
-        formula = analytic.dmt(0.5, 100.0, params)
+        (est,) = estimate_diversity_fd(params, 0.5, n=1_000_000, seed=3)
+        formula = analytic.dmt(params, 0.5)
         assert abs(est.mean - formula) <= 3.0 * est.std_err
 
     def test_std_err_follows_sqrt_n_law(self):
@@ -182,12 +191,12 @@ class TestEstimateDiversityFd:
 
     def test_too_few_events_rejected(self):
         with pytest.raises(InsufficientSamplesError):
-            estimate_diversity_fd(make_params(), 0.05, 20.0, n=2_000, seed=1)
+            estimate_diversity_fd(make_params(), 0.05, n=2_000, seed=1)
 
     def test_worker_count_invariance(self):
         params = make_params()
         results = [
-            estimate_diversity_fd(params, 0.5, 20.0, n=N_MULTI_CHUNK, seed=17, workers=w)
+            estimate_diversity_fd(params, 0.5, n=N_MULTI_CHUNK, seed=17, workers=w)
             for w in (1, 2, 8)
         ]
         assert results[0] == results[1] == results[2]
@@ -287,10 +296,9 @@ class TestBatchedDraws:
 
     def test_numpy_array_gives_one_value_per_element(self):
         # an array column once counted as one value and failed on its truth value
-        as_list = estimate_diversity_fd(make_params(), 0.5, [10.0, 15.0], n=20_000, seed=3)
-        as_array = estimate_diversity_fd(
-            make_params(), 0.5, np.array([10.0, 15.0]), n=20_000, seed=3
-        )
+        params = [make_params(snr_db=10.0), make_params(snr_db=15.0)]
+        as_list = estimate_diversity_fd(params, [0.5, 0.5], n=20_000, seed=3)
+        as_array = estimate_diversity_fd(params, np.array([0.5, 0.5]), n=20_000, seed=3)
         assert len(as_array) == 2 and as_array == as_list
 
     def test_one_value_holds_at_every_point(self):
@@ -309,6 +317,9 @@ class TestBatchedDraws:
         assert estimate_capacity([], 1000, seed=1) == ()
 
 
+STENCIL_PARAMS = [make_params(snr_db=20.0), make_params(snr_db=30.0)]
+
+
 class TestDiversityStencilErrors:
     """The first failing stencil point is named: points in order, the higher
     SNR of each point before the lower."""
@@ -325,17 +336,17 @@ class TestDiversityStencilErrors:
     def test_higher_stencil_point_checked_first(self, monkeypatch):
         self._with_events(monkeypatch, [500, 800, 50, 60])
         with pytest.raises(InsufficientSamplesError, match="50 outage events at gamma_db=30.2") as info:
-            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+            estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
         assert info.value.point == 1
 
     def test_lower_stencil_point_named_when_only_it_fails(self, monkeypatch):
         self._with_events(monkeypatch, [500, 800, 200, 60])
         with pytest.raises(InsufficientSamplesError, match="60 outage events at gamma_db=29.8") as info:
-            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+            estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
         assert info.value.point == 1
 
     def test_first_failing_point_wins(self, monkeypatch):
         self._with_events(monkeypatch, [500, 90, 50, 60])
         with pytest.raises(InsufficientSamplesError, match="gamma_db=19.8") as info:
-            estimate_diversity_fd(make_params(), 0.5, [20.0, 30.0], n=10_000)
+            estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
         assert info.value.point == 0

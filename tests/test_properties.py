@@ -2,8 +2,6 @@
 lambda 0.05-0.95, eta 0.3-1, epsilon 0-1, d1 0.1-0.9, path-loss exponent
 2-4, and target rates T1, T2 in [0.1, 2] bit/s/Hz."""
 
-from dataclasses import astuple
-
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -83,7 +81,7 @@ def _probabilities(params, rates):
 def _capacities(params):
     return (
         capacity_quadrature(params),
-        *astuple(capacity_bounds(params)),
+        *capacity_bounds(params),
         non_coop_capacity(params),
     )
 

@@ -165,7 +165,7 @@ class TestSweepEngine:
             output_path=str(tmp_path / "cb.csv"),
         )
         result = run_sweep(config)
-        assert result.methods() == [
+        assert list(dict.fromkeys(row.method for row in result.rows)) == [
             "capacity_bounds:lower",
             "capacity_bounds:tight_upper",
             "capacity_bounds:loose_upper",
@@ -422,6 +422,27 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense_key = 1\n")
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("lines", [
+        "sweep = lambda\nstart = 0\nstop = 0.9\nmethods = capacity_quadrature",
+        "sweep = lambda\nstart = 0.1\nstop = 1\nmethods = capacity_quadrature",
+        "sweep = d1\nstart = 0\nstop = 0.9\nmethods = exact_quadrature",
+        "sweep = d1\nstart = 0.1\nstop = 1\nmethods = exact_quadrature",
+        "sweep = r\nstart = 0\nstop = 1\nmethods = dmt",
+        "sweep = r\nstart = 0.5\nstop = 2.5\nmethods = dmt",
+        "sweep = r\nstart = 0.2\nstop = 1\nmethods = exact_quadrature",
+        "sweep = snr_db\nstart = 0\nstop = 30\nlambda = 1.5\nmethods = exact_quadrature",
+        "sweep = snr_db\nstart = 5\nstop = 20\nt1 = -1\nmethods = dmt",
+    ], ids=[
+        "lambda-from-0", "lambda-to-1", "d1-from-0", "d1-to-1", "r-from-0", "r-past-2",
+        "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt",
+    ])
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, lines):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{lines}\nsteps = 3\noutput_path = {tmp_path / 'out.csv'}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert (
