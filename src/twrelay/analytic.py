@@ -813,14 +813,16 @@ def non_coop_outage(params, targets) -> float:
     the resource budget matches the relay round.  The link is reciprocal,
     one gain g ~ Exp(1) for both directions within a round, so
 
-        P(R1 < T1 or R2 < T2) = 1 - exp(-max_i tau_i/a_i).
+        P(R1 < T1 or R2 < T2) = 1 - exp(-max_i tau_i/a_i),
 
+    formed as ``-expm1(-max_i tau_i/a_i)`` so that a small probability keeps
+    its digits.
     This time-sharing convention is a modelling choice, not a uniquely
     determined one.
     """
     (params, targets), batched = per_point(params, targets)
     (one, two), (tau1, tau2) = _batch(params).dirs, _taus(targets)
-    return _result(batched, (1.0 - np.exp(-np.maximum(tau1 / one.a, tau2 / two.a))).tolist())
+    return _result(batched, (-np.expm1(-np.maximum(tau1 / one.a, tau2 / two.a))).tolist())
 
 
 def non_coop_capacity(params) -> float:

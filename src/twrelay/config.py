@@ -10,6 +10,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, ParameterError
@@ -17,6 +18,22 @@ from .methods import FAMILIES, METHODS
 from .model import SystemParams, TargetRates, build_params, check_symmetric_powers
 
 SWEEP_AXES = ("snr_db", "lambda", "r", "d1")
+
+
+def _snr_power(sigma2: float, snr_db: float) -> float:
+    """The power P = sigma2 * 10^(snr_db/10) of an SNR given in dB: the one
+    dB-to-linear conversion of a config.  A power that is not a positive
+    finite float raises ConfigError naming the values."""
+    try:
+        power = sigma2 * 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ConfigError(
+            f"snr_db = {snr_db:g} at sigma2 = {sigma2:g} gives power {power:g}; "
+            "it must be a positive finite float"
+        )
+    return power
 
 
 @dataclass(frozen=True)
@@ -60,7 +77,7 @@ class ExperimentConfig:
     def base_powers(self) -> tuple[float, float]:
         if self.p1 is not None:
             return float(self.p1), float(self.p2)
-        p = self.sigma2 * 10.0 ** (self.snr_db / 10.0)
+        p = _snr_power(self.sigma2, self.snr_db)
         return p, p
 
     def base_params(self) -> SystemParams:
@@ -131,7 +148,7 @@ def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepP
     p1, p2 = config.base_powers()
     lam, d1, r = config.lam, config.d1, config.r
     if config.sweep == "snr_db":
-        p1 = p2 = config.sigma2 * 10.0 ** (value / 10.0)
+        p1 = p2 = _snr_power(config.sigma2, value)
     elif config.sweep == "lambda":
         lam = value
     elif config.sweep == "d1":

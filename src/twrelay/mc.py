@@ -14,7 +14,18 @@ scaled to ``g1 = omega1*e1`` and ``g2 = omega2*e2`` once per distinct pair of
 fading means, and every point is evaluated on it before the next chunk.
 Scaling a unit draw is how numpy's ``exponential(omega)`` makes its samples,
 so each point's estimate is bit-identical to a call for that point alone.
-Only one chunk's arrays are live per thread.
+The points with the same fading means also share the gain product g1*g2,
+and those among them with the same ``derived_coeffs`` (b, c) share the SNR
+denominators ``b*g_i + c``; a point's own work is its ``a*g1*g2/den`` and
+its kernel.
+
+A chunk runs in a workspace: chunk-sized buffers for the draws, the scaled
+gains, the product, the denominators, the SNR pair and the outage masks,
+which every ufunc writes into with ``out=``.  A call makes one workspace per
+worker thread, lends it to one chunk at a time, and drops it when it
+returns, so a chunk allocates no arrays whatever its number of points.  The
+buffered kernels run the same ufuncs in the same order on the same values
+as the plain array expressions, so their results are bit-identical.
 
 With ``workers > 1`` the chunks run on a thread pool in this process: numpy
 releases the interpreter lock while it draws exponentials and evaluates
@@ -25,19 +36,25 @@ and pickling cost of worker processes.
 from __future__ import annotations
 
 import math
+import queue
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientSamplesError, ParameterError, failed_at
 from .model import (
+    DerivedCoeffs,
     SystemParams,
     TargetRates,
     check_symmetric_powers,
+    derived_coeffs,
     end_to_end_snrs,
+    gain_product,
     per_point,
+    snr_denominators,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -81,39 +98,85 @@ def _chunk_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _draw_exponentials(seed: int, chunk: int, size: int):
-    """The chunk's unit-mean draws behind g1 and g2, in that order."""
+def _draw_exponentials(seed: int, chunk: int, size: int, out=(None, None)):
+    """The chunk's unit-mean draws behind g1 and g2, in that order, written
+    into ``out`` when given."""
     rng = _chunk_rng(seed, chunk)
-    return rng.standard_exponential(size), rng.standard_exponential(size)
+    return tuple(rng.standard_exponential(size, out=o) for o in out)
 
 
-def _outage_count(point, g1, g2) -> int:
-    params, targets = point
-    gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
-    return int(np.count_nonzero((gamma1 < targets.tau1) | (gamma2 < targets.tau2)))
+class _Workspace(NamedTuple):
+    """The buffers one chunk runs in: its unit draws, the gains scaled for a
+    group of points, their product, the denominators, the SNR pair, and the
+    two per-direction outage masks."""
+
+    e1: np.ndarray
+    e2: np.ndarray
+    g1: np.ndarray
+    g2: np.ndarray
+    prod: np.ndarray
+    den1: np.ndarray
+    den2: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
+    miss1: np.ndarray
+    miss2: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int) -> "_Workspace":
+        return cls(*(
+            np.empty(size, dtype=bool if name.startswith("miss") else float)
+            for name in cls._fields
+        ))
+
+    def cut(self, size: int) -> "_Workspace":
+        """The first ``size`` elements of every buffer, as views."""
+        return _Workspace(*(buf[:size] for buf in self))
 
 
-def _rate_sums(point, g1, g2) -> tuple[float, float]:
-    """Sum and sum of squares of the chunk's sum rates R1 + R2."""
-    (params,) = point
-    gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
-    total = 0.5 / LN2 * np.log1p(gamma1) + 0.5 / LN2 * np.log1p(gamma2)
-    return float(np.sum(total)), float(np.sum(total * total))
+def _outage_count(point, gammas, ws: _Workspace) -> int:
+    _, targets = point
+    miss1 = np.less(gammas[0], targets.tau1, out=ws.miss1)
+    miss2 = np.less(gammas[1], targets.tau2, out=ws.miss2)
+    return int(np.count_nonzero(np.logical_or(miss1, miss2, out=miss1)))
+
+
+def _rate_sums(point, gammas, ws: _Workspace) -> tuple[float, float]:
+    """Sum and sum of squares of the chunk's sum rates R1 + R2; overwrites
+    the SNRs."""
+    for gamma in gammas:
+        np.multiply(0.5 / LN2, np.log1p(gamma, out=gamma), out=gamma)
+    total = np.add(*gammas, out=gammas[0])
+    return float(np.sum(total)), float(np.sum(np.multiply(total, total, out=gammas[1])))
 
 
 def _chunk_results(args) -> list:
-    """``kernel(point, g1, g2)`` for every point on one chunk's draws."""
-    kernel, points, groups, seed, chunk, size = args
-    e1, e2 = _draw_exponentials(seed, chunk, size)
-    results = [None] * len(points)
-    for k, ((omega1, omega2), members) in enumerate(groups.items()):
-        # the last group scales the draws in place: no later group reads them
-        out1, out2 = (e1, e2) if k == len(groups) - 1 else (None, None)
-        g1 = np.multiply(omega1, e1, out=out1)
-        g2 = np.multiply(omega2, e2, out=out2)
-        for i in members:
-            results[i] = kernel(points[i], g1, g2)
-    return results
+    """``kernel(point, gammas, workspace)`` for every point on one chunk's
+    draws, run in a workspace taken from ``pool`` and given back after."""
+    kernel, points, groups, pool, seed, chunk, size = args
+    whole = pool.get()
+    try:
+        ws = whole.cut(size)
+        e1, e2 = _draw_exponentials(seed, chunk, size, out=(ws.e1, ws.e2))
+        results = [None] * len(points)
+        for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
+            # the last group scales the draws in place: no later group reads them
+            g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
+            np.multiply(omega1, e1, out=g1)
+            np.multiply(omega2, e2, out=g2)
+            prod = gain_product(g1, g2, out=ws.prod)
+            for members in subgroups.values():
+                first = points[members[0]][0]
+                dens = snr_denominators(first, g1, g2, out=(ws.den1, ws.den2))
+                for i in members:
+                    gammas = end_to_end_snrs(
+                        points[i][0], g1, g2, prod=prod, dens=dens,
+                        out=(ws.gamma1, ws.gamma2),
+                    )
+                    results[i] = kernel(points[i], gammas, ws)
+        return results
+    finally:
+        pool.put(whole)
 
 
 def _map_chunks(func, arglist, workers: int):
@@ -123,22 +186,31 @@ def _map_chunks(func, arglist, workers: int):
         return list(pool.map(func, arglist))
 
 
-def _map_points(kernel, points: list[tuple], n: int, seed: int, workers: int):
-    """Per point, its ``kernel`` result on every chunk, in chunk order.
+def _chunk_tasks(kernel, points: list[tuple], n: int, seed: int, workers: int):
+    """The ``_chunk_results`` argument of every chunk, in chunk order.
 
-    A point is a tuple whose first element is its ``SystemParams``; points
-    with the same fading means share one scaling of each chunk.
+    A point is a tuple whose first element is its ``SystemParams``.  Points
+    are grouped by fading means, which share one scaling of each chunk and
+    its gain product, and within that by ``derived_coeffs``, which share the
+    SNR denominators.  The chunks share ``min(workers, chunks)`` workspaces.
     """
+    groups: dict[tuple[float, float], dict[DerivedCoeffs, list[int]]] = {}
+    for i, (params, *_) in enumerate(points):
+        subgroups = groups.setdefault((params.omega1, params.omega2), {})
+        subgroups.setdefault(derived_coeffs(params), []).append(i)
+    sizes = _chunk_sizes(n)
+    pool = queue.SimpleQueue()
+    for _ in range(min(workers, len(sizes))):
+        pool.put(_Workspace.empty(sizes[0]))
+    return [(kernel, points, groups, pool, seed, k, size) for k, size in enumerate(sizes)]
+
+
+def _map_points(kernel, points: list[tuple], n: int, seed: int, workers: int):
+    """Per point, its ``kernel`` result on every chunk, in chunk order."""
     if not points:
         return []
-    groups: dict[tuple[float, float], list[int]] = {}
-    for i, point in enumerate(points):
-        groups.setdefault((point[0].omega1, point[0].omega2), []).append(i)
-    args = [
-        (kernel, points, groups, seed, k, size)
-        for k, size in enumerate(_chunk_sizes(n))
-    ]
-    return list(zip(*_map_chunks(_chunk_results, args, workers)))
+    tasks = _chunk_tasks(kernel, points, n, seed, workers)
+    return list(zip(*_map_chunks(_chunk_results, tasks, workers)))
 
 
 def _points(*columns) -> list[tuple]:

@@ -10,7 +10,8 @@ the end-to-end SNR seen at source i reduces to
     gamma_i = (P_j / sigma2) * g1 * g2 / (b * g_i + c),
 
 with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
-form is the one computation of it here; the tests check it against the
+form is computed only here, by ``end_to_end_snrs`` from its shared parts
+``gain_product`` and ``snr_denominators``; the tests check it against the
 algebraically identical harvest-division form.
 """
 
@@ -157,15 +158,38 @@ def derived_coeffs(params: SystemParams) -> DerivedCoeffs:
     )
 
 
+def gain_product(g1, g2, out=None):
+    """g1*g2, the gain part of both SNR numerators: one value for every point
+    on the same gains.  ``out`` is an array to write it into."""
+    return np.multiply(g1, g2, out=out)
+
+
+def snr_denominators(params: SystemParams, g1, g2, out=(None, None)):
+    """The SNR denominators (b*g1 + c, b*g2 + c): one pair for every point on
+    the same gains with the same ``derived_coeffs``.  ``out`` is a pair of
+    arrays to write them into."""
+    b, c = derived_coeffs(params)
+    return tuple(np.add(np.multiply(b, g, out=o), c, out=o) for g, o in zip((g1, g2), out))
+
+
 def end_to_end_snrs(
-    params: SystemParams, g1: np.ndarray, g2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    params: SystemParams, g1, g2, *, prod=None, dens=None, out=(None, None)
+) -> tuple:
     """End-to-end SNR pair (gamma1, gamma2) after the two-stage round.
 
-    Takes scalar or array gains; zero gains give zero SNR.
+    Takes scalar or array gains; zero gains give zero SNR.  Points that share
+    their gains can share the work: ``prod`` is their ``gain_product`` and
+    ``dens`` their ``snr_denominators``, and ``out`` is a pair of arrays to
+    write gamma1 and gamma2 into.  Each part runs the same ufuncs in the same
+    order whether it is passed or computed here, so the bits do not depend on
+    which are given.
     """
-    coeffs = derived_coeffs(params)
-    prod = g1 * g2
-    gamma1 = (params.p2 / params.sigma2) * prod / (coeffs.b * g1 + coeffs.c)
-    gamma2 = (params.p1 / params.sigma2) * prod / (coeffs.b * g2 + coeffs.c)
-    return gamma1, gamma2
+    if prod is None:
+        prod = gain_product(g1, g2)
+    if dens is None:
+        dens = snr_denominators(params, g1, g2)
+    scales = (params.p2 / params.sigma2, params.p1 / params.sigma2)
+    return tuple(
+        np.divide(np.multiply(a, prod, out=o), den, out=o)
+        for a, den, o in zip(scales, dens, out)
+    )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,68 @@ class TestBatchedDraws:
     def test_no_points_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(mc, "_chunk_rng", None)
         assert estimate_capacity([], 1000, seed=1) == ()
+
+
+#: A batch that exercises every share of a chunk's work: d1 0.3 and 0.5 give
+#: two pairs of fading means; within d1 = 0.5, three SNRs share one (b, c)
+#: and lambda 0.4 gives another.
+SHARED_BATCH = [
+    make_params(d1=0.3),
+    make_params(d1=0.5),
+    make_params(d1=0.5, snr_db=10.0),
+    make_params(d1=0.5, snr_db=25.0),
+    make_params(d1=0.5, lam=0.4),
+    make_params(d1=0.3, lam=0.4, snr_db=5.0),
+]
+SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t) for t in (1.0, 0.5, 1.0, 1.5, 0.8, 1.2)]
+# two whole chunks and a partial one
+N_PARTIAL = 2 * CHUNK_DRAWS + 4321
+
+
+def _plain_chunk_sums(params, targets, n, seed):
+    """Per point, the outage count and the sum-rate (sum, sum of squares)
+    from the plain array expressions on each chunk's draws."""
+    counts = [0] * len(params)
+    sums = [[0.0, 0.0] for _ in params]
+    for k, size in enumerate(mc._chunk_sizes(n)):
+        e1, e2 = mc._draw_exponentials(seed, k, size)
+        for i, (p, t) in enumerate(zip(params, targets)):
+            gamma1, gamma2 = end_to_end_snrs(p, p.omega1 * e1, p.omega2 * e2)
+            counts[i] += int(np.count_nonzero((gamma1 < t.tau1) | (gamma2 < t.tau2)))
+            total = 0.5 / mc.LN2 * np.log1p(gamma1) + 0.5 / mc.LN2 * np.log1p(gamma2)
+            sums[i][0] += float(np.sum(total))
+            sums[i][1] += float(np.sum(total * total))
+    return counts, sums
+
+
+class TestChunkWorkspace:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_buffered_kernels_are_bit_equal(self, workers):
+        counts, sums = _plain_chunk_sums(SHARED_BATCH, SHARED_TARGETS, N_PARTIAL, 41)
+        outage = estimate_outage(SHARED_BATCH, SHARED_TARGETS, N_PARTIAL, 41, workers)
+        assert [e.mean.hex() for e in outage] == [(c / N_PARTIAL).hex() for c in counts]
+        capacity = estimate_capacity(SHARED_BATCH, N_PARTIAL, 41, workers)
+        assert list(capacity) == [mc._to_estimate(s, q, N_PARTIAL, 41) for s, q in sums]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
+    )
+    def test_no_allocation_per_point(self):
+        # a fresh chunk-sized temporary is a fresh mapping, paid in page faults
+        # on first touch; the workspace is touched once per call whatever the
+        # number of points
+        import resource
+
+        def faults(points):
+            tasks = mc._chunk_tasks(mc._rate_sums, points, 5 * CHUNK_DRAWS, 3, 1)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for task in tasks:
+                mc._chunk_results(task)
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        one = faults([(make_params(),)])
+        many = faults([(make_params(lam=lam),) for lam in np.linspace(0.05, 0.95, 19)])
+        assert many <= 2 * one, (many, one)
 
 
 STENCIL_PARAMS = [make_params(snr_db=20.0), make_params(snr_db=30.0)]

@@ -14,6 +14,8 @@ from twrelay.model import (
     build_params,
     derived_coeffs,
     end_to_end_snrs,
+    gain_product,
+    snr_denominators,
 )
 
 
@@ -138,6 +140,30 @@ class TestEndToEndSnrs:
         assert end_to_end_snrs(params, 0.0, 1.0) == (0.0, 0.0)
         assert end_to_end_snrs(params, 1.0, 0.0) == (0.0, 0.0)
 
+    def test_shared_parts_and_out_give_the_same_bits(self):
+        # three SNRs share one (b, c); zero gains included
+        rng = np.random.default_rng(29)
+        g1 = rng.exponential(8.0, 5000)
+        g2 = rng.exponential(3.0, 5000)
+        g1[:3] = 0.0
+        g2[3:6] = 0.0
+        points = [make_params(snr_db=db, lam=0.3, d1=0.35) for db in (-5.0, 7.0, 40.0)]
+        prod = gain_product(g1, g2, out=np.empty_like(g1))
+        dens = snr_denominators(points[0], g1, g2, out=(np.empty_like(g1), np.empty_like(g1)))
+        for params in points:
+            b, c = derived_coeffs(params)
+            written_out = (
+                (params.p2 / params.sigma2) * (g1 * g2) / (b * g1 + c),
+                (params.p1 / params.sigma2) * (g1 * g2) / (b * g2 + c),
+            )
+            out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
+            shared = end_to_end_snrs(params, g1, g2, prod=prod, dens=dens, out=out)
+            assert shared[0] is out[0] and shared[1] is out[1]
+            for gammas in (end_to_end_snrs(params, g1, g2), shared):
+                for got, want in zip(gammas, written_out):
+                    assert got.tobytes() == want.tobytes()
+            assert not np.any(shared[0][:6]) and not np.any(shared[1][:6])
+
     def test_monotone_in_each_gain(self):
         params = make_params()
         rng = np.random.default_rng(23)
@@ -186,6 +212,22 @@ class TestNonCoopBaseline:
             s2 * targets.tau2 / params.p1,
         )
         assert non_coop_outage(params, targets) == pytest.approx(1.0 - math.exp(-need))
+
+    @pytest.mark.parametrize("snr_db", [60.0, 100.0, 140.0, 160.0, 180.0, 200.0])
+    @pytest.mark.parametrize("p2_scale", [1.0, 0.5])
+    def test_small_outage_keeps_its_digits(self, snr_db, p2_scale):
+        # 1 - exp(-x) loses every digit below 1e-16; the reference is mpmath
+        # at 40 digits on the same float inputs
+        mpmath = pytest.importorskip("mpmath")
+        params = make_params(snr_db=snr_db, p2_scale=p2_scale)
+        targets = TargetRates.from_rates(1.0, 1.0)
+        with mpmath.workdps(40):
+            x = max(
+                mpmath.mpf(targets.tau1) * params.sigma2 / mpmath.mpf(params.p2),
+                mpmath.mpf(targets.tau2) * params.sigma2 / mpmath.mpf(params.p1),
+            )
+            reference = float(-mpmath.expm1(-x))
+        assert non_coop_outage(params, targets) == pytest.approx(reference, rel=1e-14, abs=0.0)
 
     def test_capacity_against_direct_simulation(self):
         params = make_params(snr_db=20.0)

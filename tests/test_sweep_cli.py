@@ -92,6 +92,18 @@ class TestConfigParsing:
                 "methods = capacity_quadrature\noutput_path = x.csv"
             )
 
+    @pytest.mark.parametrize("lines, named", [
+        ("sweep = snr_db\nstart = 0\nstop = 4000", "snr_db = 4000 at sigma2 = 1 gives power inf"),
+        ("sweep = lambda\nstart = 0.1\nstop = 0.9\nsnr_db = 4000", "snr_db = 4000 at"),
+        ("sweep = lambda\nstart = 0.1\nstop = 0.9\nsnr_db = -4000", "gives power 0;"),
+        ("sweep = lambda\nstart = 0.1\nstop = 0.9\nsigma2 = -1", "sigma2 = -1 gives power -100"),
+    ])
+    def test_snr_power_out_of_float_range_names_its_values(self, lines, named):
+        with pytest.raises(ConfigError, match=named):
+            parse_config_text(
+                f"{lines}\nsteps = 5\nmethods = exact_quadrature\noutput_path = x.csv"
+            )
+
     def test_r_sweep_is_dmt_only(self):
         with pytest.raises(ConfigError, match="dmt"):
             parse_config_text(
@@ -433,9 +445,12 @@ class TestCli:
         "sweep = r\nstart = 0.2\nstop = 1\nmethods = exact_quadrature",
         "sweep = snr_db\nstart = 0\nstop = 30\nlambda = 1.5\nmethods = exact_quadrature",
         "sweep = snr_db\nstart = 5\nstop = 20\nt1 = -1\nmethods = dmt",
+        "sweep = snr_db\nstart = 0\nstop = 4000\nmethods = exact_quadrature",
+        "sweep = lambda\nstart = 0.1\nstop = 0.9\nsnr_db = 4000\nmethods = capacity_quadrature",
     ], ids=[
         "lambda-from-0", "lambda-to-1", "d1-from-0", "d1-to-1", "r-from-0", "r-past-2",
-        "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt",
+        "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt", "snr-to-4000-db",
+        "base-snr-4000-db",
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.cfg"
