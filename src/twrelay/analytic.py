@@ -18,16 +18,19 @@ the first failing point, marked with its index (``errors.failed_at``).
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
 Gauss-Legendre rule in a log variable of :mod:`twrelay.numerics`, one row
-of nodes per direction and point, in slabs of rows.  The series is summed
-as arrays, a block of orders at a time for every direction still running,
-from tables built at import; beyond its reach it raises ConvergenceError.
+of nodes per element of a batch's (points, 2) direction arrays, in slabs of
+rows.  The series is summed as arrays, a block of orders at a time for every
+direction still running, from tables built at import; beyond its reach it
+raises ConvergenceError.
 
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
 the rational SNR form gamma_i = (P_j/sigma2) * g1*g2 / (b*g_i + c), the
-coefficient b multiplies the gain on source i's own side.  :func:`directions`
-is the one place that pairs a direction with its power and gains; every
-closed form below is a sum over its two rows.
+coefficient b multiplies the gain on source i's own side.  A batch holds
+its two directions as one ``Direction`` of (points, 2) arrays, direction 1
+in column 0, and :func:`_batch` is the one place that pairs a direction
+with its power and gains; every closed form below is a sum over that
+direction axis.
 """
 
 from __future__ import annotations
@@ -113,7 +116,9 @@ class Direction(NamedTuple):
 
         P(gamma > z) = exp(-s*z) * xK1(2*sqrt(mu*z)).
 
-    For a batch each field holds one value per point.
+    Inside this module a batch's two directions are one Direction whose
+    fields are (points, 2) arrays, column 0 for direction 1 and column 1
+    for direction 2; :func:`directions` returns them as two Directions.
     """
 
     a: float  # P_j/sigma2, the power that carries the direction
@@ -130,52 +135,38 @@ def _direction(a, own, other, b, c) -> Direction:
 
 
 class _Batch(NamedTuple):
-    """Coefficients b, c and the two directions of a batch's points."""
+    """b and c of each point, shape (points,), and both directions, (points, 2)."""
 
     b: np.ndarray
     c: np.ndarray
-    dirs: tuple[Direction, Direction]
+    d: Direction
 
 
 def _batch(params: list[SystemParams]) -> _Batch:
-    b, c = np.array([tuple(derived_coeffs(p)) for p in params], dtype=float).reshape(-1, 2).T
-    p1, p2, sigma2, omega1, omega2 = np.array(
-        [(p.p1, p.p2, p.sigma2, p.omega1, p.omega2) for p in params], dtype=float
-    ).reshape(-1, 5).T
-    return _Batch(b, c, (
-        _direction(p2 / sigma2, omega1, omega2, b, c),
-        _direction(p1 / sigma2, omega2, omega1, b, c),
-    ))
+    rows = np.array([(*derived_coeffs(p), p.p2, p.p1, p.omega1, p.omega2, p.sigma2)
+                     for p in params], dtype=float).reshape(-1, 7)
+    b, c, own = rows[:, :1], rows[:, 1:2], rows[:, 4:6]
+    # Direction 1 is carried by P2 and its own gain is |h1|^2; direction 2 mirrors it.
+    return _Batch(b[:, 0], c[:, 0], _direction(rows[:, 2:4] / rows[:, 6:], own, own[:, ::-1], b, c))
 
 
-def _taus(targets: list[TargetRates]) -> tuple[np.ndarray, np.ndarray]:
-    tau1, tau2 = np.array([(t.tau1, t.tau2) for t in targets], dtype=float).reshape(-1, 2).T
-    return tau1, tau2
+def _taus(targets: list[TargetRates]) -> np.ndarray:
+    return np.array([(t.tau1, t.tau2) for t in targets], dtype=float).reshape(-1, 2)
 
 
 def directions(params) -> tuple[Direction, Direction]:
     """The two directions of a round, direction 1 (into source 1) first;
     for a batch, each field holds one value per point."""
     (params,), batched = per_point(params)
-    dirs = _batch(params).dirs
-    if batched:
-        return dirs
-    return tuple(Direction(*(float(field[0]) for field in d)) for d in dirs)
-
-
-def _by_direction(batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
-    """s and mu of every direction, point by point, direction 1 first."""
-    one, two = batch.dirs
-    return np.stack((one.s, two.s), axis=-1).ravel(), np.stack((one.mu, two.mu), axis=-1).ravel()
-
-
-def _per_point(values: np.ndarray) -> np.ndarray:
-    """The sum of each point's two directions in a ``_by_direction`` array."""
-    return values[0::2] + values[1::2]
+    one, two = np.moveaxis(np.stack(_batch(params).d), -1, 0)  # each (fields, points)
+    if not batched:
+        one, two = one[:, 0].tolist(), two[:, 0].tolist()
+    return Direction(*one), Direction(*two)
 
 
 def _survival(d: Direction, z):
-    """P(gamma > z) for direction ``d``, z >= 0."""
+    """P(gamma > z) for direction ``d``; 1 where z <= 0."""
+    z = np.maximum(z, 0.0)
     return np.exp(-d.s * z) * bessel_xk1(2.0 * np.sqrt(d.mu * z))
 
 
@@ -226,30 +217,26 @@ def _corner_residual(b, c, eps1, eps2, x0, y0):
     return np.maximum(np.abs(r1) / y0, np.abs(r2) / x0)
 
 
-def _corner_point(batch: _Batch, taus) -> tuple[CornerPoint, Check]:
-    """The corner of every point, for positive thresholds, and the check
-    that it satisfies the boundary system to 1e-9 relative."""
-    (tau1, tau2), (one, two), b, c = taus, batch.dirs, batch.b, batch.c
-    eps1, eps2 = tau1 / one.a, tau2 / two.a
-    # Substituting Y(X) gives b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0.
-    x0 = _positive_quadratic_root(b, c - eps2 * b * b - eps2 * c / eps1, -eps2 * b * c)
-    # The Y quadratic mirrors the X one with indices swapped; its linear
-    # coefficient carries the cross-traffic term eps1*c/eps2.
-    y0 = _positive_quadratic_root(b, c - eps1 * b * b - eps1 * c / eps2, -eps1 * b * c)
-    residual = _corner_residual(b, c, eps1, eps2, x0, y0)
+def _corner_point(batch: _Batch, taus) -> tuple[np.ndarray, Check]:
+    """The corner of every point, for positive thresholds, as a (points, 2)
+    array of X0 (on direction 1's own axis) and Y0 (on direction 2's), and
+    the check that it satisfies the boundary system to 1e-9 relative."""
+    b, c, eps = batch.b[:, None], batch.c[:, None], taus / batch.d.a
+    cross = eps[:, ::-1]
+    # X0 solves b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0 and Y0 the
+    # same with indices swapped: column i takes its own eps and the other's, cross.
+    corner = _positive_quadratic_root(b, c - cross * b * b - cross * c / eps, -cross * b * c)
+    (x0, y0), (eps1, eps2) = corner.T, eps.T
+    residual = _corner_residual(batch.b, batch.c, eps1, eps2, x0, y0)
 
     def error(i: int) -> Exception:
         return DegenerateCaseError(
             f"corner point ({x0[i]:.6g}, {y0[i]:.6g}) violates the boundary system "
-            f"by {residual[i]:.3g} relative (tau=({tau1[i]}, {tau2[i]}), b={b[i]}, "
-            f"c={c[i]}, eps=({eps1[i]}, {eps2[i]}))"
+            f"by {residual[i]:.3g} relative (tau=({taus[i, 0]}, {taus[i, 1]}), "
+            f"b={batch.b[i]}, c={batch.c[i]}, eps=({eps1[i]}, {eps2[i]}))"
         )
 
-    return CornerPoint(x0, y0), (residual > 1e-9, error)
-
-
-def _thresholds(tau1, tau2) -> tuple[np.ndarray, np.ndarray]:
-    return np.array(tau1, dtype=float), np.array(tau2, dtype=float)
+    return corner, (residual > 1e-9, error)
 
 
 def corner_point(params, tau1, tau2) -> CornerPoint:
@@ -258,13 +245,13 @@ def corner_point(params, tau1, tau2) -> CornerPoint:
     substitution.  The result must satisfy both equations to 1e-9 relative.
     """
     (params, tau1, tau2), batched = per_point(params, tau1, tau2)
-    taus = _thresholds(tau1, tau2)
-    _raise_first(((taus[0] <= 0.0) | (taus[1] <= 0.0), lambda i: DomainError(
+    taus = np.array([tau1, tau2], dtype=float).T
+    _raise_first(((taus <= 0.0).any(axis=1), lambda i: DomainError(
         f"corner point needs positive thresholds; got ({tau1[i]}, {tau2[i]})"
     )))
     corner, check = _corner_point(_batch(params), taus)
     _raise_first(check)
-    return _result(batched, map(CornerPoint, corner.x0.tolist(), corner.y0.tolist()))
+    return _result(batched, map(CornerPoint._make, corner.tolist()))
 
 
 def _segment_integral(k, omega, v):
@@ -284,44 +271,35 @@ def _segment_integral(k, omega, v):
     )
 
 
-def _corner_mass(dirs, corner: CornerPoint):
-    """P(|h1|^2 > X0, |h2|^2 > Y0) = exp(-X0/omega1 - Y0/omega2)."""
-    one, two = dirs
-    return np.exp(-corner.x0 / one.own - corner.y0 / two.own)
+def _corner_mass(d: Direction, corner) -> tuple[np.ndarray, np.ndarray]:
+    """V_i/own_i, V_i the corner coordinate on direction i's own axis, and the
+    corner mass P(|h1|^2 > X0, |h2|^2 > Y0) = exp(-X0/omega1 - Y0/omega2)."""
+    shift = corner / d.own
+    return shift, np.exp(-shift[:, 0] - shift[:, 1])
 
 
-def _survivals(dirs, taus) -> list:
-    """P(gamma_i > tau_i) of both directions; 1 where tau_i <= 0."""
-    return [_survival(d, np.maximum(tau, 0.0)) for d, tau in zip(dirs, taus)]
-
-
-def _marginals(survivals) -> np.ndarray:
-    """The sum of the two directions' outage probabilities."""
-    one, two = survivals
-    return (1.0 - one) + (1.0 - two)
+def _lower_bound(d: Direction, taus, shift, mass) -> tuple[np.ndarray, np.ndarray]:
+    """The lower-bound outage 1 + M - sum_i exp(-s_i*tau_i - V_i/own_i) of
+    :func:`outage_bounds`, from the parts of :func:`_corner_mass`, and its terms."""
+    terms = np.exp(-d.s * taus - shift)
+    return 1.0 + mass - terms[:, 0] - terms[:, 1], terms
 
 
 def _joint_thresholds(taus):
     """Which points have a joint outage region (both thresholds positive),
     and the thresholds with 1 in place of the other points' ones, so that
     every lane of the corner and strip arrays stays finite."""
-    joint = (taus[0] > 0.0) & (taus[1] > 0.0)
-    return joint, tuple(np.where(joint, tau, 1.0) for tau in taus)
+    joint = (taus > 0.0).all(axis=1)
+    return joint, np.where(joint[:, None], taus, 1.0)
 
 
 def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
     joint, taus = _joint_thresholds(taus)
-    dirs = batch.dirs
+    d = batch.d
     corner, residual = _corner_point(batch, taus)
-    strips = _segment_integral(
-        np.stack([tau * d.mu * d.own for d, tau in zip(dirs, taus)], axis=-1),
-        np.stack([d.own for d in dirs], axis=-1),
-        np.stack(corner, axis=-1),
-    )
-    total = 1.0 - _corner_mass(dirs, corner)
-    for d, tau, strip in zip(dirs, taus, strips.T):
-        total = total - np.exp(-d.s * tau) / d.own * strip
-    value, clamp = _clamp_probability(total, "joint_outage")
+    strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
+    _, mass = _corner_mass(d, corner)
+    value, clamp = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1], "joint_outage")
     return np.where(joint, value, 0.0), [(joint & bad, error) for bad, error in (residual, clamp)]
 
 
@@ -338,7 +316,7 @@ def joint_outage(params, tau1, tau2) -> float:
     are one array pass.
     """
     (params, tau1, tau2), batched = per_point(params, tau1, tau2)
-    value, checks = _joint_outage(_batch(params), _thresholds(tau1, tau2))
+    value, checks = _joint_outage(_batch(params), np.array([tau1, tau2], dtype=float).T)
     _raise_first(*checks)
     return _result(batched, value.tolist())
 
@@ -348,7 +326,7 @@ def outage_exact(params, targets) -> float:
     (params, targets), batched = per_point(params, targets)
     batch, taus = _batch(params), _taus(targets)
     joint, checks = _joint_outage(batch, taus)
-    marginals = _marginals(_survivals(batch.dirs, taus))
+    marginals = (1.0 - _survival(batch.d, taus)).sum(axis=1)
     value, clamp = _clamp_probability(marginals - joint, "outage_exact")
     _raise_first(*checks, clamp)
     return _result(batched, value.tolist())
@@ -378,15 +356,15 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     """
     (params, targets), batched = per_point(params, targets)
     batch, taus = _batch(params), _taus(targets)
-    dirs = batch.dirs
-    survivals = _survivals(dirs, taus)
-    exact, exact_check = _clamp_probability(_marginals(survivals), "outage_exact")
+    d = batch.d
+    survivals = _survival(d, taus)
+    exact, exact_check = _clamp_probability((1.0 - survivals).sum(axis=1), "outage_exact")
     joint, taus = _joint_thresholds(taus)
     corner, residual = _corner_point(batch, taus)
-    lower = upper = 1.0 + _corner_mass(dirs, corner)
-    for d, tau, v, survival in zip(dirs, taus, corner, survivals):
-        lower = lower - np.exp(-d.s * tau - v / d.own)
-        upper = upper - survival * np.exp(-v / d.own)
+    shift, mass = _corner_mass(d, corner)
+    lower, _ = _lower_bound(d, taus, shift, mass)
+    attenuated = survivals * np.exp(-shift)
+    upper = 1.0 + mass - attenuated[:, 0] - attenuated[:, 1]
     lower, lower_check = _clamp_probability(lower, "outage lower bound")
     upper, upper_check = _clamp_probability(np.minimum(1.0, upper), "outage upper bound")
     _raise_first(
@@ -428,11 +406,10 @@ def outage_high_snr(params, targets) -> float:
     than errors.
     """
     (params, targets), batched = per_point(params, targets)
-    (one, two), (tau1, tau2) = _batch(params).dirs, _taus(targets)
-    m1, kappa1, m2, kappa2 = one.s * tau1, one.mu * tau1, two.s * tau2, two.mu * tau2
-    swap = kappa1 > kappa2
-    m_s, kappa_s = np.where(swap, m2, m1), np.where(swap, kappa2, kappa1)
-    m_w, kappa_w = np.where(swap, m1, m2), np.where(swap, kappa1, kappa2)
+    d, taus = _batch(params).d, _taus(targets)
+    m, kappa = d.s * taus, d.mu * taus
+    one_is_weak = kappa[:, 0] > kappa[:, 1]  # on a tie direction 2 is the weak one
+    (m_s, m_w), (kappa_s, kappa_w) = (np.where(one_is_weak, v[:, ::-1].T, v.T) for v in (m, kappa))
     live = kappa_w > 0.0
     kw = np.where(live, kappa_w, 1.0)
     value = m_w + kw * (np.log(1.0 / kw) + 1.0 - 2.0 * EULER_GAMMA)
@@ -445,6 +422,12 @@ def outage_high_snr(params, targets) -> float:
     )
     value = np.where(live, np.minimum(np.maximum(value + strong, 0.0), 1.0), 0.0)
     return _result(batched, value.tolist())
+
+
+def _sum_rate(nats: np.ndarray) -> list[float]:
+    """Each point's rate in bit/s/Hz from its two directions' E[ln(1 + gamma_i)]:
+    their sum over 2 ln 2, as each direction has half the round."""
+    return (nats.sum(axis=1) / (2.0 * LN2)).tolist()
 
 
 def _survival_integral(s, mu, xk1, kink: float | None = None):
@@ -478,9 +461,8 @@ def capacity_quadrature(params) -> float:
     each survival integral on the log-variable rule, all directions of all
     points in one pass."""
     (params,), batched = per_point(params)
-    s, mu = _by_direction(_batch(params))
-    total = _per_point(_survival_integral(s, mu, bessel_xk1))
-    return _result(batched, (total / (2.0 * LN2)).tolist())
+    d = _batch(params).d
+    return _result(batched, _sum_rate(_survival_integral(d.s, d.mu, bessel_xk1)))
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -663,17 +645,13 @@ def capacity_series(params) -> CapacitySeries:
     directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2));
     a batch gives a ``CapacitySeriesBatch``."""
     (params,), batched = per_point(params)
-    s, mu = _by_direction(_batch(params))
+    d = _batch(params).d
     try:
-        value, used, last = capacity_direction_integral(s, mu)
-    except ConvergenceError as exc:
+        value, used, last = capacity_direction_integral(d.s, d.mu)
+    except ConvergenceError as exc:  # its point indexes the flattened (points, 2) arrays
         raise failed_at(exc.point // 2, exc)
-    results = map(
-        CapacitySeries,
-        (_per_point(value) / (2.0 * LN2)).tolist(),
-        zip(used[0::2].tolist(), used[1::2].tolist()),
-        np.maximum(np.maximum(0.0, last[0::2]), last[1::2]).tolist(),
-    )
+    results = map(CapacitySeries, _sum_rate(value), map(tuple, used.tolist()),
+                  last.max(axis=1, initial=0.0).tolist())
     return CapacitySeriesBatch(results) if batched else next(results)
 
 
@@ -722,13 +700,11 @@ def capacity_bounds(params) -> CapacityBounds:
     ``tight_upper <= loose_upper`` to the rule's accuracy.
     """
     (params,), batched = per_point(params)
-    s, mu = _by_direction(_batch(params))
-    lower = _per_point(_survival_integral(s, mu, lambda x: np.exp(-x)))
-    tight = _per_point(_survival_integral(s, mu, _xk1_upper, _XK1_UPPER_KINK))
-    loose = _per_point(tricomi_psi11(s))
-    return _result(batched, map(
-        CapacityBounds, *((v / (2.0 * LN2)).tolist() for v in (lower, tight, loose))
-    ))
+    d = _batch(params).d
+    lower = _survival_integral(d.s, d.mu, lambda x: np.exp(-x))
+    tight = _survival_integral(d.s, d.mu, _xk1_upper, _XK1_UPPER_KINK)
+    loose = tricomi_psi11(d.s)
+    return _result(batched, map(CapacityBounds, *map(_sum_rate, (lower, tight, loose))))
 
 
 def _positive_r_and_gamma(r, gamma) -> None:
@@ -780,26 +756,26 @@ def dmt(params, r) -> float:
 
     Evaluated on the closed-form lower-bound outage under symmetric traffic
     (P1 = P2 = P, equal targets induced by r); powers that differ raise
-    ParameterError (``model.check_symmetric_powers``).
+    ParameterError (``model.check_symmetric_powers``), and a threshold
+    (1+gamma)^r - 1 past the float range raises DomainError.
     """
     (params, r), batched = per_point(params, r)
     check_symmetric_powers(params)
-    batch = _batch(params)
-    one, two = batch.dirs
-    r, gamma = np.array(r, dtype=float), two.a  # direction 2 carries P1/sigma2
-    coeffs = DerivedCoeffs(batch.b, batch.c)
-    b = coeffs.b
-    tau = (1.0 + gamma) ** r - 1.0
+    (b, c, d), r = _batch(params), np.array(r, dtype=float)
+    gamma = d.a[:, 1]  # direction 2 carries P1/sigma2
+    coeffs = DerivedCoeffs(b, c)
+    with np.errstate(over="ignore"):
+        tau = (1.0 + gamma) ** r - 1.0
+    _raise_first((~np.isfinite(tau), lambda i: DomainError(
+        f"threshold (1+gamma)^r - 1 overflows at gamma={gamma[i]} (r={r[i]})")))
     x0 = x0_symmetric(r, gamma, coeffs)
     big_a, big_b = dmt_coefficients(r, gamma, coeffs)
-    weight = 1.0 / one.own + 1.0 / two.own
-    corner_mass = np.exp(-weight * x0)
-    numer = big_a * weight * corner_mass
-    denom = 1.0 + corner_mass
-    for d in batch.dirs:
-        mass = np.exp(-b * tau / (gamma * d.other) - x0 / d.own)
-        numer = numer - (big_b * b / d.other + big_a / d.own) * mass
-        denom = denom - mass
+    # Symmetric traffic: both thresholds are tau and the corner is (x0, x0).
+    shift, mass = _corner_mass(d, x0[:, None])
+    denom, terms = _lower_bound(d, tau[:, None], shift, mass)
+    # d/dgamma of s_i*tau = (b/other_i)*(tau/gamma) and of x0/own_i, times the terms
+    falls = ((big_b * b)[:, None] / d.other + big_a[:, None] / d.own) * terms
+    numer = big_a * (1.0 / d.own).sum(axis=1) * mass - falls[:, 0] - falls[:, 1]
     _raise_first(((denom <= 0.0) | ~np.isfinite(denom), lambda i: DegenerateCaseError(
         f"lower-bound outage underflowed to {denom[i]} at gamma={gamma[i]} "
         f"(r={r[i]}); the log-derivative is undefined there"
@@ -821,14 +797,12 @@ def non_coop_outage(params, targets) -> float:
     determined one.
     """
     (params, targets), batched = per_point(params, targets)
-    (one, two), (tau1, tau2) = _batch(params).dirs, _taus(targets)
-    return _result(batched, (-np.expm1(-np.maximum(tau1 / one.a, tau2 / two.a))).tolist())
+    d, taus = _batch(params).d, _taus(targets)
+    return _result(batched, (-np.expm1(-(taus / d.a).max(axis=1))).tolist())
 
 
 def non_coop_capacity(params) -> float:
     """Sum ergodic rate of the non-cooperative baseline: per direction
     E[ln(1 + a*g)] = e^(1/a) E1(1/a) = Psi(1, 1; 1/a), over 2 ln 2."""
     (params,), batched = per_point(params)
-    one, two = _batch(params).dirs
-    total = tricomi_psi11(1.0 / one.a) + tricomi_psi11(1.0 / two.a)
-    return _result(batched, (total / (2.0 * LN2)).tolist())
+    return _result(batched, _sum_rate(tricomi_psi11(1.0 / _batch(params).d.a)))

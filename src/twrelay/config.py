@@ -126,7 +126,7 @@ class ExperimentConfig:
             if family == "dmt":
                 check_symmetric_powers([base])
             for end in (self.start, self.stop):
-                resolve_point(self, end, family)
+                resolve_point(self, end)
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -138,13 +138,13 @@ class SweepPoint:
     r: float
 
 
-def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepPoint:
+def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
     """Bind one value of ``config``'s sweep axis to its config key and return
-    the point: its system parameters, its targets (for the ``dmt`` family
-    set by r at the point's SNR P1/sigma2, else by t1 and t2) and its
-    multiplexing gain r.  This is the one binding of a swept value, used by
-    the sweep engine for every point and by ``validate`` for the two ends;
-    a value outside its key's range raises ParameterError."""
+    the point: its system parameters, its targets (set by t1 and t2) and its
+    multiplexing gain r, from which the dmt evaluators derive their own
+    thresholds at each SNR they use.  This is the one binding of a swept
+    value, used by the sweep engine for every point and by ``validate`` for
+    the two ends; a value outside its key's range raises ParameterError."""
     p1, p2 = config.base_powers()
     lam, d1, r = config.lam, config.d1, config.r
     if config.sweep == "snr_db":
@@ -161,10 +161,7 @@ def resolve_point(config: ExperimentConfig, value: float, family: str) -> SweepP
         p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
         config.path_loss_exp,
     )
-    if family == "dmt":
-        targets = TargetRates.from_multiplexing_gain(r, p1 / config.sigma2)
-    else:
-        targets = TargetRates.from_rates(config.t1, config.t2)
+    targets = TargetRates.from_rates(config.t1, config.t2)
     return SweepPoint(params=params, targets=targets, r=r)
 
 

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, ParameterError, failed_at
+from .errors import DomainError, InsufficientSamplesError, ParameterError, failed_at
 from .model import (
     DerivedCoeffs,
     SystemParams,
@@ -291,7 +291,9 @@ def estimate_diversity_fd(
     independence-based error propagation below is conservative.  A stencil
     point with fewer than 100 outage events raises ``InsufficientSamplesError``
     naming its SNR in dB, for the first point with one, its higher stencil
-    point checked first; the error's ``point`` is that point's index.
+    point checked first; the error's ``point`` is that point's index.  A
+    stencil point whose SNR, power or threshold is not a positive finite
+    float raises ``DomainError`` the same way, before any sampling.
     """
     points = _points(params, r)
     check_symmetric_powers([base for base, _ in points])
@@ -303,15 +305,24 @@ def estimate_diversity_fd(
             )
     stencil = []  # (gamma_db, gamma) of each point's higher, then lower SNR
     stencil_params, stencil_targets = [], []
-    for base, r_i in points:
+    for index, (base, r_i) in enumerate(points):
         db = 10.0 * math.log10(base.p1 / base.sigma2)
         for sign in (+1.0, -1.0):
             point_db = db + sign * DIVERSITY_STEP_DB
-            gamma = 10.0 ** (point_db / 10.0)
+            try:
+                gamma = 10.0 ** (point_db / 10.0)
+                power = gamma * base.sigma2
+                targets = TargetRates.from_multiplexing_gain(r_i, gamma) if power > 0.0 else None
+            except OverflowError:  # of 10^(dB/10) or of tau = (1+gamma)^r - 1
+                power = math.inf
+            if not 0.0 < power < math.inf:
+                raise failed_at(index, DomainError(
+                    f"diversity stencil point gamma_db={point_db:.6g} (r={r_i:g}): its SNR, "
+                    "power or threshold is not a positive finite float"
+                ))
             stencil.append((point_db, gamma))
-            power = gamma * base.sigma2
             stencil_params.append(replace(base, p1=power, p2=power))
-            stencil_targets.append(TargetRates.from_multiplexing_gain(r_i, gamma))
+            stencil_targets.append(targets)
     outage = estimate_outage(stencil_params, stencil_targets, n, seed, workers=workers)
     for k, (est, (point_db, _)) in enumerate(zip(outage, stencil)):
         if est.mean * n < 100:

@@ -62,7 +62,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     started = time.perf_counter()
     family = config.metric_family
     grid = axis_grid(config)
-    points = [resolve_point(config, value, family) for value in grid]
+    points = [resolve_point(config, value) for value in grid]
     outputs: dict = {}  # evaluator -> its output tuple per point
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]

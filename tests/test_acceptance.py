@@ -7,6 +7,7 @@ prints its measured values.  Run with ``pytest tests/test_acceptance.py -v -s``.
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,8 +338,10 @@ def test_c11_corner_point_cross_term():
 
 def test_c12_preset_determinism_across_workers():
     """Every preset re-run with the same seed emits byte-identical CSV under
-    1, 2, and 8 workers."""
+    1, 2, and 8 workers, and those bytes are the frozen copy in
+    ``tests/data/golden_presets`` (written by ``make_golden_presets.py``)."""
     n_multi_chunk = 200_000
+    frozen_dir = Path(__file__).parent / "data" / "golden_presets"
     all_ok = True
     detail = []
     with tempfile.TemporaryDirectory() as td:
@@ -351,10 +354,15 @@ def test_c12_preset_determinism_across_workers():
                 run_sweep(config)
                 blobs.append(open(config.output_path, "rb").read())
             identical = blobs[0] == blobs[1] == blobs[2]
-            all_ok &= identical
-            detail.append(f"fig{figure}:{'ok' if identical else 'DIFFERS'}")
+            frozen = blobs[0] == (frozen_dir / f"fig{figure}.csv").read_bytes()
+            all_ok &= identical and frozen
+            detail.append(
+                f"fig{figure}:{'ok' if identical else 'DIFFERS'}"
+                f"{'' if frozen else ',NOT FROZEN'}"
+            )
     assert report(
-        "C12 preset determinism", all_ok, " ".join(detail) + " under 1/2/8 workers"
+        "C12 preset determinism", all_ok,
+        " ".join(detail) + " under 1/2/8 workers, against the frozen CSVs",
     )
 
 

@@ -172,13 +172,15 @@ class TestFirstFailingPoint:
         )
         self._fails_at_last_point(config, ConvergenceError, "d1=0.9, method=capacity_series: ")
 
-    def test_first_of_several_failing_points_is_named(self):
-        # direction 1 fails at the last two points; the error is the middle
-        # point's
-        params = [make_params(lam=0.02, d1=d1) for d1 in (0.5, 0.9, 0.9)]
+    @pytest.mark.parametrize("d1, failing", [(0.9, 0), (0.1, 1)],
+                             ids=["direction-1", "direction-2"])
+    def test_first_of_several_failing_points_is_named(self, d1, failing):
+        # one direction fails at the last two points, direction 1 near source
+        # 2 and direction 2 near source 1; the error is the middle point's
+        params = [make_params(lam=0.02, d1=d) for d in (0.5, d1, d1)]
         with pytest.raises(ConvergenceError) as info:
             analytic.capacity_series(params)
         assert info.value.point == 1
-        direction = analytic.directions(params[1])[0]
+        direction = analytic.directions(params[1])[failing]
         assert f"s={direction.s:.3g}, mu={direction.mu:.3g}" in str(info.value)
 

@@ -485,6 +485,26 @@ class TestCli:
         )
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
 
+    @pytest.mark.parametrize("power, r, methods, named", [
+        ("1.7e308", 0.5, "mc, dmt",
+         "lambda=0.3, method=mc: diversity stencil point gamma_db=3082.55 (r=0.5)"),
+        ("1e250", 1.5, "mc, dmt",
+         "lambda=0.3, method=mc: diversity stencil point gamma_db=2500.25 (r=1.5)"),
+        ("1e250", 1.5, "dmt",
+         "lambda=0.3, method=dmt: threshold (1+gamma)^r - 1 overflows at gamma=1e+250"),
+    ], ids=["mc-stencil-snr", "mc-stencil-threshold", "dmt-threshold"])
+    def test_overflow_near_float_max_exit_code(self, tmp_path, capsys, power, r, methods, named):
+        # the stencil sits 0.25 dB above the point's SNR; tau = (1+gamma)^r - 1
+        # overflows for r > 1 long before gamma does
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"sweep = lambda\nstart = 0.3\nstop = 0.7\nsteps = 3\np1 = {power}\n"
+            f"p2 = {power}\nr = {r}\nmethods = {methods}\nmc_n = 2000\n"
+            f"output_path = {tmp_path / 'x.csv'}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert named in capsys.readouterr().err
+
     def test_series_beyond_reach_exit_code(self, tmp_path, capsys):
         # 60 dB with lambda = eta = 0.002 puts mu/s at 3.1e4 in each direction
         path = tmp_path / "exp.cfg"
