@@ -110,6 +110,19 @@ def _clamp_probability(values: np.ndarray, context: str) -> tuple[np.ndarray, Ch
     ))
 
 
+def _overflows(what: str, value, gamma) -> Check:
+    """The check that fails a point whose ``value``, a product formed under
+    ``np.errstate(over="ignore")``, is not finite.  ``value`` holds one entry
+    per point, or one row per point; the error names ``what`` and the SNR
+    ``gamma`` (shaped like ``value``) of the point's first overflowed entry."""
+    bad = ~np.isfinite(value)
+    gammas = np.broadcast_to(gamma, bad.shape)
+    if bad.ndim < 2:
+        bad, gammas = bad.reshape(-1, 1), gammas.reshape(-1, 1)
+    return bad.any(axis=1), lambda i: DomainError(
+        f"{what} overflows at gamma={gammas[i][bad[i]][0]}")
+
+
 class Direction(NamedTuple):
     """One direction's SNR law, gamma = a*X*Y/(b*X + c) with X ~ Exp(own)
     and Y ~ Exp(other), and its survival function
@@ -131,7 +144,10 @@ class Direction(NamedTuple):
 def _direction(a, own, other, b, c) -> Direction:
     # own*other is the same float in both directions, so equal powers give
     # bit-equal mu.
-    return Direction(a, own, other, b / (a * other), c / (a * (own * other)))
+    with np.errstate(over="ignore"):
+        scale, joint = a * other, a * (own * other)
+    _raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a))
+    return Direction(a, own, other, b / scale, c / joint)
 
 
 class _Batch(NamedTuple):
@@ -721,12 +737,16 @@ def x0_symmetric(r, gamma, coeffs: DerivedCoeffs):
 
         X0 = b*tau/(2*gamma) * (1 + sqrt(1 + 4*c*gamma/(b^2*tau))),
 
-    with tau = (1+gamma)^r - 1, elementwise.
+    with tau = (1+gamma)^r - 1, elementwise.  A product in it that passes the
+    float range raises DomainError naming the product and its gamma.
     """
     _positive_r_and_gamma(r, gamma)
     b, c = coeffs.b, coeffs.c
     tau = (1.0 + gamma) ** r - 1.0
-    return b * tau / (2.0 * gamma) * (1.0 + np.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau)))
+    with np.errstate(over="ignore"):
+        scaled, spread = 4.0 * c * gamma, b * b * tau
+    _raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
+    return b * tau / (2.0 * gamma) * (1.0 + np.sqrt(1.0 + scaled / spread))
 
 
 def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
@@ -739,13 +759,20 @@ def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
         S = sqrt(1 + 4*c*gamma/(b^2*tau)).
 
     Both are verified against central finite differences in the test suite.
+    A product in them that passes the float range raises DomainError naming
+    the product and its gamma.
     """
     _positive_r_and_gamma(r, gamma)
     b, c = coeffs.b, coeffs.c
     tau = (1.0 + gamma) ** r - 1.0
-    numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - (1.0 + gamma) ** r + 1.0
-    big_b = numer / gamma**2
-    s_fac = np.sqrt(1.0 + 4.0 * c * gamma / (b * b * tau))
+    with np.errstate(over="ignore", invalid="ignore"):
+        numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - (1.0 + gamma) ** r + 1.0
+        square, scaled, spread = np.square(gamma), 4.0 * c * gamma, b * b * tau
+    _raise_first(*(_overflows(what, value, gamma) for what, value in (
+        ("gamma**2", square), ("4*c*gamma", scaled), ("b*b*tau", spread),
+        ("r*gamma*(1+gamma)^(r-1)", numer))))
+    big_b = numer / square
+    s_fac = np.sqrt(1.0 + scaled / spread)
     big_a = big_b * (0.5 * b * (1.0 + s_fac) - c * gamma / (b * tau * s_fac))
     return big_a, big_b
 
@@ -757,7 +784,8 @@ def dmt(params, r) -> float:
     Evaluated on the closed-form lower-bound outage under symmetric traffic
     (P1 = P2 = P, equal targets induced by r); powers that differ raise
     ParameterError (``model.check_symmetric_powers``), and a threshold
-    (1+gamma)^r - 1 past the float range raises DomainError.
+    (1+gamma)^r - 1, or a product of the corner or its derivatives, past the
+    float range raises DomainError.
     """
     (params, r), batched = per_point(params, r)
     check_symmetric_powers(params)

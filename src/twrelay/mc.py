@@ -291,9 +291,11 @@ def estimate_diversity_fd(
     independence-based error propagation below is conservative.  A stencil
     point with fewer than 100 outage events raises ``InsufficientSamplesError``
     naming its SNR in dB, for the first point with one, its higher stencil
-    point checked first; the error's ``point`` is that point's index.  A
-    stencil point whose SNR, power or threshold is not a positive finite
-    float raises ``DomainError`` the same way, before any sampling.
+    point checked first; the error's ``point`` is that point's index.  So does
+    one with fewer than 100 samples out of outage, where nearly every draw is
+    an outage and the difference would read 0.  A stencil point whose SNR,
+    power or threshold is not a positive finite float raises ``DomainError``
+    the same way, before any sampling.
     """
     points = _points(params, r)
     check_symmetric_powers([base for base, _ in points])
@@ -328,6 +330,11 @@ def estimate_diversity_fd(
         if est.mean * n < 100:
             raise failed_at(k // 2, InsufficientSamplesError(
                 f"only {est.mean * n:.0f} outage events at gamma_db="
+                f"{point_db:.3g}; need >= 100 to difference"
+            ))
+        if (1.0 - est.mean) * n < 100:
+            raise failed_at(k // 2, InsufficientSamplesError(
+                f"only {(1.0 - est.mean) * n:.0f} non-outage samples at gamma_db="
                 f"{point_db:.3g}; need >= 100 to difference"
             ))
     estimates = []

@@ -4,6 +4,12 @@ golden_specfun.json holds special-function values: each argument is a
 double, mpmath evaluates the function at that exact binary value with 50
 significant digits, and the result is rounded once to the nearest double.
 
+golden_specfun_dense.json holds the same functions, made the same way, on
+dense grids of 2,000 log-spaced points each: x*K1(x) on [1e-10, 700],
+E1 on [1e-300, 700] and Psi(1, 1; z) on [1e-300, 1e300].  Each grid also
+holds every seam of the branches in src/twrelay/specfun.py with the doubles
+on both sides of it.
+
 golden_integrals.json holds the package's integrals, each by mpmath's
 tanh-sinh quadrature at 20 digits over panels split at every decade
 where the integrand changes shape:
@@ -12,7 +18,7 @@ integrals int_0^inf exp(-s*z) x*K1(x)/(1+z) dz with x = 2*sqrt(mu*z), and
 the ergodic capacity at parameter points of the box snr -10..60 dB,
 lambda 0.05..0.95, eta 0.3..1, epsilon 0..1, d1 0.1..0.9, path-loss
 exponent 2..4 (symmetric powers, unit noise), with the direction rates
-derived from the parameters in mpmath.  Both files were made with
+derived from the parameters in mpmath.  All three files were made with
 mpmath 1.3.0:
 
     python tests/data/make_golden.py
@@ -26,27 +32,52 @@ import numpy as np
 
 DIGITS = 50
 INTEGRAL_DIGITS = 20
+DENSE_POINTS = 2000
+
+#: Where the branches of src/twrelay/specfun.py meet.
+XK1_SEAMS = (1e-10, 2.0)
+E1_SEAMS = (1.0, 4.0)
 
 
 def _table(func, args):
     return [[float(a), float(func(mp.mpf(float(a))))] for a in args]
 
 
+def _dense_grid(lo, hi, seams):
+    """DENSE_POINTS log-spaced points on [lo, hi], and each seam with the
+    doubles just below and just above it."""
+    near = [np.nextafter(s, d) for s in seams for d in (0.0, np.inf)]
+    return np.unique(np.concatenate([np.geomspace(lo, hi, DENSE_POINTS), seams, near]))
+
+
+def _xk1(x):
+    return x * mp.besselk(1, x)
+
+
+def _psi11(z):
+    return mp.exp(z) * mp.e1(z)
+
+
 def main() -> None:
     mp.mp.dps = DIGITS
-    # Both sides of the switch from e^z E1(z) to hyperu at z = 700.
+    # Both sides of z = 700, past which e^z alone soon overflows.
     psi_switch = [650.0, 699.0, 700.0, 700.5, 701.0, 709.5, 710.0, 750.0]
     data = {
         "mpmath_version": mp.__version__,
         "digits": DIGITS,
-        "xk1": _table(lambda x: x * mp.besselk(1, x), np.geomspace(1e-8, 700.0, 121)),
-        "psi11": _table(
-            lambda z: mp.exp(z) * mp.e1(z),
-            np.concatenate([np.geomspace(1e-300, 1e10, 121), psi_switch]),
-        ),
+        "xk1": _table(_xk1, np.geomspace(1e-8, 700.0, 121)),
+        "psi11": _table(_psi11, np.concatenate([np.geomspace(1e-300, 1e10, 121), psi_switch])),
         "e1": _table(mp.e1, np.geomspace(1e-300, 700.0, 121)),
     }
     _write("golden_specfun.json", data)
+    dense = {
+        "mpmath_version": mp.__version__,
+        "digits": DIGITS,
+        "xk1": _table(_xk1, _dense_grid(1e-10, 700.0, XK1_SEAMS)),
+        "e1": _table(mp.e1, _dense_grid(1e-300, 700.0, E1_SEAMS)),
+        "psi11": _table(_psi11, _dense_grid(1e-300, 1e300, E1_SEAMS)),
+    }
+    _write("golden_specfun_dense.json", dense)
     mp.mp.dps = INTEGRAL_DIGITS
     _write("golden_integrals.json", _integrals())
 

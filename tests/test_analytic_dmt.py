@@ -1,7 +1,9 @@
 """Finite-SNR diversity-multiplexing tradeoff."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from helpers import central_diff, corner_point_root_solve, make_params
@@ -71,6 +73,21 @@ class TestDmtCoefficients:
             dmt_coefficients(0.0, 100.0, COEFFS)
         with pytest.raises(DomainError):
             dmt_coefficients(0.5, 0.0, COEFFS)
+
+    @pytest.mark.parametrize("func, r, gamma, coeffs, named", [
+        (dmt_coefficients, 1.5, 1e200, COEFFS, "gamma**2"),
+        (dmt_coefficients, 0.5, 1e10, DerivedCoeffs(b=2.5, c=1e300), "4*c*gamma"),
+        (dmt_coefficients, 2.0, 1.2e154, COEFFS, "b*b*tau"),
+        (dmt_coefficients, 2.0, 1.2e154, DerivedCoeffs(b=1.0, c=4.0 / 3.0),
+         "r*gamma*(1+gamma)^(r-1)"),
+        (x0_symmetric, 0.5, 1e10, DerivedCoeffs(b=2.5, c=1e300), "4*c*gamma"),
+        (x0_symmetric, 2.0, 1.2e154, COEFFS, "b*b*tau"),
+    ], ids=["coeffs-square", "coeffs-4cg", "coeffs-b2tau", "coeffs-numerator", "x0-4cg", "x0-b2tau"])
+    def test_overflow_is_named(self, func, r, gamma, coeffs, named):
+        # a product past the float range raises, where it used to warn and
+        # return inf, nan or 0
+        with pytest.raises(DomainError, match=re.escape(f"{named} overflows at gamma={gamma}")):
+            func(np.array([r]), np.array([gamma]), coeffs)
 
 
 def lower_bound_outage(r, gamma):

@@ -413,3 +413,11 @@ class TestDiversityStencilErrors:
         with pytest.raises(InsufficientSamplesError, match="gamma_db=19.8") as info:
             estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
         assert info.value.point == 0
+
+    def test_saturated_stencil_point_is_named(self, monkeypatch):
+        # nearly every draw an outage: the difference of logs would read 0
+        self._with_events(monkeypatch, [500, 800, 9_950, 9_990])
+        with pytest.raises(InsufficientSamplesError,
+                           match="only 50 non-outage samples at gamma_db=30.2") as info:
+            estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
+        assert info.value.point == 1

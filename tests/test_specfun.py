@@ -7,6 +7,7 @@ existed; the oracles are re-evaluated here so drift in either side fails.
 
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,10 +62,13 @@ class TestBesselK1:
             assert math.exp(-x) <= scaled <= 1.0
 
     def test_branch_seam_is_continuous(self):
-        # scipy's K1 (cephes) switches Chebyshev expansions at x = 2
+        # the ascending series hands over to the expansion in 1/x at x = 2;
+        # TestDenseGolden checks every seam of every function against mpmath
         lo = bessel_xk1(1.999999999)
         hi = bessel_xk1(2.000000001)
         assert lo == pytest.approx(hi, rel=5e-8)
+        below, above = bessel_xk1(np.nextafter(2.0, 0.0)), bessel_xk1(np.nextafter(2.0, 3.0))
+        assert below == pytest.approx(above, rel=4e-15)
 
     def test_matches_scipy_across_range(self):
         for x in np.geomspace(1e-6, 50.0, 500):
@@ -192,6 +196,39 @@ class TestGoldenValues:
     def test_psi11_domain_errors(self, bad):
         with pytest.raises(DomainError):
             tricomi_psi11(bad)
+
+
+DENSE = json.loads(
+    (Path(__file__).parent / "data" / "golden_specfun_dense.json").read_text(encoding="utf-8")
+)
+FUNCS = {"xk1": bessel_xk1, "e1": exp_integral_e1, "psi11": tricomi_psi11}
+
+#: Every seam between two branches of the numpy kernels, per function.
+SEAMS = [("xk1", 1e-10), ("xk1", 2.0), ("e1", 1.0), ("e1", 4.0), ("psi11", 1.0), ("psi11", 4.0)]
+
+
+class TestDenseGolden:
+    """Against mpmath on dense grids and at every branch seam, frozen by
+    tests/data/make_golden.py, to the 4e-15 relative accuracy gate."""
+
+    @pytest.mark.parametrize("key", sorted(FUNCS))
+    def test_within_gate_wherever_normal(self, key):
+        x, ref = np.array(DENSE[key]).T
+        normal = ref >= sys.float_info.min
+        assert normal.sum() >= 2000
+        rel = np.abs(FUNCS[key](x[normal]) - ref[normal]) / ref[normal]
+        assert rel.max() <= 4e-15, x[normal][np.argmax(rel)]
+
+    @pytest.mark.parametrize("key, seam", SEAMS)
+    def test_seam_doubles_in_grid_and_continuous(self, key, seam):
+        below, above = np.nextafter(seam, 0.0), np.nextafter(seam, math.inf)
+        frozen = {x: ref for x, ref in DENSE[key]}
+        values = [FUNCS[key](float(x)) for x in (below, seam, above)]
+        for x, value in zip((below, seam, above), values):
+            assert abs(value - frozen[x]) <= 4e-15 * frozen[x]
+        # the branches agree across the seam to the gate; the function
+        # itself moves by about 1e-16 over two doubles
+        assert abs(values[0] - values[2]) <= 4e-15 * values[1]
 
 
 class TestDigamma:

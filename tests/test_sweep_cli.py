@@ -492,7 +492,17 @@ class TestCli:
          "lambda=0.3, method=mc: diversity stencil point gamma_db=2500.25 (r=1.5)"),
         ("1e250", 1.5, "dmt",
          "lambda=0.3, method=dmt: threshold (1+gamma)^r - 1 overflows at gamma=1e+250"),
-    ], ids=["mc-stencil-snr", "mc-stencil-threshold", "dmt-threshold"])
+        ("1.7e308", 0.5, "dmt",
+         "lambda=0.3, method=dmt: a*omega_j overflows at gamma=1.7e+308"),
+        ("1e200", 1.5, "dmt",
+         "lambda=0.3, method=dmt: gamma**2 overflows at gamma=1e+200"),
+        ("1.3e154", 2.0, "dmt",
+         "lambda=0.3, method=dmt: b*b*tau overflows at gamma=1.3e+154"),
+        # every stencil draw is an outage, so the difference would read -0
+        ("1e200", 1.5, "mc, dmt",
+         "lambda=0.3, method=mc: only 0 non-outage samples at gamma_db=2e+03"),
+    ], ids=["mc-stencil-snr", "mc-stencil-threshold", "dmt-threshold", "dmt-direction-product",
+            "dmt-gamma-square", "dmt-threshold-square", "mc-stencil-saturated"])
     def test_overflow_near_float_max_exit_code(self, tmp_path, capsys, power, r, methods, named):
         # the stencil sits 0.25 dB above the point's SNR; tau = (1+gamma)^r - 1
         # overflows for r > 1 long before gamma does
@@ -568,21 +578,29 @@ class TestCli:
 
 
 class TestImports:
-    def test_cli_import_leaves_out_quadpack(self):
-        # scipy.integrate, which pulls in scipy.optimize, cost about 0.2 s of
-        # every fresh process; the package integrates on its own fixed rule
+    @staticmethod
+    def _modules_after_cli_import(selected: str) -> str:
+        """What a fresh interpreter prints for ``sorted(m for m in
+        sys.modules if <selected>)`` after ``import twrelay.cli``."""
         src = str(Path(cli.__file__).parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        probe = (
-            "import sys, twrelay.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))"
-        )
+        probe = f"import sys, twrelay.cli; print(sorted(m for m in sys.modules if {selected}))"
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": path}, check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_out_quadpack(self):
+        # scipy.integrate, which pulls in scipy.optimize, cost about 0.2 s of
+        # every fresh process; the package integrates on its own fixed rule
+        selected = "m in ('scipy.integrate', 'scipy.optimize')"
+        assert self._modules_after_cli_import(selected) == "[]"
+
+    def test_cli_import_leaves_out_scipy(self):
+        # the special functions are numpy polynomials; scipy is a test oracle
+        selected = "m == 'scipy' or m.startswith('scipy.')"
+        assert self._modules_after_cli_import(selected) == "[]"
 
 
 class TestMetadata:
