@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -158,12 +159,21 @@ class _Batch(NamedTuple):
     d: Direction
 
 
+#: The fields of a point, in SystemParams order.
+_NAMES = tuple(f.name for f in fields(SystemParams))
+_FIELDS = attrgetter(*_NAMES)
+
+
 def _batch(params: list[SystemParams]) -> _Batch:
-    rows = np.array([(*derived_coeffs(p), p.p2, p.p1, p.omega1, p.omega2, p.sigma2)
-                     for p in params], dtype=float).reshape(-1, 7)
-    b, c, own = rows[:, :1], rows[:, 1:2], rows[:, 4:6]
+    # One row of fields per point; its columns, as a SystemParams of arrays,
+    # give every point's b and c from one derived_coeffs call.
+    rows = np.array([_FIELDS(p) for p in params], dtype=float).reshape(-1, len(_NAMES))
+    columns = SystemParams(*rows.T)
+    b, c = derived_coeffs(columns)
+    own = np.stack((columns.omega1, columns.omega2), axis=1)
     # Direction 1 is carried by P2 and its own gain is |h1|^2; direction 2 mirrors it.
-    return _Batch(b[:, 0], c[:, 0], _direction(rows[:, 2:4] / rows[:, 6:], own, own[:, ::-1], b, c))
+    a = np.stack((columns.p2, columns.p1), axis=1) / columns.sigma2[:, None]
+    return _Batch(b, c, _direction(a, own, own[:, ::-1], b[:, None], c[:, None]))
 
 
 def _taus(targets: list[TargetRates]) -> np.ndarray:

@@ -10,6 +10,7 @@ error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import load_config, with_overrides
@@ -28,7 +29,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built at the first ``main`` call of a process and
+    reused by the later ones: parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="twrelay",
         description="Two-way energy-harvesting relay performance lab",

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ConfigError, ParameterError
 from .methods import FAMILIES, METHODS
@@ -74,14 +76,28 @@ class ExperimentConfig:
             )
         return families.pop() if families else "outage"
 
+    # The parts of a point that no axis value changes are worked out once
+    # per config; cached_property stores them past the frozen __setattr__.
+    @cached_property
     def base_powers(self) -> tuple[float, float]:
         if self.p1 is not None:
             return float(self.p1), float(self.p2)
         p = _snr_power(self.sigma2, self.snr_db)
         return p, p
 
+    @cached_property
+    def targets(self) -> TargetRates:
+        """The targets of every point, set by t1 and t2."""
+        try:
+            return TargetRates.from_rates(self.t1, self.t2)
+        except OverflowError:  # of tau = 2^(2t) - 1
+            raise ParameterError(
+                f"target rates ({self.t1}, {self.t2}) give thresholds 2^(2t) - 1 "
+                "past the float range"
+            ) from None
+
     def base_params(self) -> SystemParams:
-        p1, p2 = self.base_powers()
+        p1, p2 = self.base_powers
         return build_params(
             p1, p2, self.sigma2, self.eta, self.lam, self.epsilon,
             self.d1, self.path_loss_exp,
@@ -109,10 +125,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{m} has no {FAMILIES[family].noun} interpretation")
         if self.sweep == "r" and family != "dmt":
             raise ConfigError("an r sweep only applies to the dmt metric")
-        if self.t1 < 0 or self.t2 < 0:
-            raise ConfigError(f"target rates must be >= 0; got ({self.t1}, {self.t2})")
         if self.mc_n < 1:
             raise ConfigError(f"mc_n must be >= 1; got {self.mc_n}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0; got {self.seed}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1; got {self.workers}")
         if (self.p1 is None) != (self.p2 is None):
@@ -120,7 +136,7 @@ class ExperimentConfig:
         if not self.output_path:
             raise ConfigError("output_path must be set")
         # Each point check bounds one key by an interval, so a sweep whose two
-        # ends resolve has every point in range.
+        # ends resolve has every point in range; resolving checks the targets.
         try:
             base = self.base_params()
             if family == "dmt":
@@ -131,8 +147,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     params: SystemParams
     targets: TargetRates
     r: float
@@ -145,7 +160,7 @@ def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
     thresholds at each SNR they use.  This is the one binding of a swept
     value, used by the sweep engine for every point and by ``validate`` for
     the two ends; a value outside its key's range raises ParameterError."""
-    p1, p2 = config.base_powers()
+    p1, p2 = config.base_powers
     lam, d1, r = config.lam, config.d1, config.r
     if config.sweep == "snr_db":
         p1 = p2 = _snr_power(config.sigma2, value)
@@ -161,8 +176,7 @@ def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
         p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
         config.path_loss_exp,
     )
-    targets = TargetRates.from_rates(config.t1, config.t2)
-    return SweepPoint(params=params, targets=targets, r=r)
+    return SweepPoint(params, config.targets, r)
 
 
 #: The one config key that is not its field's name: a Python keyword cannot be one.

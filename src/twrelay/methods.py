@@ -1,12 +1,12 @@
 """The sweep methods in one table: for each method name a config may list,
 one evaluator per metric family it serves, and its CSV rows with how
-``validate`` judges each.  An evaluator maps ``(config, points)`` to one
-output tuple per point, each value a float or an ``mc.Estimate``, by one
-batched call of an ``analytic.*`` or ``mc.*`` function over all points; a
-failure is marked with the index of its first failing point
-(``errors.failed_at``).  Methods that share an evaluator share its outputs,
-each taking its rows from ``first`` on, so a sweep runs each closed form
-once.  Evaluators look up ``analytic.*`` and ``mc.*`` when called, so a
+``validate`` judges each.  An evaluator maps ``(config, points)`` to its
+output columns, each one value per point, a float or an ``mc.Estimate``,
+by one batched call of an ``analytic.*`` or ``mc.*`` function over all
+points; a failure is marked with the index of its first failing point
+(``errors.failed_at``).  Methods that share an evaluator share its columns,
+each taking its rows from column ``first`` on, so a sweep runs each closed
+form once.  Evaluators look up ``analytic.*`` and ``mc.*`` when called, so a
 function rebound there is the one that runs.
 """
 
@@ -56,9 +56,14 @@ def _targets(points) -> list:
     return [p.targets for p in points]
 
 
-def _column(values) -> list[tuple]:
-    """One output tuple per point from a batch of one value per point."""
-    return [(v,) for v in values]
+def _column(values) -> tuple:
+    """The output columns of a batch of one value per point."""
+    return (values,)
+
+
+def _columns(outputs) -> tuple:
+    """The output columns of a batch of one tuple of values per point."""
+    return tuple(zip(*outputs))
 
 
 def _outage_exact(c, points):
@@ -66,7 +71,7 @@ def _outage_exact(c, points):
 
 
 def _outage_bounds(c, points):
-    return analytic.outage_bounds(_params(points), _targets(points))
+    return _columns(analytic.outage_bounds(_params(points), _targets(points)))
 
 
 METHODS: dict[str, Method] = {
@@ -94,10 +99,10 @@ METHODS: dict[str, Method] = {
     "capacity_quadrature": _one("capacity", EXACT, lambda c, points: _column(
         analytic.capacity_quadrature(_params(points)))),
     "capacity_series": _one("capacity", EXACT, lambda c, points: _column(
-        r.value for r in analytic.capacity_series(_params(points)))),
+        [r.value for r in analytic.capacity_series(_params(points))])),
     # The bounds come as one (lower, tight_upper, loose_upper) triple per point.
     "capacity_bounds": Method(
-        {"capacity": lambda c, points: analytic.capacity_bounds(_params(points))},
+        {"capacity": lambda c, points: _columns(analytic.capacity_bounds(_params(points)))},
         ((":lower", LOWER), (":tight_upper", UPPER), (":loose_upper", UPPER)),
     ),
     "dmt": _one("dmt", EXACT, lambda c, points: _column(

@@ -61,8 +61,8 @@ class TargetRates:
 
     @classmethod
     def from_rates(cls, t1: float, t2: float) -> "TargetRates":
-        if t1 < 0 or t2 < 0:
-            raise ParameterError(f"target rates must be >= 0; got ({t1}, {t2})")
+        if not (0.0 <= t1 < math.inf and 0.0 <= t2 < math.inf):
+            raise ParameterError(f"target rates must be finite and >= 0; got ({t1}, {t2})")
         return cls(t1, t2, 2.0 ** (2.0 * t1) - 1.0, 2.0 ** (2.0 * t2) - 1.0)
 
     @classmethod
@@ -89,14 +89,13 @@ def build_params(
     """Validate ranges and derive the fading means from the geometry.
 
     The two sources sit a unit distance apart with the relay at d1 from
-    source 1, so omega1 = 1/d1^ple and omega2 = 1/(1-d1)^ple.
+    source 1, so omega1 = 1/d1^ple and omega2 = 1/(1-d1)^ple.  The powers,
+    the noise, the fading means and c = 1/(eta*lam) must be positive finite
+    floats; a value that is not raises ParameterError naming its inputs.
     """
-    if p1 <= 0:
-        raise ParameterError(f"p1 must be positive; got {p1}")
-    if p2 <= 0:
-        raise ParameterError(f"p2 must be positive; got {p2}")
-    if sigma2 <= 0:
-        raise ParameterError(f"sigma2 must be positive; got {sigma2}")
+    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf and 0.0 < sigma2 < math.inf):
+        raise ParameterError(
+            f"p1, p2 and sigma2 must be positive finite floats; got ({p1}, {p2}, {sigma2})")
     if not 0 < eta <= 1:
         raise ParameterError(f"eta must lie in (0, 1]; got {eta}")
     if not 0 < lam < 1:
@@ -107,7 +106,16 @@ def build_params(
         raise ParameterError(f"d1 must lie strictly inside (0, 1); got {d1}")
     if path_loss_exp <= 0:
         raise ParameterError(f"path_loss_exp must be positive; got {path_loss_exp}")
-    return SystemParams(
+    loss1, loss2 = d1**path_loss_exp, (1.0 - d1) ** path_loss_exp
+    # a loss that underflows to 0 gives an infinite mean
+    omega1 = 1.0 / loss1 if loss1 else math.inf
+    omega2 = 1.0 / loss2 if loss2 else math.inf
+    if not (omega1 < math.inf and omega2 < math.inf):
+        raise ParameterError(
+            f"d1 = {d1} and path_loss_exp = {path_loss_exp} give fading means "
+            f"({omega1}, {omega2}); they must be positive finite floats"
+        )
+    params = SystemParams(
         p1=float(p1),
         p2=float(p2),
         sigma2=float(sigma2),
@@ -116,9 +124,19 @@ def build_params(
         epsilon=float(epsilon),
         d1=float(d1),
         path_loss_exp=float(path_loss_exp),
-        omega1=1.0 / d1**path_loss_exp,
-        omega2=1.0 / (1.0 - d1) ** path_loss_exp,
+        omega1=omega1,
+        omega2=omega2,
     )
+    try:
+        c = derived_coeffs(params).c
+    except ZeroDivisionError:  # eta*lam underflows to 0
+        c = math.inf
+    if not c < math.inf:
+        raise ParameterError(
+            f"eta = {eta} and lambda = {lam} give c = 1/(eta*lambda) = {c}; "
+            "it must be a positive finite float"
+        )
+    return params
 
 
 def per_point(*columns) -> tuple[list[list], bool]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     axis_value: float
     method: str
     value: float
@@ -51,10 +51,11 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
     Each method's evaluator runs once over the whole grid (methods that
-    share one share its run), then the rows are emitted point by point in
-    method order.  Deterministic given the seed; writes the CSV and a
-    matplotlib script referencing it (unless ``write=False``).  The output
-    directory is checked before any evaluation, so a bad path fails fast.
+    share one share its run), and each method's rows are columns of its
+    evaluator's output; the rows are emitted point by point in method
+    order.  Deterministic given the seed; writes the CSV and a matplotlib
+    script referencing it (unless ``write=False``).  The output directory
+    is checked before any evaluation, so a bad path fails fast.
     """
     config.validate()
     if write:
@@ -63,7 +64,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     family = config.metric_family
     grid = axis_grid(config)
     points = [resolve_point(config, value) for value in grid]
-    outputs: dict = {}  # evaluator -> its output tuple per point
+    outputs: dict = {}  # evaluator -> its output columns
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
         if evaluate in outputs:
@@ -74,14 +75,16 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
             # an error raised inside an array pass may not know its point
             point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
             raise type(exc)(f"{point}method={method}: {exc}") from exc
-    rows: list[SweepRow] = []
-    for i, value in enumerate(grid):
-        for method in config.methods:
-            spec = METHODS[method]
-            point_outputs = outputs[spec.evaluators[family]][i][spec.first:]
-            for (suffix, _), out in zip(spec.rows, point_outputs):
-                mean, err = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, None)
-                rows.append(SweepRow(value, method + suffix, mean, err))
+    columns = []  # (row name, values, std_errs) of each row of a point, in order
+    for method in config.methods:
+        spec = METHODS[method]
+        for (suffix, _), values in zip(spec.rows, outputs[spec.evaluators[family]][spec.first:]):
+            errs = [None] * len(grid)
+            if isinstance(values[0], Estimate):
+                values, errs = [e.mean for e in values], [e.std_err for e in values]
+            columns.append((method + suffix, values, errs))
+    rows = [SweepRow(value, name, values[i], errs[i])
+            for i, value in enumerate(grid) for name, values, errs in columns]
     metadata = {f"config.{k}": v for k, v in canonical_items(config)}
     metadata["version"] = __version__
     result = SweepResult(
@@ -101,16 +104,14 @@ def _require_writable_dir(path: str) -> None:
         raise ConfigError(f"output directory {directory!r} is not writable")
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.12g}"
-
-
 def write_csv(result: SweepResult, path: str) -> None:
     lines = [f"# {k} = {v}" for k, v in sorted(result.metadata.items())]
     lines.append("axis,method,value,std_err")
-    for row in result.rows:
-        err = _fmt(row.std_err) if row.std_err is not None else ""
-        lines.append(f"{_fmt(row.axis_value)},{row.method},{_fmt(row.value)},{err}")
+    axis_of = None  # the rows of a sweep point share one axis float: format it once
+    for axis, method, value, err in result.rows:
+        if axis is not axis_of:
+            axis_of, head = axis, f"{axis:.12g},"
+        lines.append(f"{head}{method},{value:.12g},{'' if err is None else f'{err:.12g}'}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -1,32 +1,56 @@
-"""Regenerate golden_presets/fig1.csv .. fig4.csv: the CSV of each figure
-preset, frozen byte for byte.
+"""Regenerate golden_presets/: the CSV of each figure preset and of two
+dense closed-form sweeps, frozen byte for byte.
 
-Each file is what ``run_sweep`` writes for ``figure_preset(N, n=200_000)``
-at its shipped seed and 1 worker, the run that
-``test_acceptance.py::test_c12_preset_determinism_across_workers`` repeats
-at 1, 2 and 8 workers and compares with these bytes.  Rerun this only for a
-change meant to alter a preset's output:
+``fig1.csv`` .. ``fig4.csv`` are what ``run_sweep`` writes for
+``figure_preset(N, n=200_000)`` at its shipped seed and 1 worker, the run
+that ``test_acceptance.py::test_c12_preset_determinism_across_workers``
+repeats at 1, 2 and 8 workers and compares with these bytes.
+``out_d1.csv`` and ``dmt_r.csv`` are two sweeps shaped like the benchmark's
+``analytic-dense`` ones on shorter grids (``DENSE``): every outage method
+against the relay position d1, and the diversity gain against the
+multiplexing gain r; ``test_c12_dense_sweeps_frozen`` compares them.  Rerun
+this only for a change meant to alter a preset's or a sweep's output:
 
     PYTHONPATH=src python tests/data/make_golden_presets.py
 """
 
+import os
 import shutil
 import tempfile
 from pathlib import Path
 
+from twrelay.config import ExperimentConfig
 from twrelay.sweep import figure_preset, run_sweep
 
 N = 200_000
+
+OUTAGE = ("exact_quadrature", "exact_taylor", "lower_bound", "upper_bound",
+          "high_snr", "non_coop")
+
+#: The dense sweeps, by CSV stem: the fields of each one's ExperimentConfig.
+DENSE = {
+    "out_d1": dict(sweep="d1", start=0.05, stop=0.95, steps=19, snr_db=15.0,
+                   methods=OUTAGE),
+    "dmt_r": dict(sweep="r", start=0.05, stop=1.0, steps=20, methods=("dmt",)),
+}
+
+
+def dense_config(name: str, out_dir: str) -> ExperimentConfig:
+    """The dense sweep ``name``, writing ``<out_dir>/<name>.csv``."""
+    return ExperimentConfig(
+        **DENSE[name], output_path=os.path.join(out_dir, f"{name}.csv"))
 
 
 def main() -> None:
     out = Path(__file__).parent / "golden_presets"
     out.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as td:
-        for figure in (1, 2, 3, 4):
-            config = figure_preset(figure, n=N, out_dir=td, workers=1)
+        configs = [figure_preset(figure, n=N, out_dir=td, workers=1)
+                   for figure in (1, 2, 3, 4)]
+        configs += [dense_config(name, td) for name in DENSE]
+        for config in configs:
             run_sweep(config)
-            shutil.copyfile(config.output_path, out / f"fig{figure}.csv")
+            shutil.copyfile(config.output_path, out / os.path.basename(config.output_path))
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from data.make_golden_presets import DENSE, dense_config
 from helpers import (
     central_diff,
     corner_point_root_solve,
@@ -363,6 +364,24 @@ def test_c12_preset_determinism_across_workers():
     assert report(
         "C12 preset determinism", all_ok,
         " ".join(detail) + " under 1/2/8 workers, against the frozen CSVs",
+    )
+
+
+def test_c12_dense_sweeps_frozen():
+    """Two dense closed-form sweeps, every outage method against d1 and the
+    diversity gain against r, emit the bytes frozen in
+    ``tests/data/golden_presets`` (written by ``make_golden_presets.py``)."""
+    frozen_dir = Path(__file__).parent / "data" / "golden_presets"
+    differ = []
+    with tempfile.TemporaryDirectory() as td:
+        for name in DENSE:
+            config = dense_config(name, td)
+            run_sweep(config)
+            if open(config.output_path, "rb").read() != (frozen_dir / f"{name}.csv").read_bytes():
+                differ.append(name)
+    assert report(
+        "C12 dense sweeps frozen", not differ,
+        f"{sorted(DENSE)} against the frozen CSVs; differ: {differ or 'none'}",
     )
 
 

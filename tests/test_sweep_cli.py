@@ -447,10 +447,24 @@ class TestCli:
         "sweep = snr_db\nstart = 5\nstop = 20\nt1 = -1\nmethods = dmt",
         "sweep = snr_db\nstart = 0\nstop = 4000\nmethods = exact_quadrature",
         "sweep = lambda\nstart = 0.1\nstop = 0.9\nsnr_db = 4000\nmethods = capacity_quadrature",
+        # values that are not finite, or that give a fading mean or c that is not
+        "sweep = snr_db\nstart = 0\nstop = 30\npath_loss_exp = inf\nmethods = exact_quadrature",
+        "sweep = d1\nstart = 0.1\nstop = 0.9\npath_loss_exp = 2000\nmethods = exact_quadrature",
+        "sweep = lambda\nstart = 0.1\nstop = 0.9\np1 = nan\np2 = nan\nmethods = dmt",
+        "sweep = lambda\nstart = 0.1\nstop = 0.9\np1 = inf\np2 = inf\nmethods = dmt",
+        "sweep = snr_db\nstart = 0\nstop = 30\neta = 1e-320\nmethods = capacity_quadrature",
+        "sweep = snr_db\nstart = 0\nstop = 30\neta = 5e-324\nlambda = 0.25\n"
+        "methods = exact_quadrature",
+        "sweep = snr_db\nstart = 0\nstop = 30\nt1 = nan\nmethods = exact_quadrature",
+        "sweep = d1\nstart = 0.1\nstop = 0.9\nt1 = inf\nmethods = exact_quadrature",
+        "sweep = snr_db\nstart = 0\nstop = 30\nt2 = 600\nmethods = exact_quadrature",
+        "sweep = snr_db\nstart = 0\nstop = 30\nseed = -1\nmethods = mc, exact_quadrature",
     ], ids=[
         "lambda-from-0", "lambda-to-1", "d1-from-0", "d1-to-1", "r-from-0", "r-past-2",
         "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt", "snr-to-4000-db",
-        "base-snr-4000-db",
+        "base-snr-4000-db", "path-loss-inf", "path-loss-2000", "powers-nan", "powers-inf",
+        "eta-gives-c-inf", "eta-lambda-underflow", "t1-nan", "t1-inf", "t2-threshold-overflow",
+        "negative-seed",
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.cfg"
@@ -458,6 +472,44 @@ class TestCli:
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        argv = ["reproduce", "--figure", "1", "--seed", "-3", "--out", str(tmp_path)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_in_process_calls_share_no_state(self, tmp_path, monkeypatch):
+        # the parser is built once per process: a flag given to one call
+        # must not carry over to the next
+        configs = []
+
+        def recording(config, *args, **kwargs):
+            configs.append(config)
+            return run_sweep(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_sweep", recording)
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.mkdir()
+        second.mkdir()
+        bad, good = tmp_path / "bad.cfg", tmp_path / "good.cfg"
+        bad.write_text("nonsense_key = 1\n")
+        good.write_text(
+            "sweep = snr_db\nstart = 10\nstop = 20\nsteps = 2\n"
+            f"methods = exact_quadrature\noutput_path = {tmp_path / 'good.csv'}\n"
+        )
+        fig3 = ["reproduce", "--figure", "3", "--n", "200000"]
+        codes = [
+            cli.main([*fig3, "--out", str(first), "--workers", "2"]),
+            cli.main([*fig3, "--out", str(second)]),
+            cli.main(["run", "--config", str(bad)]),
+            cli.main(["run", "--config", str(good)]),
+        ]
+        assert codes == [0, 0, 2, 0]
+        assert [c.workers for c in configs] == [2, 1, 1]
+        golden = (Path(__file__).parent / "data" / "golden_presets" / "fig3.csv").read_bytes()
+        assert (first / "fig3.csv").read_bytes() == golden
+        assert (second / "fig3.csv").read_bytes() == golden
 
     def test_missing_config_exit_code(self, tmp_path):
         assert (
