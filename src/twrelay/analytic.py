@@ -7,13 +7,14 @@ hypergeometric series, and a bound chain that holds by construction), the
 finite-SNR diversity-multiplexing tradeoff, and the non-cooperative
 direct-link baseline.
 
-Each evaluator takes one point, its ``SystemParams`` (with its
-``TargetRates``, or its multiplexing gain), and returns one value;
-or it takes sequences, one value per point (a single value holds at every
-point, see ``model.per_point``), and returns a tuple of one value per
-point.  The single call is the batch of one: every formula runs as numpy
-array passes over all points of the call.  A point that fails raises for
-the first failing point, marked with its index (``errors.failed_at``).
+Each evaluator takes a ``SystemParams`` (with its ``TargetRates``, or its
+multiplexing gain) whose fields are floats, one point, or columns, one value
+per point, where a float holds at every point.  It returns each of its
+outputs in the shape of its input: a float for one point, a list of one
+float per point for a batch.  The single call is the batch of one: every
+formula runs as numpy array passes over all points of the call.  A point
+that fails raises for the first failing point, marked with its index
+(``errors.failed_at``).
 
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
@@ -37,25 +38,26 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
+    Check,
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
     failed_at,
+    raise_first,
 )
 from .model import (
     DerivedCoeffs,
     SystemParams,
     TargetRates,
+    as_columns,
     check_symmetric_powers,
     derived_coeffs,
-    per_point,
 )
 from .numerics import log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
@@ -75,30 +77,6 @@ _XK1_LOG_BOUND_MAX = 3.9
 
 #: The two branches of that bound cross here; the minimum of them has a kink.
 _XK1_UPPER_KINK = 1.1386957064214889
-
-#: A check over a batch: which points fail it, and the error of point i.
-Check = tuple[np.ndarray, Callable[[int], Exception]]
-
-
-def _raise_first(*checks: Check) -> None:
-    """Raise the error of the first point that fails any of ``checks``,
-    marked with its index; a point runs the checks in the order given."""
-    first = None
-    for bad, error in checks:
-        if bad.any():
-            hit = int(np.argmax(bad))
-            if first is None or hit < first[0]:
-                first = (hit, error)
-    if first is not None:
-        point, error = first
-        raise failed_at(point, error(point))
-
-
-def _result(batched: bool, values):
-    """A tuple of one value per point, or the value of a single call."""
-    values = tuple(values)
-    return values if batched else values[0]
-
 
 def _clamp_probability(values: np.ndarray, context: str) -> tuple[np.ndarray, Check]:
     """``values`` clipped to [0, 1], and the check that fails a point whose
@@ -147,83 +125,55 @@ def _direction(a, own, other, b, c) -> Direction:
     # bit-equal mu.
     with np.errstate(over="ignore"):
         scale, joint = a * other, a * (own * other)
-    _raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a))
+    raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a))
     return Direction(a, own, other, b / scale, c / joint)
 
 
 class _Batch(NamedTuple):
-    """b and c of each point, shape (points,), and both directions, (points, 2)."""
+    """b and c of each point, shape (points,), both directions, (points, 2),
+    and the shape of the call's input: () for one point, (points,) for a batch."""
 
     b: np.ndarray
     c: np.ndarray
     d: Direction
+    shape: tuple
+
+    def shaped(self, values: np.ndarray):
+        """One value per point in the shape of the input: a float for one
+        point, a list for a batch."""
+        return values.reshape(self.shape).tolist()
 
 
-#: The fields of a point, in SystemParams order.
-_NAMES = tuple(f.name for f in fields(SystemParams))
-_FIELDS = attrgetter(*_NAMES)
-
-
-def _batch(params: list[SystemParams]) -> _Batch:
-    # One row of fields per point; its columns, as a SystemParams of arrays,
-    # give every point's b and c from one derived_coeffs call.
-    rows = np.array([_FIELDS(p) for p in params], dtype=float).reshape(-1, len(_NAMES))
-    columns = SystemParams(*rows.T)
+def _batch(params: SystemParams, *more) -> tuple:
+    """The batch of ``params``, followed by ``more`` (per-point values such
+    as thresholds) as (points,) arrays."""
+    shape, columns, more = as_columns(params, *more)
     b, c = derived_coeffs(columns)
     own = np.stack((columns.omega1, columns.omega2), axis=1)
     # Direction 1 is carried by P2 and its own gain is |h1|^2; direction 2 mirrors it.
     a = np.stack((columns.p2, columns.p1), axis=1) / columns.sigma2[:, None]
-    return _Batch(b, c, _direction(a, own, own[:, ::-1], b[:, None], c[:, None]))
+    return (_Batch(b, c, _direction(a, own, own[:, ::-1], b[:, None], c[:, None]), shape),
+            *more)
 
 
-def _taus(targets: list[TargetRates]) -> np.ndarray:
-    return np.array([(t.tau1, t.tau2) for t in targets], dtype=float).reshape(-1, 2)
+def _thresholded(params: SystemParams, targets: TargetRates) -> tuple[_Batch, np.ndarray]:
+    """The batch of ``params`` and its thresholds (tau1, tau2), (points, 2)."""
+    batch, tau1, tau2 = _batch(params, targets.tau1, targets.tau2)
+    return batch, np.stack((tau1, tau2), axis=1)
 
 
 def directions(params) -> tuple[Direction, Direction]:
     """The two directions of a round, direction 1 (into source 1) first;
     for a batch, each field holds one value per point."""
-    (params,), batched = per_point(params)
-    one, two = np.moveaxis(np.stack(_batch(params).d), -1, 0)  # each (fields, points)
-    if not batched:
-        one, two = one[:, 0].tolist(), two[:, 0].tolist()
-    return Direction(*one), Direction(*two)
+    (batch,) = _batch(params)
+    one, two = np.moveaxis(np.stack(batch.d), -1, 0)  # each (fields, points)
+    return Direction(*map(batch.shaped, one)), Direction(*map(batch.shaped, two))
 
 
 def _survival(d: Direction, z):
     """P(gamma > z) for direction ``d``; 1 where z <= 0."""
     z = np.maximum(z, 0.0)
     return np.exp(-d.s * z) * bessel_xk1(2.0 * np.sqrt(d.mu * z))
-
-
-def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
-    """CDF of Z = a*X*Y/(b*X + c) with X ~ Exp(omega1), Y ~ Exp(omega2).
-
-    F_Z(z) = 1 - exp(-z*b/(a*omega2)) * x*K1(x),  x = sqrt(4*z*c/(a*omega1*omega2)).
-
-    Continuous at z = 0 through the x*K1(x) -> 1 limit; for c = 0 the
-    Bessel factor degenerates to 1 and the CDF is plain exponential.
-    """
-    if a <= 0:
-        raise DomainError(f"scale a must be positive; got {a}")
-    if z < 0:
-        raise DomainError(f"z must be >= 0; got {z}")
-    if b < 0 or c < 0:
-        raise DomainError(f"need b, c >= 0; got b={b}, c={c}")
-    if omega1 <= 0 or omega2 <= 0:
-        raise DomainError("fading means must be positive")
-    d = _direction(a, omega1, omega2, b, c)
-    value, check = _clamp_probability(np.array([1.0 - _survival(d, z)]), "cdf_z")
-    _raise_first(check)
-    return float(value[0])
-
-
-class CornerPoint(NamedTuple):
-    """Intersection of the two outage-boundary curves in the gain plane:
-    x0 on the |h1|^2 axis (direction 1's own), y0 on the |h2|^2 axis."""
-
-    x0: float
-    y0: float
 
 
 def _positive_quadratic_root(quad, lin, const):
@@ -263,21 +213,6 @@ def _corner_point(batch: _Batch, taus) -> tuple[np.ndarray, Check]:
         )
 
     return corner, (residual > 1e-9, error)
-
-
-def corner_point(params, tau1, tau2) -> CornerPoint:
-    """Solve the boundary system Y = eps1*(b + c/X), X = eps2*(b + c/Y) with
-    eps_i = tau_i/a_i, from the quadratic-root expressions obtained by
-    substitution.  The result must satisfy both equations to 1e-9 relative.
-    """
-    (params, tau1, tau2), batched = per_point(params, tau1, tau2)
-    taus = np.array([tau1, tau2], dtype=float).T
-    _raise_first(((taus <= 0.0).any(axis=1), lambda i: DomainError(
-        f"corner point needs positive thresholds; got ({tau1[i]}, {tau2[i]})"
-    )))
-    corner, check = _corner_point(_batch(params), taus)
-    _raise_first(check)
-    return _result(batched, map(CornerPoint._make, corner.tolist()))
 
 
 def _segment_integral(k, omega, v):
@@ -320,16 +255,6 @@ def _joint_thresholds(taus):
 
 
 def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
-    joint, taus = _joint_thresholds(taus)
-    d = batch.d
-    corner, residual = _corner_point(batch, taus)
-    strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
-    _, mass = _corner_mass(d, corner)
-    value, clamp = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1], "joint_outage")
-    return np.where(joint, value, 0.0), [(joint & bad, error) for bad, error in (residual, clamp)]
-
-
-def joint_outage(params, tau1, tau2) -> float:
     """P(gamma_1 < tau1, gamma_2 < tau2) via the corner-point decomposition:
 
         1 - exp(-X0/omega1 - Y0/omega2)
@@ -339,33 +264,36 @@ def joint_outage(params, tau1, tau2) -> float:
     direction 1, Y0 for direction 2) and I integrates the boundary strip
     between the corner and the curve (see :func:`_segment_integral`); 0
     where a threshold is 0.  The strips of all points and both directions
-    are one array pass.
+    are one array pass.  Returns the values and the checks of the corner
+    residual and of the excursion from [0, 1].
     """
-    (params, tau1, tau2), batched = per_point(params, tau1, tau2)
-    value, checks = _joint_outage(_batch(params), np.array([tau1, tau2], dtype=float).T)
-    _raise_first(*checks)
-    return _result(batched, value.tolist())
+    joint, taus = _joint_thresholds(taus)
+    d = batch.d
+    corner, residual = _corner_point(batch, taus)
+    strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
+    _, mass = _corner_mass(d, corner)
+    value, clamp = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1], "joint_outage")
+    return np.where(joint, value, 0.0), [(joint & bad, error) for bad, error in (residual, clamp)]
 
 
 def outage_exact(params, targets) -> float:
     """System outage by inclusion-exclusion over the two directions."""
-    (params, targets), batched = per_point(params, targets)
-    batch, taus = _batch(params), _taus(targets)
+    batch, taus = _thresholded(params, targets)
     joint, checks = _joint_outage(batch, taus)
     marginals = (1.0 - _survival(batch.d, taus)).sum(axis=1)
     value, clamp = _clamp_probability(marginals - joint, "outage_exact")
-    _raise_first(*checks, clamp)
-    return _result(batched, value.tolist())
+    raise_first(*checks, clamp)
+    return batch.shaped(value)
 
 
 def outage_bounds(params, targets) -> tuple[float, float]:
-    """Closed-form lower/upper outage bounds, one (lower, upper) pair per point.
+    """Closed-form lower/upper outage bounds: the pair (lower, upper).
 
     Both come from sandwiching the boundary-strip integrals I_i: dropping
     exp(-k/z) on the tail yields the upper bound, shifting the full-line
     integral by exp(-V/omega) the lower one.  With the corner mass
     M = exp(-X0/omega1 - Y0/omega2) and V_i, own_i as in
-    :func:`joint_outage`, the lower bound is Bessel-free:
+    :func:`_joint_outage`, the lower bound is Bessel-free:
 
         P >= 1 + M - sum_i exp(-s_i*tau_i - V_i/own_i),
 
@@ -380,8 +308,7 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     The exact value and the lower bound keep the excursion check.  A point
     with a zero threshold has no corner: both bounds are its exact outage.
     """
-    (params, targets), batched = per_point(params, targets)
-    batch, taus = _batch(params), _taus(targets)
+    batch, taus = _thresholded(params, targets)
     d = batch.d
     survivals = _survival(d, taus)
     exact, exact_check = _clamp_probability((1.0 - survivals).sum(axis=1), "outage_exact")
@@ -393,13 +320,11 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     upper = 1.0 + mass - attenuated[:, 0] - attenuated[:, 1]
     lower, lower_check = _clamp_probability(lower, "outage lower bound")
     upper, upper_check = _clamp_probability(np.minimum(1.0, upper), "outage upper bound")
-    _raise_first(
+    raise_first(
         (~joint & exact_check[0], exact_check[1]),
         *((joint & bad, error) for bad, error in (residual, lower_check, upper_check)),
     )
-    return _result(batched, zip(
-        np.where(joint, lower, exact).tolist(), np.where(joint, upper, exact).tolist()
-    ))
+    return batch.shaped(np.where(joint, lower, exact)), batch.shaped(np.where(joint, upper, exact))
 
 
 def outage_high_snr(params, targets) -> float:
@@ -431,8 +356,8 @@ def outage_high_snr(params, targets) -> float:
     At low SNR the expression exceeds 1, so the contract clamps rather
     than errors.
     """
-    (params, targets), batched = per_point(params, targets)
-    d, taus = _batch(params).d, _taus(targets)
+    batch, taus = _thresholded(params, targets)
+    d = batch.d
     m, kappa = d.s * taus, d.mu * taus
     one_is_weak = kappa[:, 0] > kappa[:, 1]  # on a tie direction 2 is the weak one
     (m_s, m_w), (kappa_s, kappa_w) = (np.where(one_is_weak, v[:, ::-1].T, v.T) for v in (m, kappa))
@@ -447,13 +372,13 @@ def outage_high_snr(params, targets) -> float:
         np.where(apart, m_s * np.exp(-x) - gap * exp_integral_e1(x), 0.0),
     )
     value = np.where(live, np.minimum(np.maximum(value + strong, 0.0), 1.0), 0.0)
-    return _result(batched, value.tolist())
+    return batch.shaped(value)
 
 
-def _sum_rate(nats: np.ndarray) -> list[float]:
+def _sum_rate(nats: np.ndarray) -> np.ndarray:
     """Each point's rate in bit/s/Hz from its two directions' E[ln(1 + gamma_i)]:
     their sum over 2 ln 2, as each direction has half the round."""
-    return (nats.sum(axis=1) / (2.0 * LN2)).tolist()
+    return nats.sum(axis=1) / (2.0 * LN2)
 
 
 def _survival_integral(s, mu, xk1, kink: float | None = None):
@@ -486,9 +411,9 @@ def capacity_quadrature(params) -> float:
     """Ergodic capacity: (1/(2 ln 2)) * sum_i int_0^inf (1 - F_i(z))/(1+z) dz,
     each survival integral on the log-variable rule, all directions of all
     points in one pass."""
-    (params,), batched = per_point(params)
-    d = _batch(params).d
-    return _result(batched, _sum_rate(_survival_integral(d.s, d.mu, bessel_xk1)))
+    (batch,) = _batch(params)
+    d = batch.d
+    return batch.shaped(_sum_rate(_survival_integral(d.s, d.mu, bessel_xk1)))
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -555,20 +480,14 @@ def _scaled_series_factors(s: np.ndarray, terms: slice) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True)
 class CapacitySeries:
-    """Truncated-series capacity value with its truncation diagnostics."""
+    """Truncated-series capacity value with its truncation diagnostics: the
+    value and the largest last |term| of a point's two directions, each a
+    float or one per point, and the terms used by each direction of each
+    point, in order."""
 
     value: float
-    terms_used: tuple[int, int]
+    terms_used: tuple[int, ...]
     tail_estimate: float
-
-
-class CapacitySeriesBatch(tuple):
-    """One ``CapacitySeries`` per point of a batched call."""
-
-    @property
-    def terms_used(self) -> tuple[int, ...]:
-        """Terms used by each direction of each point, in order."""
-        return tuple(n for point in self for n in point.terms_used)
 
 
 def capacity_direction_integral(s, mu):
@@ -600,7 +519,7 @@ def capacity_direction_integral(s, mu):
     """
     s, mu = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(mu, dtype=float))
     shape, s, mu = s.shape, s.ravel(), mu.ravel()
-    _raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
+    raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
     value = tricomi_psi11(s)
     used = np.zeros(s.size, dtype=int)
     last = np.zeros(s.size)
@@ -668,17 +587,15 @@ def capacity_direction_integral(s, mu):
 
 def capacity_series(params) -> CapacitySeries:
     """Ergodic capacity via the Bessel-series decomposition (both
-    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2));
-    a batch gives a ``CapacitySeriesBatch``."""
-    (params,), batched = per_point(params)
-    d = _batch(params).d
+    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2))."""
+    (batch,) = _batch(params)
+    d = batch.d
     try:
         value, used, last = capacity_direction_integral(d.s, d.mu)
     except ConvergenceError as exc:  # its point indexes the flattened (points, 2) arrays
         raise failed_at(exc.point // 2, exc)
-    results = map(CapacitySeries, _sum_rate(value), map(tuple, used.tolist()),
-                  last.max(axis=1, initial=0.0).tolist())
-    return CapacitySeriesBatch(results) if batched else next(results)
+    return CapacitySeries(batch.shaped(_sum_rate(value)), tuple(used.ravel().tolist()),
+                          batch.shaped(last.max(axis=1, initial=0.0)))
 
 
 class CapacityBounds(NamedTuple):
@@ -725,16 +642,16 @@ def capacity_bounds(params) -> CapacityBounds:
     ``lower <= C_e <= tight_upper`` holds exactly on the shared nodes, and
     ``tight_upper <= loose_upper`` to the rule's accuracy.
     """
-    (params,), batched = per_point(params)
-    d = _batch(params).d
+    (batch,) = _batch(params)
+    d = batch.d
     lower = _survival_integral(d.s, d.mu, lambda x: np.exp(-x))
     tight = _survival_integral(d.s, d.mu, _xk1_upper, _XK1_UPPER_KINK)
     loose = tricomi_psi11(d.s)
-    return _result(batched, map(CapacityBounds, *map(_sum_rate, (lower, tight, loose))))
+    return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, loose)))
 
 
 def _positive_r_and_gamma(r, gamma) -> None:
-    _raise_first(
+    raise_first(
         (np.asarray(r) <= 0, lambda i: DomainError(
             f"multiplexing gain must be positive; got {np.ravel(r)[i]}")),
         (np.asarray(gamma) <= 0, lambda i: DomainError(
@@ -755,7 +672,7 @@ def x0_symmetric(r, gamma, coeffs: DerivedCoeffs):
     tau = (1.0 + gamma) ** r - 1.0
     with np.errstate(over="ignore"):
         scaled, spread = 4.0 * c * gamma, b * b * tau
-    _raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
+    raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
     return b * tau / (2.0 * gamma) * (1.0 + np.sqrt(1.0 + scaled / spread))
 
 
@@ -778,7 +695,7 @@ def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
     with np.errstate(over="ignore", invalid="ignore"):
         numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - (1.0 + gamma) ** r + 1.0
         square, scaled, spread = np.square(gamma), 4.0 * c * gamma, b * b * tau
-    _raise_first(*(_overflows(what, value, gamma) for what, value in (
+    raise_first(*(_overflows(what, value, gamma) for what, value in (
         ("gamma**2", square), ("4*c*gamma", scaled), ("b*b*tau", spread),
         ("r*gamma*(1+gamma)^(r-1)", numer))))
     big_b = numer / square
@@ -797,14 +714,14 @@ def dmt(params, r) -> float:
     (1+gamma)^r - 1, or a product of the corner or its derivatives, past the
     float range raises DomainError.
     """
-    (params, r), batched = per_point(params, r)
     check_symmetric_powers(params)
-    (b, c, d), r = _batch(params), np.array(r, dtype=float)
+    batch, r = _batch(params, r)
+    b, c, d = batch.b, batch.c, batch.d
     gamma = d.a[:, 1]  # direction 2 carries P1/sigma2
     coeffs = DerivedCoeffs(b, c)
     with np.errstate(over="ignore"):
         tau = (1.0 + gamma) ** r - 1.0
-    _raise_first((~np.isfinite(tau), lambda i: DomainError(
+    raise_first((~np.isfinite(tau), lambda i: DomainError(
         f"threshold (1+gamma)^r - 1 overflows at gamma={gamma[i]} (r={r[i]})")))
     x0 = x0_symmetric(r, gamma, coeffs)
     big_a, big_b = dmt_coefficients(r, gamma, coeffs)
@@ -814,11 +731,11 @@ def dmt(params, r) -> float:
     # d/dgamma of s_i*tau = (b/other_i)*(tau/gamma) and of x0/own_i, times the terms
     falls = ((big_b * b)[:, None] / d.other + big_a[:, None] / d.own) * terms
     numer = big_a * (1.0 / d.own).sum(axis=1) * mass - falls[:, 0] - falls[:, 1]
-    _raise_first(((denom <= 0.0) | ~np.isfinite(denom), lambda i: DegenerateCaseError(
+    raise_first(((denom <= 0.0) | ~np.isfinite(denom), lambda i: DegenerateCaseError(
         f"lower-bound outage underflowed to {denom[i]} at gamma={gamma[i]} "
         f"(r={r[i]}); the log-derivative is undefined there"
     )))
-    return _result(batched, (gamma * numer / denom).tolist())
+    return batch.shaped(gamma * numer / denom)
 
 
 def non_coop_outage(params, targets) -> float:
@@ -834,13 +751,12 @@ def non_coop_outage(params, targets) -> float:
     This time-sharing convention is a modelling choice, not a uniquely
     determined one.
     """
-    (params, targets), batched = per_point(params, targets)
-    d, taus = _batch(params).d, _taus(targets)
-    return _result(batched, (-np.expm1(-(taus / d.a).max(axis=1))).tolist())
+    batch, taus = _thresholded(params, targets)
+    return batch.shaped(-np.expm1(-(taus / batch.d.a).max(axis=1)))
 
 
 def non_coop_capacity(params) -> float:
     """Sum ergodic rate of the non-cooperative baseline: per direction
     E[ln(1 + a*g)] = e^(1/a) E1(1/a) = Psi(1, 1; 1/a), over 2 ln 2."""
-    (params,), batched = per_point(params)
-    return _result(batched, _sum_rate(tricomi_psi11(1.0 / _batch(params).d.a)))
+    (batch,) = _batch(params)
+    return batch.shaped(_sum_rate(tricomi_psi11(1.0 / batch.d.a)))

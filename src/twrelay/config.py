@@ -3,9 +3,11 @@
 Unknown keys are errors.  The ``lambda`` key maps onto the ``lam``
 attribute (a Python keyword cannot be a field name).  The base operating
 point is given either as explicit powers (``p1``/``p2``) or as a symmetric
-``snr_db`` = 10*log10(P/sigma2); supplying both is rejected.  dB-to-linear
-conversion happens here, at the boundary; everything below works in linear
-scale.
+``snr_db`` = 10*log10(P/sigma2); supplying both is rejected, and so is an
+``snr_db`` sweep with explicit powers.  dB-to-linear conversion happens
+here, at the boundary; everything below works in linear scale.  A config is
+validated when it is made, so none exists invalid, and a sweep resolves its
+whole grid into the columns of one ``SystemParams``.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from typing import NamedTuple
 
-from .errors import ConfigError, ParameterError
+import numpy as np
+
+from .errors import ConfigError, ParameterError, raise_first
 from .methods import FAMILIES, METHODS
 from .model import SystemParams, TargetRates, build_params, check_symmetric_powers
 
@@ -63,6 +66,9 @@ class ExperimentConfig:
     seed: int = 12345
     workers: int = 1
     output_path: str = "sweep.csv"
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     @property
     def metric_family(self) -> str:
@@ -133,6 +139,11 @@ class ExperimentConfig:
             raise ConfigError(f"workers must be >= 1; got {self.workers}")
         if (self.p1 is None) != (self.p2 is None):
             raise ConfigError("p1 and p2 must be given together")
+        if self.sweep == "snr_db" and self.p1 is not None:
+            raise ConfigError(
+                "an snr_db sweep sets p1 = p2 from each axis value; "
+                "give either the snr_db sweep or explicit p1/p2, not both"
+            )
         if not self.output_path:
             raise ConfigError("output_path must be set")
         # Each point check bounds one key by an interval, so a sweep whose two
@@ -140,43 +151,38 @@ class ExperimentConfig:
         try:
             base = self.base_params()
             if family == "dmt":
-                check_symmetric_powers([base])
-            for end in (self.start, self.stop):
-                resolve_point(self, end)
+                check_symmetric_powers(base)
+            resolve_points(self, [self.start, self.stop])
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
 
-class SweepPoint(NamedTuple):
-    params: SystemParams
-    targets: TargetRates
-    r: float
-
-
-def resolve_point(config: ExperimentConfig, value: float) -> SweepPoint:
-    """Bind one value of ``config``'s sweep axis to its config key and return
-    the point: its system parameters, its targets (set by t1 and t2) and its
+def resolve_points(config: ExperimentConfig, values: list[float]):
+    """Bind the ``values`` of ``config``'s sweep axis to its config key and
+    return the points as ``(params, targets, r)``: their system parameters,
+    one column per swept field, their targets (set by t1 and t2) and their
     multiplexing gain r, from which the dmt evaluators derive their own
-    thresholds at each SNR they use.  This is the one binding of a swept
-    value, used by the sweep engine for every point and by ``validate`` for
-    the two ends; a value outside its key's range raises ParameterError."""
+    thresholds at each SNR they use.  This is the one binding of swept
+    values, used by the sweep engine for its grid and by ``validate`` for
+    the two ends; the first value outside its key's range raises
+    ParameterError (ConfigError for a power out of range)."""
+    r = np.array(values) if config.sweep == "r" else config.r
+    gains = np.asarray(r).reshape(-1)
+    raise_first((~((0.0 < gains) & (gains <= 2.0)),
+                 lambda i: ParameterError(f"r must lie in (0, 2]; got {gains[i]}")))
     p1, p2 = config.base_powers
-    lam, d1, r = config.lam, config.d1, config.r
+    lam, d1 = config.lam, config.d1
     if config.sweep == "snr_db":
-        p1 = p2 = _snr_power(config.sigma2, value)
+        p1 = p2 = [_snr_power(config.sigma2, value) for value in values]
     elif config.sweep == "lambda":
-        lam = value
+        lam = values
     elif config.sweep == "d1":
-        d1 = value
-    elif config.sweep == "r":
-        r = value
-    if not 0.0 < r <= 2.0:
-        raise ParameterError(f"r must lie in (0, 2]; got {r}")
+        d1 = values
     params = build_params(
         p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
         config.path_loss_exp,
     )
-    return SweepPoint(params, config.targets, r)
+    return params, config.targets, r
 
 
 #: The one config key that is not its field's name: a Python keyword cannot be one.
@@ -219,9 +225,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     if "snr_db" in seen and ("p1" in seen or "p2" in seen):
         raise ConfigError("give either snr_db or explicit p1/p2, not both")
-    config = ExperimentConfig(**values)
-    config.validate()
-    return config
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -268,6 +272,4 @@ def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
     for key, value in overrides.items():
         field = _KEY_TO_FIELD.get(key, key)
         mapped[field] = value
-    updated = replace(config, **mapped)
-    updated.validate()
-    return updated
+    return replace(config, **mapped)

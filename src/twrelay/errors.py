@@ -6,6 +6,8 @@ marks the error with that point's index (``failed_at``), so a sweep can name
 the axis value.
 """
 
+from typing import Callable
+
 
 class ParameterError(ValueError):
     """A system parameter violates its admissible range."""
@@ -39,3 +41,22 @@ def failed_at(point: int, error: Exception) -> Exception:
     """Mark ``error`` as raised at index ``point`` of a batched call."""
     error.point = point
     return error
+
+
+#: A check over a batch: a boolean array of which points fail it, and the
+#: error of point i.
+Check = tuple[object, Callable[[int], Exception]]
+
+
+def raise_first(*checks: Check) -> None:
+    """Raise the error of the first point that fails any of ``checks``,
+    marked with its index; a point runs the checks in the order given."""
+    first = None
+    for bad, error in checks:
+        if bad.any():
+            hit = int(bad.argmax())
+            if first is None or hit < first[0]:
+                first = (hit, error)
+    if first is not None:
+        point, error = first
+        raise failed_at(point, error(point))

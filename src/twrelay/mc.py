@@ -1,7 +1,12 @@
 """Monte Carlo ground-truth oracles.
 
 Empirical outage probability, ergodic capacity, and a finite-difference
-diversity estimate, each for a whole sequence of points in one pass.
+diversity estimate, each for a whole batch of points in one pass.  The
+points are a ``SystemParams`` (with its ``TargetRates``, or its
+multiplexing gain) whose fields are floats or columns, as in
+:mod:`twrelay.analytic`; each estimator returns one ``Estimate`` whose
+``mean`` and ``std_err`` are floats for one point and lists of one float
+per point for a batch.
 
 Determinism contract: draws are organized into fixed chunks of 2^16 samples;
 chunk k uses the substream ``SeedSequence(entropy=seed, spawn_key=(k,))`` and
@@ -37,23 +42,28 @@ from __future__ import annotations
 
 import math
 import queue
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InsufficientSamplesError, ParameterError, failed_at
+from .errors import (
+    DomainError,
+    InsufficientSamplesError,
+    ParameterError,
+    failed_at,
+    raise_first,
+)
 from .model import (
     DerivedCoeffs,
     SystemParams,
     TargetRates,
+    as_columns,
     check_symmetric_powers,
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
-    per_point,
     snr_denominators,
 )
 
@@ -67,21 +77,20 @@ LN2 = math.log(2.0)
 
 @dataclass(frozen=True)
 class Estimate:
-    """A Monte Carlo mean with its standard error and provenance."""
+    """Monte Carlo means with their standard errors, each a float for one
+    point or a list of one float per point, and their provenance: the
+    samples drawn per point and the seed, shared by every point of a call."""
 
     mean: float
     std_err: float
     n: int
     seed: int
 
-
-class Estimates(tuple):
-    """One ``Estimate`` per point of a call, all on the same draws."""
-
-    @property
-    def n(self) -> int:
-        """Samples drawn by the call (0 when it has no points)."""
-        return self[0].n if self else 0
+    @classmethod
+    def shaped(cls, means: list, errs: list, shape: tuple, n: int, seed: int) -> "Estimate":
+        """The estimate of a call whose input has ``shape``, from its
+        per-point ``means`` and ``errs``."""
+        return cls(np.reshape(means, shape).tolist(), np.reshape(errs, shape).tolist(), n, seed)
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -134,14 +143,13 @@ class _Workspace(NamedTuple):
         return _Workspace(*(buf[:size] for buf in self))
 
 
-def _outage_count(point, gammas, ws: _Workspace) -> int:
-    _, targets = point
-    miss1 = np.less(gammas[0], targets.tau1, out=ws.miss1)
-    miss2 = np.less(gammas[1], targets.tau2, out=ws.miss2)
+def _outage_count(taus, gammas, ws: _Workspace) -> int:
+    miss1 = np.less(gammas[0], taus[0], out=ws.miss1)
+    miss2 = np.less(gammas[1], taus[1], out=ws.miss2)
     return int(np.count_nonzero(np.logical_or(miss1, miss2, out=miss1)))
 
 
-def _rate_sums(point, gammas, ws: _Workspace) -> tuple[float, float]:
+def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
     """Sum and sum of squares of the chunk's sum rates R1 + R2; overwrites
     the SNRs."""
     for gamma in gammas:
@@ -151,9 +159,10 @@ def _rate_sums(point, gammas, ws: _Workspace) -> tuple[float, float]:
 
 
 def _chunk_results(args) -> list:
-    """``kernel(point, gammas, workspace)`` for every point on one chunk's
-    draws, run in a workspace taken from ``pool`` and given back after."""
-    kernel, points, groups, pool, seed, chunk, size = args
+    """``kernel(extra, gammas, workspace)`` for every point on one chunk's
+    draws, with the point's ``extras`` entry, run in a workspace taken from
+    ``pool`` and given back after."""
+    kernel, points, extras, groups, pool, seed, chunk, size = args
     whole = pool.get()
     try:
         ws = whole.cut(size)
@@ -166,14 +175,12 @@ def _chunk_results(args) -> list:
             np.multiply(omega2, e2, out=g2)
             prod = gain_product(g1, g2, out=ws.prod)
             for members in subgroups.values():
-                first = points[members[0]][0]
-                dens = snr_denominators(first, g1, g2, out=(ws.den1, ws.den2))
+                dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
                 for i in members:
                     gammas = end_to_end_snrs(
-                        points[i][0], g1, g2, prod=prod, dens=dens,
-                        out=(ws.gamma1, ws.gamma2),
+                        points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
                     )
-                    results[i] = kernel(points[i], gammas, ws)
+                    results[i] = kernel(extras[i], gammas, ws)
         return results
     finally:
         pool.put(whole)
@@ -186,36 +193,36 @@ def _map_chunks(func, arglist, workers: int):
         return list(pool.map(func, arglist))
 
 
-def _chunk_tasks(kernel, points: list[tuple], n: int, seed: int, workers: int):
+def _chunk_tasks(kernel, params: SystemParams, extras: list, n: int, seed: int, workers: int):
     """The ``_chunk_results`` argument of every chunk, in chunk order.
 
-    A point is a tuple whose first element is its ``SystemParams``.  Points
-    are grouped by fading means, which share one scaling of each chunk and
-    its gain product, and within that by ``derived_coeffs``, which share the
-    SNR denominators.  The chunks share ``min(workers, chunks)`` workspaces.
+    ``params`` holds (points,) columns, and ``extras`` one kernel argument
+    per point.  A chunk evaluates point by point, each on its own floats.
+    Points are grouped by fading means, which share one scaling of each
+    chunk and its gain product, and within that by ``derived_coeffs``, which
+    share the SNR denominators.  The chunks share ``min(workers, chunks)``
+    workspaces.
     """
+    points = [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(params).values()))]
     groups: dict[tuple[float, float], dict[DerivedCoeffs, list[int]]] = {}
-    for i, (params, *_) in enumerate(points):
-        subgroups = groups.setdefault((params.omega1, params.omega2), {})
-        subgroups.setdefault(derived_coeffs(params), []).append(i)
+    for i, point in enumerate(points):
+        subgroups = groups.setdefault((point.omega1, point.omega2), {})
+        subgroups.setdefault(derived_coeffs(point), []).append(i)
     sizes = _chunk_sizes(n)
     pool = queue.SimpleQueue()
     for _ in range(min(workers, len(sizes))):
         pool.put(_Workspace.empty(sizes[0]))
-    return [(kernel, points, groups, pool, seed, k, size) for k, size in enumerate(sizes)]
+    return [(kernel, points, extras, groups, pool, seed, k, size)
+            for k, size in enumerate(sizes)]
 
 
-def _map_points(kernel, points: list[tuple], n: int, seed: int, workers: int):
-    """Per point, its ``kernel`` result on every chunk, in chunk order."""
-    if not points:
+def _map_points(kernel, params: SystemParams, extras: list, n: int, seed: int, workers: int):
+    """Per point of the (points,) columns ``params``, its ``kernel`` result
+    on every chunk, in chunk order."""
+    if not extras:
         return []
-    tasks = _chunk_tasks(kernel, points, n, seed, workers)
+    tasks = _chunk_tasks(kernel, params, extras, n, seed, workers)
     return list(zip(*_map_chunks(_chunk_results, tasks, workers)))
-
-
-def _points(*columns) -> list[tuple]:
-    """Zip per-point columns (see ``model.per_point``)."""
-    return list(zip(*per_point(*columns)[0]))
 
 
 def _validate_n(n: int) -> int:
@@ -225,64 +232,53 @@ def _validate_n(n: int) -> int:
 
 
 def estimate_outage(
-    params: SystemParams | Sequence[SystemParams],
-    targets: TargetRates | Sequence[TargetRates],
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> Estimates:
+    params: SystemParams, targets: TargetRates, n: int, seed: int, workers: int = 1,
+) -> Estimate:
     """Per point, the fraction of rounds where either direction misses its
-    target rate.
-
-    ``params`` and ``targets`` give one value per point; either may be a
-    single value, which then holds at every point.
-    """
+    target rate."""
     n = _validate_n(n)
-    estimates = []
-    for counts in _map_points(_outage_count, _points(params, targets), n, seed, workers):
+    shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
+    means, errs = [], []
+    taus = list(zip(tau1.tolist(), tau2.tolist()))
+    for counts in _map_points(_outage_count, params, taus, n, seed, workers):
         p = sum(counts) / n
         var = p * (1.0 - p) * n / (n - 1) if n > 1 else 0.0
-        estimates.append(Estimate(mean=p, std_err=math.sqrt(var / n), n=n, seed=seed))
-    return Estimates(estimates)
+        means.append(p)
+        errs.append(math.sqrt(var / n))
+    return Estimate.shaped(means, errs, shape, n, seed)
 
 
-def _to_estimate(s: float, q: float, n: int, seed: int) -> Estimate:
+def _mean_and_error(s: float, q: float, n: int) -> tuple[float, float]:
+    """The sample mean and its standard error from the sum ``s`` and the sum
+    of squares ``q`` of ``n`` samples."""
     mean = s / n
     var = max(q - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return Estimate(mean=mean, std_err=math.sqrt(var / n), n=n, seed=seed)
+    return mean, math.sqrt(var / n)
 
 
-def estimate_capacity(
-    params: SystemParams | Sequence[SystemParams],
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> Estimates:
-    """Per point of ``params`` (or for the one value given), the sample mean
-    of the sum rate R1 + R2 over fading rounds."""
+def estimate_capacity(params: SystemParams, n: int, seed: int, workers: int = 1) -> Estimate:
+    """Per point, the sample mean of the sum rate R1 + R2 over fading rounds."""
     n = _validate_n(n)
-    estimates = []
-    for parts in _map_points(_rate_sums, _points(params), n, seed, workers):
+    shape, params, _ = as_columns(params)
+    means, errs = [], []
+    for parts in _map_points(_rate_sums, params, [None] * params.p1.size, n, seed, workers):
         s = q = 0.0
         for part_s, part_q in parts:
             s += part_s
             q += part_q
-        estimates.append(_to_estimate(s, q, n, seed))
-    return Estimates(estimates)
+        mean, err = _mean_and_error(s, q, n)
+        means.append(mean)
+        errs.append(err)
+    return Estimate.shaped(means, errs, shape, n, seed)
 
 
 def estimate_diversity_fd(
-    params: SystemParams | Sequence[SystemParams],
-    r: float | Sequence[float],
-    n: int,
-    seed: int,
-    workers: int = 1,
-) -> Estimates:
+    params: SystemParams, r, n: int, seed: int, workers: int = 1,
+) -> Estimate:
     """Per point, a central finite difference of -ln(P_out) in ln(gamma) at
-    the point's own SNR gamma = P/sigma2.
+    the point's own SNR gamma = P/sigma2, with multiplexing gain ``r``.
 
-    ``params`` and ``r`` give one value per point; either may be a single
-    value, which then holds at every point.  The powers must be symmetric
+    The powers must be symmetric
     (``model.check_symmetric_powers``).  The stencil sits DIVERSITY_STEP_DB
     above and below each point's SNR, with P1 = P2 = gamma*sigma2 and
     thresholds tau = (1+gamma)^r - 1 re-derived at each stencil point; every
@@ -297,23 +293,22 @@ def estimate_diversity_fd(
     power or threshold is not a positive finite float raises ``DomainError``
     the same way, before any sampling.
     """
-    points = _points(params, r)
-    check_symmetric_powers([base for base, _ in points])
-    for _, r_i in points:
-        if r_i <= 0:
-            raise ParameterError(
-                f"multiplexing gain must be positive (r = 0 gives tau = 0 and an "
-                f"undefined log-derivative); got {r_i}"
-            )
+    shape, base, (r,) = as_columns(params, r)
+    check_symmetric_powers(base)
+    raise_first((r <= 0, lambda i: ParameterError(
+        f"multiplexing gain must be positive (r = 0 gives tau = 0 and an "
+        f"undefined log-derivative); got {r[i]}"
+    )))
     stencil = []  # (gamma_db, gamma) of each point's higher, then lower SNR
-    stencil_params, stencil_targets = [], []
-    for index, (base, r_i) in enumerate(points):
-        db = 10.0 * math.log10(base.p1 / base.sigma2)
+    powers, rates = [], []
+    for index, (p1, sigma2, r_i) in enumerate(zip(base.p1.tolist(), base.sigma2.tolist(),
+                                                  r.tolist())):
+        db = 10.0 * math.log10(p1 / sigma2)
         for sign in (+1.0, -1.0):
             point_db = db + sign * DIVERSITY_STEP_DB
             try:
                 gamma = 10.0 ** (point_db / 10.0)
-                power = gamma * base.sigma2
+                power = gamma * sigma2
                 targets = TargetRates.from_multiplexing_gain(r_i, gamma) if power > 0.0 else None
             except OverflowError:  # of 10^(dB/10) or of tau = (1+gamma)^r - 1
                 power = math.inf
@@ -323,28 +318,30 @@ def estimate_diversity_fd(
                     "power or threshold is not a positive finite float"
                 ))
             stencil.append((point_db, gamma))
-            stencil_params.append(replace(base, p1=power, p2=power))
-            stencil_targets.append(targets)
-    outage = estimate_outage(stencil_params, stencil_targets, n, seed, workers=workers)
-    for k, (est, (point_db, _)) in enumerate(zip(outage, stencil)):
-        if est.mean * n < 100:
+            powers.append(power)
+            rates.append(vars(targets).values())
+    # every point twice, its higher stencil point first
+    twice = SystemParams(*(np.repeat(v, 2) for v in vars(base).values()))
+    outage = estimate_outage(replace(twice, p1=np.array(powers), p2=np.array(powers)),
+                             TargetRates(*map(np.array, zip(*rates))),
+                             n, seed, workers=workers)
+    for k, (mean, (point_db, _)) in enumerate(zip(outage.mean, stencil)):
+        if mean * n < 100:
             raise failed_at(k // 2, InsufficientSamplesError(
-                f"only {est.mean * n:.0f} outage events at gamma_db="
+                f"only {mean * n:.0f} outage events at gamma_db="
                 f"{point_db:.3g}; need >= 100 to difference"
             ))
-        if (1.0 - est.mean) * n < 100:
+        if (1.0 - mean) * n < 100:
             raise failed_at(k // 2, InsufficientSamplesError(
-                f"only {(1.0 - est.mean) * n:.0f} non-outage samples at gamma_db="
+                f"only {(1.0 - mean) * n:.0f} non-outage samples at gamma_db="
                 f"{point_db:.3g}; need >= 100 to difference"
             ))
-    estimates = []
-    for hi, lo, (_, gamma_hi), (_, gamma_lo) in zip(
-        outage[::2], outage[1::2], stencil[::2], stencil[1::2]
+    means, errs = [], []
+    for hi, lo, hi_err, lo_err, (_, gamma_hi), (_, gamma_lo) in zip(
+        outage.mean[::2], outage.mean[1::2], outage.std_err[::2], outage.std_err[1::2],
+        stencil[::2], stencil[1::2],
     ):
         dlog = math.log(gamma_hi / gamma_lo)
-        value = -(math.log(hi.mean) - math.log(lo.mean)) / dlog
-        err = (
-            math.sqrt((hi.std_err / hi.mean) ** 2 + (lo.std_err / lo.mean) ** 2) / dlog
-        )
-        estimates.append(Estimate(mean=value, std_err=err, n=n, seed=seed))
-    return Estimates(estimates)
+        means.append(-(math.log(hi) - math.log(lo)) / dlog)
+        errs.append(math.sqrt((hi_err / hi) ** 2 + (lo_err / lo) ** 2) / dlog)
+    return Estimate.shaped(means, errs, shape, n, seed)

@@ -1,11 +1,13 @@
 """The sweep methods in one table: for each method name a config may list,
 one evaluator per metric family it serves, and its CSV rows with how
-``validate`` judges each.  An evaluator maps ``(config, points)`` to its
-output columns, each one value per point, a float or an ``mc.Estimate``,
-by one batched call of an ``analytic.*`` or ``mc.*`` function over all
-points; a failure is marked with the index of its first failing point
-(``errors.failed_at``).  Methods that share an evaluator share its columns,
-each taking its rows from column ``first`` on, so a sweep runs each closed
+``validate`` judges each.  An evaluator maps ``(config, params, targets,
+r)``, a sweep's points as the columns of one ``SystemParams`` with their
+targets and multiplexing gains, to the tuple of its outputs, by one batched
+call of an ``analytic.*`` or ``mc.*`` function over all points.  An output
+is a list of one float per point, or an ``mc.Estimate`` of such lists; a
+failure is marked with the index of its first failing point
+(``errors.failed_at``).  Methods that share an evaluator share its outputs,
+each taking its rows from output ``first`` on, so a sweep runs each closed
 form once.  Evaluators look up ``analytic.*`` and ``mc.*`` when called, so a
 function rebound there is the one that runs.
 """
@@ -48,63 +50,43 @@ def _one(family: str, judgment: str, evaluate: Callable, first: int = 0) -> Meth
     return Method({family: evaluate}, (("", judgment),), first)
 
 
-def _params(points) -> list:
-    return [p.params for p in points]
+def _outage_exact(c, params, targets, r):
+    return (analytic.outage_exact(params, targets),)
 
 
-def _targets(points) -> list:
-    return [p.targets for p in points]
-
-
-def _column(values) -> tuple:
-    """The output columns of a batch of one value per point."""
-    return (values,)
-
-
-def _columns(outputs) -> tuple:
-    """The output columns of a batch of one tuple of values per point."""
-    return tuple(zip(*outputs))
-
-
-def _outage_exact(c, points):
-    return _column(analytic.outage_exact(_params(points), _targets(points)))
-
-
-def _outage_bounds(c, points):
-    return _columns(analytic.outage_bounds(_params(points), _targets(points)))
+def _outage_bounds(c, params, targets, r):
+    return analytic.outage_bounds(params, targets)
 
 
 METHODS: dict[str, Method] = {
     "mc": Method({
-        "outage": lambda c, points: _column(mc.estimate_outage(
-            _params(points), _targets(points), c.mc_n, c.seed, workers=c.workers)),
-        "capacity": lambda c, points: _column(mc.estimate_capacity(
-            _params(points), c.mc_n, c.seed, workers=c.workers)),
-        "dmt": lambda c, points: _column(mc.estimate_diversity_fd(
-            _params(points), [p.r for p in points], c.mc_n, c.seed, workers=c.workers)),
+        "outage": lambda c, params, targets, r: (mc.estimate_outage(
+            params, targets, c.mc_n, c.seed, workers=c.workers),),
+        "capacity": lambda c, params, targets, r: (mc.estimate_capacity(
+            params, c.mc_n, c.seed, workers=c.workers),),
+        "dmt": lambda c, params, targets, r: (mc.estimate_diversity_fd(
+            params, r, c.mc_n, c.seed, workers=c.workers),),
     }, (("", REFERENCE),)),
     "non_coop": Method({
-        "outage": lambda c, points: _column(
-            analytic.non_coop_outage(_params(points), _targets(points))),
-        "capacity": lambda c, points: _column(analytic.non_coop_capacity(_params(points))),
+        "outage": lambda c, params, targets, r: (analytic.non_coop_outage(params, targets),),
+        "capacity": lambda c, params, targets, r: (analytic.non_coop_capacity(params),),
     }, (("", REFERENCE),)),
     # Two names for the one exact outage, kept so existing configs still run.
     "exact_taylor": _one("outage", EXACT, _outage_exact),
     "exact_quadrature": _one("outage", EXACT, _outage_exact),
-    # The bounds come as one (lower, upper) pair per point.
+    # The bounds come as one pair of outputs, (lower, upper).
     "lower_bound": _one("outage", LOWER, _outage_bounds),
     "upper_bound": _one("outage", UPPER, _outage_bounds, first=1),
-    "high_snr": _one("outage", REFERENCE, lambda c, points: _column(
-        analytic.outage_high_snr(_params(points), _targets(points)))),
-    "capacity_quadrature": _one("capacity", EXACT, lambda c, points: _column(
-        analytic.capacity_quadrature(_params(points)))),
-    "capacity_series": _one("capacity", EXACT, lambda c, points: _column(
-        [r.value for r in analytic.capacity_series(_params(points))])),
-    # The bounds come as one (lower, tight_upper, loose_upper) triple per point.
+    "high_snr": _one("outage", REFERENCE, lambda c, params, targets, r: (
+        analytic.outage_high_snr(params, targets),)),
+    "capacity_quadrature": _one("capacity", EXACT, lambda c, params, targets, r: (
+        analytic.capacity_quadrature(params),)),
+    "capacity_series": _one("capacity", EXACT, lambda c, params, targets, r: (
+        analytic.capacity_series(params).value,)),
+    # The bounds come as three outputs, (lower, tight_upper, loose_upper).
     "capacity_bounds": Method(
-        {"capacity": lambda c, points: _columns(analytic.capacity_bounds(_params(points)))},
+        {"capacity": lambda c, params, targets, r: analytic.capacity_bounds(params)},
         ((":lower", LOWER), (":tight_upper", UPPER), (":loose_upper", UPPER)),
     ),
-    "dmt": _one("dmt", EXACT, lambda c, points: _column(
-        analytic.dmt(_params(points), [p.r for p in points]))),
+    "dmt": _one("dmt", EXACT, lambda c, params, targets, r: (analytic.dmt(params, r),)),
 }

@@ -13,23 +13,34 @@ with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
 form is computed only here, by ``end_to_end_snrs`` from its shared parts
 ``gain_product`` and ``snr_denominators``; the tests check it against the
 algebraically identical harvest-division form.
+
+The model takes one point or a batch in the same form: each field of a
+``SystemParams`` or ``TargetRates`` is either a float, which holds at every
+point, or a 1-D column of one value per point (numpy broadcasting).
+``build_params`` and ``TargetRates.from_rates`` check every point and raise
+for the first one that fails, marked with its index (``errors.failed_at``).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, failed_at
+from .errors import ParameterError, raise_first
+
+#: Python's float ``pow`` element by element.  numpy's array ``pow`` differs
+#: from it by an ulp on some inputs, and every value formed with ``pow``
+#: (fading means, thresholds, dB to linear) has always been Python's.
+_pow = np.frompyfunc(pow, 2, 1)
 
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Full protocol parameterization (linear scale throughout)."""
+    """Full protocol parameterization (linear scale throughout); each field
+    is a float or a column of one value per point."""
 
     p1: float
     p2: float
@@ -50,9 +61,27 @@ class DerivedCoeffs(NamedTuple):
     c: float
 
 
+def _broadcast(*values) -> list[np.ndarray]:
+    """``values`` as float arrays of one shape; columns whose lengths differ
+    raise ParameterError."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    try:
+        return np.broadcast_arrays(*arrays)
+    except ValueError:
+        lengths = sorted({len(v) for v in arrays if v.ndim})
+        raise ParameterError(f"per-point columns differ in length: {lengths}") from None
+
+
+def _shaped(values: np.ndarray, shape: tuple):
+    """``values`` as the fields of a call of that input ``shape`` hold them:
+    a float for one point, the array itself for a batch."""
+    return values.reshape(shape) if shape else values.item()
+
+
 @dataclass(frozen=True)
 class TargetRates:
-    """Target rates (bit/s/Hz) and their SNR thresholds tau = 2^(2T) - 1."""
+    """Target rates (bit/s/Hz) and their SNR thresholds tau = 2^(2T) - 1;
+    each field is a float or a column of one value per point."""
 
     t1: float
     t2: float
@@ -60,10 +89,14 @@ class TargetRates:
     tau2: float
 
     @classmethod
-    def from_rates(cls, t1: float, t2: float) -> "TargetRates":
-        if not (0.0 <= t1 < math.inf and 0.0 <= t2 < math.inf):
-            raise ParameterError(f"target rates must be finite and >= 0; got ({t1}, {t2})")
-        return cls(t1, t2, 2.0 ** (2.0 * t1) - 1.0, 2.0 ** (2.0 * t2) - 1.0)
+    def from_rates(cls, t1, t2) -> "TargetRates":
+        t1, t2 = _broadcast(t1, t2)
+        shape, t1, t2 = t1.shape, t1.reshape(-1), t2.reshape(-1)
+        raise_first((~((0.0 <= t1) & (t1 < math.inf) & (0.0 <= t2) & (t2 < math.inf)),
+                     lambda i: ParameterError(
+                         f"target rates must be finite and >= 0; got ({t1[i]}, {t2[i]})")))
+        taus = (np.asarray(_pow(2.0, 2.0 * t), dtype=float) - 1.0 for t in (t1, t2))
+        return cls(*(_shaped(v, shape) for v in (t1, t2, *taus)))
 
     @classmethod
     def from_multiplexing_gain(cls, r: float, gamma: float) -> "TargetRates":
@@ -76,96 +109,75 @@ class TargetRates:
         return cls.from_rates(t, t)
 
 
-def build_params(
-    p1: float,
-    p2: float,
-    sigma2: float,
-    eta: float,
-    lam: float,
-    epsilon: float,
-    d1: float,
-    path_loss_exp: float,
-) -> SystemParams:
-    """Validate ranges and derive the fading means from the geometry.
+def as_columns(params: SystemParams, *more) -> tuple[tuple, SystemParams, list[np.ndarray]]:
+    """The input shape of a call on ``params`` and the per-point values
+    ``more`` (thresholds, multiplexing gains): () for one point, (points,)
+    for a batch; and ``params`` and ``more`` with every value a (points,)
+    array, one point for a call of floats."""
+    values = _broadcast(*vars(params).values(), *more)
+    flat = [v.reshape(-1) for v in values]
+    return values[0].shape, SystemParams(*flat[:10]), flat[10:]
+
+
+def build_params(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp) -> SystemParams:
+    """Validate ranges and derive the fading means from the geometry, for
+    one point (floats) or a batch (any argument a column).
 
     The two sources sit a unit distance apart with the relay at d1 from
     source 1, so omega1 = 1/d1^ple and omega2 = 1/(1-d1)^ple.  The powers,
     the noise, the fading means and c = 1/(eta*lam) must be positive finite
-    floats; a value that is not raises ParameterError naming its inputs.
+    floats; the first point whose value is not raises ParameterError naming
+    its inputs, marked with its index.
     """
-    if not (0.0 < p1 < math.inf and 0.0 < p2 < math.inf and 0.0 < sigma2 < math.inf):
-        raise ParameterError(
-            f"p1, p2 and sigma2 must be positive finite floats; got ({p1}, {p2}, {sigma2})")
-    if not 0 < eta <= 1:
-        raise ParameterError(f"eta must lie in (0, 1]; got {eta}")
-    if not 0 < lam < 1:
-        raise ParameterError(f"lambda must lie strictly inside (0, 1); got {lam}")
-    if not 0 <= epsilon <= 1:
-        raise ParameterError(f"epsilon must lie in [0, 1]; got {epsilon}")
-    if not 0 < d1 < 1:
-        raise ParameterError(f"d1 must lie strictly inside (0, 1); got {d1}")
-    if path_loss_exp <= 0:
-        raise ParameterError(f"path_loss_exp must be positive; got {path_loss_exp}")
-    loss1, loss2 = d1**path_loss_exp, (1.0 - d1) ** path_loss_exp
-    # a loss that underflows to 0 gives an infinite mean
-    omega1 = 1.0 / loss1 if loss1 else math.inf
-    omega2 = 1.0 / loss2 if loss2 else math.inf
-    if not (omega1 < math.inf and omega2 < math.inf):
-        raise ParameterError(
-            f"d1 = {d1} and path_loss_exp = {path_loss_exp} give fading means "
-            f"({omega1}, {omega2}); they must be positive finite floats"
-        )
-    params = SystemParams(
-        p1=float(p1),
-        p2=float(p2),
-        sigma2=float(sigma2),
-        eta=float(eta),
-        lam=float(lam),
-        epsilon=float(epsilon),
-        d1=float(d1),
-        path_loss_exp=float(path_loss_exp),
-        omega1=omega1,
-        omega2=omega2,
+    given = _broadcast(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp)
+    shape = given[0].shape
+    p1, p2, sigma2, eta, lam, epsilon, d1, ple = (v.reshape(-1) for v in given)
+    ranges = (
+        (~((0.0 < p1) & (p1 < math.inf) & (0.0 < p2) & (p2 < math.inf)
+           & (0.0 < sigma2) & (sigma2 < math.inf)), lambda i: ParameterError(
+            f"p1, p2 and sigma2 must be positive finite floats; "
+            f"got ({p1[i]}, {p2[i]}, {sigma2[i]})")),
+        (~((0.0 < eta) & (eta <= 1.0)),
+         lambda i: ParameterError(f"eta must lie in (0, 1]; got {eta[i]}")),
+        (~((0.0 < lam) & (lam < 1.0)),
+         lambda i: ParameterError(f"lambda must lie strictly inside (0, 1); got {lam[i]}")),
+        (~((0.0 <= epsilon) & (epsilon <= 1.0)),
+         lambda i: ParameterError(f"epsilon must lie in [0, 1]; got {epsilon[i]}")),
+        (~((0.0 < d1) & (d1 < 1.0)),
+         lambda i: ParameterError(f"d1 must lie strictly inside (0, 1); got {d1[i]}")),
+        (ple <= 0.0,
+         lambda i: ParameterError(f"path_loss_exp must be positive; got {ple[i]}")),
     )
-    try:
-        c = derived_coeffs(params).c
-    except ZeroDivisionError:  # eta*lam underflows to 0
-        c = math.inf
-    if not c < math.inf:
-        raise ParameterError(
-            f"eta = {eta} and lambda = {lam} give c = 1/(eta*lambda) = {c}; "
-            "it must be a positive finite float"
-        )
-    return params
+    # a point out of range gets stand-in values, so that pow stays real
+    inside = ~np.logical_or.reduce([bad for bad, _ in ranges])
+    d1_in, ple_in = np.where(inside, d1, 0.5), np.where(inside, ple, 1.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a loss that underflows to 0 gives an infinite mean
+        omega1, omega2 = (1.0 / np.asarray(_pow(base, ple_in), dtype=float)
+                          for base in (d1_in, 1.0 - d1_in))
+        c = 1.0 / (eta * lam)  # eta*lam may underflow to 0
+    raise_first(
+        *ranges,
+        (~((omega1 < math.inf) & (omega2 < math.inf)), lambda i: ParameterError(
+            f"d1 = {d1[i]} and path_loss_exp = {ple[i]} give fading means "
+            f"({omega1[i]}, {omega2[i]}); they must be positive finite floats")),
+        (~(c < math.inf), lambda i: ParameterError(
+            f"eta = {eta[i]} and lambda = {lam[i]} give c = 1/(eta*lambda) = {c[i]}; "
+            "it must be a positive finite float")),
+    )
+    return SystemParams(*(_shaped(v, shape) for v in (
+        p1, p2, sigma2, eta, lam, epsilon, d1, ple, omega1, omega2)))
 
 
-def per_point(*columns) -> tuple[list[list], bool]:
-    """The columns of a batched call, each as one value per point, and
-    whether any column was given per point.
-
-    A sequence or a numpy array gives one value per element; any other
-    value is a single value and holds at every point, so a call of single
-    values is the batch of one.
-    """
-    def each(column) -> bool:
-        return isinstance(column, (Sequence, np.ndarray)) and np.ndim(column) > 0
-
-    lengths = {len(c) for c in columns if each(c)}
-    if len(lengths) > 1:
-        raise ParameterError(f"per-point sequences differ in length: {sorted(lengths)}")
-    m = next(iter(lengths), 1)
-    return [list(c) if each(c) else [c] * m for c in columns], bool(lengths)
-
-
-def check_symmetric_powers(params: Sequence[SystemParams]) -> None:
+def check_symmetric_powers(params: SystemParams) -> None:
     """Raise ParameterError, marked with its index, for the first point whose
     powers differ by more than 1e-12 relative: the diversity formula and its
     Monte Carlo estimate both assume P1 = P2."""
-    for i, p in enumerate(params):
-        if abs(p.p1 - p.p2) > 1e-12 * max(abs(p.p1), abs(p.p2)):
-            raise failed_at(i, ParameterError(
-                f"the diversity metric assumes symmetric powers; got ({p.p1}, {p.p2})"
-            ))
+    _, params, _ = as_columns(params)
+    p1, p2 = params.p1, params.p2
+    raise_first((np.abs(p1 - p2) > 1e-12 * np.maximum(np.abs(p1), np.abs(p2)),
+                 lambda i: ParameterError(
+                     f"the diversity metric assumes symmetric powers; got ({p1[i]}, {p2[i]})")))
 
 
 def derived_coeffs(params: SystemParams) -> DerivedCoeffs:

@@ -21,7 +21,7 @@ from . import __version__
 from .config import (
     ExperimentConfig,
     canonical_items,
-    resolve_point,
+    resolve_points,
     with_overrides,
 )
 from .errors import ConfigError, DomainError, NumericalError
@@ -50,38 +50,38 @@ def axis_grid(config: ExperimentConfig) -> list[float]:
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
-    Each method's evaluator runs once over the whole grid (methods that
-    share one share its run), and each method's rows are columns of its
-    evaluator's output; the rows are emitted point by point in method
-    order.  Deterministic given the seed; writes the CSV and a matplotlib
-    script referencing it (unless ``write=False``).  The output directory
-    is checked before any evaluation, so a bad path fails fast.
+    The grid resolves into one batch of points, each method's evaluator
+    runs once over it (methods that share one share its run), and each
+    method's rows are columns of its evaluator's outputs; the rows are
+    emitted point by point in method order.  Deterministic given the seed;
+    writes the CSV and a matplotlib script referencing it (unless
+    ``write=False``).  The output directory is checked before any
+    evaluation, so a bad path fails fast.
     """
-    config.validate()
     if write:
         _require_writable_dir(config.output_path)
     started = time.perf_counter()
     family = config.metric_family
     grid = axis_grid(config)
-    points = [resolve_point(config, value) for value in grid]
-    outputs: dict = {}  # evaluator -> its output columns
+    points = resolve_points(config, grid)
+    outputs: dict = {}  # evaluator -> its outputs
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
         if evaluate in outputs:
             continue
         try:
-            outputs[evaluate] = evaluate(config, points)
+            outputs[evaluate] = evaluate(config, *points)
         except (NumericalError, DomainError) as exc:
             # an error raised inside an array pass may not know its point
             point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
             raise type(exc)(f"{point}method={method}: {exc}") from exc
     columns = []  # (row name, values, std_errs) of each row of a point, in order
+    no_errs = [None] * len(grid)
     for method in config.methods:
         spec = METHODS[method]
-        for (suffix, _), values in zip(spec.rows, outputs[spec.evaluators[family]][spec.first:]):
-            errs = [None] * len(grid)
-            if isinstance(values[0], Estimate):
-                values, errs = [e.mean for e in values], [e.std_err for e in values]
+        for (suffix, _), out in zip(spec.rows, outputs[spec.evaluators[family]][spec.first:]):
+            # a Monte Carlo output is one Estimate of columns, a closed form's its values
+            values, errs = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, no_errs)
             columns.append((method + suffix, values, errs))
     rows = [SweepRow(value, name, values[i], errs[i])
             for i, value in enumerate(grid) for name, values, errs in columns]
@@ -224,7 +224,6 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     (with the same 3*std_err slack); reference curves (high_snr, non_coop)
     are reported but not judged.
     """
-    config.validate()
     judgments = {m + sfx: j for m in config.methods for sfx, j in METHODS[m].rows}
     if "mc" not in config.methods or set(judgments.values()) == {REFERENCE}:
         raise ConfigError(
@@ -351,5 +350,4 @@ def figure_preset(
     config = ExperimentConfig(**fields_)
     if overrides:
         config = with_overrides(config, **overrides)
-    config.validate()
     return config

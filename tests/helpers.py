@@ -13,12 +13,12 @@ import numpy as np
 from scipy import integrate, optimize
 
 from twrelay import analytic, mc
-from twrelay.analytic import CornerPoint
 from twrelay.errors import (
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
     NumericalError,
+    raise_first,
 )
 from twrelay.model import (
     SystemParams,
@@ -51,6 +51,12 @@ def make_params(
     """Baseline setup: unit noise, symmetric powers at the given SNR."""
     p = sigma2 * 10.0 ** (snr_db / 10.0)
     return build_params(p, p * p2_scale, sigma2, eta, lam, epsilon, d1, path_loss_exp)
+
+
+def stack(points: list):
+    """The batch of one-point ``SystemParams`` or ``TargetRates``: each field
+    the column of the points' values."""
+    return type(points[0])(*(np.array(column) for column in zip(*(vars(p).values() for p in points))))
 
 
 def simpson_panels(f, a: float, b: float, panels: int) -> float:
@@ -197,6 +203,68 @@ def segment_integral_quadpack(k: float, omega: float, v: float) -> float:
 _segment_integrals_quadpack = np.vectorize(segment_integral_quadpack, otypes=[float])
 
 
+# Entry points into the closed forms' parts that only the tests use.
+
+
+def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) -> float:
+    """CDF of Z = a*X*Y/(b*X + c) with X ~ Exp(omega1), Y ~ Exp(omega2).
+
+    F_Z(z) = 1 - exp(-z*b/(a*omega2)) * x*K1(x),  x = sqrt(4*z*c/(a*omega1*omega2)).
+
+    Continuous at z = 0 through the x*K1(x) -> 1 limit; for c = 0 the
+    Bessel factor degenerates to 1 and the CDF is plain exponential.
+    """
+    if a <= 0:
+        raise DomainError(f"scale a must be positive; got {a}")
+    if z < 0:
+        raise DomainError(f"z must be >= 0; got {z}")
+    if b < 0 or c < 0:
+        raise DomainError(f"need b, c >= 0; got b={b}, c={c}")
+    if omega1 <= 0 or omega2 <= 0:
+        raise DomainError("fading means must be positive")
+    d = analytic._direction(a, omega1, omega2, b, c)
+    value, check = analytic._clamp_probability(np.array([1.0 - analytic._survival(d, z)]), "cdf_z")
+    raise_first(check)
+    return float(value[0])
+
+
+class CornerPoint(NamedTuple):
+    """Intersection of the two outage-boundary curves in the gain plane:
+    x0 on the |h1|^2 axis (direction 1's own), y0 on the |h2|^2 axis."""
+
+    x0: float
+    y0: float
+
+
+def _thresholds(params, tau1, tau2):
+    """The batch of ``params`` and the thresholds (tau1, tau2), (points, 2)."""
+    batch, tau1, tau2 = analytic._batch(params, tau1, tau2)
+    return batch, np.stack((tau1, tau2), axis=1)
+
+
+def corner_point(params, tau1, tau2) -> CornerPoint:
+    """Solve the boundary system Y = eps1*(b + c/X), X = eps2*(b + c/Y) with
+    eps_i = tau_i/a_i, from the quadratic-root expressions of
+    ``analytic._corner_point``.  The result must satisfy both equations to
+    1e-9 relative; each coordinate is a float, or a list for a batch.
+    """
+    batch, taus = _thresholds(params, tau1, tau2)
+    raise_first(((taus <= 0.0).any(axis=1), lambda i: DomainError(
+        f"corner point needs positive thresholds; got ({taus[i, 0]}, {taus[i, 1]})"
+    )))
+    corner, check = analytic._corner_point(batch, taus)
+    raise_first(check)
+    return CornerPoint(*map(batch.shaped, corner.T))
+
+
+def joint_outage(params, tau1, tau2) -> float:
+    """P(gamma_1 < tau1, gamma_2 < tau2) by ``analytic._joint_outage``."""
+    batch, taus = _thresholds(params, tau1, tau2)
+    value, checks = analytic._joint_outage(batch, taus)
+    raise_first(*checks)
+    return batch.shaped(value)
+
+
 def outage_exact_quadpack(params, targets) -> float:
     """``analytic.outage_exact`` with every boundary strip on QUADPACK."""
     with mock.patch.object(analytic, "_segment_integral", _segment_integrals_quadpack):
@@ -204,9 +272,9 @@ def outage_exact_quadpack(params, targets) -> float:
 
 
 def joint_outage_quadpack(params, tau1: float, tau2: float) -> float:
-    """``analytic.joint_outage`` with every boundary strip on QUADPACK."""
+    """``joint_outage`` with every boundary strip on QUADPACK."""
     with mock.patch.object(analytic, "_segment_integral", _segment_integrals_quadpack):
-        return analytic.joint_outage(params, tau1, tau2)
+        return joint_outage(params, tau1, tau2)
 
 
 def one_way(tau: float, direction: int) -> TargetRates:
@@ -312,7 +380,8 @@ def estimate_rates(
         for row, gamma in zip(sums, end_to_end_snrs(params, g1, g2)):
             rate = 0.5 / mc.LN2 * np.log1p(gamma)
             row += (np.sum(rate), np.sum(rate * rate))
-    return tuple(mc._to_estimate(float(s), float(q), n, seed) for s, q in sums)
+    return tuple(mc.Estimate(*mc._mean_and_error(float(s), float(q), n), n, seed)
+                 for s, q in sums)
 
 
 
@@ -352,7 +421,7 @@ def root_bracketed(
 
 def corner_point_root_solve(params, coeffs, tau1: float, tau2: float) -> CornerPoint:
     """Corner point by bracketing the substituted X quadratic numerically
-    and back-substituting; the oracle for ``analytic.corner_point``, held
+    and back-substituting; the oracle for ``corner_point``, held
     to the same 1e-9 relative residual."""
     b, c = coeffs.b, coeffs.c
     a1 = params.sigma2 * tau1 / params.p2

@@ -7,8 +7,11 @@ import pytest
 
 from helpers import (
     GOLDEN_INTEGRALS,
+    cdf_z,
+    corner_point,
     corner_point_root_solve,
     corner_residual,
+    joint_outage,
     joint_outage_quadpack,
     make_params,
     one_way,
@@ -17,9 +20,6 @@ from helpers import (
 
 from twrelay import analytic, numerics
 from twrelay.analytic import (
-    cdf_z,
-    corner_point,
-    joint_outage,
     outage_bounds,
     outage_exact,
     outage_high_snr,

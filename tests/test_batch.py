@@ -1,5 +1,5 @@
-"""The batched closed forms: frozen sweep values, a batch against one-point
-calls, and the first failing point of a batch."""
+"""The batched closed forms: frozen sweep values, a batch of columns against
+one-point calls (Monte Carlo too), and the first failing point of a batch."""
 
 import json
 import math
@@ -7,12 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import make_params
+from helpers import make_params, stack
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from twrelay import analytic
+from twrelay import analytic, mc
 from twrelay.config import ExperimentConfig
 from twrelay.errors import ConvergenceError, DegenerateCaseError, DomainError
-from twrelay.model import TargetRates
+from twrelay.model import TargetRates, build_params
 from twrelay.sweep import run_sweep
 
 #: Closed-form rows of ten sweeps, frozen by data/make_golden_sweeps.py.
@@ -47,74 +49,185 @@ class TestFrozenSweeps:
 
 # Mixed points: d1, lambda and SNR vary, the powers and targets are
 # asymmetric, and the second point has tau1 = 0.
-PARAMS = [
+ONE = [
     make_params(snr_db=12.0, lam=0.3, d1=0.4, p2_scale=0.5),
     make_params(snr_db=20.0, lam=0.75, d1=0.5),
     make_params(snr_db=27.0, lam=0.6, d1=0.7, p2_scale=2.0),
     make_params(snr_db=5.0, lam=0.9, d1=0.2),
 ]
-TARGETS = [
+ONE_TARGETS = [
     TargetRates.from_rates(1.0, 0.5),
     TargetRates.from_rates(0.0, 1.2),
     TargetRates.from_rates(2.0, 0.3),
     TargetRates.from_rates(0.7, 1.0),
 ]
+PARAMS = build_params(
+    [p.p1 for p in ONE], [p.p2 for p in ONE], 1.0, 1.0, [p.lam for p in ONE], 0.5,
+    [p.d1 for p in ONE], 3.0,
+)
+TARGETS = TargetRates.from_rates([t.t1 for t in ONE_TARGETS], [t.t2 for t in ONE_TARGETS])
 R = [0.5, 0.25, 1.0, 0.75]
 GAMMA = [10.0, 100.0, 500.0, 3.0]
-SYMMETRIC = [make_params(snr_db=10.0 * math.log10(g), lam=p.lam, d1=p.d1)
-             for g, p in zip(GAMMA, PARAMS)]
+ONE_SYMMETRIC = [make_params(snr_db=10.0 * math.log10(g), lam=p.lam, d1=p.d1)
+                 for g, p in zip(GAMMA, ONE)]
+SYMMETRIC = stack(ONE_SYMMETRIC)
+EMPTY = build_params([], [], 1.0, 1.0, [], 0.5, [], 3.0)
+NO_TARGETS = TargetRates.from_rates([], [])
+
+
+def point_of(outputs, i: int):
+    """Point i of a batch call's outputs, in the form a one-point call returns."""
+    if isinstance(outputs, list):
+        return outputs[i]
+    if isinstance(outputs, analytic.CapacitySeries):
+        return analytic.CapacitySeries(
+            outputs.value[i], outputs.terms_used[2 * i:2 * i + 2], outputs.tail_estimate[i])
+    values = [column[i] for column in outputs]
+    return type(outputs)(*values) if hasattr(outputs, "_fields") else tuple(values)
+
+
+def by_point(outputs, points: int) -> list:
+    return [point_of(outputs, i) for i in range(points)]
 
 
 class TestBatchEqualsOnePointCalls:
+    def test_columns_are_the_stacked_points(self):
+        for batch, points in ((PARAMS, ONE), (TARGETS, ONE_TARGETS)):
+            for got, want in zip(vars(batch).values(), vars(stack(points)).values()):
+                assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", [
         "outage_exact", "outage_bounds", "outage_high_snr", "non_coop_outage",
     ])
     def test_outage_forms(self, name):
         form = getattr(analytic, name)
-        assert form(PARAMS, TARGETS) == tuple(form(p, t) for p, t in zip(PARAMS, TARGETS))
+        assert by_point(form(PARAMS, TARGETS), 4) == [
+            form(p, t) for p, t in zip(ONE, ONE_TARGETS)
+        ]
 
     @pytest.mark.parametrize("name", [
         "capacity_quadrature", "capacity_series", "capacity_bounds", "non_coop_capacity",
     ])
     def test_capacity_forms(self, name):
         form = getattr(analytic, name)
-        assert form(PARAMS) == tuple(form(p) for p in PARAMS)
+        assert by_point(form(PARAMS), 4) == [form(p) for p in ONE]
 
     def test_series_terms_used_run_point_by_point(self):
         batch = analytic.capacity_series(PARAMS)
-        singles = [analytic.capacity_series(p).terms_used for p in PARAMS]
+        singles = [analytic.capacity_series(p).terms_used for p in ONE]
         assert batch.terms_used == tuple(n for used in singles for n in used)
         assert all(isinstance(n, int) for n in batch.terms_used)
 
     def test_dmt(self):
-        assert analytic.dmt(SYMMETRIC, R) == tuple(
-            analytic.dmt(p, r) for p, r in zip(SYMMETRIC, R)
-        )
+        assert analytic.dmt(SYMMETRIC, R) == [
+            analytic.dmt(p, r) for p, r in zip(ONE_SYMMETRIC, R)
+        ]
 
     def test_single_values_hold_at_every_point(self):
-        assert analytic.outage_exact(PARAMS, TARGETS[0]) == tuple(
-            analytic.outage_exact(p, TARGETS[0]) for p in PARAMS
-        )
+        assert analytic.outage_exact(PARAMS, ONE_TARGETS[0]) == [
+            analytic.outage_exact(p, ONE_TARGETS[0]) for p in ONE
+        ]
 
     def test_numpy_arrays_give_one_value_per_element(self):
         assert analytic.dmt(SYMMETRIC, np.array(R)) == analytic.dmt(SYMMETRIC, R)
 
+    def test_one_point_gives_floats(self):
+        assert type(analytic.outage_exact(ONE[0], ONE_TARGETS[0])) is float
+        lower, upper = analytic.outage_bounds(ONE[0], ONE_TARGETS[0])
+        assert type(lower) is float and type(upper) is float
+        series = analytic.capacity_series(ONE[0])
+        assert type(series.value) is float and len(series.terms_used) == 2
+
     @pytest.mark.parametrize("call", [
-        lambda: analytic.outage_exact([], []),
-        lambda: analytic.outage_bounds([], []),
-        lambda: analytic.outage_high_snr([], []),
-        lambda: analytic.non_coop_outage([], []),
-        lambda: analytic.capacity_quadrature([]),
-        lambda: analytic.capacity_bounds([]),
-        lambda: analytic.non_coop_capacity([]),
-        lambda: analytic.dmt([], []),
+        lambda: analytic.outage_exact(EMPTY, NO_TARGETS),
+        lambda: analytic.outage_bounds(EMPTY, NO_TARGETS),
+        lambda: analytic.outage_high_snr(EMPTY, NO_TARGETS),
+        lambda: analytic.non_coop_outage(EMPTY, NO_TARGETS),
+        lambda: analytic.capacity_quadrature(EMPTY),
+        lambda: analytic.capacity_bounds(EMPTY),
+        lambda: analytic.non_coop_capacity(EMPTY),
+        lambda: analytic.dmt(EMPTY, []),
     ])
     def test_empty_batch_gives_empty_result(self, call):
-        assert call() == ()
+        assert call() in ([], ([], []), ([], [], []))
 
     def test_empty_series_batch(self):
-        batch = analytic.capacity_series([])
-        assert batch == () and batch.terms_used == ()
+        batch = analytic.capacity_series(EMPTY)
+        assert batch.value == [] and batch.terms_used == ()
+
+
+# A box where every closed form succeeds: SNR 0-30 dB, lambda 0.2-0.8 and
+# d1 0.3-0.7 keep the series' mu/s below 2.
+point = st.tuples(
+    st.floats(0.0, 30.0), st.floats(0.2, 0.8), st.floats(0.3, 0.7), st.floats(0.5, 2.0),
+    st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 1.0),
+)
+batch_settings = settings(max_examples=25, deadline=None, database=None)
+
+
+def _batch(points: list, symmetric: bool = False):
+    """The points as one-point calls' arguments and as columns; the first
+    point's t1 is 0.  A symmetric batch has P2 = P1."""
+    rows = [(10.0 ** (snr / 10.0), lam, d1, 1.0 if symmetric else scale, t1, t2, r)
+            for snr, lam, d1, scale, t1, t2, r in points]
+    rows[0] = rows[0][:4] + (0.0,) + rows[0][5:]
+    ones = [(build_params(p, p * k, 1.0, 1.0, lam, 0.5, d1, 3.0),
+             TargetRates.from_rates(t1, t2), r) for p, lam, d1, k, t1, t2, r in rows]
+    p, lam, d1, k, t1, t2, r = map(list, zip(*rows))
+    p2 = [a * b for a, b in zip(p, k)]
+    m = len(rows)
+    batch = (build_params(p, p2, 1.0, 1.0, lam, 0.5, d1, 3.0),
+             TargetRates.from_rates(t1, t2), r)
+    # the same batch with every field a column, the constant ones repeated
+    columns = (build_params(p, p2, [1.0] * m, [1.0] * m, lam, [0.5] * m, d1, [3.0] * m),
+               TargetRates.from_rates(t1, t2), r)
+    return ones, batch, columns
+
+
+OUTAGE_FORMS = ("outage_exact", "outage_bounds", "outage_high_snr", "non_coop_outage")
+CAPACITY_FORMS = ("capacity_quadrature", "capacity_series", "capacity_bounds", "non_coop_capacity")
+
+
+@seed(20161)
+@batch_settings
+@given(st.lists(point, min_size=1, max_size=6))
+def test_every_batch_equals_its_one_point_calls(points):
+    ones, batch, columns = _batch(points)
+    m = len(ones)
+    for name in OUTAGE_FORMS:
+        form = getattr(analytic, name)
+        got = form(*batch[:2])
+        assert by_point(got, m) == [form(p, t) for p, t, _ in ones], name
+        assert form(*columns[:2]) == got, name
+    for name in CAPACITY_FORMS:
+        form = getattr(analytic, name)
+        got = form(batch[0])
+        assert by_point(got, m) == [form(p) for p, _, _ in ones], name
+        assert form(columns[0]) == got, name
+    ones, batch, columns = _batch(points, symmetric=True)
+    got = analytic.dmt(batch[0], batch[2])
+    assert got == [analytic.dmt(p, r) for p, _, r in ones]
+    assert analytic.dmt(columns[0], columns[2]) == got
+    r = batch[2][0]
+    assert analytic.dmt(batch[0], r) == analytic.dmt(batch[0], [r] * m)
+
+
+@seed(20162)
+@settings(max_examples=6, deadline=None, database=None)
+@given(st.lists(point, min_size=1, max_size=6), st.sampled_from([1, 2]))
+def test_every_monte_carlo_batch_equals_its_one_point_calls(points, workers):
+    n = (1 << 16) + 17
+    ones, batch, columns = _batch(points)
+    outage = mc.estimate_outage(*batch[:2], n, 5, workers=workers)
+    singles = [mc.estimate_outage(p, t, n, 5) for p, t, _ in ones]
+    assert outage == mc.Estimate(
+        [e.mean for e in singles], [e.std_err for e in singles], n, 5)
+    assert mc.estimate_outage(*columns[:2], n, 5, workers=workers) == outage
+    capacity = mc.estimate_capacity(batch[0], n, 6, workers=workers)
+    singles = [mc.estimate_capacity(p, n, 6) for p, _, _ in ones]
+    assert capacity == mc.Estimate(
+        [e.mean for e in singles], [e.std_err for e in singles], n, 6)
+    assert mc.estimate_capacity(columns[0], n, 6, workers=workers) == capacity
 
 
 class TestFirstFailingPoint:
@@ -177,10 +290,10 @@ class TestFirstFailingPoint:
     def test_first_of_several_failing_points_is_named(self, d1, failing):
         # one direction fails at the last two points, direction 1 near source
         # 2 and direction 2 near source 1; the error is the middle point's
-        params = [make_params(lam=0.02, d1=d) for d in (0.5, d1, d1)]
+        params = build_params(100.0, 100.0, 1.0, 1.0, 0.02, 0.5, [0.5, d1, d1], 3.0)
         with pytest.raises(ConvergenceError) as info:
             analytic.capacity_series(params)
         assert info.value.point == 1
-        direction = analytic.directions(params[1])[failing]
+        direction = analytic.directions(make_params(lam=0.02, d1=d1))[failing]
         assert f"s={direction.s:.3g}, mu={direction.mu:.3g}" in str(info.value)
 

@@ -11,10 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cdf_z,
     empirical_cdf_z,
     end_to_end_snrs_exact_beta,
     estimate_rates,
     make_params,
+    stack,
 )
 
 from twrelay import analytic, mc
@@ -23,12 +25,11 @@ from twrelay.errors import InsufficientSamplesError, ParameterError
 from twrelay.mc import (
     CHUNK_DRAWS,
     Estimate,
-    Estimates,
     estimate_capacity,
     estimate_diversity_fd,
     estimate_outage,
 )
-from twrelay.model import TargetRates, end_to_end_snrs
+from twrelay.model import TargetRates, as_columns, build_params, end_to_end_snrs
 from twrelay.sweep import figure_preset, run_sweep
 
 #: MC rows of four sweeps, frozen by data/make_golden_mc.py.
@@ -42,13 +43,13 @@ N_MULTI_CHUNK = 3 * CHUNK_DRAWS + 1234
 
 class TestEstimateOutage:
     def test_zero_targets_never_outage(self):
-        (est,) = estimate_outage(
+        est = estimate_outage(
             make_params(), TargetRates.from_rates(0.0, 0.0), 10_000, seed=1
         )
         assert est.mean == 0.0
 
     def test_huge_targets_always_outage(self):
-        (est,) = estimate_outage(
+        est = estimate_outage(
             make_params(), TargetRates.from_rates(25.0, 25.0), 10_000, seed=1
         )
         assert est.mean == 1.0
@@ -56,7 +57,7 @@ class TestEstimateOutage:
     def test_matches_closed_form(self):
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)
-        (est,) = estimate_outage(params, targets, 1_000_000, seed=2024)
+        est = estimate_outage(params, targets, 1_000_000, seed=2024)
         exact = analytic.outage_exact(params, targets)
         assert abs(est.mean - exact) <= 3.0 * est.std_err
 
@@ -89,7 +90,7 @@ class TestEstimateOutage:
                 counts[name] += int(
                     np.count_nonzero((gamma1 < targets.tau1) | (gamma2 < targets.tau2))
                 )
-        (approx,) = estimate_outage(params, targets, n, seed=5)
+        approx = estimate_outage(params, targets, n, seed=5)
         assert counts["canonical"] / n == approx.mean
         exact = counts["exact"] / n
         assert 0.0 <= exact <= 1.0
@@ -98,7 +99,7 @@ class TestEstimateOutage:
 
 class TestEstimateCapacity:
     def test_starved_relay_has_no_rate(self):
-        (est,) = estimate_capacity(make_params(lam=1e-6), 50_000, seed=3)
+        est = estimate_capacity(make_params(lam=1e-6), 50_000, seed=3)
         assert est.mean < 1e-2
 
     def test_symmetric_setup_balances_directions(self):
@@ -107,7 +108,7 @@ class TestEstimateCapacity:
 
     def test_matches_quadrature(self):
         params = make_params(lam=0.5)
-        (est,) = estimate_capacity(params, 1_000_000, seed=6)
+        est = estimate_capacity(params, 1_000_000, seed=6)
         assert abs(est.mean - analytic.capacity_quadrature(params)) <= 3.0 * est.std_err
 
     def test_worker_count_invariance(self):
@@ -129,7 +130,7 @@ class TestEmpiricalCdfZ:
         grid = list(np.linspace(0.0, 4000.0, 80))
         rows = empirical_cdf_z(a, b, c, om1, om2, grid, 1_000_000, seed=12)
         worst = max(
-            abs(f_hat - analytic.cdf_z(z, a, b, c, om1, om2)) for z, f_hat in rows
+            abs(f_hat - cdf_z(z, a, b, c, om1, om2)) for z, f_hat in rows
         )
         assert worst < 0.005
 
@@ -139,7 +140,7 @@ class TestEmpiricalCdfZ:
         grid = list(np.linspace(0.0, 300.0, 50))
         rows = empirical_cdf_z(a, 0.0, c, om1, om2, grid, 400_000, seed=13)
         worst = max(
-            abs(f_hat - analytic.cdf_z(z, a, 0.0, c, om1, om2)) for z, f_hat in rows
+            abs(f_hat - cdf_z(z, a, 0.0, c, om1, om2)) for z, f_hat in rows
         )
         assert worst < 0.005
 
@@ -177,7 +178,7 @@ class TestEstimateDiversityFd:
 
     def test_matches_closed_form_within_combined_error(self):
         params = make_params()
-        (est,) = estimate_diversity_fd(params, 0.5, n=1_000_000, seed=3)
+        est = estimate_diversity_fd(params, 0.5, n=1_000_000, seed=3)
         formula = analytic.dmt(params, 0.5)
         assert abs(est.mean - formula) <= 3.0 * est.std_err
 
@@ -185,8 +186,8 @@ class TestEstimateDiversityFd:
         # doubling n scales the underlying standard errors by 1/sqrt(2)
         params = make_params(snr_db=10.0)
         targets = TargetRates.from_rates(1.0, 1.0)
-        (small,) = estimate_outage(params, targets, 400_000, seed=21)
-        (large,) = estimate_outage(params, targets, 800_000, seed=21)
+        small = estimate_outage(params, targets, 400_000, seed=21)
+        large = estimate_outage(params, targets, 800_000, seed=21)
         ratio = large.std_err / small.std_err
         assert ratio == pytest.approx(1.0 / math.sqrt(2.0), rel=0.10)
 
@@ -214,8 +215,8 @@ class TestDeterminismContract:
     def test_different_seeds_differ(self):
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)
-        (a,) = estimate_outage(params, targets, 100_000, seed=1)
-        (b,) = estimate_outage(params, targets, 100_000, seed=2)
+        a = estimate_outage(params, targets, 100_000, seed=1)
+        b = estimate_outage(params, targets, 100_000, seed=2)
         assert a.mean != b.mean
 
     def test_chunks_run_in_this_process(self):
@@ -288,34 +289,40 @@ class TestBatchedDraws:
         params = [make_params(d1=0.3), make_params(d1=0.5), make_params(d1=0.3, snr_db=10.0)]
         targets = [TargetRates.from_rates(1.0, 1.0), TargetRates.from_rates(0.5, 2.0),
                    TargetRates.from_rates(1.0, 1.0)]
-        batch = estimate_outage(params, targets, N_MULTI_CHUNK, seed=31, workers=2)
-        assert list(batch) == [
-            estimate_outage(p, t, N_MULTI_CHUNK, seed=31)[0] for p, t in zip(params, targets)
-        ]
-        rates = estimate_capacity(params, N_MULTI_CHUNK, seed=32)
-        assert list(rates) == [estimate_capacity(p, N_MULTI_CHUNK, seed=32)[0] for p in params]
+        batch = estimate_outage(stack(params), stack(targets), N_MULTI_CHUNK, seed=31, workers=2)
+        singles = [estimate_outage(p, t, N_MULTI_CHUNK, seed=31) for p, t in zip(params, targets)]
+        assert batch == Estimate([e.mean for e in singles], [e.std_err for e in singles],
+                                 N_MULTI_CHUNK, 31)
+        rates = estimate_capacity(stack(params), N_MULTI_CHUNK, seed=32)
+        singles = [estimate_capacity(p, N_MULTI_CHUNK, seed=32) for p in params]
+        assert rates == Estimate([e.mean for e in singles], [e.std_err for e in singles],
+                                 N_MULTI_CHUNK, 32)
 
     def test_numpy_array_gives_one_value_per_element(self):
         # an array column once counted as one value and failed on its truth value
-        params = [make_params(snr_db=10.0), make_params(snr_db=15.0)]
+        params = stack([make_params(snr_db=10.0), make_params(snr_db=15.0)])
         as_list = estimate_diversity_fd(params, [0.5, 0.5], n=20_000, seed=3)
         as_array = estimate_diversity_fd(params, np.array([0.5, 0.5]), n=20_000, seed=3)
-        assert len(as_array) == 2 and as_array == as_list
+        assert len(as_array.mean) == 2 and as_array == as_list
 
     def test_one_value_holds_at_every_point(self):
         params = make_params()
-        targets = [TargetRates.from_rates(t, t) for t in (0.5, 1.0)]
+        targets = TargetRates.from_rates([0.5, 1.0], [0.5, 1.0])
         batch = estimate_outage(params, targets, 10_000, seed=1)
-        assert isinstance(batch, Estimates) and len(batch) == 2 and batch.n == 10_000
-        assert batch[1] == estimate_outage(params, targets[1], 10_000, seed=1)[0]
+        assert len(batch.mean) == len(batch.std_err) == 2 and batch.n == 10_000
+        one = estimate_outage(params, TargetRates.from_rates(1.0, 1.0), 10_000, seed=1)
+        assert type(one.mean) is float and type(one.std_err) is float
+        assert (batch.mean[1], batch.std_err[1]) == (one.mean, one.std_err)
 
     def test_point_sequences_must_agree_in_length(self):
+        params = build_params(100, 100, 1, 1, [0.5, 0.75], 0.5, 0.5, 3)
         with pytest.raises(ParameterError, match="differ in length"):
-            estimate_outage([make_params()] * 2, [TargetRates.from_rates(1, 1)] * 3, 100, 1)
+            estimate_outage(params, TargetRates.from_rates([1, 1, 1], 1), 100, 1)
 
     def test_no_points_draw_nothing(self, monkeypatch):
         monkeypatch.setattr(mc, "_chunk_rng", None)
-        assert estimate_capacity([], 1000, seed=1) == ()
+        empty = build_params([], [], 1, 1, [], 0.5, 0.5, 3)
+        assert estimate_capacity(empty, 1000, seed=1) == Estimate([], [], 1000, 1)
 
 
 #: A batch that exercises every share of a chunk's work: d1 0.3 and 0.5 give
@@ -354,10 +361,12 @@ class TestChunkWorkspace:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_shared_buffered_kernels_are_bit_equal(self, workers):
         counts, sums = _plain_chunk_sums(SHARED_BATCH, SHARED_TARGETS, N_PARTIAL, 41)
-        outage = estimate_outage(SHARED_BATCH, SHARED_TARGETS, N_PARTIAL, 41, workers)
-        assert [e.mean.hex() for e in outage] == [(c / N_PARTIAL).hex() for c in counts]
-        capacity = estimate_capacity(SHARED_BATCH, N_PARTIAL, 41, workers)
-        assert list(capacity) == [mc._to_estimate(s, q, N_PARTIAL, 41) for s, q in sums]
+        outage = estimate_outage(
+            stack(SHARED_BATCH), stack(SHARED_TARGETS), N_PARTIAL, 41, workers)
+        assert [m.hex() for m in outage.mean] == [(c / N_PARTIAL).hex() for c in counts]
+        capacity = estimate_capacity(stack(SHARED_BATCH), N_PARTIAL, 41, workers)
+        means, errs = zip(*(mc._mean_and_error(s, q, N_PARTIAL) for s, q in sums))
+        assert capacity == Estimate(list(means), list(errs), N_PARTIAL, 41)
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
@@ -368,19 +377,21 @@ class TestChunkWorkspace:
         # number of points
         import resource
 
-        def faults(points):
-            tasks = mc._chunk_tasks(mc._rate_sums, points, 5 * CHUNK_DRAWS, 3, 1)
+        def faults(params):
+            _, params, _ = as_columns(params)
+            extras = [None] * params.p1.size
+            tasks = mc._chunk_tasks(mc._rate_sums, params, extras, 5 * CHUNK_DRAWS, 3, 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for task in tasks:
                 mc._chunk_results(task)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-        one = faults([(make_params(),)])
-        many = faults([(make_params(lam=lam),) for lam in np.linspace(0.05, 0.95, 19)])
+        one = faults(make_params())
+        many = faults(build_params(100, 100, 1, 1, np.linspace(0.05, 0.95, 19), 0.5, 0.5, 3))
         assert many <= 2 * one, (many, one)
 
 
-STENCIL_PARAMS = [make_params(snr_db=20.0), make_params(snr_db=30.0)]
+STENCIL_PARAMS = stack([make_params(snr_db=20.0), make_params(snr_db=30.0)])
 
 
 class TestDiversityStencilErrors:
@@ -391,8 +402,8 @@ class TestDiversityStencilErrors:
     def _with_events(monkeypatch, events):
         # events: outage events per stencil point, as estimate_outage orders them
         def fake(params, targets, n, seed, workers=1):
-            assert len(params) == len(targets) == len(events)
-            return Estimates(Estimate(e / n, 0.01, n, seed) for e in events)
+            assert len(params.p1) == len(targets.tau1) == len(events)
+            return Estimate([e / n for e in events], [0.01] * len(events), n, seed)
 
         monkeypatch.setattr(mc, "estimate_outage", fake)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from twrelay import analytic, cli, mc
+from twrelay import config as config_module
 from twrelay.config import (
     ExperimentConfig,
     canonical_items,
@@ -459,12 +460,14 @@ class TestCli:
         "sweep = d1\nstart = 0.1\nstop = 0.9\nt1 = inf\nmethods = exact_quadrature",
         "sweep = snr_db\nstart = 0\nstop = 30\nt2 = 600\nmethods = exact_quadrature",
         "sweep = snr_db\nstart = 0\nstop = 30\nseed = -1\nmethods = mc, exact_quadrature",
+        # the axis sets p1 = p2 at each point, so explicit powers would go unread
+        "sweep = snr_db\nstart = 0\nstop = 30\np1 = 10\np2 = 1000\nmethods = exact_quadrature",
     ], ids=[
         "lambda-from-0", "lambda-to-1", "d1-from-0", "d1-to-1", "r-from-0", "r-past-2",
         "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt", "snr-to-4000-db",
         "base-snr-4000-db", "path-loss-inf", "path-loss-2000", "powers-nan", "powers-inf",
         "eta-gives-c-inf", "eta-lambda-underflow", "t1-nan", "t1-inf", "t2-threshold-overflow",
-        "negative-seed",
+        "negative-seed", "snr-sweep-with-powers",
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.cfg"
@@ -478,6 +481,35 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_run_validates_once_and_resolves_points_in_batches(self, tmp_path, monkeypatch):
+        # a run validates its config once, and the sweep resolves its grid in
+        # one batch: the number of build_params calls does not grow with steps
+        calls = {"validate": 0, "build_params": 0}
+        true_validate, true_build = ExperimentConfig.validate, config_module.build_params
+
+        def validate(config):
+            calls["validate"] += 1
+            return true_validate(config)
+
+        def build(*args, **kwargs):
+            calls["build_params"] += 1
+            return true_build(*args, **kwargs)
+
+        monkeypatch.setattr(ExperimentConfig, "validate", validate)
+        monkeypatch.setattr(config_module, "build_params", build)
+        counts = []
+        for steps in (5, 50):
+            path = tmp_path / f"steps{steps}.cfg"
+            path.write_text(
+                f"sweep = lambda\nstart = 0.1\nstop = 0.9\nsteps = {steps}\n"
+                f"methods = capacity_quadrature\noutput_path = {tmp_path / 'out.csv'}\n"
+            )
+            calls.update(validate=0, build_params=0)
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+            counts.append(dict(calls))
+        assert counts[0]["validate"] == counts[1]["validate"] == 1
+        assert counts[0]["build_params"] == counts[1]["build_params"]
 
     def test_in_process_calls_share_no_state(self, tmp_path, monkeypatch):
         # the parser is built once per process: a flag given to one call
