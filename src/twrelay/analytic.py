@@ -4,8 +4,9 @@ Implements the fading CDF of the harvest-scaled product variable, exact
 outage (corner-point decomposition), outage bounds and the first-order
 high-SNR asymptote, ergodic capacity (the survival integral, a
 hypergeometric series, and a bound chain that holds by construction), the
-finite-SNR diversity-multiplexing tradeoff, and the non-cooperative
-direct-link baseline.
+finite-SNR diversity-multiplexing tradeoff (from one pass over the
+threshold, corner and SNR derivatives of symmetric traffic,
+:func:`_symmetric_corner`), and the non-cooperative direct-link baseline.
 
 Each evaluator takes a ``SystemParams`` (with its ``TargetRates``, or its
 multiplexing gain) whose fields are floats, one point, or columns, one value
@@ -52,10 +53,10 @@ from .errors import (
     raise_first,
 )
 from .model import (
-    DerivedCoeffs,
     SystemParams,
     TargetRates,
     as_columns,
+    check_multiplexing_gain,
     check_symmetric_powers,
     derived_coeffs,
 )
@@ -650,58 +651,41 @@ def capacity_bounds(params) -> CapacityBounds:
     return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, loose)))
 
 
-def _positive_r_and_gamma(r, gamma) -> None:
-    raise_first(
-        (np.asarray(r) <= 0, lambda i: DomainError(
-            f"multiplexing gain must be positive; got {np.ravel(r)[i]}")),
-        (np.asarray(gamma) <= 0, lambda i: DomainError(
-            f"SNR must be positive; got {np.ravel(gamma)[i]}")),
-    )
+def _symmetric_corner(r, gamma, b, c):
+    """The threshold, corner and SNR derivatives of symmetric traffic (equal
+    powers and targets), per element of the (points,) arrays:
 
+        tau = (1+gamma)^r - 1,
+        X0 = b*tau/(2*gamma) * (1 + S),    S = sqrt(1 + 4*c*gamma/(b^2*tau)),
+        B = d/dgamma [tau/gamma] = (r*gamma*(1+gamma)^(r-1) - tau) / gamma^2,
+        A = dX0/dgamma = B * [ (b/2)*(1 + S) - c*gamma / (b*tau*S) ],
 
-def x0_symmetric(r, gamma, coeffs: DerivedCoeffs):
-    """Corner coordinate under symmetric traffic (equal powers and targets):
-
-        X0 = b*tau/(2*gamma) * (1 + sqrt(1 + 4*c*gamma/(b^2*tau))),
-
-    with tau = (1+gamma)^r - 1, elementwise.  A product in it that passes the
-    float range raises DomainError naming the product and its gamma.
+    returned as ``(tau, X0, A, B)``; A and B are checked against central
+    finite differences in the test suite.  A threshold past the float range,
+    or one that rounds to 0 (r*ln(1+gamma) below about 1e-16), raises
+    DomainError before any division, and so does a product past the float
+    range, naming the product and its gamma.
     """
-    _positive_r_and_gamma(r, gamma)
-    b, c = coeffs.b, coeffs.c
-    tau = (1.0 + gamma) ** r - 1.0
     with np.errstate(over="ignore"):
-        scaled, spread = 4.0 * c * gamma, b * b * tau
-    raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
-    return b * tau / (2.0 * gamma) * (1.0 + np.sqrt(1.0 + scaled / spread))
-
-
-def dmt_coefficients(r, gamma, coeffs: DerivedCoeffs):
-    """SNR derivatives feeding the finite-SNR diversity formula, elementwise.
-
-    B = d/dgamma [((1+gamma)^r - 1)/gamma]; A = dX0/dgamma follows by the
-    chain rule:
-
-        A = B * [ (b/2)*(1 + S) - c*gamma / (b*tau*S) ],
-        S = sqrt(1 + 4*c*gamma/(b^2*tau)).
-
-    Both are verified against central finite differences in the test suite.
-    A product in them that passes the float range raises DomainError naming
-    the product and its gamma.
-    """
-    _positive_r_and_gamma(r, gamma)
-    b, c = coeffs.b, coeffs.c
-    tau = (1.0 + gamma) ** r - 1.0
+        grown = (1.0 + gamma) ** r
+        tau = grown - 1.0
+    raise_first(
+        (~np.isfinite(tau), lambda i: DomainError(
+            f"threshold (1+gamma)^r - 1 overflows at gamma={gamma[i]} (r={r[i]})")),
+        (tau <= 0.0, lambda i: DomainError(
+            f"threshold (1+gamma)^r - 1 rounds to 0 at gamma={gamma[i]} (r={r[i]})")),
+    )
     with np.errstate(over="ignore", invalid="ignore"):
-        numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - (1.0 + gamma) ** r + 1.0
-        square, scaled, spread = np.square(gamma), 4.0 * c * gamma, b * b * tau
-    raise_first(*(_overflows(what, value, gamma) for what, value in (
-        ("gamma**2", square), ("4*c*gamma", scaled), ("b*b*tau", spread),
-        ("r*gamma*(1+gamma)^(r-1)", numer))))
-    big_b = numer / square
+        scaled, spread = 4.0 * c * gamma, b * b * tau
+        square = np.square(gamma)
+        numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - grown + 1.0
+    raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
+    raise_first(_overflows("gamma**2", square, gamma),
+                _overflows("r*gamma*(1+gamma)^(r-1)", numer, gamma))
     s_fac = np.sqrt(1.0 + scaled / spread)
+    big_b = numer / square
     big_a = big_b * (0.5 * b * (1.0 + s_fac) - c * gamma / (b * tau * s_fac))
-    return big_a, big_b
+    return tau, b * tau / (2.0 * gamma) * (1.0 + s_fac), big_a, big_b
 
 
 def dmt(params, r) -> float:
@@ -709,22 +693,21 @@ def dmt(params, r) -> float:
     each point's own SNR gamma = P/sigma2, with multiplexing gain ``r``.
 
     Evaluated on the closed-form lower-bound outage under symmetric traffic
-    (P1 = P2 = P, equal targets induced by r); powers that differ raise
-    ParameterError (``model.check_symmetric_powers``), and a threshold
-    (1+gamma)^r - 1, or a product of the corner or its derivatives, past the
-    float range raises DomainError.
+    (P1 = P2 = P, equal targets induced by r), from the threshold, corner
+    and derivatives of :func:`_symmetric_corner`.  Powers that differ or an
+    ``r`` that is not positive raise ParameterError
+    (``model.check_symmetric_powers``, ``model.check_multiplexing_gain``); a
+    threshold (1+gamma)^r - 1 past the float range or rounded to 0, or a
+    product of the corner or its derivatives past the float range, raises
+    DomainError; a lower-bound outage that underflows raises
+    DegenerateCaseError.
     """
     check_symmetric_powers(params)
+    check_multiplexing_gain(r)
     batch, r = _batch(params, r)
     b, c, d = batch.b, batch.c, batch.d
     gamma = d.a[:, 1]  # direction 2 carries P1/sigma2
-    coeffs = DerivedCoeffs(b, c)
-    with np.errstate(over="ignore"):
-        tau = (1.0 + gamma) ** r - 1.0
-    raise_first((~np.isfinite(tau), lambda i: DomainError(
-        f"threshold (1+gamma)^r - 1 overflows at gamma={gamma[i]} (r={r[i]})")))
-    x0 = x0_symmetric(r, gamma, coeffs)
-    big_a, big_b = dmt_coefficients(r, gamma, coeffs)
+    tau, x0, big_a, big_b = _symmetric_corner(r, gamma, b, c)
     # Symmetric traffic: both thresholds are tau and the corner is (x0, x0).
     shift, mass = _corner_mass(d, x0[:, None])
     denom, terms = _lower_bound(d, tau[:, None], shift, mass)

@@ -53,13 +53,13 @@ from .errors import (
     InsufficientSamplesError,
     ParameterError,
     failed_at,
-    raise_first,
 )
 from .model import (
     DerivedCoeffs,
     SystemParams,
     TargetRates,
     as_columns,
+    check_multiplexing_gain,
     check_symmetric_powers,
     derived_coeffs,
     end_to_end_snrs,
@@ -278,8 +278,8 @@ def estimate_diversity_fd(
     """Per point, a central finite difference of -ln(P_out) in ln(gamma) at
     the point's own SNR gamma = P/sigma2, with multiplexing gain ``r``.
 
-    The powers must be symmetric
-    (``model.check_symmetric_powers``).  The stencil sits DIVERSITY_STEP_DB
+    The powers must be symmetric (``model.check_symmetric_powers``) and
+    ``r`` positive (``model.check_multiplexing_gain``).  The stencil sits DIVERSITY_STEP_DB
     above and below each point's SNR, with P1 = P2 = gamma*sigma2 and
     thresholds tau = (1+gamma)^r - 1 re-derived at each stencil point; every
     other parameter is the point's own.  All stencil evaluations run in one
@@ -295,10 +295,7 @@ def estimate_diversity_fd(
     """
     shape, base, (r,) = as_columns(params, r)
     check_symmetric_powers(base)
-    raise_first((r <= 0, lambda i: ParameterError(
-        f"multiplexing gain must be positive (r = 0 gives tau = 0 and an "
-        f"undefined log-derivative); got {r[i]}"
-    )))
+    check_multiplexing_gain(r)
     stencil = []  # (gamma_db, gamma) of each point's higher, then lower SNR
     powers, rates = [], []
     for index, (p1, sigma2, r_i) in enumerate(zip(base.p1.tolist(), base.sigma2.tolist(),

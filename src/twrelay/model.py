@@ -101,8 +101,7 @@ class TargetRates:
     @classmethod
     def from_multiplexing_gain(cls, r: float, gamma: float) -> "TargetRates":
         """Symmetric targets T = r * (1/2) log2(1+gamma), i.e. tau = (1+gamma)^r - 1."""
-        if r <= 0:
-            raise ParameterError(f"multiplexing gain must be positive; got {r}")
+        check_multiplexing_gain(r)
         if gamma <= 0:
             raise ParameterError(f"SNR must be positive; got {gamma}")
         t = 0.5 * r * math.log2(1.0 + gamma)
@@ -178,6 +177,16 @@ def check_symmetric_powers(params: SystemParams) -> None:
     raise_first((np.abs(p1 - p2) > 1e-12 * np.maximum(np.abs(p1), np.abs(p2)),
                  lambda i: ParameterError(
                      f"the diversity metric assumes symmetric powers; got ({p1[i]}, {p2[i]})")))
+
+
+def check_multiplexing_gain(r) -> None:
+    """Raise ParameterError, marked with its index, for the first point whose
+    multiplexing gain ``r`` (a float or a column) is not positive: r = 0
+    gives tau = 0, and the diversity and its estimate are log-derivatives
+    of an outage that is then 0."""
+    r = np.asarray(r, dtype=float).reshape(-1)
+    raise_first((r <= 0.0, lambda i: ParameterError(
+        f"multiplexing gain must be positive; got {r[i]}")))
 
 
 def derived_coeffs(params: SystemParams) -> DerivedCoeffs:

@@ -55,11 +55,11 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     method's rows are columns of its evaluator's outputs; the rows are
     emitted point by point in method order.  Deterministic given the seed;
     writes the CSV and a matplotlib script referencing it (unless
-    ``write=False``).  The output directory is checked before any
+    ``write=False``).  The output paths are checked before any
     evaluation, so a bad path fails fast.
     """
     if write:
-        _require_writable_dir(config.output_path)
+        _require_writable(config.output_path, plot_script_path(config))
     started = time.perf_counter()
     family = config.metric_family
     grid = axis_grid(config)
@@ -96,12 +96,18 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     return result
 
 
-def _require_writable_dir(path: str) -> None:
-    directory = os.path.dirname(path) or "."
+def _require_writable(*paths: str) -> None:
+    """Raise ConfigError unless files can be written at ``paths``, which
+    share one directory: it exists and is writable, and no path is a
+    directory."""
+    directory = os.path.dirname(paths[0]) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"output directory {directory!r} does not exist")
     if not os.access(directory, os.W_OK):
         raise ConfigError(f"output directory {directory!r} is not writable")
+    for path in paths:
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is an existing directory")
 
 
 def write_csv(result: SweepResult, path: str) -> None:
@@ -230,6 +236,8 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
             "validate needs the mc method and an exact or bound method to judge "
             f"against it; got {config.methods}"
         )
+    report_path = config.output_path + ".validation.txt"
+    _require_writable(report_path)
     result = run_sweep(config)
     by_axis: dict[float, dict[str, SweepRow]] = {}
     for row in result.rows:
@@ -257,7 +265,6 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
             lines.append(f"{head} {claim} -> {'PASS' if ok else 'FAIL'}")
             all_passed = all_passed and ok
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
-    report_path = config.output_path + ".validation.txt"
     report = ValidationReport(passed=all_passed, lines=lines, report_path=report_path)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(report.text())

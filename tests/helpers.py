@@ -265,6 +265,23 @@ def joint_outage(params, tau1, tau2) -> float:
     return batch.shaped(value)
 
 
+class SymmetricCorner(NamedTuple):
+    """Threshold, corner coordinate and its SNR derivatives of one point
+    under symmetric traffic."""
+
+    tau: float
+    x0: float
+    a: float
+    b: float
+
+
+def symmetric_corner(r: float, gamma: float, coeffs) -> SymmetricCorner:
+    """``analytic._symmetric_corner`` of one point, as floats."""
+    values = analytic._symmetric_corner(
+        np.array([float(r)]), np.array([float(gamma)]), coeffs.b, coeffs.c)
+    return SymmetricCorner(*(float(v[0]) for v in values))
+
+
 def outage_exact_quadpack(params, targets) -> float:
     """``analytic.outage_exact`` with every boundary strip on QUADPACK."""
     with mock.patch.object(analytic, "_segment_integral", _segment_integrals_quadpack):

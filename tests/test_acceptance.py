@@ -24,6 +24,7 @@ from helpers import (
     harmonic_number,
     make_params,
     outage_exact_quadpack,
+    symmetric_corner,
     tricomi_psi,
     y0_without_cross_term,
 )
@@ -34,11 +35,9 @@ from twrelay.analytic import (
     capacity_quadrature,
     capacity_series,
     dmt,
-    dmt_coefficients,
     outage_bounds,
     outage_exact,
     outage_high_snr,
-    x0_symmetric,
 )
 from twrelay.model import TargetRates, derived_coeffs
 from twrelay.specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
@@ -239,9 +238,9 @@ def test_c07_diversity_self_consistency():
     worst_ab = 0.0
     for r in (0.25, 0.5, 0.75):
         for gamma in (10.0, 100.0, 1000.0):
-            a_val, b_val = dmt_coefficients(r, gamma, coeffs)
+            _, _, a_val, b_val = symmetric_corner(r, gamma, coeffs)
             h = 1e-4 * gamma
-            fd_a = central_diff(lambda g: x0_symmetric(r, g, coeffs), gamma, h)
+            fd_a = central_diff(lambda g: symmetric_corner(r, g, coeffs).x0, gamma, h)
             fd_b = central_diff(lambda g: ((1 + g) ** r - 1) / g, gamma, h)
             worst_ab = max(
                 worst_ab, abs(a_val - fd_a) / abs(fd_a), abs(b_val - fd_b) / abs(fd_b)

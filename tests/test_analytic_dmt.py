@@ -6,14 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from helpers import central_diff, corner_point_root_solve, make_params
+from helpers import central_diff, corner_point_root_solve, make_params, symmetric_corner
 
-from twrelay.analytic import (
-    dmt,
-    dmt_coefficients,
-    outage_bounds,
-    x0_symmetric,
-)
+from twrelay.analytic import _symmetric_corner, dmt, outage_bounds
 from twrelay.errors import DomainError, ParameterError
 from twrelay.model import DerivedCoeffs, TargetRates, derived_coeffs
 
@@ -25,7 +20,7 @@ class TestX0Symmetric:
         # tau = gamma cancels: X0 = (b/2)(1 + sqrt(1 + 4c/b^2))
         expect = 1.25 * (1.0 + math.sqrt(1.0 + 4.0 * COEFFS.c / 6.25))
         for gamma in (3.0, 10.0, 1000.0):
-            assert x0_symmetric(1.0, gamma, COEFFS) == pytest.approx(expect, rel=1e-12)
+            assert symmetric_corner(1.0, gamma, COEFFS).x0 == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(2.9517, abs=1e-4)
 
     def test_matches_corner_root_solver(self):
@@ -35,59 +30,56 @@ class TestX0Symmetric:
                 coeffs = derived_coeffs(params)
                 tau = (1.0 + gamma) ** r - 1.0
                 point = corner_point_root_solve(params, coeffs, tau, tau)
-                assert x0_symmetric(r, gamma, coeffs) == pytest.approx(
+                assert symmetric_corner(r, gamma, coeffs).x0 == pytest.approx(
                     point.x0, rel=1e-9
                 )
 
     def test_vanishes_at_high_snr_below_unit_gain(self):
         # decays like sqrt(c) * gamma^(-r/2) for r < 1: slow but monotone
-        values = [x0_symmetric(0.5, g, COEFFS) for g in (1e2, 1e6, 1e10)]
+        values = [symmetric_corner(0.5, g, COEFFS).x0 for g in (1e2, 1e6, 1e10)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.02
 
     def test_degenerate_gain_rejected(self):
         with pytest.raises(DomainError):
-            x0_symmetric(0.0, 100.0, COEFFS)
+            symmetric_corner(0.0, 100.0, COEFFS)
         with pytest.raises(DomainError):
-            x0_symmetric(-0.5, 100.0, COEFFS)
+            symmetric_corner(-0.5, 100.0, COEFFS)
 
 
 class TestDmtCoefficients:
     def test_unit_gain_flattens_everything(self):
-        big_a, big_b = dmt_coefficients(1.0, 100.0, COEFFS)
+        _, _, big_a, big_b = symmetric_corner(1.0, 100.0, COEFFS)
         assert big_b == 0.0
         assert big_a == 0.0
 
     @pytest.mark.parametrize("r", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("gamma", [10.0, 100.0, 1000.0])
     def test_match_finite_differences(self, r, gamma):
-        big_a, big_b = dmt_coefficients(r, gamma, COEFFS)
+        _, _, big_a, big_b = symmetric_corner(r, gamma, COEFFS)
         h = 1e-4 * gamma
-        fd_a = central_diff(lambda g: x0_symmetric(r, g, COEFFS), gamma, h)
+        fd_a = central_diff(lambda g: symmetric_corner(r, g, COEFFS).x0, gamma, h)
         fd_b = central_diff(lambda g: ((1.0 + g) ** r - 1.0) / g, gamma, h)
         assert big_a == pytest.approx(fd_a, rel=1e-4)
         assert big_b == pytest.approx(fd_b, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            dmt_coefficients(0.0, 100.0, COEFFS)
+            symmetric_corner(0.0, 100.0, COEFFS)
         with pytest.raises(DomainError):
-            dmt_coefficients(0.5, 0.0, COEFFS)
+            symmetric_corner(0.5, 0.0, COEFFS)
 
-    @pytest.mark.parametrize("func, r, gamma, coeffs, named", [
-        (dmt_coefficients, 1.5, 1e200, COEFFS, "gamma**2"),
-        (dmt_coefficients, 0.5, 1e10, DerivedCoeffs(b=2.5, c=1e300), "4*c*gamma"),
-        (dmt_coefficients, 2.0, 1.2e154, COEFFS, "b*b*tau"),
-        (dmt_coefficients, 2.0, 1.2e154, DerivedCoeffs(b=1.0, c=4.0 / 3.0),
-         "r*gamma*(1+gamma)^(r-1)"),
-        (x0_symmetric, 0.5, 1e10, DerivedCoeffs(b=2.5, c=1e300), "4*c*gamma"),
-        (x0_symmetric, 2.0, 1.2e154, COEFFS, "b*b*tau"),
-    ], ids=["coeffs-square", "coeffs-4cg", "coeffs-b2tau", "coeffs-numerator", "x0-4cg", "x0-b2tau"])
-    def test_overflow_is_named(self, func, r, gamma, coeffs, named):
+    @pytest.mark.parametrize("r, gamma, coeffs, named", [
+        (1.5, 1e200, COEFFS, "gamma**2"),
+        (0.5, 1e10, DerivedCoeffs(b=2.5, c=1e300), "4*c*gamma"),
+        (2.0, 1.2e154, COEFFS, "b*b*tau"),
+        (2.0, 1.2e154, DerivedCoeffs(b=1.0, c=4.0 / 3.0), "r*gamma*(1+gamma)^(r-1)"),
+    ], ids=["coeffs-square", "coeffs-4cg", "coeffs-b2tau", "coeffs-numerator"])
+    def test_overflow_is_named(self, r, gamma, coeffs, named):
         # a product past the float range raises, where it used to warn and
         # return inf, nan or 0
         with pytest.raises(DomainError, match=re.escape(f"{named} overflows at gamma={gamma}")):
-            func(np.array([r]), np.array([gamma]), coeffs)
+            _symmetric_corner(np.array([r]), np.array([gamma]), coeffs.b, coeffs.c)
 
 
 def lower_bound_outage(r, gamma):

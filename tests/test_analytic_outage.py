@@ -15,6 +15,7 @@ from helpers import (
     joint_outage_quadpack,
     make_params,
     one_way,
+    symmetric_corner,
     y0_without_cross_term,
 )
 
@@ -23,7 +24,6 @@ from twrelay.analytic import (
     outage_bounds,
     outage_exact,
     outage_high_snr,
-    x0_symmetric,
 )
 from twrelay.errors import DomainError
 from twrelay.model import (
@@ -118,7 +118,7 @@ class TestCornerPoint:
         gamma = params20.p1 / params20.sigma2
         # tau = 3 corresponds to r with (1+gamma)^r - 1 = 3
         r = math.log(4.0) / math.log(1.0 + gamma)
-        assert point.x0 == pytest.approx(x0_symmetric(r, gamma, coeffs), rel=1e-10)
+        assert point.x0 == pytest.approx(symmetric_corner(r, gamma, coeffs).x0, rel=1e-10)
 
     def test_unit_rate_symmetric_value(self):
         # b=2.5, c=4/3, tau = gamma: X0 = (b/2)(1 + sqrt(1 + 4c/b^2))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -176,6 +176,15 @@ class TestEstimateDiversityFd:
             analytic.dmt(params, 0.5)
         assert str(estimate.value) == str(closed_form.value)
 
+    def test_nonpositive_multiplexing_gain_rejected_like_the_closed_form(self):
+        # one check, model.check_multiplexing_gain, serves both
+        params = make_params()
+        with pytest.raises(ParameterError, match="multiplexing gain must be positive") as estimate:
+            estimate_diversity_fd(params, 0.0, n=200_000, seed=1)
+        with pytest.raises(ParameterError) as closed_form:
+            analytic.dmt(params, 0.0)
+        assert str(estimate.value) == str(closed_form.value)
+
     def test_matches_closed_form_within_combined_error(self):
         params = make_params()
         est = estimate_diversity_fd(params, 0.5, n=1_000_000, seed=3)
@@ -234,7 +243,8 @@ class TestDeterminismContract:
         assert sorted(seen) == sorted(args + args)
 
     # n spans one partial chunk, whole chunks and a remainder chunk
-    @settings(max_examples=8, deadline=None)
+    @seed(20171)
+    @settings(max_examples=8, deadline=None, database=None)
     @given(
         n=st.integers(1, 3 * CHUNK_DRAWS + 17),
         seed=st.integers(0, 2**32 - 1),

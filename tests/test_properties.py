@@ -1,6 +1,10 @@
 """Properties of the closed forms over the wide physical box: SNR -10..60 dB,
 lambda 0.05-0.95, eta 0.3-1, epsilon 0-1, d1 0.1-0.9, path-loss exponent
-2-4, and target rates T1, T2 in [0.1, 2] bit/s/Hz."""
+2-4, and target rates T1, T2 in [0.1, 2] bit/s/Hz; and of the diversity over
+a box far past it."""
+
+import math
+import warnings
 
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -10,12 +14,14 @@ from helpers import make_params
 from twrelay.analytic import (
     capacity_bounds,
     capacity_quadrature,
+    dmt,
     non_coop_capacity,
     non_coop_outage,
     outage_bounds,
     outage_exact,
     outage_high_snr,
 )
+from twrelay.errors import DomainError, NumericalError
 from twrelay.model import TargetRates, build_params
 
 # Absolute slack for probabilities, relative slack for capacities: a few
@@ -103,3 +109,32 @@ def test_relabelling_the_sources_changes_no_closed_form(snr, point, rates, p2_sc
         assert abs(p - q) <= PROB_SLACK
     for c, d in zip(_capacities(params), _capacities(swapped)):
         assert abs(c - d) <= REL_SLACK * c
+
+
+# SNR -200..300 dB, r 1e-20..2 (uniform, and uniform in log10 r), and every
+# other parameter from near one end of its range to near the other.
+far_box = st.fixed_dictionaries({
+    "snr_db": st.floats(-200.0, 300.0),
+    "lam": st.floats(1e-6, 1.0 - 1e-6),
+    "eta": st.floats(1e-6, 1.0),
+    "epsilon": st.floats(0.0, 1.0),
+    "d1": st.floats(0.001, 0.999),
+    "path_loss_exp": st.floats(2.0, 6.0),
+})
+multiplexing_gain = st.one_of(
+    st.floats(1e-20, 2.0), st.floats(-20.0, math.log10(2.0)).map(lambda e: 10.0 ** e))
+
+
+@seed(20172)
+@settings(max_examples=300, deadline=None, database=None)
+@given(far_box, multiplexing_gain)
+def test_diversity_is_finite_or_a_typed_error(point, r):
+    # a threshold that rounds to 0, a product past the float range or an
+    # underflowing outage is named; none of them may pass as a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = dmt(make_params(**point), r)
+        except (DomainError, NumericalError):
+            return
+    assert math.isfinite(value)

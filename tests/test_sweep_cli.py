@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -559,6 +560,49 @@ class TestCli:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert "does not exist" in capsys.readouterr().err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("command, taken", [
+        ("run", "out.csv"),
+        ("reproduce", "fig3.csv"),
+        ("reproduce", "fig3_plot.py"),
+        ("validate", "out.csv.validation.txt"),
+    ], ids=["run-csv", "reproduce-csv", "reproduce-plot-script", "validate-report"])
+    def test_output_path_that_is_a_directory_exits_2_before_any_output(
+        self, tmp_path, monkeypatch, capsys, command, taken
+    ):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the sweep ran before the output paths were checked")
+
+        for name in ("dmt", "outage_exact", "outage_bounds"):
+            monkeypatch.setattr(analytic, name, no_compute)
+        monkeypatch.setattr(mc, "estimate_outage", no_compute)
+        (tmp_path / taken).mkdir()
+        if command == "reproduce":
+            source = ["--figure", "3", "--out", str(tmp_path)]
+        else:
+            path = tmp_path / "exp.cfg"
+            path.write_text(GOOD_CONFIG.format(path=tmp_path / "out.csv"))
+            source = ["--config", str(path)]
+        assert cli.main([command, *source]) == cli.EXIT_CONFIG
+        assert f"{str(tmp_path / taken)!r} is an existing directory" in capsys.readouterr().err
+        inputs = set() if command == "reproduce" else {"exp.cfg"}
+        assert {p.name for p in tmp_path.iterdir()} == inputs | {taken}
+
+    def test_threshold_that_rounds_to_0_exits_3_without_warnings(self, tmp_path, capsys):
+        # r*ln(1+gamma) below about 1e-16 leaves tau = (1+gamma)^r - 1 at 0
+        # (r = 0.5 below about -157 dB); the corner divides by tau
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "sweep = snr_db\nstart = -170\nstop = -140\nsteps = 4\nr = 0.5\n"
+            f"methods = dmt\noutput_path = {tmp_path / 'x.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: snr_db=-170, method=dmt: threshold (1+gamma)^r - 1 "
+            "rounds to 0 at gamma=1e-17 (r=0.5)\n"
+        )
 
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "exp.cfg"
