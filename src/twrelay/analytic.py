@@ -59,6 +59,7 @@ from .model import (
     check_multiplexing_gain,
     check_symmetric_powers,
     derived_coeffs,
+    symmetric_growth,
 )
 from .numerics import log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
@@ -661,14 +662,14 @@ def _symmetric_corner(r, gamma, b, c):
         A = dX0/dgamma = B * [ (b/2)*(1 + S) - c*gamma / (b*tau*S) ],
 
     returned as ``(tau, X0, A, B)``; A and B are checked against central
-    finite differences in the test suite.  A threshold past the float range,
-    or one that rounds to 0 (r*ln(1+gamma) below about 1e-16), raises
-    DomainError before any division, and so does a product past the float
-    range, naming the product and its gamma.
+    finite differences in the test suite.  (1+gamma)^r comes from
+    ``model.symmetric_growth``, as the Monte Carlo stencil's does.  A
+    threshold past the float range, or one that rounds to 0 (r*ln(1+gamma)
+    below about 1e-16), raises DomainError before any division, and so does
+    a product past the float range, naming the product and its gamma.
     """
-    with np.errstate(over="ignore"):
-        grown = (1.0 + gamma) ** r
-        tau = grown - 1.0
+    grown = symmetric_growth(r, gamma)
+    tau = grown - 1.0
     raise_first(
         (~np.isfinite(tau), lambda i: DomainError(
             f"threshold (1+gamma)^r - 1 overflows at gamma={gamma[i]} (r={r[i]})")),

@@ -3,8 +3,10 @@
 Subcommands: ``run`` (execute a sweep from a config file), ``validate``
 (sweep plus analytic-vs-Monte-Carlo agreement report), ``reproduce``
 (frozen figure presets fig1..fig4), ``lambda-star`` (grid search of the
-power split).  Exit codes: 0 success, 1 validation failure, 2 config
-error, 3 numerical failure.
+power split).  Each prints ``wrote <path>`` for every file it writes: the
+CSV, ``<stem>_plot.py`` and, for ``validate``, ``<csv>.validation.txt``.
+Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -72,30 +74,34 @@ def _configured(args):
     return config
 
 
+def _print_written(*paths: str) -> None:
+    for path in paths:
+        print(f"wrote {path}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        config = _configured(args)
         if args.command in ("run", "reproduce"):
-            config = _configured(args)
             result = run_sweep(config)
             print(f"wrote {config.output_path} ({len(result.rows)} rows)")
             print(f"wrote {plot_script_path(config)}")
             print(f"wall time: {result.wall_time_s:.2f} s", file=sys.stderr)
             return EXIT_OK
         if args.command == "validate":
-            config = _configured(args)
             report = validate_sweep(config)
             print(report.text(), end="")
-            print(f"wrote {report.report_path}")
+            _print_written(config.output_path, plot_script_path(config), report.report_path)
             return EXIT_OK if report.passed else EXIT_VALIDATION
         if args.command == "lambda-star":
-            config = _configured(args)
             best = find_lambda_star(config)
             flat_note = " (flat grid; returning the first point)" if best.flat else ""
             print(
                 f"lambda_star = {best.lambda_star:.6g}  value = {best.value:.6g}  "
                 f"bracket = [{best.bracket[0]:.6g}, {best.bracket[1]:.6g}]{flat_note}"
             )
+            _print_written(config.output_path, plot_script_path(config))
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")
     except (ConfigError, ParameterError) as exc:

@@ -6,8 +6,9 @@ point is given either as explicit powers (``p1``/``p2``) or as a symmetric
 ``snr_db`` = 10*log10(P/sigma2); supplying both is rejected, and so is an
 ``snr_db`` sweep with explicit powers.  dB-to-linear conversion happens
 here, at the boundary; everything below works in linear scale.  A config is
-validated when it is made, so none exists invalid, and a sweep resolves its
-whole grid into the columns of one ``SystemParams``.
+validated when it is made, so none exists invalid: validating resolves the
+sweep's whole grid, once, into the columns of one ``SystemParams``, which
+the config keeps (``grid``, ``points``) and the sweep evaluates.
 """
 
 from __future__ import annotations
@@ -20,19 +21,16 @@ import numpy as np
 
 from .errors import ConfigError, ParameterError, raise_first
 from .methods import FAMILIES, METHODS
-from .model import SystemParams, TargetRates, build_params, check_symmetric_powers
+from .model import SystemParams, TargetRates, build_params, check_symmetric_powers, db_to_linear
 
 SWEEP_AXES = ("snr_db", "lambda", "r", "d1")
 
 
 def _snr_power(sigma2: float, snr_db: float) -> float:
-    """The power P = sigma2 * 10^(snr_db/10) of an SNR given in dB: the one
-    dB-to-linear conversion of a config.  A power that is not a positive
-    finite float raises ConfigError naming the values."""
-    try:
-        power = sigma2 * 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        power = math.inf
+    """The power P = sigma2 * 10^(snr_db/10) of an SNR given in dB
+    (``model.db_to_linear``); one that is not a positive finite float raises
+    ConfigError naming the values."""
+    power = sigma2 * db_to_linear(snr_db)
     if not 0.0 < power < math.inf:
         raise ConfigError(
             f"snr_db = {snr_db:g} at sigma2 = {sigma2:g} gives power {power:g}; "
@@ -102,12 +100,14 @@ class ExperimentConfig:
                 "past the float range"
             ) from None
 
-    def base_params(self) -> SystemParams:
-        p1, p2 = self.base_powers
-        return build_params(
-            p1, p2, self.sigma2, self.eta, self.lam, self.epsilon,
-            self.d1, self.path_loss_exp,
-        )
+    @cached_property
+    def grid(self) -> list[float]:
+        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
+
+    @cached_property
+    def points(self) -> tuple[SystemParams, TargetRates, object]:
+        """The grid bound by ``resolve_points``, once, when validating."""
+        return resolve_points(self, self.grid)
 
     def validate(self) -> None:
         if self.sweep not in SWEEP_AXES:
@@ -146,26 +146,26 @@ class ExperimentConfig:
             )
         if not self.output_path:
             raise ConfigError("output_path must be set")
-        # Each point check bounds one key by an interval, so a sweep whose two
-        # ends resolve has every point in range; resolving checks the targets.
+        # The base point is checked even where the axis replaces its value;
+        # resolving the grid checks every point and the targets.
         try:
-            base = self.base_params()
+            base = build_params(*self.base_powers, self.sigma2, self.eta, self.lam,
+                                self.epsilon, self.d1, self.path_loss_exp)
             if family == "dmt":
                 check_symmetric_powers(base)
-            resolve_points(self, [self.start, self.stop])
+            self.points  # kept for the sweep
         except ParameterError as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def resolve_points(config: ExperimentConfig, values: list[float]):
-    """Bind the ``values`` of ``config``'s sweep axis to its config key and
-    return the points as ``(params, targets, r)``: their system parameters,
-    one column per swept field, their targets (set by t1 and t2) and their
-    multiplexing gain r, from which the dmt evaluators derive their own
-    thresholds at each SNR they use.  This is the one binding of swept
-    values, used by the sweep engine for its grid and by ``validate`` for
-    the two ends; the first value outside its key's range raises
-    ParameterError (ConfigError for a power out of range)."""
+    """Bind the ``values`` of ``config``'s sweep axis to its config key: the
+    one binding of swept values, which gives a config its ``points``.
+    Returns ``(params, targets, r)``: the system parameters, one column per
+    swept field, the targets (set by t1 and t2) and the multiplexing gain r,
+    from which the dmt evaluators derive their own thresholds at each SNR
+    they use.  The first value outside its key's range raises ParameterError
+    (ConfigError for a power out of range)."""
     r = np.array(values) if config.sweep == "r" else config.r
     gains = np.asarray(r).reshape(-1)
     raise_first((~((0.0 < gains) & (gains <= 2.0)),

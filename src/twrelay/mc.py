@@ -61,10 +61,12 @@ from .model import (
     as_columns,
     check_multiplexing_gain,
     check_symmetric_powers,
+    db_to_linear,
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
     snr_denominators,
+    symmetric_growth,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -279,64 +281,53 @@ def estimate_diversity_fd(
     the point's own SNR gamma = P/sigma2, with multiplexing gain ``r``.
 
     The powers must be symmetric (``model.check_symmetric_powers``) and
-    ``r`` positive (``model.check_multiplexing_gain``).  The stencil sits DIVERSITY_STEP_DB
-    above and below each point's SNR, with P1 = P2 = gamma*sigma2 and
-    thresholds tau = (1+gamma)^r - 1 re-derived at each stencil point; every
-    other parameter is the point's own.  All stencil evaluations run in one
-    ``estimate_outage`` call on the same seed (common random numbers), so the
-    independence-based error propagation below is conservative.  A stencil
-    point with fewer than 100 outage events raises ``InsufficientSamplesError``
-    naming its SNR in dB, for the first point with one, its higher stencil
-    point checked first; the error's ``point`` is that point's index.  So does
-    one with fewer than 100 samples out of outage, where nearly every draw is
-    an outage and the difference would read 0.  A stencil point whose SNR,
-    power or threshold is not a positive finite float raises ``DomainError``
-    the same way, before any sampling.
+    ``r`` positive (``model.check_multiplexing_gain``).  The stencil sits
+    DIVERSITY_STEP_DB above and below each point's SNR in dB, with gamma
+    its ``model.db_to_linear``, P1 = P2 = gamma*sigma2 and both thresholds
+    tau = (1+gamma)^r - 1 by ``model.symmetric_growth``, as ``analytic.dmt``
+    forms its own; every other parameter is the point's own.  All stencil
+    evaluations run in one ``estimate_outage`` call on the same seed (common
+    random numbers), so the independence-based error propagation below is
+    conservative.  A stencil point with fewer than 100 outage events raises
+    ``InsufficientSamplesError`` naming its SNR in dB, for the first point
+    with one, its higher stencil point checked first; the error's ``point``
+    is that point's index.  So does one with fewer than 100 samples out of
+    outage, where nearly every draw is an outage and the difference would
+    read 0.  A stencil point whose SNR, power or threshold is not a positive
+    finite float raises ``DomainError`` the same way, before any sampling.
     """
     shape, base, (r,) = as_columns(params, r)
     check_symmetric_powers(base)
     check_multiplexing_gain(r)
-    stencil = []  # (gamma_db, gamma) of each point's higher, then lower SNR
-    powers, rates = [], []
-    for index, (p1, sigma2, r_i) in enumerate(zip(base.p1.tolist(), base.sigma2.tolist(),
-                                                  r.tolist())):
-        db = 10.0 * math.log10(p1 / sigma2)
-        for sign in (+1.0, -1.0):
-            point_db = db + sign * DIVERSITY_STEP_DB
-            try:
-                gamma = 10.0 ** (point_db / 10.0)
-                power = gamma * sigma2
-                targets = TargetRates.from_multiplexing_gain(r_i, gamma) if power > 0.0 else None
-            except OverflowError:  # of 10^(dB/10) or of tau = (1+gamma)^r - 1
-                power = math.inf
-            if not 0.0 < power < math.inf:
-                raise failed_at(index, DomainError(
-                    f"diversity stencil point gamma_db={point_db:.6g} (r={r_i:g}): its SNR, "
-                    "power or threshold is not a positive finite float"
-                ))
-            stencil.append((point_db, gamma))
-            powers.append(power)
-            rates.append(vars(targets).values())
     # every point twice, its higher stencil point first
     twice = SystemParams(*(np.repeat(v, 2) for v in vars(base).values()))
-    outage = estimate_outage(replace(twice, p1=np.array(powers), p2=np.array(powers)),
-                             TargetRates(*map(np.array, zip(*rates))),
-                             n, seed, workers=workers)
-    for k, (mean, (point_db, _)) in enumerate(zip(outage.mean, stencil)):
-        if mean * n < 100:
-            raise failed_at(k // 2, InsufficientSamplesError(
-                f"only {mean * n:.0f} outage events at gamma_db="
-                f"{point_db:.3g}; need >= 100 to difference"
-            ))
-        if (1.0 - mean) * n < 100:
-            raise failed_at(k // 2, InsufficientSamplesError(
-                f"only {(1.0 - mean) * n:.0f} non-outage samples at gamma_db="
-                f"{point_db:.3g}; need >= 100 to difference"
-            ))
+    r = np.repeat(r, 2)
+    stencil_db = [10.0 * math.log10(p1 / sigma2) + sign * DIVERSITY_STEP_DB
+                  for p1, sigma2 in zip(base.p1.tolist(), base.sigma2.tolist())
+                  for sign in (+1.0, -1.0)]
+    gamma = np.array([db_to_linear(db) for db in stencil_db])
+    with np.errstate(over="ignore"):
+        power = gamma * twice.sigma2
+    grown = symmetric_growth(r, gamma)
+    bad = ~((0.0 < power) & (power < math.inf) & (grown < math.inf))
+    if bad.any():
+        k = int(bad.argmax())
+        raise failed_at(k // 2, DomainError(
+            f"diversity stencil point gamma_db={stencil_db[k]:.6g} (r={r[k]:g}): its SNR, "
+            "power or threshold is not a positive finite float"))
+    tau, rate = grown - 1.0, 0.5 * np.log2(grown)
+    outage = estimate_outage(replace(twice, p1=power, p2=power),
+                             TargetRates(rate, rate, tau, tau), n, seed, workers=workers)
+    for k, (mean, point_db) in enumerate(zip(outage.mean, stencil_db)):
+        for count, what in ((mean * n, "outage events"), ((1.0 - mean) * n, "non-outage samples")):
+            if count < 100:
+                raise failed_at(k // 2, InsufficientSamplesError(
+                    f"only {count:.0f} {what} at gamma_db={point_db:.3g}; "
+                    "need >= 100 to difference"))
     means, errs = [], []
-    for hi, lo, hi_err, lo_err, (_, gamma_hi), (_, gamma_lo) in zip(
+    for hi, lo, hi_err, lo_err, gamma_hi, gamma_lo in zip(
         outage.mean[::2], outage.mean[1::2], outage.std_err[::2], outage.std_err[1::2],
-        stencil[::2], stencil[1::2],
+        gamma[::2].tolist(), gamma[1::2].tolist(),
     ):
         dlog = math.log(gamma_hi / gamma_lo)
         means.append(-(math.log(hi) - math.log(lo)) / dlog)

@@ -19,6 +19,8 @@ The model takes one point or a batch in the same form: each field of a
 point, or a 1-D column of one value per point (numpy broadcasting).
 ``build_params`` and ``TargetRates.from_rates`` check every point and raise
 for the first one that fails, marked with its index (``errors.failed_at``).
+``db_to_linear`` and ``symmetric_growth`` are the one dB-to-linear step and
+the one (1+gamma)^r of the config, the closed-form diversity and its stencil.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import numpy as np
 from .errors import ParameterError, raise_first
 
 #: Python's float ``pow`` element by element.  numpy's array ``pow`` differs
-#: from it by an ulp on some inputs, and every value formed with ``pow``
-#: (fading means, thresholds, dB to linear) has always been Python's.
+#: from it by an ulp on some inputs, and the fading means and the rate
+#: thresholds 2^(2T) - 1 have always been formed with Python's.
 _pow = np.frompyfunc(pow, 2, 1)
 
 
@@ -97,15 +99,6 @@ class TargetRates:
                          f"target rates must be finite and >= 0; got ({t1[i]}, {t2[i]})")))
         taus = (np.asarray(_pow(2.0, 2.0 * t), dtype=float) - 1.0 for t in (t1, t2))
         return cls(*(_shaped(v, shape) for v in (t1, t2, *taus)))
-
-    @classmethod
-    def from_multiplexing_gain(cls, r: float, gamma: float) -> "TargetRates":
-        """Symmetric targets T = r * (1/2) log2(1+gamma), i.e. tau = (1+gamma)^r - 1."""
-        check_multiplexing_gain(r)
-        if gamma <= 0:
-            raise ParameterError(f"SNR must be positive; got {gamma}")
-        t = 0.5 * r * math.log2(1.0 + gamma)
-        return cls.from_rates(t, t)
 
 
 def as_columns(params: SystemParams, *more) -> tuple[tuple, SystemParams, list[np.ndarray]]:
@@ -187,6 +180,23 @@ def check_multiplexing_gain(r) -> None:
     r = np.asarray(r, dtype=float).reshape(-1)
     raise_first((r <= 0.0, lambda i: ParameterError(
         f"multiplexing gain must be positive; got {r[i]}")))
+
+
+def db_to_linear(db: float) -> float:
+    """10^(db/10) by Python's float ``pow``, for a config's SNRs and the
+    diversity stencil's; inf past the float range, for the caller to judge."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
+
+
+def symmetric_growth(r, gamma) -> np.ndarray:
+    """(1+gamma)^r per element of the arrays, inf past the float range: the
+    symmetric threshold tau = (1+gamma)^r - 1 at multiplexing gain r, which
+    ``analytic.dmt`` and its Monte Carlo stencil share bit for bit."""
+    with np.errstate(over="ignore"):
+        return (1.0 + gamma) ** r
 
 
 def derived_coeffs(params: SystemParams) -> DerivedCoeffs:

@@ -18,12 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import (
-    ExperimentConfig,
-    canonical_items,
-    resolve_points,
-    with_overrides,
-)
+from .config import ExperimentConfig, canonical_items, with_overrides
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
@@ -43,27 +38,22 @@ class SweepResult:
     wall_time_s: float = 0.0
 
 
-def axis_grid(config: ExperimentConfig) -> list[float]:
-    return [float(v) for v in np.linspace(config.start, config.stop, config.steps)]
-
-
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
-    The grid resolves into one batch of points, each method's evaluator
-    runs once over it (methods that share one share its run), and each
-    method's rows are columns of its evaluator's outputs; the rows are
-    emitted point by point in method order.  Deterministic given the seed;
-    writes the CSV and a matplotlib script referencing it (unless
-    ``write=False``).  The output paths are checked before any
-    evaluation, so a bad path fails fast.
+    The config's points, resolved once when it was validated, are one
+    batch; each method's evaluator runs once over it (methods sharing one
+    share its run), and each method's rows are columns of its evaluator's
+    outputs; the rows are emitted point by point in method order.
+    Deterministic given the seed; writes the CSV and a matplotlib script
+    referencing it (unless ``write=False``).  The output paths are checked
+    before any evaluation, so a bad path fails fast.
     """
     if write:
         _require_writable(config.output_path, plot_script_path(config))
     started = time.perf_counter()
     family = config.metric_family
-    grid = axis_grid(config)
-    points = resolve_points(config, grid)
+    grid, points = config.grid, config.points
     outputs: dict = {}  # evaluator -> its outputs
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]

@@ -18,12 +18,14 @@ from twrelay.errors import (
     DegenerateCaseError,
     DomainError,
     NumericalError,
+    ParameterError,
     raise_first,
 )
 from twrelay.model import (
     SystemParams,
     TargetRates,
     build_params,
+    check_multiplexing_gain,
     derived_coeffs,
     end_to_end_snrs,
 )
@@ -57,6 +59,16 @@ def stack(points: list):
     """The batch of one-point ``SystemParams`` or ``TargetRates``: each field
     the column of the points' values."""
     return type(points[0])(*(np.array(column) for column in zip(*(vars(p).values() for p in points))))
+
+
+def from_multiplexing_gain(r: float, gamma: float) -> TargetRates:
+    """Symmetric targets T = r * (1/2) log2(1+gamma), i.e. tau = (1+gamma)^r - 1,
+    of one point, through ``TargetRates.from_rates``."""
+    check_multiplexing_gain(r)
+    if gamma <= 0:
+        raise ParameterError(f"SNR must be positive; got {gamma}")
+    t = 0.5 * r * math.log2(1.0 + gamma)
+    return TargetRates.from_rates(t, t)
 
 
 def simpson_panels(f, a: float, b: float, panels: int) -> float:

@@ -21,6 +21,7 @@ from helpers import (
     corner_residual,
     digamma_nat,
     empirical_cdf_z,
+    from_multiplexing_gain,
     harmonic_number,
     make_params,
     outage_exact_quadpack,
@@ -224,7 +225,7 @@ def test_c07_diversity_self_consistency():
 
     def lower_bound(r, gamma):
         point = make_params(snr_db=10.0 * math.log10(gamma))
-        return outage_bounds(point, TargetRates.from_multiplexing_gain(r, gamma))[0]
+        return outage_bounds(point, from_multiplexing_gain(r, gamma))[0]
 
     worst_d = 0.0
     for r in (0.25, 0.5, 0.75):

@@ -6,11 +6,17 @@ import re
 import numpy as np
 import pytest
 
-from helpers import central_diff, corner_point_root_solve, make_params, symmetric_corner
+from helpers import (
+    central_diff,
+    corner_point_root_solve,
+    from_multiplexing_gain,
+    make_params,
+    symmetric_corner,
+)
 
 from twrelay.analytic import _symmetric_corner, dmt, outage_bounds
 from twrelay.errors import DomainError, ParameterError
-from twrelay.model import DerivedCoeffs, TargetRates, derived_coeffs
+from twrelay.model import DerivedCoeffs, derived_coeffs
 
 COEFFS = DerivedCoeffs(b=2.5, c=4.0 / 3.0)
 
@@ -85,7 +91,7 @@ class TestDmtCoefficients:
 def lower_bound_outage(r, gamma):
     # powers track the swept SNR; lambda/epsilon/geometry stay at baseline
     params = make_params(snr_db=10.0 * math.log10(gamma))
-    targets = TargetRates.from_multiplexing_gain(r, gamma)
+    targets = from_multiplexing_gain(r, gamma)
     return outage_bounds(params, targets)[0]
 
 

@@ -17,11 +17,12 @@ from helpers import (
     estimate_rates,
     make_params,
     stack,
+    symmetric_corner,
 )
 
 from twrelay import analytic, mc
 from twrelay.config import ExperimentConfig
-from twrelay.errors import InsufficientSamplesError, ParameterError
+from twrelay.errors import DomainError, InsufficientSamplesError, ParameterError
 from twrelay.mc import (
     CHUNK_DRAWS,
     Estimate,
@@ -29,7 +30,13 @@ from twrelay.mc import (
     estimate_diversity_fd,
     estimate_outage,
 )
-from twrelay.model import TargetRates, as_columns, build_params, end_to_end_snrs
+from twrelay.model import (
+    TargetRates,
+    as_columns,
+    build_params,
+    derived_coeffs,
+    end_to_end_snrs,
+)
 from twrelay.sweep import figure_preset, run_sweep
 
 #: MC rows of four sweeps, frozen by data/make_golden_mc.py.
@@ -203,6 +210,35 @@ class TestEstimateDiversityFd:
     def test_too_few_events_rejected(self):
         with pytest.raises(InsufficientSamplesError):
             estimate_diversity_fd(make_params(), 0.05, n=2_000, seed=1)
+
+    def test_snr_past_the_float_range_is_a_domain_error(self):
+        # P/sigma2 overflows to inf: the stencil names its SNR, where it once
+        # blamed target rates that the caller never gave
+        params = build_params(1e300, 1e300, 1e-300, 1, 0.5, 0.5, 0.5, 3)
+        with pytest.raises(DomainError, match=r"gamma_db=inf \(r=0.5\)"):
+            estimate_diversity_fd(params, 0.5, n=2_000, seed=1)
+
+    def test_stencil_thresholds_are_the_closed_forms(self, monkeypatch):
+        # each stencil point's tau is (1+gamma)^r - 1 as analytic.dmt forms
+        # it, bit for bit; with sigma2 = 1 the stencil's power is its gamma
+        seen = []
+
+        def fake(params, targets, n, seed, workers=1):
+            seen.append((params, targets))
+            return Estimate([0.5] * len(targets.tau1), [0.01] * len(targets.tau1), n, seed)
+
+        monkeypatch.setattr(mc, "estimate_outage", fake)
+        snrs = np.arange(-20.0, 60.5, 0.5)
+        params = stack([make_params(snr_db=s) for s in snrs])
+        coeffs = derived_coeffs(make_params())
+        for r in (0.05, 0.5, 1.0, 1.5):
+            estimate_diversity_fd(params, [r] * len(snrs), n=10_000, seed=0)
+            stencil, targets = seen.pop()
+            assert len(targets.tau1) == 2 * len(snrs)
+            for gamma, tau1, tau2 in zip(stencil.p1.tolist(), targets.tau1.tolist(),
+                                         targets.tau2.tolist()):
+                expected = symmetric_corner(r, gamma, coeffs).tau
+                assert tau1 == tau2 == expected, (r, gamma)
 
     def test_worker_count_invariance(self):
         params = make_params()

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import end_to_end_snrs_exact_beta, ks_distance, make_params
+from helpers import (
+    end_to_end_snrs_exact_beta,
+    from_multiplexing_gain,
+    ks_distance,
+    make_params,
+)
 
 from twrelay.analytic import non_coop_capacity, non_coop_outage
 from twrelay.errors import ParameterError
@@ -246,7 +251,7 @@ class TestTargetRates:
         assert t.tau2 == 2.0 ** (2.0 * 2.0) - 1.0
 
     def test_multiplexing_gain_construction(self):
-        t = TargetRates.from_multiplexing_gain(0.5, 100.0)
+        t = from_multiplexing_gain(0.5, 100.0)
         assert t.tau1 == pytest.approx(101.0**0.5 - 1.0, rel=1e-12)
         assert t.t1 == pytest.approx(0.25 * math.log2(101.0), rel=1e-12)
 
@@ -254,4 +259,4 @@ class TestTargetRates:
         with pytest.raises(ParameterError):
             TargetRates.from_rates(-0.5, 1.0)
         with pytest.raises(ParameterError):
-            TargetRates.from_multiplexing_gain(0.0, 100.0)
+            from_multiplexing_gain(0.0, 100.0)

@@ -510,7 +510,30 @@ class TestCli:
             assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
             counts.append(dict(calls))
         assert counts[0]["validate"] == counts[1]["validate"] == 1
-        assert counts[0]["build_params"] == counts[1]["build_params"]
+        # the base point, then the whole grid, both when the config is made
+        assert counts[0]["build_params"] == counts[1]["build_params"] == 2
+
+    def test_sweep_evaluates_the_points_its_config_resolved(self, monkeypatch):
+        config = parse_config_text(
+            "sweep = d1\nstart = 0.2\nstop = 0.8\nsteps = 4\n"
+            "methods = exact_quadrature\noutput_path = x.csv"
+        )
+        builds, seen = [], []
+        true_build, true_exact = config_module.build_params, analytic.outage_exact
+
+        def build(*args, **kwargs):
+            builds.append(args)
+            return true_build(*args, **kwargs)
+
+        def exact(params, targets):
+            seen.append(params)
+            return true_exact(params, targets)
+
+        monkeypatch.setattr(config_module, "build_params", build)
+        monkeypatch.setattr(analytic, "outage_exact", exact)
+        run_sweep(config, write=False)
+        assert builds == []
+        assert len(seen) == 1 and seen[0] is config.points[0]
 
     def test_in_process_calls_share_no_state(self, tmp_path, monkeypatch):
         # the parser is built once per process: a flag given to one call
@@ -702,7 +725,24 @@ class TestCli:
             f"output_path = {tmp_path / 'ls.csv'}\n"
         )
         assert cli.main(["lambda-star", "--config", str(path)]) == 0
-        assert "lambda_star" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "lambda_star" in out
+        for name in ("ls.csv", "ls_plot.py"):
+            assert (tmp_path / name).exists()
+            assert f"wrote {tmp_path / name}\n" in out
+
+    def test_validate_command_names_every_file_it_writes(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "sweep = snr_db\nstart = 15\nstop = 20\nsteps = 2\n"
+            "methods = mc, exact_quadrature\nmc_n = 50000\nseed = 11\n"
+            f"output_path = {tmp_path / 'v.csv'}\n"
+        )
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        for name in ("v.csv", "v_plot.py", "v.csv.validation.txt"):
+            assert (tmp_path / name).exists()
+            assert f"wrote {tmp_path / name}\n" in out
 
 
 class TestImports:
