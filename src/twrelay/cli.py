@@ -15,7 +15,7 @@ import argparse
 import functools
 import sys
 
-from .config import load_config, with_overrides
+from .config import load_config
 from .errors import ConfigError, DomainError, NumericalError, ParameterError
 from .sweep import (
     figure_preset,
@@ -64,14 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configured(args):
+    # one config, made with its overrides: --workers 0 is a config error like a key's
     if args.command == "reproduce":
-        config = figure_preset(args.figure, n=args.n, seed=args.seed, out_dir=args.out)
-    else:
-        config = load_config(args.config)
-    # 0 and negative counts go on to config validation, which rejects them
-    if args.workers is not None:
-        config = with_overrides(config, workers=args.workers)
-    return config
+        return figure_preset(args.figure, n=args.n, seed=args.seed, out_dir=args.out,
+                             workers=args.workers)
+    return load_config(args.config, workers=args.workers)
 
 
 def _print_written(*paths: str) -> None:

@@ -14,7 +14,7 @@ the config keeps (``grid``, ``points``) and the sweep evaluates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -114,10 +114,9 @@ class ExperimentConfig:
             raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}; got {self.sweep!r}")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2; got {self.steps}")
-        if not self.start < self.stop:
-            raise ConfigError(
-                f"sweep range must be increasing; got start={self.start}, stop={self.stop}"
-            )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
+            raise ConfigError(f"sweep range must be finite and increasing; "
+                              f"got start={self.start}, stop={self.stop}")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
         unknown = sorted(set(self.methods) - METHODS.keys())
@@ -167,7 +166,8 @@ def resolve_points(config: ExperimentConfig, values: list[float]):
     they use.  The first value outside its key's range raises ParameterError
     (ConfigError for a power out of range)."""
     r = np.array(values) if config.sweep == "r" else config.r
-    gains = np.asarray(r).reshape(-1)
+    # the base r is checked even where the axis replaces it
+    gains = np.append(config.r, r)
     raise_first((~((0.0 < gains) & (gains <= 2.0)),
                  lambda i: ParameterError(f"r must lie in (0, 2]; got {gains[i]}")))
     p1, p2 = config.base_powers
@@ -200,8 +200,9 @@ _PARSERS = {
 _PARSE = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat key = value format; '#' starts a comment."""
+def parse_config_text(text: str, **overrides) -> ExperimentConfig:
+    """Parse the flat key = value format; '#' starts a comment.  ``overrides``
+    are field values that replace the text's where not None."""
     values: dict[str, object] = {}
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -225,16 +226,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: cannot parse {key} = {value!r}") from exc
     if "snr_db" in seen and ("p1" in seen or "p2" in seen):
         raise ConfigError("give either snr_db or explicit p1/p2, not both")
+    values.update((field, value) for field, value in overrides.items() if value is not None)
     return ExperimentConfig(**values)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, **overrides) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, **overrides)
 
 
 def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:
@@ -265,11 +267,3 @@ def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:
         out.append((key, rendered))
     return sorted(out)
 
-
-def with_overrides(config: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Functional update accepting config-file key names (e.g. 'lambda')."""
-    mapped = {}
-    for key, value in overrides.items():
-        field = _KEY_TO_FIELD.get(key, key)
-        mapped[field] = value
-    return replace(config, **mapped)

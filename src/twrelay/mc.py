@@ -11,7 +11,11 @@ per point for a batch.
 Determinism contract: draws are organized into fixed chunks of 2^16 samples;
 chunk k uses the substream ``SeedSequence(entropy=seed, spawn_key=(k,))`` and
 the reduction always runs in chunk-index order, so results are bit-identical
-for any worker count.  Within a chunk, the unit-mean exponentials behind g1
+for any worker count.  A chunk gives each point its kernel's result (an
+outage count, or the sum and the sum of squares of the sum rates); these are
+added as one array over the points, onto zeros, chunk by chunk in index
+order, and each estimate's means and standard errors are array arithmetic on
+the totals.  Within a chunk, the unit-mean exponentials behind g1
 are drawn as one block, then those behind g2.
 
 All points of a call share each chunk's draws: the chunk is drawn once,
@@ -218,13 +222,17 @@ def _chunk_tasks(kernel, params: SystemParams, extras: list, n: int, seed: int, 
             for k, size in enumerate(sizes)]
 
 
-def _map_points(kernel, params: SystemParams, extras: list, n: int, seed: int, workers: int):
-    """Per point of the (points,) columns ``params``, its ``kernel`` result
-    on every chunk, in chunk order."""
-    if not extras:
-        return []
-    tasks = _chunk_tasks(kernel, params, extras, n, seed, workers)
-    return list(zip(*_map_chunks(_chunk_results, tasks, workers)))
+def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
+                n: int, seed: int, workers: int) -> np.ndarray:
+    """``total`` plus, per point of the (points,) columns ``params``, its
+    ``kernel`` results summed over the chunks in chunk order.  The points
+    run along ``total``'s last axis, and the parts of a kernel result that
+    is a tuple along its first."""
+    if extras:
+        tasks = _chunk_tasks(kernel, params, extras, n, seed, workers)
+        for results in _map_chunks(_chunk_results, tasks, workers):
+            total = total + np.transpose(results)
+    return total
 
 
 def _validate_n(n: int) -> int:
@@ -240,38 +248,29 @@ def estimate_outage(
     target rate."""
     n = _validate_n(n)
     shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
-    means, errs = [], []
     taus = list(zip(tau1.tolist(), tau2.tolist()))
-    for counts in _map_points(_outage_count, params, taus, n, seed, workers):
-        p = sum(counts) / n
-        var = p * (1.0 - p) * n / (n - 1) if n > 1 else 0.0
-        means.append(p)
-        errs.append(math.sqrt(var / n))
-    return Estimate.shaped(means, errs, shape, n, seed)
+    counts = _map_points(_outage_count, np.zeros(len(taus), dtype=np.int64), params, taus,
+                         n, seed, workers)
+    p = counts / n
+    var = p * (1.0 - p) * n / (n - 1) if n > 1 else np.zeros_like(p)
+    return Estimate.shaped(p, np.sqrt(var / n), shape, n, seed)
 
 
-def _mean_and_error(s: float, q: float, n: int) -> tuple[float, float]:
-    """The sample mean and its standard error from the sum ``s`` and the sum
-    of squares ``q`` of ``n`` samples."""
+def _mean_and_error(s: np.ndarray, q: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the sample mean and its standard error from the sum ``s``
+    and the sum of squares ``q`` of its ``n`` samples."""
     mean = s / n
-    var = max(q - n * mean * mean, 0.0) / (n - 1) if n > 1 else 0.0
-    return mean, math.sqrt(var / n)
+    var = np.maximum(q - n * mean * mean, 0.0) / (n - 1) if n > 1 else np.zeros_like(mean)
+    return mean, np.sqrt(var / n)
 
 
 def estimate_capacity(params: SystemParams, n: int, seed: int, workers: int = 1) -> Estimate:
     """Per point, the sample mean of the sum rate R1 + R2 over fading rounds."""
     n = _validate_n(n)
     shape, params, _ = as_columns(params)
-    means, errs = [], []
-    for parts in _map_points(_rate_sums, params, [None] * params.p1.size, n, seed, workers):
-        s = q = 0.0
-        for part_s, part_q in parts:
-            s += part_s
-            q += part_q
-        mean, err = _mean_and_error(s, q, n)
-        means.append(mean)
-        errs.append(err)
-    return Estimate.shaped(means, errs, shape, n, seed)
+    s, q = _map_points(_rate_sums, np.zeros((2, params.p1.size)), params,
+                       [None] * params.p1.size, n, seed, workers)
+    return Estimate.shaped(*_mean_and_error(s, q, n), shape, n, seed)
 
 
 def estimate_diversity_fd(

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, canonical_items, with_overrides
+from .config import ExperimentConfig, canonical_items
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
@@ -308,6 +308,9 @@ def figure_preset(
     fig2: ergodic capacity vs lambda at 20 dB with bounds and baseline.
     fig3: diversity gain vs SNR at r = 0.5, lambda = 3/4.
     fig4: diversity gain vs lambda at r = 0.5, 20 dB.
+
+    ``n`` (the MC sample count), ``seed`` and ``overrides`` (field values)
+    replace the preset's, where not None, in the one config made.
     """
     presets = {
         1: dict(
@@ -338,13 +341,7 @@ def figure_preset(
     }
     if figure not in presets:
         raise ConfigError(f"figure must be 1..4; got {figure}")
-    fields_ = dict(presets[figure])
-    fields_["output_path"] = os.path.join(out_dir, f"fig{figure}.csv")
-    if n is not None:
-        fields_["mc_n"] = int(n)
-    if seed is not None:
-        fields_["seed"] = int(seed)
-    config = ExperimentConfig(**fields_)
-    if overrides:
-        config = with_overrides(config, **overrides)
-    return config
+    fields_ = dict(presets[figure], output_path=os.path.join(out_dir, f"fig{figure}.csv"))
+    picked = dict(mc_n=n, seed=seed, **overrides)
+    fields_.update((field, value) for field, value in picked.items() if value is not None)
+    return ExperimentConfig(**fields_)

@@ -409,8 +409,9 @@ def estimate_rates(
         for row, gamma in zip(sums, end_to_end_snrs(params, g1, g2)):
             rate = 0.5 / mc.LN2 * np.log1p(gamma)
             row += (np.sum(rate), np.sum(rate * rate))
-    return tuple(mc.Estimate(*mc._mean_and_error(float(s), float(q), n), n, seed)
-                 for s, q in sums)
+    means, errs = mc._mean_and_error(sums[:, 0], sums[:, 1], n)
+    return tuple(mc.Estimate(mean, err, n, seed)
+                 for mean, err in zip(means.tolist(), errs.tolist()))
 
 
 

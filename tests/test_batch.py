@@ -147,9 +147,12 @@ class TestBatchEqualsOnePointCalls:
         lambda: analytic.capacity_bounds(EMPTY),
         lambda: analytic.non_coop_capacity(EMPTY),
         lambda: analytic.dmt(EMPTY, []),
+        lambda: mc.estimate_outage(EMPTY, NO_TARGETS, 1000, 1),
+        lambda: mc.estimate_capacity(EMPTY, 1000, 1, workers=2),
+        lambda: mc.estimate_diversity_fd(EMPTY, [], 1000, 1),
     ])
     def test_empty_batch_gives_empty_result(self, call):
-        assert call() in ([], ([], []), ([], [], []))
+        assert call() in ([], ([], []), ([], [], []), mc.Estimate([], [], 1000, 1))
 
     def test_empty_series_batch(self):
         batch = analytic.capacity_series(EMPTY)

@@ -411,8 +411,8 @@ class TestChunkWorkspace:
             stack(SHARED_BATCH), stack(SHARED_TARGETS), N_PARTIAL, 41, workers)
         assert [m.hex() for m in outage.mean] == [(c / N_PARTIAL).hex() for c in counts]
         capacity = estimate_capacity(stack(SHARED_BATCH), N_PARTIAL, 41, workers)
-        means, errs = zip(*(mc._mean_and_error(s, q, N_PARTIAL) for s, q in sums))
-        assert capacity == Estimate(list(means), list(errs), N_PARTIAL, 41)
+        means, errs = mc._mean_and_error(*np.transpose(sums), N_PARTIAL)
+        assert capacity == Estimate(means.tolist(), errs.tolist(), N_PARTIAL, 41)
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"

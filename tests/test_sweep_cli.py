@@ -463,12 +463,17 @@ class TestCli:
         "sweep = snr_db\nstart = 0\nstop = 30\nseed = -1\nmethods = mc, exact_quadrature",
         # the axis sets p1 = p2 at each point, so explicit powers would go unread
         "sweep = snr_db\nstart = 0\nstop = 30\np1 = 10\np2 = 1000\nmethods = exact_quadrature",
+        # sweep ends that are not finite, and a base r out of range under an r sweep
+        "sweep = lambda\nstart = 0.1\nstop = inf\nmethods = capacity_quadrature",
+        "sweep = snr_db\nstart = -inf\nstop = 30\nmethods = exact_quadrature",
+        "sweep = r\nstart = 0.2\nstop = 1\nr = nan\nmethods = dmt",
     ], ids=[
         "lambda-from-0", "lambda-to-1", "d1-from-0", "d1-to-1", "r-from-0", "r-past-2",
         "r-sweep-not-dmt", "base-lambda-1.5", "negative-t1-on-dmt", "snr-to-4000-db",
         "base-snr-4000-db", "path-loss-inf", "path-loss-2000", "powers-nan", "powers-inf",
         "eta-gives-c-inf", "eta-lambda-underflow", "t1-nan", "t1-inf", "t2-threshold-overflow",
-        "negative-seed", "snr-sweep-with-powers",
+        "negative-seed", "snr-sweep-with-powers", "stop-inf", "start-minus-inf",
+        "r-sweep-base-r-nan",
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, lines):
         path = tmp_path / "bad.cfg"
@@ -499,19 +504,24 @@ class TestCli:
 
         monkeypatch.setattr(ExperimentConfig, "validate", validate)
         monkeypatch.setattr(config_module, "build_params", build)
-        counts = []
+        argvs = []
         for steps in (5, 50):
             path = tmp_path / f"steps{steps}.cfg"
             path.write_text(
                 f"sweep = lambda\nstart = 0.1\nstop = 0.9\nsteps = {steps}\n"
                 f"methods = capacity_quadrature\noutput_path = {tmp_path / 'out.csv'}\n"
             )
+            argvs.append(["run", "--config", str(path)])
+        # a command-line override goes into the one config made
+        argvs.append(["run", "--config", str(path), "--workers", "2"])
+        argvs.append(["reproduce", "--figure", "3", "--workers", "1", "--out", str(tmp_path)])
+        counts = []
+        for argv in argvs:
             calls.update(validate=0, build_params=0)
-            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+            assert cli.main(argv) == cli.EXIT_OK
             counts.append(dict(calls))
-        assert counts[0]["validate"] == counts[1]["validate"] == 1
         # the base point, then the whole grid, both when the config is made
-        assert counts[0]["build_params"] == counts[1]["build_params"] == 2
+        assert counts == [{"validate": 1, "build_params": 2}] * len(argvs)
 
     def test_sweep_evaluates_the_points_its_config_resolved(self, monkeypatch):
         config = parse_config_text(
