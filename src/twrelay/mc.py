@@ -30,22 +30,22 @@ its kernel.
 
 A chunk runs in a workspace: chunk-sized buffers for the draws, the scaled
 gains, the product, the denominators, the SNR pair and the outage masks,
-which every ufunc writes into with ``out=``.  A call makes one workspace per
-worker thread, lends it to one chunk at a time, and drops it when it
-returns, so a chunk allocates no arrays whatever its number of points.  The
-buffered kernels run the same ufuncs in the same order on the same values
-as the plain array expressions, so their results are bit-identical.
+which every ufunc writes into with ``out=``.  A call runs its chunks in
+``min(workers, chunks)`` lanes, each owning one workspace that it reuses for
+its every chunk and that is dropped when the call returns, so a chunk
+allocates no arrays whatever its number of points.  The buffered kernels run
+the same ufuncs in the same order on the same values as the plain array
+expressions, so their results are bit-identical.
 
-With ``workers > 1`` the chunks run on a thread pool in this process: numpy
-releases the interpreter lock while it draws exponentials and evaluates
-ufuncs on whole chunks, so threads overlap the sampling without the start-up
-and pickling cost of worker processes.
+A call with one lane runs it on the calling thread; more lanes run on a
+thread pool in this process: numpy releases the interpreter lock while it
+draws exponentials and evaluates ufuncs on whole chunks, so threads overlap
+the sampling without the start-up and pickling cost of worker processes.
 """
 
 from __future__ import annotations
 
 import math
-import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -164,74 +164,58 @@ def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
     return float(np.sum(total)), float(np.sum(np.multiply(total, total, out=gammas[1])))
 
 
-def _chunk_results(args) -> list:
-    """``kernel(extra, gammas, workspace)`` for every point on one chunk's
-    draws, with the point's ``extras`` entry, run in a workspace taken from
-    ``pool`` and given back after."""
-    kernel, points, extras, groups, pool, seed, chunk, size = args
-    whole = pool.get()
-    try:
-        ws = whole.cut(size)
-        e1, e2 = _draw_exponentials(seed, chunk, size, out=(ws.e1, ws.e2))
-        results = [None] * len(points)
-        for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
-            # the last group scales the draws in place: no later group reads them
-            g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
-            np.multiply(omega1, e1, out=g1)
-            np.multiply(omega2, e2, out=g2)
-            prod = gain_product(g1, g2, out=ws.prod)
-            for members in subgroups.values():
-                dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
-                for i in members:
-                    gammas = end_to_end_snrs(
-                        points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
-                    )
-                    results[i] = kernel(extras[i], gammas, ws)
-        return results
-    finally:
-        pool.put(whole)
+def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
+                n: int, seed: int, workers: int) -> np.ndarray:
+    """``total`` plus, per point of the (points,) columns ``params``, its
+    ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
+    entry, summed over the chunks in chunk order.  The points run along
+    ``total``'s last axis, and the parts of a kernel result that is a tuple
+    along its first.
 
-
-def _map_chunks(func, arglist, workers: int):
-    if workers <= 1 or len(arglist) <= 1:
-        return [func(a) for a in arglist]
-    with ThreadPoolExecutor(max_workers=min(workers, len(arglist))) as pool:
-        return list(pool.map(func, arglist))
-
-
-def _chunk_tasks(kernel, params: SystemParams, extras: list, n: int, seed: int, workers: int):
-    """The ``_chunk_results`` argument of every chunk, in chunk order.
-
-    ``params`` holds (points,) columns, and ``extras`` one kernel argument
-    per point.  A chunk evaluates point by point, each on its own floats.
-    Points are grouped by fading means, which share one scaling of each
-    chunk and its gain product, and within that by ``derived_coeffs``, which
-    share the SNR denominators.  The chunks share ``min(workers, chunks)``
-    workspaces.
+    A chunk evaluates point by point, each on its own floats.  Points are
+    grouped by fading means, which share one scaling of each chunk and its
+    gain product, and within that by ``derived_coeffs``, which share the SNR
+    denominators.  Lane j of ``lanes = min(workers, chunks)`` runs chunks j,
+    j+lanes, j+2*lanes, ... in workspace j.  The workspaces are made on the
+    calling thread, which also runs a lone lane; more run on a thread pool.
     """
+    if not extras:
+        return total
     points = [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(params).values()))]
     groups: dict[tuple[float, float], dict[DerivedCoeffs, list[int]]] = {}
     for i, point in enumerate(points):
         subgroups = groups.setdefault((point.omega1, point.omega2), {})
         subgroups.setdefault(derived_coeffs(point), []).append(i)
     sizes = _chunk_sizes(n)
-    pool = queue.SimpleQueue()
-    for _ in range(min(workers, len(sizes))):
-        pool.put(_Workspace.empty(sizes[0]))
-    return [(kernel, points, extras, groups, pool, seed, k, size)
-            for k, size in enumerate(sizes)]
+    lanes = min(workers, len(sizes))
+    workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
+    chunks: list[list] = [[None] * len(points) for _ in sizes]
 
+    def lane(j: int) -> None:
+        for chunk in range(j, len(sizes), lanes):
+            ws = workspaces[j].cut(sizes[chunk])
+            e1, e2 = _draw_exponentials(seed, chunk, sizes[chunk], out=(ws.e1, ws.e2))
+            for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
+                # the last group scales the draws in place: no later group reads them
+                g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
+                np.multiply(omega1, e1, out=g1)
+                np.multiply(omega2, e2, out=g2)
+                prod = gain_product(g1, g2, out=ws.prod)
+                for members in subgroups.values():
+                    dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
+                    for i in members:
+                        gammas = end_to_end_snrs(
+                            points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
+                        )
+                        chunks[chunk][i] = kernel(extras[i], gammas, ws)
 
-def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
-                n: int, seed: int, workers: int) -> np.ndarray:
-    """``total`` plus, per point of the (points,) columns ``params``, its
-    ``kernel`` results summed over the chunks in chunk order.  The points
-    run along ``total``'s last axis, and the parts of a kernel result that
-    is a tuple along its first."""
-    if extras:
-        tasks = _chunk_tasks(kernel, params, extras, n, seed, workers)
-        for results in _map_chunks(_chunk_results, tasks, workers):
-            total = total + np.transpose(results)
+    if lanes == 1:
+        lane(0)
+    else:
+        with ThreadPoolExecutor(lanes) as pool:
+            list(pool.map(lane, range(lanes)))  # re-raises a lane's error
+    for results in chunks:
+        total = total + np.transpose(results)
     return total
 
 

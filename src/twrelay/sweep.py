@@ -112,33 +112,6 @@ def write_csv(result: SweepResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path: str) -> SweepResult:
-    """Parse a sweep CSV back into rows + metadata (round-trips exactly)."""
-    rows: list[SweepRow] = []
-    metadata: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(" = ")
-                metadata[key] = value
-                continue
-            if line == "axis,method,value,std_err":
-                continue
-            axis_s, method, value_s, err_s = line.split(",")
-            rows.append(
-                SweepRow(
-                    float(axis_s),
-                    method,
-                    float(value_s),
-                    float(err_s) if err_s else None,
-                )
-            )
-    return SweepResult(rows=rows, metadata=metadata)
-
-
 _PLOT_TEMPLATE = '''"""Plot {csv_name} (auto-generated; not needed by any test)."""
 import csv
 from collections import defaultdict

@@ -30,6 +30,7 @@ from twrelay.model import (
     end_to_end_snrs,
 )
 from twrelay.specfun import EULER_GAMMA, exp_integral_e1
+from twrelay.sweep import SweepResult, SweepRow
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -326,16 +327,6 @@ def corner_residual(params, tau1: float, tau2: float, x0: float, y0: float) -> f
 # Oracles and variants that only the tests use.
 
 
-def _cdf_chunk(args):
-    a, b, c, omega1, omega2, z_grid, seed, chunk, size = args
-    rng = mc._chunk_rng(seed, chunk)
-    x = rng.exponential(omega1, size)
-    y = rng.exponential(omega2, size)
-    z = a * x * y / (b * x + c)
-    z.sort()
-    return np.searchsorted(z, z_grid, side="right").astype(np.int64)
-
-
 def empirical_cdf_z(
     a: float,
     b: float,
@@ -345,10 +336,9 @@ def empirical_cdf_z(
     z_grid,
     n: int,
     seed: int,
-    workers: int = 1,
 ) -> list[tuple[float, float]]:
-    """Empirical CDF of Z = a*X*Y/(b*X+c) on an ascending grid, drawn in the
-    chunked, worker-invariant way of ``twrelay.mc``."""
+    """Empirical CDF of Z = a*X*Y/(b*X+c) on an ascending grid, drawn chunk
+    by chunk on the substreams of ``twrelay.mc``."""
     if a <= 0:
         raise DomainError(f"scale a must be positive; got {a}")
     if b < 0 or c < 0 or b + c == 0:
@@ -359,14 +349,33 @@ def empirical_cdf_z(
     if z_grid.ndim != 1 or np.any(np.diff(z_grid) < 0):
         raise DomainError("z_grid must be one-dimensional and sorted ascending")
     n = mc._validate_n(n)
-    args = [
-        (a, b, c, omega1, omega2, z_grid, seed, k, size)
-        for k, size in enumerate(mc._chunk_sizes(n))
-    ]
     counts = np.zeros(len(z_grid), dtype=np.int64)
-    for part in mc._map_chunks(_cdf_chunk, args, workers):
-        counts += part
+    for k, size in enumerate(mc._chunk_sizes(n)):
+        rng = mc._chunk_rng(seed, k)
+        x = rng.exponential(omega1, size)
+        y = rng.exponential(omega2, size)
+        z = np.sort(a * x * y / (b * x + c))
+        counts += np.searchsorted(z, z_grid, side="right")
     return [(float(z), float(k) / n) for z, k in zip(z_grid, counts)]
+
+
+def read_csv(path: str) -> SweepResult:
+    """Parse a sweep CSV back into rows + metadata (round-trips exactly)."""
+    rows: list[SweepRow] = []
+    metadata: dict[str, str] = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line == "axis,method,value,std_err":
+                continue
+            if line.startswith("# "):
+                key, _, value = line[2:].partition(" = ")
+                metadata[key] = value
+                continue
+            axis_s, method, value_s, err_s = line.split(",")
+            rows.append(SweepRow(float(axis_s), method, float(value_s),
+                                 float(err_s) if err_s else None))
+    return SweepResult(rows=rows, metadata=metadata)
 
 
 def end_to_end_snrs_exact_beta(

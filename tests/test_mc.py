@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -158,16 +159,6 @@ class TestEmpiricalCdfZ:
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] <= 1.0
 
-    def test_worker_count_invariance(self):
-        grid = list(np.linspace(0.0, 400.0, 32))
-        results = [
-            empirical_cdf_z(
-                50.0, 1.5, 2.0, 8.0, 8.0, grid, N_MULTI_CHUNK, seed=15, workers=w
-            )
-            for w in (1, 2, 8)
-        ]
-        assert results[0] == results[1] == results[2]
-
 
 class TestEstimateDiversityFd:
     def test_degenerate_threshold_rejected(self):
@@ -264,19 +255,41 @@ class TestDeterminismContract:
         b = estimate_outage(params, targets, 100_000, seed=2)
         assert a.mean != b.mean
 
-    def test_chunks_run_in_this_process(self):
-        # a closure over a local list cannot be pickled to a worker process
-        seen = []
+    @staticmethod
+    def _thread_ids(monkeypatch, chunks, workers):
+        """The threads that ran each outage kernel, and that made each
+        workspace, in an ``estimate_outage`` call over ``chunks`` chunks."""
+        kernels, workspaces = [], []
+        outage_count, empty = mc._outage_count, mc._Workspace.empty
 
-        def chunk(k):
-            seen.append(k)
-            return k * k
+        def counting(*args):
+            kernels.append(threading.get_ident())
+            return outage_count(*args)
 
-        args = list(range(5))
-        assert mc._map_chunks(chunk, args, workers=2) == mc._map_chunks(
-            chunk, args, workers=1
-        )
-        assert sorted(seen) == sorted(args + args)
+        def making(size):
+            workspaces.append(threading.get_ident())
+            return empty(size)
+
+        monkeypatch.setattr(mc, "_outage_count", counting)
+        monkeypatch.setattr(mc._Workspace, "empty", staticmethod(making))
+        estimate_outage(make_params(), TargetRates.from_rates(1.0, 1.0),
+                        chunks * CHUNK_DRAWS, seed=5, workers=workers)
+        return kernels, workspaces
+
+    @pytest.mark.parametrize("workers, chunks", [(1, 3), (4, 1)])
+    def test_one_lane_runs_on_the_calling_thread(self, monkeypatch, workers, chunks):
+        kernels, workspaces = self._thread_ids(monkeypatch, chunks, workers)
+        assert kernels == [threading.get_ident()] * chunks
+        assert workspaces == [threading.get_ident()]
+
+    @pytest.mark.parametrize("workers, chunks", [(3, 2), (2, 5)])
+    def test_each_lane_owns_a_workspace_made_on_the_calling_thread(
+        self, monkeypatch, workers, chunks
+    ):
+        kernels, workspaces = self._thread_ids(monkeypatch, chunks, workers)
+        lanes = min(workers, chunks)
+        assert workspaces == [threading.get_ident()] * lanes
+        assert len(kernels) == chunks and len(set(kernels)) <= lanes
 
     # n spans one partial chunk, whole chunks and a remainder chunk
     @seed(20171)
@@ -425,11 +438,9 @@ class TestChunkWorkspace:
 
         def faults(params):
             _, params, _ = as_columns(params)
-            extras = [None] * params.p1.size
-            tasks = mc._chunk_tasks(mc._rate_sums, params, extras, 5 * CHUNK_DRAWS, 3, 1)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            for task in tasks:
-                mc._chunk_results(task)
+            mc._map_points(mc._rate_sums, np.zeros((2, params.p1.size)), params,
+                           [None] * params.p1.size, 5 * CHUNK_DRAWS, 3, 1)
             return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
         one = faults(make_params())

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import read_csv
+
 from twrelay import analytic, cli, mc
 from twrelay import config as config_module
 from twrelay.config import (
@@ -24,7 +26,6 @@ from twrelay.sweep import (
     figure_preset,
     find_lambda_star,
     plot_script_path,
-    read_csv,
     run_sweep,
     validate_sweep,
     write_csv,
