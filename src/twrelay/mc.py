@@ -28,14 +28,22 @@ and those among them with the same ``derived_coeffs`` (b, c) share the SNR
 denominators ``b*g_i + c``; a point's own work is its ``a*g1*g2/den`` and
 its kernel.
 
-A chunk runs in a workspace: chunk-sized buffers for the draws, the scaled
-gains, the product, the denominators, the SNR pair and the outage masks,
-which every ufunc writes into with ``out=``.  A call runs its chunks in
-``min(workers, chunks)`` lanes, each owning one workspace that it reuses for
-its every chunk and that is dropped when the call returns, so a chunk
-allocates no arrays whatever its number of points.  The buffered kernels run
-the same ufuncs in the same order on the same values as the plain array
-expressions, so their results are bit-identical.
+A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
+over its draws (``_halves``; a chunk of at most 128 draws runs whole):
+e1 is drawn whole, then e2 one half at a time from the same generator,
+which yields the same values as one whole draw, and every point runs on a
+half before the next.  A point's outage counts add as ints and its sums of
+rates and of their squares as ``s_lo + s_hi``, which is how ``np.sum`` over
+the whole chunk adds them, so every bit is as for the whole chunk.
+
+A chunk runs in a workspace: a chunk-sized buffer for e1, and half-sized
+buffers for e2, the scaled gains, the product, the denominators, the SNR
+pair and the outage masks, which every ufunc writes into with ``out=``.  A
+call runs its chunks in ``min(workers, chunks)`` lanes, each owning one
+workspace that it reuses for its every chunk and that is dropped when the
+call returns, so a chunk allocates no arrays whatever its number of points.
+The buffered kernels run the same ufuncs in the same order on the same
+values as the plain array expressions, so their results are bit-identical.
 
 A call with one lane runs it on the calling thread; more lanes run on a
 thread pool in this process: numpy releases the interpreter lock while it
@@ -113,17 +121,25 @@ def _chunk_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _draw_exponentials(seed: int, chunk: int, size: int, out=(None, None)):
-    """The chunk's unit-mean draws behind g1 and g2, in that order, written
-    into ``out`` when given."""
-    rng = _chunk_rng(seed, chunk)
-    return tuple(rng.standard_exponential(size, out=o) for o in out)
+#: numpy sums at most this many floats without splitting them in two.
+_PAIRWISE_BLOCK = 128
+
+
+def _halves(size: int) -> list[tuple[int, int]]:
+    """The (start, stop) of the pieces a chunk of ``size`` draws runs in:
+    the two halves that numpy's pairwise ``np.sum`` over ``size`` floats
+    first splits them into, or the whole chunk, which it does not split."""
+    if size <= _PAIRWISE_BLOCK:
+        return [(0, size)]
+    h = size // 2 - (size // 2) % 8
+    return [(0, h), (h, size)]
 
 
 class _Workspace(NamedTuple):
     """The buffers one chunk runs in: its unit draws, the gains scaled for a
     group of points, their product, the denominators, the SNR pair, and the
-    two per-direction outage masks."""
+    two per-direction outage masks; e1 holds a chunk, the rest one of its
+    ``_halves``."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -139,14 +155,18 @@ class _Workspace(NamedTuple):
 
     @classmethod
     def empty(cls, size: int) -> "_Workspace":
+        # the larger of the _halves of n > 128 draws is at most ceil(n/2) + 7
+        half = min(size, max(_PAIRWISE_BLOCK, (size + 1) // 2 + 7))
         return cls(*(
-            np.empty(size, dtype=bool if name.startswith("miss") else float)
+            np.empty(size if name == "e1" else half,
+                     dtype=bool if name.startswith("miss") else float)
             for name in cls._fields
         ))
 
-    def cut(self, size: int) -> "_Workspace":
-        """The first ``size`` elements of every buffer, as views."""
-        return _Workspace(*(buf[:size] for buf in self))
+    def cut(self, start: int, stop: int) -> "_Workspace":
+        """e1's draws ``start:stop`` and the first ``stop - start`` elements
+        of every other buffer, as views."""
+        return _Workspace(self.e1[start:stop], *(buf[:stop - start] for buf in self[1:]))
 
 
 def _outage_count(taus, gammas, ws: _Workspace) -> int:
@@ -172,12 +192,13 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     ``total``'s last axis, and the parts of a kernel result that is a tuple
     along its first.
 
-    A chunk evaluates point by point, each on its own floats.  Points are
-    grouped by fading means, which share one scaling of each chunk and its
-    gain product, and within that by ``derived_coeffs``, which share the SNR
-    denominators.  Lane j of ``lanes = min(workers, chunks)`` runs chunks j,
-    j+lanes, j+2*lanes, ... in workspace j.  The workspaces are made on the
-    calling thread, which also runs a lone lane; more run on a thread pool.
+    A chunk evaluates point by point, each on its own floats, one of its
+    ``_halves`` at a time.  Points are grouped by fading means, which share
+    one scaling of each chunk and its gain product, and within that by
+    ``derived_coeffs``, which share the SNR denominators.  Lane j of
+    ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
+    in workspace j.  The workspaces are made on the calling thread, which
+    also runs a lone lane; more run on a thread pool.
     """
     if not extras:
         return total
@@ -189,33 +210,41 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
     workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
-    chunks: list[list] = [[None] * len(points) for _ in sizes]
+    chunks = [[[None] * len(points) for _ in _halves(size)] for size in sizes]
+
+    def run_half(ws: _Workspace, results: list) -> None:
+        e1, e2 = ws.e1, ws.e2
+        for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
+            # the last group scales the draws in place: no later group reads them
+            g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
+            np.multiply(omega1, e1, out=g1)
+            np.multiply(omega2, e2, out=g2)
+            prod = gain_product(g1, g2, out=ws.prod)
+            for members in subgroups.values():
+                dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
+                for i in members:
+                    gammas = end_to_end_snrs(
+                        points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
+                    )
+                    results[i] = kernel(extras[i], gammas, ws)
 
     def lane(j: int) -> None:
         for chunk in range(j, len(sizes), lanes):
-            ws = workspaces[j].cut(sizes[chunk])
-            e1, e2 = _draw_exponentials(seed, chunk, sizes[chunk], out=(ws.e1, ws.e2))
-            for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
-                # the last group scales the draws in place: no later group reads them
-                g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
-                np.multiply(omega1, e1, out=g1)
-                np.multiply(omega2, e2, out=g2)
-                prod = gain_product(g1, g2, out=ws.prod)
-                for members in subgroups.values():
-                    dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
-                    for i in members:
-                        gammas = end_to_end_snrs(
-                            points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
-                        )
-                        chunks[chunk][i] = kernel(extras[i], gammas, ws)
+            rng = _chunk_rng(seed, chunk)
+            rng.standard_exponential(sizes[chunk], out=workspaces[j].e1[:sizes[chunk]])
+            for results, (start, stop) in zip(chunks[chunk], _halves(sizes[chunk])):
+                ws = workspaces[j].cut(start, stop)
+                rng.standard_exponential(stop - start, out=ws.e2)
+                run_half(ws, results)
 
     if lanes == 1:
         lane(0)
     else:
         with ThreadPoolExecutor(lanes) as pool:
             list(pool.map(lane, range(lanes)))  # re-raises a lane's error
-    for results in chunks:
-        total = total + np.transpose(results)
+    for halves in chunks:
+        # one or two addends: their sum is a + b in any order
+        total = total + np.transpose(np.sum(halves, axis=0))
     return total
 
 

@@ -327,6 +327,13 @@ def corner_residual(params, tau1: float, tau2: float, x0: float, y0: float) -> f
 # Oracles and variants that only the tests use.
 
 
+def draw_exponentials(seed: int, chunk: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit-mean draws behind g1 and g2 of ``twrelay.mc``'s chunk
+    ``chunk`` of ``size`` samples, each as one whole block, in that order."""
+    rng = mc._chunk_rng(seed, chunk)
+    return rng.standard_exponential(size), rng.standard_exponential(size)
+
+
 def empirical_cdf_z(
     a: float,
     b: float,
@@ -413,7 +420,7 @@ def estimate_rates(
     n = mc._validate_n(n)
     sums = np.zeros((2, 2))  # per direction: sum of rates, sum of squares
     for k, size in enumerate(mc._chunk_sizes(n)):
-        e1, e2 = mc._draw_exponentials(seed, k, size)
+        e1, e2 = draw_exponentials(seed, k, size)
         g1, g2 = params.omega1 * e1, params.omega2 * e2
         for row, gamma in zip(sums, end_to_end_snrs(params, g1, g2)):
             rate = 0.5 / mc.LN2 * np.log1p(gamma)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cdf_z,
+    draw_exponentials,
     empirical_cdf_z,
     end_to_end_snrs_exact_beta,
     estimate_rates,
@@ -86,7 +87,7 @@ class TestEstimateOutage:
         n = 100_000
         counts = {"canonical": 0, "exact": 0}
         for k, size in enumerate(mc._chunk_sizes(n)):
-            e1, e2 = mc._draw_exponentials(5, k, size)
+            e1, e2 = draw_exponentials(5, k, size)
             g1, g2 = params.omega1 * e1, params.omega2 * e2
             forms = {
                 "canonical": end_to_end_snrs(params, g1, g2),
@@ -257,8 +258,9 @@ class TestDeterminismContract:
 
     @staticmethod
     def _thread_ids(monkeypatch, chunks, workers):
-        """The threads that ran each outage kernel, and that made each
-        workspace, in an ``estimate_outage`` call over ``chunks`` chunks."""
+        """The threads that ran each outage kernel, once per half chunk, and
+        that made each workspace, in an ``estimate_outage`` call over
+        ``chunks`` chunks."""
         kernels, workspaces = [], []
         outage_count, empty = mc._outage_count, mc._Workspace.empty
 
@@ -279,7 +281,7 @@ class TestDeterminismContract:
     @pytest.mark.parametrize("workers, chunks", [(1, 3), (4, 1)])
     def test_one_lane_runs_on_the_calling_thread(self, monkeypatch, workers, chunks):
         kernels, workspaces = self._thread_ids(monkeypatch, chunks, workers)
-        assert kernels == [threading.get_ident()] * chunks
+        assert kernels == [threading.get_ident()] * (2 * chunks)
         assert workspaces == [threading.get_ident()]
 
     @pytest.mark.parametrize("workers, chunks", [(3, 2), (2, 5)])
@@ -289,7 +291,7 @@ class TestDeterminismContract:
         kernels, workspaces = self._thread_ids(monkeypatch, chunks, workers)
         lanes = min(workers, chunks)
         assert workspaces == [threading.get_ident()] * lanes
-        assert len(kernels) == chunks and len(set(kernels)) <= lanes
+        assert len(kernels) == 2 * chunks and len(set(kernels)) <= lanes
 
     # n spans one partial chunk, whole chunks and a remainder chunk
     @seed(20171)
@@ -396,7 +398,7 @@ SHARED_BATCH = [
     make_params(d1=0.3, lam=0.4, snr_db=5.0),
 ]
 SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t) for t in (1.0, 0.5, 1.0, 1.5, 0.8, 1.2)]
-# two whole chunks and a partial one
+# two whole chunks and a partial one, split in halves
 N_PARTIAL = 2 * CHUNK_DRAWS + 4321
 
 
@@ -406,7 +408,7 @@ def _plain_chunk_sums(params, targets, n, seed):
     counts = [0] * len(params)
     sums = [[0.0, 0.0] for _ in params]
     for k, size in enumerate(mc._chunk_sizes(n)):
-        e1, e2 = mc._draw_exponentials(seed, k, size)
+        e1, e2 = draw_exponentials(seed, k, size)
         for i, (p, t) in enumerate(zip(params, targets)):
             gamma1, gamma2 = end_to_end_snrs(p, p.omega1 * e1, p.omega2 * e2)
             counts[i] += int(np.count_nonzero((gamma1 < t.tau1) | (gamma2 < t.tau2)))
@@ -417,15 +419,63 @@ def _plain_chunk_sums(params, targets, n, seed):
 
 
 class TestChunkWorkspace:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_shared_buffered_kernels_are_bit_equal(self, workers):
-        counts, sums = _plain_chunk_sums(SHARED_BATCH, SHARED_TARGETS, N_PARTIAL, 41)
-        outage = estimate_outage(
-            stack(SHARED_BATCH), stack(SHARED_TARGETS), N_PARTIAL, 41, workers)
-        assert [m.hex() for m in outage.mean] == [(c / N_PARTIAL).hex() for c in counts]
-        capacity = estimate_capacity(stack(SHARED_BATCH), N_PARTIAL, 41, workers)
-        means, errs = mc._mean_and_error(*np.transpose(sums), N_PARTIAL)
-        assert capacity == Estimate(means.tolist(), errs.tolist(), N_PARTIAL, 41)
+    # a lone chunk shows its own sums' bits: 128 draws run whole, and 131
+    # split at 64, below 131 // 2
+    @pytest.mark.parametrize("workers, n", [
+        pytest.param(1, N_PARTIAL, id="1"),
+        pytest.param(2, N_PARTIAL, id="2"),
+        *(pytest.param(w, n, id=f"{w}-{n}") for n in (128, 131) for w in (1, 2)),
+    ])
+    def test_shared_buffered_kernels_are_bit_equal(self, workers, n):
+        counts, sums = _plain_chunk_sums(SHARED_BATCH, SHARED_TARGETS, n, 41)
+        outage = estimate_outage(stack(SHARED_BATCH), stack(SHARED_TARGETS), n, 41, workers)
+        assert [m.hex() for m in outage.mean] == [(c / n).hex() for c in counts]
+        capacity = estimate_capacity(stack(SHARED_BATCH), n, 41, workers)
+        means, errs = mc._mean_and_error(*np.transpose(sums), n)
+        assert capacity == Estimate(means.tolist(), errs.tolist(), n, 41)
+
+    def test_e1_holds_a_chunk_and_every_other_buffer_a_half(self):
+        ws = mc._Workspace.empty(CHUNK_DRAWS)
+        half = len(ws.e2)
+        assert len(ws.e1) == CHUNK_DRAWS
+        assert all(len(buf) == half for buf in ws[1:])
+        assert CHUNK_DRAWS // 2 <= half < CHUNK_DRAWS // 2 + 8
+        # the halves of every chunk size tile the chunk and fit the workspace
+        for n in range(1, CHUNK_DRAWS + 1):
+            halves = mc._halves(n)
+            assert halves[0][0] == 0 and halves[-1][1] == n
+            assert all(stop - start <= half for start, stop in halves)
+            if len(halves) == 2:
+                assert halves[0][1] == halves[1][0]
+        # a chunk of at most 128 draws runs whole, in buffers of its size
+        assert mc._halves(128) == [(0, 128)]
+        assert [len(buf) for buf in mc._Workspace.empty(100)] == [100] * len(ws)
+
+    # numpy's pairwise np.sum splits n > 128 floats at h, a multiple of 8
+    # near n/2, and sums each side alone: a half's sum is a sum of numpy's own
+    @seed(2113)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(129, CHUNK_DRAWS), draw_seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3))
+    @example(n=129, draw_seed=0, scale=1.0)
+    @example(n=136, draw_seed=0, scale=1.0)
+    @example(n=CHUNK_DRAWS - 1, draw_seed=0, scale=1.0)
+    @example(n=CHUNK_DRAWS, draw_seed=0, scale=1.0)
+    def test_sum_is_the_sum_of_its_halves(self, n, draw_seed, scale):
+        (_, h), (_, stop) = mc._halves(n)
+        assert stop == n and h == n // 2 - (n // 2) % 8
+        x = scale * np.random.default_rng(draw_seed).standard_exponential(n)
+        for values in (x, x * x):
+            assert np.sum(values) == np.sum(values[:h]) + np.sum(values[h:])
+
+    @pytest.mark.parametrize("size", [129, 4321, CHUNK_DRAWS - 1, CHUNK_DRAWS])
+    def test_halves_of_e2_after_a_whole_e1_are_one_whole_draw(self, size):
+        whole = draw_exponentials(7, 2, size)
+        rng = mc._chunk_rng(7, 2)
+        e1 = rng.standard_exponential(size)
+        e2 = np.concatenate([rng.standard_exponential(stop - start)
+                             for start, stop in mc._halves(size)])
+        assert e1.tobytes() == whole[0].tobytes() and e2.tobytes() == whole[1].tobytes()
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
