@@ -25,8 +25,14 @@ Scaling a unit draw is how numpy's ``exponential(omega)`` makes its samples,
 so each point's estimate is bit-identical to a call for that point alone.
 The points with the same fading means also share the gain product g1*g2,
 and those among them with the same ``derived_coeffs`` (b, c) share the SNR
-denominators ``b*g_i + c``; a point's own work is its ``a*g1*g2/den`` and
-its kernel.
+denominators ``b*g_i + c``.  A point whose directions share their scale
+a = P1/sigma2 = P2/sigma2 (every preset's) divides one numerator a*g1*g2 by
+both denominators, and consecutive points with the same a (a lambda sweep's)
+share it.  An outage point whose two thresholds are also equal needs only
+the weaker direction's SNR (``model.weaker_snr``): the numerator over
+max(den1, den2), formed once per (b, c), which is min(gamma1, gamma2) bit
+for bit, so its count is that of the two-direction test.  A point's own
+work is its quotients and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
@@ -37,8 +43,9 @@ rates and of their squares as ``s_lo + s_hi``, which is how ``np.sum`` over
 the whole chunk adds them, so every bit is as for the whole chunk.
 
 A chunk runs in a workspace: a chunk-sized buffer for e1, and half-sized
-buffers for e2, the scaled gains, the product, the denominators, the SNR
-pair and the outage masks, which every ufunc writes into with ``out=``.  A
+buffers for e2, the scaled gains, the product, the numerator, the
+denominators, the SNR pair and the outage masks, which every ufunc writes
+into with ``out=``.  A
 call runs its chunks in ``min(workers, chunks)`` lanes, each owning one
 workspace that it reuses for its every chunk and that is dropped when the
 call returns, so a chunk allocates no arrays whatever its number of points.
@@ -77,8 +84,12 @@ from .model import (
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
+    larger_denominator,
     snr_denominators,
+    snr_numerator,
+    snr_scales,
     symmetric_growth,
+    weaker_snr,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -137,15 +148,17 @@ def _halves(size: int) -> list[tuple[int, int]]:
 
 class _Workspace(NamedTuple):
     """The buffers one chunk runs in: its unit draws, the gains scaled for a
-    group of points, their product, the denominators, the SNR pair, and the
-    two per-direction outage masks; e1 holds a chunk, the rest one of its
-    ``_halves``."""
+    group of points, their product, the numerator of the latest shared
+    scale, the denominators (den1 also their maximum), the SNR pair (gamma1
+    also the weaker SNR), and the two per-direction outage masks; e1 holds a
+    chunk, the rest one of its ``_halves``."""
 
     e1: np.ndarray
     e2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
     prod: np.ndarray
+    num: np.ndarray
     den1: np.ndarray
     den2: np.ndarray
     gamma1: np.ndarray
@@ -170,9 +183,13 @@ class _Workspace(NamedTuple):
 
 
 def _outage_count(taus, gammas, ws: _Workspace) -> int:
-    miss1 = np.less(gammas[0], taus[0], out=ws.miss1)
-    miss2 = np.less(gammas[1], taus[1], out=ws.miss2)
-    return int(np.count_nonzero(np.logical_or(miss1, miss2, out=miss1)))
+    """The draws where an SNR of ``gammas`` is below its threshold in
+    ``taus``: the pair's, or the weaker SNR's alone, which meets the first
+    of two equal thresholds."""
+    miss = np.less(gammas[0], taus[0], out=ws.miss1)
+    if len(gammas) == 2:
+        np.logical_or(miss, np.less(gammas[1], taus[1], out=ws.miss2), out=miss)
+    return int(np.count_nonzero(miss))
 
 
 def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
@@ -185,17 +202,24 @@ def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
 
 
 def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
-                n: int, seed: int, workers: int) -> np.ndarray:
+                n: int, seed: int, workers: int, weaker: list | None = None) -> np.ndarray:
     """``total`` plus, per point of the (points,) columns ``params``, its
     ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
     entry, summed over the chunks in chunk order.  The points run along
     ``total``'s last axis, and the parts of a kernel result that is a tuple
-    along its first.
+    along its first.  ``gammas`` is the SNR pair, or ``(weaker_snr,)`` for a
+    point that ``weaker`` marks as needing only the weaker SNR and whose two
+    scales are equal.
 
     A chunk evaluates point by point, each on its own floats, one of its
     ``_halves`` at a time.  Points are grouped by fading means, which share
     one scaling of each chunk and its gain product, and within that by
-    ``derived_coeffs``, which share the SNR denominators.  Lane j of
+    ``derived_coeffs``, which share the SNR denominators.  A point whose two
+    scales are equal divides the numerator in the workspace, formed again
+    only where its scale is not that of the last one formed on the group's
+    gains.  A weaker-SNR point divides it by the larger denominator, formed
+    over den1 once per subgroup, after the subgroup's other points.  Each
+    point's scales and coefficients are formed once per call.  Lane j of
     ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
     in workspace j.  The workspaces are made on the calling thread, which
     also runs a lone lane; more run on a thread pool.
@@ -203,10 +227,15 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     if not extras:
         return total
     points = [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(params).values()))]
+    scales = [snr_scales(point) for point in points]
+    weak = [w and a1 == a2 for w, (a1, a2) in zip(weaker or [False] * len(points), scales)]
     groups: dict[tuple[float, float], dict[DerivedCoeffs, list[int]]] = {}
     for i, point in enumerate(points):
         subgroups = groups.setdefault((point.omega1, point.omega2), {})
         subgroups.setdefault(derived_coeffs(point), []).append(i)
+    for subgroups in groups.values():
+        for members in subgroups.values():
+            members.sort(key=weak.__getitem__)  # max(den1, den2) overwrites den1
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
     workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
@@ -220,12 +249,25 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
             np.multiply(omega1, e1, out=g1)
             np.multiply(omega2, e2, out=g2)
             prod = gain_product(g1, g2, out=ws.prod)
-            for members in subgroups.values():
-                dens = snr_denominators(points[members[0]], g1, g2, out=(ws.den1, ws.den2))
+            held = None  # the scale of the numerator in ws.num on these gains
+            for coeffs, members in subgroups.items():
+                dens = snr_denominators(coeffs, g1, g2, out=(ws.den1, ws.den2))
+                den = None
                 for i in members:
-                    gammas = end_to_end_snrs(
-                        points[i], g1, g2, prod=prod, dens=dens, out=(ws.gamma1, ws.gamma2),
-                    )
+                    a1, a2 = scales[i]
+                    num = None
+                    if a1 == a2:
+                        if a1 != held:
+                            held = a1
+                            snr_numerator(a1, prod, out=ws.num)
+                        num = ws.num
+                    if weak[i]:
+                        if den is None:
+                            den = larger_denominator(dens, out=ws.den1)
+                        gammas = (weaker_snr(points[i], g1, g2, num=num, den=den, out=ws.gamma1),)
+                    else:
+                        gammas = end_to_end_snrs(points[i], g1, g2, prod=prod, dens=dens, num=num,
+                                                 out=(ws.gamma1, ws.gamma2))
                     results[i] = kernel(extras[i], gammas, ws)
 
     def lane(j: int) -> None:
@@ -263,7 +305,7 @@ def estimate_outage(
     shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
     taus = list(zip(tau1.tolist(), tau2.tolist()))
     counts = _map_points(_outage_count, np.zeros(len(taus), dtype=np.int64), params, taus,
-                         n, seed, workers)
+                         n, seed, workers, weaker=[t1 == t2 for t1, t2 in taus])
     p = counts / n
     var = p * (1.0 - p) * n / (n - 1) if n > 1 else np.zeros_like(p)
     return Estimate.shaped(p, np.sqrt(var / n), shape, n, seed)
@@ -299,9 +341,11 @@ def estimate_diversity_fd(
     tau = (1+gamma)^r - 1 by ``model.symmetric_growth``, as ``analytic.dmt``
     forms its own; every other parameter is the point's own.  All stencil
     evaluations run in one ``estimate_outage`` call on the same seed (common
-    random numbers), so the independence-based error propagation below is
-    conservative.  A stencil point with fewer than 100 outage events raises
-    ``InsufficientSamplesError`` naming its SNR in dB, for the first point
+    random numbers).  The error propagation below treats the two stencil
+    counts as independent, but they share their draws, so the error is too
+    wide: about 7 times at the benchmark's ``val_dmt_snr`` sweep (lambda
+    0.75, r 0.5, 5-20 dB).  A stencil point with fewer than 100 outage
+    events raises ``InsufficientSamplesError`` naming its SNR in dB, for the first point
     with one, its higher stencil point checked first; the error's ``point``
     is that point's index.  So does one with fewer than 100 samples out of
     outage, where nearly every draw is an outage and the difference would

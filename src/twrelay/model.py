@@ -11,8 +11,9 @@ the end-to-end SNR seen at source i reduces to
 
 with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
 form is computed only here, by ``end_to_end_snrs`` from its shared parts
-``gain_product`` and ``snr_denominators``; the tests check it against the
-algebraically identical harvest-division form.
+``gain_product``, ``snr_numerator`` and ``snr_denominators``; the tests
+check it against the algebraically identical harvest-division form.  Where
+P1 = P2, ``weaker_snr`` gives min(gamma1, gamma2) as one quotient.
 
 The model takes one point or a batch in the same form: each field of a
 ``SystemParams`` or ``TargetRates`` is either a float, which holds at every
@@ -207,38 +208,85 @@ def derived_coeffs(params: SystemParams) -> DerivedCoeffs:
     )
 
 
+def snr_scales(params: SystemParams) -> tuple:
+    """(P2/sigma2, P1/sigma2): the scales of gamma1 and gamma2."""
+    return params.p2 / params.sigma2, params.p1 / params.sigma2
+
+
 def gain_product(g1, g2, out=None):
     """g1*g2, the gain part of both SNR numerators: one value for every point
     on the same gains.  ``out`` is an array to write it into."""
     return np.multiply(g1, g2, out=out)
 
 
-def snr_denominators(params: SystemParams, g1, g2, out=(None, None)):
+def snr_numerator(scale, prod, out=None):
+    """scale*g1*g2 from the ``gain_product``: the numerator of every SNR of
+    that scale on the same gains, both directions' where P1 = P2.  ``out`` is
+    an array to write it into."""
+    return np.multiply(scale, prod, out=out)
+
+
+def snr_denominators(coeffs: DerivedCoeffs, g1, g2, out=(None, None)):
     """The SNR denominators (b*g1 + c, b*g2 + c): one pair for every point on
     the same gains with the same ``derived_coeffs``.  ``out`` is a pair of
     arrays to write them into."""
-    b, c = derived_coeffs(params)
+    b, c = coeffs
     return tuple(np.add(np.multiply(b, g, out=o), c, out=o) for g, o in zip((g1, g2), out))
 
 
 def end_to_end_snrs(
-    params: SystemParams, g1, g2, *, prod=None, dens=None, out=(None, None)
+    params: SystemParams, g1, g2, *, prod=None, dens=None, num=None, out=(None, None)
 ) -> tuple:
     """End-to-end SNR pair (gamma1, gamma2) after the two-stage round.
 
     Takes scalar or array gains; zero gains give zero SNR.  Points that share
-    their gains can share the work: ``prod`` is their ``gain_product`` and
-    ``dens`` their ``snr_denominators``, and ``out`` is a pair of arrays to
-    write gamma1 and gamma2 into.  Each part runs the same ufuncs in the same
-    order whether it is passed or computed here, so the bits do not depend on
-    which are given.
+    their gains can share the work: ``prod`` is their ``gain_product``,
+    ``dens`` their ``snr_denominators``, ``num`` the ``snr_numerator`` of a
+    point with P1 = P2, which both directions divide, and ``out`` is a pair
+    of arrays to write gamma1 and gamma2 into.  Each part runs the same
+    ufuncs in the same order whether it is passed or computed here, so the
+    bits do not depend on which are given.
     """
+    if dens is None:
+        dens = snr_denominators(derived_coeffs(params), g1, g2)
+    if num is not None:
+        return tuple(np.divide(num, den, out=o) for den, o in zip(dens, out))
     if prod is None:
         prod = gain_product(g1, g2)
-    if dens is None:
-        dens = snr_denominators(params, g1, g2)
-    scales = (params.p2 / params.sigma2, params.p1 / params.sigma2)
     return tuple(
-        np.divide(np.multiply(a, prod, out=o), den, out=o)
-        for a, den, o in zip(scales, dens, out)
+        np.divide(snr_numerator(a, prod, out=o), den, out=o)
+        for a, den, o in zip(snr_scales(params), dens, out)
     )
+
+
+def larger_denominator(dens, out=None):
+    """max(den1, den2) of a pair of ``snr_denominators``, for ``weaker_snr``.
+    ``out`` is an array to write it into, which may be den1."""
+    return np.maximum(*dens, out=out)
+
+
+def weaker_snr(params: SystemParams, g1, g2, *, num=None, den=None, out=None):
+    """min(gamma1, gamma2) of ``end_to_end_snrs``, bit for bit, for a point
+    whose directions share their scale a = P1/sigma2 = P2/sigma2, as the one
+    quotient num / max(den1, den2) with num = a*g1*g2.
+
+    Correctly rounded division is monotone in the divisor, so the quotient
+    by the larger denominator is the smaller SNR.  The denominators are at
+    least c > 0, so an SNR is NaN only where num is NaN, or where num = inf
+    meets an infinite denominator; max(den1, den2) is then inf, and this
+    quotient is NaN too, as ``np.minimum`` gives.  So ``weaker_snr < tau``
+    is ``(gamma1 < tau) | (gamma2 < tau)`` element by element.
+
+    ``num`` is the point's ``snr_numerator`` and ``den`` the
+    ``larger_denominator`` of its ``snr_denominators``, if already formed,
+    and ``out`` an array to write the SNR into.  A point whose scales differ
+    raises ParameterError.
+    """
+    if num is None:
+        a1, a2 = snr_scales(params)
+        if np.any(a1 != a2):
+            raise ParameterError(f"the weaker SNR needs P1/sigma2 = P2/sigma2; got {a2}, {a1}")
+        num = snr_numerator(a1, gain_product(g1, g2))
+    if den is None:
+        den = larger_denominator(snr_denominators(derived_coeffs(params), g1, g2))
+    return np.divide(num, den, out=out)

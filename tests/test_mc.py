@@ -359,6 +359,19 @@ class TestBatchedDraws:
         assert rates == Estimate([e.mean for e in singles], [e.std_err for e in singles],
                                  N_MULTI_CHUNK, 32)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_numerators_match_one_call_per_point(self, workers):
+        batch = estimate_outage(stack(NUMERATOR_BATCH), stack(NUMERATOR_TARGETS), N_PARTIAL,
+                                seed=33, workers=workers)
+        singles = [estimate_outage(p, t, N_PARTIAL, seed=33)
+                   for p, t in zip(NUMERATOR_BATCH, NUMERATOR_TARGETS)]
+        assert batch == Estimate([e.mean for e in singles], [e.std_err for e in singles],
+                                 N_PARTIAL, 33)
+        rates = estimate_capacity(stack(NUMERATOR_BATCH), N_PARTIAL, seed=34, workers=workers)
+        singles = [estimate_capacity(p, N_PARTIAL, seed=34) for p in NUMERATOR_BATCH]
+        assert rates == Estimate([e.mean for e in singles], [e.std_err for e in singles],
+                                 N_PARTIAL, 34)
+
     def test_numpy_array_gives_one_value_per_element(self):
         # an array column once counted as one value and failed on its truth value
         params = stack([make_params(snr_db=10.0), make_params(snr_db=15.0)])
@@ -400,6 +413,28 @@ SHARED_BATCH = [
 SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t) for t in (1.0, 0.5, 1.0, 1.5, 0.8, 1.2)]
 # two whole chunks and a partial one, split in halves
 N_PARTIAL = 2 * CHUNK_DRAWS + 4321
+
+#: A batch on which the numerator a*g1*g2 is both reused and formed again.
+#: At d1 = 0.5, lambda 0.3, 0.5 and 0.75 give three (b, c), run in turn, each
+#: with its two-direction points first: scale 100 (20 dB) carries over from
+#: lambda 0.3 to 0.5, and 10 and 20 dB alternate after that.  The p2_scale
+#: points take the two-direction path, with tied targets or not, and d1 = 0.3
+#: brings new gains with the scale that the d1 = 0.5 group formed last.
+NUMERATOR_BATCH = [
+    make_params(lam=0.3),
+    make_params(lam=0.5),
+    make_params(lam=0.75),
+    make_params(lam=0.5, snr_db=10.0),
+    make_params(lam=0.5, p2_scale=0.4),
+    make_params(lam=0.75, snr_db=10.0),
+    make_params(lam=0.3),
+    make_params(lam=0.75, p2_scale=2.5),
+    make_params(d1=0.3, lam=0.5, snr_db=10.0),
+]
+NUMERATOR_TARGETS = [TargetRates.from_rates(t1, t2) for t1, t2 in (
+    (1.0, 1.0), (1.0, 1.0), (1.0, 0.5), (1.0, 1.0), (1.0, 1.0), (1.0, 1.0), (0.5, 1.0),
+    (1.0, 0.5), (1.0, 1.0),
+)]
 
 
 def _plain_chunk_sums(params, targets, n, seed):

@@ -1,9 +1,12 @@
 """Protocol model: parameters, coefficients, channel statistics, SNR forms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, seed, settings
+from hypothesis import strategies as st
 
 from helpers import (
     end_to_end_snrs_exact_beta,
@@ -21,6 +24,8 @@ from twrelay.model import (
     end_to_end_snrs,
     gain_product,
     snr_denominators,
+    snr_numerator,
+    weaker_snr,
 )
 
 
@@ -154,7 +159,8 @@ class TestEndToEndSnrs:
         g2[3:6] = 0.0
         points = [make_params(snr_db=db, lam=0.3, d1=0.35) for db in (-5.0, 7.0, 40.0)]
         prod = gain_product(g1, g2, out=np.empty_like(g1))
-        dens = snr_denominators(points[0], g1, g2, out=(np.empty_like(g1), np.empty_like(g1)))
+        dens = snr_denominators(derived_coeffs(points[0]), g1, g2,
+                                out=(np.empty_like(g1), np.empty_like(g1)))
         for params in points:
             b, c = derived_coeffs(params)
             written_out = (
@@ -164,7 +170,10 @@ class TestEndToEndSnrs:
             out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
             shared = end_to_end_snrs(params, g1, g2, prod=prod, dens=dens, out=out)
             assert shared[0] is out[0] and shared[1] is out[1]
-            for gammas in (end_to_end_snrs(params, g1, g2), shared):
+            # P1 = P2: both directions divide one numerator
+            num = snr_numerator(params.p1 / params.sigma2, prod, out=np.empty_like(g1))
+            one_num = end_to_end_snrs(params, g1, g2, dens=dens, num=num)
+            for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num):
                 for got, want in zip(gammas, written_out):
                     assert got.tobytes() == want.tobytes()
             assert not np.any(shared[0][:6]) and not np.any(shared[1][:6])
@@ -196,6 +205,55 @@ class TestEndToEndSnrs:
         exact = end_to_end_snrs_exact_beta(params, g1, g2)
         np.testing.assert_allclose(exact[0], approx[0], rtol=1e-5)
         np.testing.assert_allclose(exact[1], approx[1], rtol=1e-5)
+
+
+SUBNORMAL = sys.float_info.min / 3.0
+#: Floats at the ends of the range, beside any that hypothesis draws.
+EDGES = [0.0, 5e-324, SUBNORMAL, sys.float_info.min, 1.0, 1e308, sys.float_info.max, math.inf]
+
+
+def _edged(low: float, high: float, **kwargs):
+    """Floats in [low, high], the EDGES inside it and both ends drawn often."""
+    ends = sorted({low, high, *(e for e in EDGES if low <= e <= high)})
+    return st.one_of(st.sampled_from(ends), st.floats(low, high, **kwargs))
+
+
+class TestWeakerSnr:
+    # monotone division: num / max(den1, den2) is min(num/den1, num/den2)
+    @seed(3061)
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(
+        gains=st.lists(st.tuples(_edged(0.0, math.inf), _edged(0.0, math.inf)),
+                       min_size=1, max_size=12),
+        power=_edged(5e-324, sys.float_info.max),
+        sigma2=_edged(5e-324, sys.float_info.max),
+        eta=_edged(5e-324, 1.0),
+        lam=_edged(5e-324, 1.0 - 2.0**-53),
+        epsilon=_edged(0.0, 1.0),
+        tau=_edged(0.0, math.inf),
+    )
+    @example(gains=[(1.0, 2.0), (3.0, 0.5), (0.0, 1e308), (math.inf, 2.0)], power=100.0,
+             sigma2=1.0, eta=1.0, lam=0.75, epsilon=0.5, tau=1.0)
+    @example(gains=[(SUBNORMAL, 1e308), (math.inf, math.inf), (5e-324, 0.0)],
+             power=sys.float_info.max, sigma2=5e-324, eta=1.0, lam=0.5, epsilon=1.0, tau=0.0)
+    def test_is_the_smaller_snr_bit_for_bit(self, gains, power, sigma2, eta, lam, epsilon, tau):
+        try:
+            params = build_params(power, power, sigma2, eta, lam, epsilon, 0.5, 3.0)
+        except ParameterError:  # c = 1/(eta*lam) past the float range
+            reject()
+        g1, g2 = np.array(gains, dtype=float).T
+        with np.errstate(all="ignore"):
+            gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
+            weak = weaker_snr(params, g1, g2)
+        smaller = np.minimum(gamma1, gamma2)
+        assert np.array_equal(weak, smaller, equal_nan=True)
+        nan = np.isnan(smaller)
+        assert weak[~nan].tobytes() == smaller[~nan].tobytes()
+        assert np.array_equal((gamma1 < tau) | (gamma2 < tau), weak < tau)
+
+    def test_needs_equal_scales(self):
+        with pytest.raises(ParameterError, match="P1/sigma2 = P2/sigma2"):
+            weaker_snr(make_params(p2_scale=0.5), 1.0, 2.0)
 
 
 class TestNonCoopBaseline:
