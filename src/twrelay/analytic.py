@@ -59,6 +59,7 @@ from .model import (
     check_multiplexing_gain,
     check_symmetric_powers,
     derived_coeffs,
+    snr_scales,
     symmetric_growth,
 )
 from .numerics import log_integral, log_rule, slabs
@@ -92,8 +93,8 @@ def _clamp_probability(values: np.ndarray, context: str) -> tuple[np.ndarray, Ch
 
 
 def _overflows(what: str, value, gamma) -> Check:
-    """The check that fails a point whose ``value``, a product formed under
-    ``np.errstate(over="ignore")``, is not finite.  ``value`` holds one entry
+    """The check that fails a point whose ``value``, a product or quotient
+    formed under ``np.errstate``, is not finite.  ``value`` holds one entry
     per point, or one row per point; the error names ``what`` and the SNR
     ``gamma`` (shaped like ``value``) of the point's first overflowed entry."""
     bad = ~np.isfinite(value)
@@ -124,11 +125,13 @@ class Direction(NamedTuple):
 
 def _direction(a, own, other, b, c) -> Direction:
     # own*other is the same float in both directions, so equal powers give
-    # bit-equal mu.
-    with np.errstate(over="ignore"):
+    # bit-equal mu.  An a at or near 0 puts s and mu past the float range.
+    with np.errstate(over="ignore", divide="ignore"):
         scale, joint = a * other, a * (own * other)
-    raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a))
-    return Direction(a, own, other, b / scale, c / joint)
+        s, mu = b / scale, c / joint
+    raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a),
+                _overflows("b/(a*omega_j)", s, a), _overflows("c/(a*omega_i*omega_j)", mu, a))
+    return Direction(a, own, other, s, mu)
 
 
 class _Batch(NamedTuple):
@@ -153,7 +156,7 @@ def _batch(params: SystemParams, *more) -> tuple:
     b, c = derived_coeffs(columns)
     own = np.stack((columns.omega1, columns.omega2), axis=1)
     # Direction 1 is carried by P2 and its own gain is |h1|^2; direction 2 mirrors it.
-    a = np.stack((columns.p2, columns.p1), axis=1) / columns.sigma2[:, None]
+    a = np.stack(snr_scales(columns), axis=1)
     return (_Batch(b, c, _direction(a, own, own[:, ::-1], b[:, None], c[:, None]), shape),
             *more)
 

@@ -23,16 +23,19 @@ scaled to ``g1 = omega1*e1`` and ``g2 = omega2*e2`` once per distinct pair of
 fading means, and every point is evaluated on it before the next chunk.
 Scaling a unit draw is how numpy's ``exponential(omega)`` makes its samples,
 so each point's estimate is bit-identical to a call for that point alone.
-The points with the same fading means also share the gain product g1*g2,
-and those among them with the same ``derived_coeffs`` (b, c) share the SNR
-denominators ``b*g_i + c``.  A point whose directions share their scale
-a = P1/sigma2 = P2/sigma2 (every preset's) divides one numerator a*g1*g2 by
-both denominators, and consecutive points with the same a (a lambda sweep's)
-share it.  An outage point whose two thresholds are also equal needs only
-the weaker direction's SNR (``model.weaker_snr``): the numerator over
-max(den1, den2), formed once per (b, c), which is min(gamma1, gamma2) bit
-for bit, so its count is that of the two-direction test.  A point's own
-work is its quotients and its kernel.
+The plan: a call sorts its points once by ``((omega1, omega2),
+derived_coeffs, weaker, snr_scales, index)``, and each chunk runs them in
+that order, forming a shared part again only where the key it rests on
+changes.  The fading means set the scaled gains and their product g1*g2,
+and (b, c) the SNR denominators ``b*g_i + c``.  A point with a = P1/sigma2
+= P2/sigma2 (every preset's) divides one numerator a*g1*g2 by both, shared
+by consecutive points on the same gains with the same a (a lambda sweep's).
+An outage point whose two thresholds are also equal is ``weaker``: it
+divides that numerator by ``model.larger_denominator`` alone, which gives
+min(gamma1, gamma2) bit for bit and so the same count.  That maximum
+overwrites den1, so the sort runs it after its (b, c)'s two-direction
+points.  The last fading means scale the draws in place, as no later
+point reads them.  A point's own work is its quotients and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
@@ -74,7 +77,6 @@ from .errors import (
     failed_at,
 )
 from .model import (
-    DerivedCoeffs,
     SystemParams,
     TargetRates,
     as_columns,
@@ -89,7 +91,6 @@ from .model import (
     snr_numerator,
     snr_scales,
     symmetric_growth,
-    weaker_snr,
 )
 
 CHUNK_DRAWS = 1 << 16
@@ -147,11 +148,12 @@ def _halves(size: int) -> list[tuple[int, int]]:
 
 
 class _Workspace(NamedTuple):
-    """The buffers one chunk runs in: its unit draws, the gains scaled for a
-    group of points, their product, the numerator of the latest shared
-    scale, the denominators (den1 also their maximum), the SNR pair (gamma1
-    also the weaker SNR), and the two per-direction outage masks; e1 holds a
-    chunk, the rest one of its ``_halves``."""
+    """The buffers one chunk runs in, as the module's plan uses them: its
+    unit draws, the gains scaled for one pair of fading means, their
+    product, the numerator of the scale held on those gains, the
+    denominators (den1 also their maximum), the SNR pair (gamma1 also the
+    weaker SNR), and the two per-direction outage masks; e1 holds a chunk,
+    the rest one of its ``_halves``."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -207,19 +209,11 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
     entry, summed over the chunks in chunk order.  The points run along
     ``total``'s last axis, and the parts of a kernel result that is a tuple
-    along its first.  ``gammas`` is the SNR pair, or ``(weaker_snr,)`` for a
-    point that ``weaker`` marks as needing only the weaker SNR and whose two
-    scales are equal.
+    along its first.  ``gammas`` is the SNR pair, or the one weaker SNR for
+    a point that ``weaker`` marks and whose two scales are equal.
 
-    A chunk evaluates point by point, each on its own floats, one of its
-    ``_halves`` at a time.  Points are grouped by fading means, which share
-    one scaling of each chunk and its gain product, and within that by
-    ``derived_coeffs``, which share the SNR denominators.  A point whose two
-    scales are equal divides the numerator in the workspace, formed again
-    only where its scale is not that of the last one formed on the group's
-    gains.  A weaker-SNR point divides it by the larger denominator, formed
-    over den1 once per subgroup, after the subgroup's other points.  Each
-    point's scales and coefficients are formed once per call.  Lane j of
+    A chunk runs the call's plan (see the module docstring) one of its
+    ``_halves`` at a time, each point on its own floats.  Lane j of
     ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
     in workspace j.  The workspaces are made on the calling thread, which
     also runs a lone lane; more run on a thread pool.
@@ -227,48 +221,38 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     if not extras:
         return total
     points = [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(params).values()))]
-    scales = [snr_scales(point) for point in points]
-    weak = [w and a1 == a2 for w, (a1, a2) in zip(weaker or [False] * len(points), scales)]
-    groups: dict[tuple[float, float], dict[DerivedCoeffs, list[int]]] = {}
-    for i, point in enumerate(points):
-        subgroups = groups.setdefault((point.omega1, point.omega2), {})
-        subgroups.setdefault(derived_coeffs(point), []).append(i)
-    for subgroups in groups.values():
-        for members in subgroups.values():
-            members.sort(key=weak.__getitem__)  # max(den1, den2) overwrites den1
+    plan = []
+    for i, (point, weak) in enumerate(zip(points, weaker or [False] * len(points))):
+        a1, a2 = snr_scales(point)
+        plan.append(((point.omega1, point.omega2), derived_coeffs(point), weak and a1 == a2,
+                     (a1, a2), i))
+    plan.sort()
+    last_means = plan[-1][0]
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
     workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
     chunks = [[[None] * len(points) for _ in _halves(size)] for size in sizes]
 
     def run_half(ws: _Workspace, results: list) -> None:
-        e1, e2 = ws.e1, ws.e2
-        for k, ((omega1, omega2), subgroups) in enumerate(groups.items()):
-            # the last group scales the draws in place: no later group reads them
-            g1, g2 = (e1, e2) if k == len(groups) - 1 else (ws.g1, ws.g2)
-            np.multiply(omega1, e1, out=g1)
-            np.multiply(omega2, e2, out=g2)
-            prod = gain_product(g1, g2, out=ws.prod)
-            held = None  # the scale of the numerator in ws.num on these gains
-            for coeffs, members in subgroups.items():
+        means = coeffs = held = larger = None
+        for point_means, point_coeffs, weak, (a1, a2), i in plan:
+            if point_means != means:
+                means, coeffs, held = point_means, None, None
+                g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
+                np.multiply(means[0], ws.e1, out=g1)
+                np.multiply(means[1], ws.e2, out=g2)
+                prod = gain_product(g1, g2, out=ws.prod)
+            if point_coeffs != coeffs:
+                coeffs, larger = point_coeffs, None
                 dens = snr_denominators(coeffs, g1, g2, out=(ws.den1, ws.den2))
-                den = None
-                for i in members:
-                    a1, a2 = scales[i]
-                    num = None
-                    if a1 == a2:
-                        if a1 != held:
-                            held = a1
-                            snr_numerator(a1, prod, out=ws.num)
-                        num = ws.num
-                    if weak[i]:
-                        if den is None:
-                            den = larger_denominator(dens, out=ws.den1)
-                        gammas = (weaker_snr(points[i], g1, g2, num=num, den=den, out=ws.gamma1),)
-                    else:
-                        gammas = end_to_end_snrs(points[i], g1, g2, prod=prod, dens=dens, num=num,
-                                                 out=(ws.gamma1, ws.gamma2))
-                    results[i] = kernel(extras[i], gammas, ws)
+            if a1 == a2 and a1 != held:
+                held = a1
+                snr_numerator(a1, prod, out=ws.num)
+            if weak and larger is None:
+                larger = (larger_denominator(dens, out=ws.den1),)
+            gammas = end_to_end_snrs(points[i], g1, g2, prod=prod, dens=larger if weak else dens,
+                                     num=ws.num if a1 == a2 else None, out=(ws.gamma1, ws.gamma2))
+            results[i] = kernel(extras[i], gammas, ws)
 
     def lane(j: int) -> None:
         for chunk in range(j, len(sizes), lanes):
@@ -358,9 +342,11 @@ def estimate_diversity_fd(
     # every point twice, its higher stencil point first
     twice = SystemParams(*(np.repeat(v, 2) for v in vars(base).values()))
     r = np.repeat(r, 2)
-    stencil_db = [10.0 * math.log10(p1 / sigma2) + sign * DIVERSITY_STEP_DB
-                  for p1, sigma2 in zip(base.p1.tolist(), base.sigma2.tolist())
-                  for sign in (+1.0, -1.0)]
+    with np.errstate(over="ignore"):
+        snrs = (base.p1 / base.sigma2).tolist()
+    # an SNR that underflows to 0 sits at -inf dB, where the check below fails it
+    stencil_db = [(10.0 * math.log10(snr) if snr > 0.0 else -math.inf) + sign * DIVERSITY_STEP_DB
+                  for snr in snrs for sign in (+1.0, -1.0)]
     gamma = np.array([db_to_linear(db) for db in stencil_db])
     with np.errstate(over="ignore"):
         power = gamma * twice.sigma2

@@ -13,7 +13,8 @@ with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
 form is computed only here, by ``end_to_end_snrs`` from its shared parts
 ``gain_product``, ``snr_numerator`` and ``snr_denominators``; the tests
 check it against the algebraically identical harvest-division form.  Where
-P1 = P2, ``weaker_snr`` gives min(gamma1, gamma2) as one quotient.
+P1 = P2, it also forms min(gamma1, gamma2) as one quotient, when its
+``dens`` is the one ``larger_denominator``.
 
 The model takes one point or a batch in the same form: each field of a
 ``SystemParams`` or ``TargetRates`` is either a float, which holds at every
@@ -243,9 +244,11 @@ def end_to_end_snrs(
     their gains can share the work: ``prod`` is their ``gain_product``,
     ``dens`` their ``snr_denominators``, ``num`` the ``snr_numerator`` of a
     point with P1 = P2, which both directions divide, and ``out`` is a pair
-    of arrays to write gamma1 and gamma2 into.  Each part runs the same
-    ufuncs in the same order whether it is passed or computed here, so the
-    bits do not depend on which are given.
+    of arrays to write gamma1 and gamma2 into.  With ``num``, ``dens`` may
+    instead be the one ``larger_denominator``: the result is then the one
+    SNR min(gamma1, gamma2), in ``out``'s first array.  Each part runs the
+    same ufuncs in the same order whether it is passed or computed here, so
+    the bits do not depend on which are given.
     """
     if dens is None:
         dens = snr_denominators(derived_coeffs(params), g1, g2)
@@ -260,33 +263,16 @@ def end_to_end_snrs(
 
 
 def larger_denominator(dens, out=None):
-    """max(den1, den2) of a pair of ``snr_denominators``, for ``weaker_snr``.
-    ``out`` is an array to write it into, which may be den1."""
-    return np.maximum(*dens, out=out)
+    """max(den1, den2) of a pair of ``snr_denominators``.  ``out`` is an
+    array to write it into, which may be den1.
 
-
-def weaker_snr(params: SystemParams, g1, g2, *, num=None, den=None, out=None):
-    """min(gamma1, gamma2) of ``end_to_end_snrs``, bit for bit, for a point
-    whose directions share their scale a = P1/sigma2 = P2/sigma2, as the one
-    quotient num / max(den1, den2) with num = a*g1*g2.
-
-    Correctly rounded division is monotone in the divisor, so the quotient
-    by the larger denominator is the smaller SNR.  The denominators are at
-    least c > 0, so an SNR is NaN only where num is NaN, or where num = inf
-    meets an infinite denominator; max(den1, den2) is then inf, and this
-    quotient is NaN too, as ``np.minimum`` gives.  So ``weaker_snr < tau``
+    Where P1/sigma2 = P2/sigma2, the ``snr_numerator`` over it is
+    min(gamma1, gamma2) of ``end_to_end_snrs`` bit for bit: correctly
+    rounded division is monotone in the divisor, so the quotient by the
+    larger denominator is the smaller SNR.  The denominators are at least
+    c > 0, so an SNR is NaN only where num is NaN, or where num = inf meets
+    an infinite denominator; max(den1, den2) is then inf, and that quotient
+    is NaN too, as ``np.minimum`` gives.  So ``num / max(den1, den2) < tau``
     is ``(gamma1 < tau) | (gamma2 < tau)`` element by element.
-
-    ``num`` is the point's ``snr_numerator`` and ``den`` the
-    ``larger_denominator`` of its ``snr_denominators``, if already formed,
-    and ``out`` an array to write the SNR into.  A point whose scales differ
-    raises ParameterError.
     """
-    if num is None:
-        a1, a2 = snr_scales(params)
-        if np.any(a1 != a2):
-            raise ParameterError(f"the weaker SNR needs P1/sigma2 = P2/sigma2; got {a2}, {a1}")
-        num = snr_numerator(a1, gain_product(g1, g2))
-    if den is None:
-        den = larger_denominator(snr_denominators(derived_coeffs(params), g1, g2))
-    return np.divide(num, den, out=out)
+    return np.maximum(*dens, out=out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params
+from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params, stack
 
 from twrelay.analytic import (
     SERIES_MAX_TERMS,
@@ -19,6 +19,7 @@ from twrelay.analytic import (
 from twrelay.config import ExperimentConfig
 from twrelay.errors import ConvergenceError
 from twrelay.mc import estimate_capacity
+from twrelay.model import snr_scales
 from twrelay.specfun import bessel_xk1, tricomi_psi11
 from twrelay.sweep import run_sweep
 
@@ -239,6 +240,13 @@ class TestDirectionRates:
     def test_survival_parameters_positive(self):
         for d in directions(make_params(d1=0.3, p2_scale=0.5)):
             assert d.s > 0 and d.mu > 0
+
+    def test_scales_pair_with_their_direction_as_the_model_pairs_them(self):
+        # direction 1 is carried by P2: analytic and Monte Carlo share one pairing
+        params = stack([make_params(snr_db=db, p2_scale=k)
+                        for db, k in ((20.0, 0.4), (13.0, 2.5), (7.0, 1.0), (31.0, 0.7))])
+        for d, scale in zip(directions(params), snr_scales(params)):
+            assert np.array(d.a).tobytes() == scale.tobytes()
 
 
 class TestLowSnr:

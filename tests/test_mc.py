@@ -414,12 +414,15 @@ SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t) for t in (1.0, 0.5, 1.0, 1.
 # two whole chunks and a partial one, split in halves
 N_PARTIAL = 2 * CHUNK_DRAWS + 4321
 
-#: A batch on which the numerator a*g1*g2 is both reused and formed again.
-#: At d1 = 0.5, lambda 0.3, 0.5 and 0.75 give three (b, c), run in turn, each
-#: with its two-direction points first: scale 100 (20 dB) carries over from
-#: lambda 0.3 to 0.5, and 10 and 20 dB alternate after that.  The p2_scale
-#: points take the two-direction path, with tied targets or not, and d1 = 0.3
-#: brings new gains with the scale that the d1 = 0.5 group formed last.
+#: A batch on which the numerator a*g1*g2 is both reused and formed again,
+#: listed out of the order the call's plan runs it in.  At d1 = 0.5, lambda
+#: 0.3, 0.5 and 0.75 give three (b, c), run in that order, each with its
+#: two-direction points first and by scale within them.  In the outage call,
+#: scale 100 (20 dB) serves both lambda 0.3 points, carries over from lambda
+#: 0.5's last point to lambda 0.75's first, and 10 and 100 alternate between.
+#: The p2_scale points take the two-direction path, with tied targets or not.
+#: d1 = 0.3 runs last, on new gains, at the scale 10 that the d1 = 0.5
+#: points held last.
 NUMERATOR_BATCH = [
     make_params(lam=0.3),
     make_params(lam=0.5),

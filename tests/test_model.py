@@ -23,9 +23,10 @@ from twrelay.model import (
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
+    larger_denominator,
     snr_denominators,
     snr_numerator,
-    weaker_snr,
+    snr_scales,
 )
 
 
@@ -219,7 +220,8 @@ def _edged(low: float, high: float, **kwargs):
 
 
 class TestWeakerSnr:
-    # monotone division: num / max(den1, den2) is min(num/den1, num/den2)
+    # monotone division: num / max(den1, den2) is min(num/den1, num/den2),
+    # formed as the Monte Carlo outage of tied thresholds forms it
     @seed(3061)
     @settings(max_examples=120, deadline=None, database=None)
     @given(
@@ -244,16 +246,14 @@ class TestWeakerSnr:
         g1, g2 = np.array(gains, dtype=float).T
         with np.errstate(all="ignore"):
             gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
-            weak = weaker_snr(params, g1, g2)
+            num = snr_numerator(snr_scales(params)[0], gain_product(g1, g2))
+            larger = larger_denominator(snr_denominators(derived_coeffs(params), g1, g2))
+            (weak,) = end_to_end_snrs(params, g1, g2, num=num, dens=(larger,))
         smaller = np.minimum(gamma1, gamma2)
         assert np.array_equal(weak, smaller, equal_nan=True)
         nan = np.isnan(smaller)
         assert weak[~nan].tobytes() == smaller[~nan].tobytes()
         assert np.array_equal((gamma1 < tau) | (gamma2 < tau), weak < tau)
-
-    def test_needs_equal_scales(self):
-        with pytest.raises(ParameterError, match="P1/sigma2 = P2/sigma2"):
-            weaker_snr(make_params(p2_scale=0.5), 1.0, 2.0)
 
 
 class TestNonCoopBaseline:

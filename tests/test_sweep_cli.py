@@ -638,6 +638,35 @@ class TestCli:
             "rounds to 0 at gamma=1e-17 (r=0.5)\n"
         )
 
+    @pytest.mark.parametrize("power, sigma2, methods, named", [
+        ("5e-324", "1e300", "exact_quadrature",
+         "method=exact_quadrature: b/(a*omega_j) overflows at gamma=0.0"),
+        ("1e-310", "1", "exact_quadrature",
+         "method=exact_quadrature: b/(a*omega_j) overflows at gamma=1e-310"),
+        ("5e-324", "1e300", "capacity_quadrature",
+         "method=capacity_quadrature: b/(a*omega_j) overflows at gamma=0.0"),
+        ("1e-310", "1", "capacity_quadrature",
+         "method=capacity_quadrature: b/(a*omega_j) overflows at gamma=1e-310"),
+        ("5e-324", "1e300", "mc, dmt",
+         "method=mc: diversity stencil point gamma_db=-inf (r=0.5): its SNR, power or "
+         "threshold is not a positive finite float"),
+    ], ids=["outage-zero", "outage-subnormal", "capacity-zero", "capacity-subnormal",
+            "mc-stencil-zero"])
+    def test_snr_at_or_near_0_exits_3_without_warnings(self, tmp_path, capsys, power, sigma2,
+                                                       methods, named):
+        # P/sigma2 rounds to 0 or to a subnormal: the survival law's
+        # s = b/(a*omega_j) is past the float range, and the stencil's dB is -inf
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"sweep = lambda\nstart = 0.3\nstop = 0.7\nsteps = 3\np1 = {power}\n"
+            f"p2 = {power}\nsigma2 = {sigma2}\nmethods = {methods}\nmc_n = 2000\n"
+            f"output_path = {tmp_path / 'x.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: lambda=0.3, {named}\n"
+
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
