@@ -15,7 +15,7 @@ outputs in the shape of its input: a float for one point, a list of one
 float per point for a batch.  The single call is the batch of one: every
 formula runs as numpy array passes over all points of the call.  A point
 that fails raises for the first failing point, marked with its index
-(``errors.failed_at``).
+(``errors.raise_first``).
 
 Every integral here, the outage boundary strips, the capacity survival
 integrals and the capacity-series factors, runs on the one fixed
@@ -49,7 +49,6 @@ from .errors import (
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
-    failed_at,
     raise_first,
 )
 from .model import (
@@ -99,10 +98,7 @@ def _overflows(what: str, value, gamma) -> Check:
     ``gamma`` (shaped like ``value``) of the point's first overflowed entry."""
     bad = ~np.isfinite(value)
     gammas = np.broadcast_to(gamma, bad.shape)
-    if bad.ndim < 2:
-        bad, gammas = bad.reshape(-1, 1), gammas.reshape(-1, 1)
-    return bad.any(axis=1), lambda i: DomainError(
-        f"{what} overflows at gamma={gammas[i][bad[i]][0]}")
+    return bad, lambda i: DomainError(f"{what} overflows at gamma={gammas[i][bad[i]][0]}")
 
 
 class Direction(NamedTuple):
@@ -161,10 +157,17 @@ def _batch(params: SystemParams, *more) -> tuple:
             *more)
 
 
-def _thresholded(params: SystemParams, targets: TargetRates) -> tuple[_Batch, np.ndarray]:
-    """The batch of ``params`` and its thresholds (tau1, tau2), (points, 2)."""
+def _thresholded(params: SystemParams, targets: TargetRates) -> tuple:
+    """The batch of ``params``, its thresholds (tau1, tau2), (points, 2), and
+    each direction's tau/a, m = s*tau and kappa = mu*tau, formed once here; a
+    product past the float range raises DomainError naming it and gamma = a."""
     batch, tau1, tau2 = _batch(params, targets.tau1, targets.tau2)
-    return batch, np.stack((tau1, tau2), axis=1)
+    d, taus = batch.d, np.stack((tau1, tau2), axis=1)
+    with np.errstate(over="ignore"):
+        eps, m, kappa = taus / d.a, d.s * taus, d.mu * taus
+    raise_first(_overflows("tau/a", eps, d.a), _overflows("s*tau", m, d.a),
+                _overflows("mu*tau", kappa, d.a))
+    return batch, taus, eps, m, kappa
 
 
 def directions(params) -> tuple[Direction, Direction]:
@@ -175,10 +178,10 @@ def directions(params) -> tuple[Direction, Direction]:
     return Direction(*map(batch.shaped, one)), Direction(*map(batch.shaped, two))
 
 
-def _survival(d: Direction, z):
-    """P(gamma > z) for direction ``d``; 1 where z <= 0."""
-    z = np.maximum(z, 0.0)
-    return np.exp(-d.s * z) * bessel_xk1(2.0 * np.sqrt(d.mu * z))
+def _survival(m, kappa):
+    """P(gamma > tau) = exp(-m) * xK1(2*sqrt(kappa)) of a direction whose
+    s*tau is ``m`` and mu*tau is ``kappa``, for tau >= 0."""
+    return np.exp(-m) * bessel_xk1(2.0 * np.sqrt(kappa))
 
 
 def _positive_quadratic_root(quad, lin, const):
@@ -283,9 +286,9 @@ def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
 
 def outage_exact(params, targets) -> float:
     """System outage by inclusion-exclusion over the two directions."""
-    batch, taus = _thresholded(params, targets)
+    batch, taus, _, m, kappa = _thresholded(params, targets)
     joint, checks = _joint_outage(batch, taus)
-    marginals = (1.0 - _survival(batch.d, taus)).sum(axis=1)
+    marginals = (1.0 - _survival(m, kappa)).sum(axis=1)
     value, clamp = _clamp_probability(marginals - joint, "outage_exact")
     raise_first(*checks, clamp)
     return batch.shaped(value)
@@ -313,9 +316,9 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     The exact value and the lower bound keep the excursion check.  A point
     with a zero threshold has no corner: both bounds are its exact outage.
     """
-    batch, taus = _thresholded(params, targets)
+    batch, taus, _, m, kappa = _thresholded(params, targets)
     d = batch.d
-    survivals = _survival(d, taus)
+    survivals = _survival(m, kappa)
     exact, exact_check = _clamp_probability((1.0 - survivals).sum(axis=1), "outage_exact")
     joint, taus = _joint_thresholds(taus)
     corner, residual = _corner_point(batch, taus)
@@ -361,9 +364,7 @@ def outage_high_snr(params, targets) -> float:
     At low SNR the expression exceeds 1, so the contract clamps rather
     than errors.
     """
-    batch, taus = _thresholded(params, targets)
-    d = batch.d
-    m, kappa = d.s * taus, d.mu * taus
+    batch, _, _, m, kappa = _thresholded(params, targets)
     one_is_weak = kappa[:, 0] > kappa[:, 1]  # on a tie direction 2 is the weak one
     (m_s, m_w), (kappa_s, kappa_w) = (np.where(one_is_weak, v[:, ::-1].T, v.T) for v in (m, kappa))
     live = kappa_w > 0.0
@@ -505,88 +506,78 @@ def capacity_direction_integral(s, mu):
               + J_l / (l+1)! ].
 
     Term l is exp((l+1)*ln(mu/s) - ln l!) times the bracket in the scaled
-    factors of :func:`_scaled_series_factors`.  The terms are built
-    ``_SERIES_BLOCK`` at a time for every direction still running, and each
-    direction's are summed in index order up to the first of three
-    consecutive |term| <= SERIES_REL_TOL * |partial sum|, where it leaves
-    the block; a term that is not finite before that stop, or
-    SERIES_MAX_TERMS terms without it, raise ConvergenceError.
+    factors of :func:`_scaled_series_factors`.  The terms go into one
+    table, a row per direction, ``_SERIES_BLOCK`` columns at a time for the
+    directions still summing: the block loop only decides which stop, at the
+    last of three consecutive |term| <= SERIES_REL_TOL * |partial sum| or at
+    a term that is not finite.  Each direction's value, terms used, last
+    |term| and sum|term| are then read off the table's sums in index order.
 
     The terms scale like (mu/s)^l / l!, so the sum cancels from a peak near
     e^(mu/s): the factors' 3e-14 relative error becomes an error of roughly
-    3e-14 * e^(mu/s) in the value.  A sum of |term| above
-    SERIES_CANCELLATION_LIMIT times |value| raises ConvergenceError too,
-    from mu/s of about 23 at s = 1 and about 29 at s = 1e-8.  For mu = 0
-    every series term carries a factor mu and the integral collapses to
-    Psi(1, 1; s).  Returns ``(value, terms_used, |last term|)``, each shaped
-    like ``s``; the error is that of the first failing element, marked with
-    its index.
+    3e-14 * e^(mu/s) in the value.  ConvergenceError is raised for a
+    direction that stops at a term that is not finite, whose sum|term| is
+    above SERIES_CANCELLATION_LIMIT times |value| (from mu/s of about 23 at
+    s = 1 and about 29 at s = 1e-8), or that does not stop within
+    SERIES_MAX_TERMS terms.  For mu = 0 every series term carries a factor
+    mu and the integral collapses to Psi(1, 1; s).  Returns ``(value,
+    terms_used, |last term|)``, each shaped like ``s``.  A point is an
+    element of ``s``, or a row of (points, 2) arrays; the one error is the
+    first failing point's, marked with its index, and names that point's
+    first failing direction.
     """
     s, mu = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(mu, dtype=float))
     shape, s, mu = s.shape, s.ravel(), mu.ravel()
     raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
     value = tricomi_psi11(s)
+    table = np.zeros((s.size, SERIES_MAX_TERMS), order="F")  # unwritten columns stay unmapped
     used = np.zeros(s.size, dtype=int)
-    last = np.zeros(s.size)
-    errors: dict[int, str] = {}
-
-    def where(i: int) -> str:
-        return f"s={s[i]:.3g}, mu={mu[i]:.3g}"
-
-    rows = np.flatnonzero(mu > 0.0)
-    ln_ratio = np.log(mu[rows] / s[rows])[:, None]
-    offset = (np.log(mu[rows]) + 2.0 * EULER_GAMMA)[:, None]
-    total, magnitude = np.zeros((rows.size, 1)), np.zeros((rows.size, 1))
-    small = np.zeros((rows.size, 2), dtype=bool)  # the last two stop flags of the block before
+    running = mu > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # mu = 0 sums no term
+        ln_ratio, offset = np.log(mu / s)[:, None], (np.log(mu) + 2.0 * EULER_GAMMA)[:, None]
     for start in range(0, SERIES_MAX_TERMS, _SERIES_BLOCK):
+        rows = np.flatnonzero(running)
         if not rows.size:
             break
         stop = min(start + _SERIES_BLOCK, SERIES_MAX_TERMS)
         psi_scaled, j_scaled = _scaled_series_factors(s[rows], slice(start, stop))
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.exp(np.arange(start + 1.0, stop + 1.0) * ln_ratio - _LN_FACTORIAL[start:stop])
-            harmonic = offset - _HARMONIC[start:stop] - _HARMONIC[start + 1 : stop + 1]
-            terms = scale * (harmonic * psi_scaled + j_scaled)
-            size = np.abs(terms)
-            partial = np.cumsum(np.concatenate((total, terms), axis=1), axis=1)[:, 1:]
-            magnitudes = np.cumsum(np.concatenate((magnitude, size), axis=1), axis=1)[:, 1:]
-            small = np.concatenate((small, size <= SERIES_REL_TOL * np.abs(partial)), axis=1)
-        stops = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
-        stopped = stops.any(axis=1)
-        end = np.where(stopped, stops.argmax(axis=1) + 1, stop - start)
-        blown = ~np.isfinite(terms) & (np.arange(stop - start) < end[:, None])
-        broken = blown.any(axis=1)
-        for k in np.flatnonzero(broken):
-            errors[rows[k]] = (
-                f"capacity series term {start + blown[k].argmax()} is not finite "
-                f"({where(rows[k])}, mu/s={mu[rows[k]] / s[rows[k]]:.3g})"
-            )
-        done = np.flatnonzero(stopped & ~broken)
-        at = end[done] - 1
-        finished = rows[done]
-        value[finished] = value[finished] + partial[done, at]
-        used[finished] = start + end[done]
-        last[finished] = size[done, at]
-        cancels = magnitudes[done, at] > SERIES_CANCELLATION_LIMIT * np.abs(value[finished])
-        for k in np.flatnonzero(cancels):
-            i, m = finished[k], magnitudes[done[k], at[k]]
-            errors[i] = (
-                f"capacity series cancels: sum|term| = {m:.3g} is "
-                f"{m / abs(value[i]):.3g} times its value {value[i]:.6g} "
-                f"({where(i)}, mu/s={mu[i] / s[i]:.3g})"
-            )
-        going = ~(stopped | broken)
-        rows, ln_ratio, offset = rows[going], ln_ratio[going], offset[going]
-        total, magnitude = partial[going, -1:], magnitudes[going, -1:]
-        small, tail = small[going, -2:], size[going, -1]
-    for i, t in zip(rows, tail if rows.size else ()):
-        errors[i] = (
-            f"capacity series did not converge within {SERIES_MAX_TERMS} terms "
-            f"({where(i)}; last term {t:.3g})"
-        )
-    if errors:
-        first = min(errors)
-        raise failed_at(int(first), ConvergenceError(errors[first]))
+            scale = np.exp(np.arange(start + 1.0, stop + 1.0) * ln_ratio[rows]
+                           - _LN_FACTORIAL[start:stop])
+            harmonic = offset[rows] - _HARMONIC[start:stop] - _HARMONIC[start + 1 : stop + 1]
+            table[rows, start:stop] = terms = scale * (harmonic * psi_scaled + j_scaled)
+            summed = table[rows, :stop]
+            small = np.abs(summed) <= SERIES_REL_TOL * np.abs(np.cumsum(summed, axis=1))
+        ends = np.zeros_like(small)  # the terms a direction may stop at
+        ends[:, 2:] = small[:, :-2] & small[:, 1:-1] & small[:, 2:]
+        ends[:, start:] |= ~np.isfinite(terms)
+        stopped = ends.any(axis=1)
+        used[rows] = np.where(stopped, ends.argmax(axis=1) + 1, stop)
+        running[rows] = ~stopped
+    at = np.maximum(used - 1, 0)  # a direction with mu = 0 reads its zero column 0
+    index, summed = np.arange(s.size), table[:, :at.max(initial=0) + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = value + np.cumsum(summed, axis=1)[index, at]
+        magnitude = np.cumsum(np.abs(summed), axis=1)[index, at]
+        cancels = magnitude > SERIES_CANCELLATION_LIMIT * np.abs(value)
+    last = np.abs(table[index, at])
+    blown = ~np.isfinite(last)
+    # one that never stops or blows up may read as cancelling too: error() names its kind
+    failed = (running | blown | cancels).reshape(shape or 1)
+    first = index.reshape(failed.shape)
+
+    def error(i: int) -> Exception:
+        k = first[i][failed[i]][0]  # the point's first failing direction
+        where, m = f"s={s[k]:.3g}, mu={mu[k]:.3g}", magnitude[k]
+        if running[k]:
+            return ConvergenceError(f"capacity series did not converge within "
+                                    f"{SERIES_MAX_TERMS} terms ({where}; last term {last[k]:.3g})")
+        return ConvergenceError((
+            f"capacity series term {at[k]} is not finite" if blown[k] else
+            f"capacity series cancels: sum|term| = {m:.3g} is {m / abs(value[k]):.3g} times "
+            f"its value {value[k]:.6g}") + f" ({where}, mu/s={mu[k] / s[k]:.3g})")
+
+    raise_first((failed, error))
     return value.reshape(shape), used.reshape(shape), last.reshape(shape)
 
 
@@ -595,10 +586,7 @@ def capacity_series(params) -> CapacitySeries:
     directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2))."""
     (batch,) = _batch(params)
     d = batch.d
-    try:
-        value, used, last = capacity_direction_integral(d.s, d.mu)
-    except ConvergenceError as exc:  # its point indexes the flattened (points, 2) arrays
-        raise failed_at(exc.point // 2, exc)
+    value, used, last = capacity_direction_integral(d.s, d.mu)
     return CapacitySeries(batch.shaped(_sum_rate(value)), tuple(used.ravel().tolist()),
                           batch.shaped(last.max(axis=1, initial=0.0)))
 
@@ -738,8 +726,8 @@ def non_coop_outage(params, targets) -> float:
     This time-sharing convention is a modelling choice, not a uniquely
     determined one.
     """
-    batch, taus = _thresholded(params, targets)
-    return batch.shaped(-np.expm1(-(taus / batch.d.a).max(axis=1)))
+    batch, _, eps, _, _ = _thresholded(params, targets)
+    return batch.shaped(-np.expm1(-eps.max(axis=1)))
 
 
 def non_coop_capacity(params) -> float:

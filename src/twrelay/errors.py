@@ -43,16 +43,20 @@ def failed_at(point: int, error: Exception) -> Exception:
     return error
 
 
-#: A check over a batch: a boolean array of which points fail it, and the
-#: error of point i.
+#: A check over a batch: a boolean array of which points fail it, one entry
+#: or one row of entries per point, and the error of point i.
 Check = tuple[object, Callable[[int], Exception]]
 
 
 def raise_first(*checks: Check) -> None:
     """Raise the error of the first point that fails any of ``checks``,
-    marked with its index; a point runs the checks in the order given."""
+    marked with its index.  A check holds one entry or one row of entries
+    per point, and a point fails it if any entry of its row fails; a point
+    runs the checks in the order given."""
     first = None
     for bad, error in checks:
+        if bad.ndim > 1:
+            bad = bad.any(axis=1)
         if bad.any():
             hit = int(bad.argmax())
             if first is None or hit < first[0]:

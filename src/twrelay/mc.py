@@ -75,6 +75,7 @@ from .errors import (
     InsufficientSamplesError,
     ParameterError,
     failed_at,
+    raise_first,
 )
 from .model import (
     SystemParams,
@@ -351,12 +352,12 @@ def estimate_diversity_fd(
     with np.errstate(over="ignore"):
         power = gamma * twice.sigma2
     grown = symmetric_growth(r, gamma)
-    bad = ~((0.0 < power) & (power < math.inf) & (grown < math.inf))
-    if bad.any():
-        k = int(bad.argmax())
-        raise failed_at(k // 2, DomainError(
-            f"diversity stencil point gamma_db={stencil_db[k]:.6g} (r={r[k]:g}): its SNR, "
-            "power or threshold is not a positive finite float"))
+    # one row per point, its higher stencil point first; tau = grown - 1 must be positive
+    bad = ~((0.0 < power) & (power < math.inf) & (1.0 < grown) & (grown < math.inf)).reshape(-1, 2)
+    rows_db = np.reshape(stencil_db, (-1, 2))
+    raise_first((bad, lambda i: DomainError(
+        f"diversity stencil point gamma_db={rows_db[i][bad[i]][0]:.6g} (r={r[2 * i]:g}): its "
+        "SNR, power or threshold is not a positive finite float")))
     tau, rate = grown - 1.0, 0.5 * np.log2(grown)
     outage = estimate_outage(replace(twice, p1=power, p2=power),
                              TargetRates(rate, rate, tau, tau), n, seed, workers=workers)

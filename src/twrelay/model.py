@@ -120,8 +120,8 @@ def build_params(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp) -> System
     The two sources sit a unit distance apart with the relay at d1 from
     source 1, so omega1 = 1/d1^ple and omega2 = 1/(1-d1)^ple.  The powers,
     the noise, the fading means and c = 1/(eta*lam) must be positive finite
-    floats; the first point whose value is not raises ParameterError naming
-    its inputs, marked with its index.
+    floats, and the SNRs P/sigma2 finite; the first point whose value is not
+    raises ParameterError naming its inputs, marked with its index.
     """
     given = _broadcast(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp)
     shape = given[0].shape
@@ -150,6 +150,7 @@ def build_params(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp) -> System
         omega1, omega2 = (1.0 / np.asarray(_pow(base, ple_in), dtype=float)
                           for base in (d1_in, 1.0 - d1_in))
         c = 1.0 / (eta * lam)  # eta*lam may underflow to 0
+        snr1, snr2 = p1 / sigma2, p2 / sigma2
     raise_first(
         *ranges,
         (~((omega1 < math.inf) & (omega2 < math.inf)), lambda i: ParameterError(
@@ -158,6 +159,9 @@ def build_params(p1, p2, sigma2, eta, lam, epsilon, d1, path_loss_exp) -> System
         (~(c < math.inf), lambda i: ParameterError(
             f"eta = {eta[i]} and lambda = {lam[i]} give c = 1/(eta*lambda) = {c[i]}; "
             "it must be a positive finite float")),
+        (~((snr1 < math.inf) & (snr2 < math.inf)), lambda i: ParameterError(
+            f"p1 = {p1[i]}, p2 = {p2[i]} and sigma2 = {sigma2[i]} give SNRs P/sigma2 = "
+            f"({snr1[i]}, {snr2[i]}); they must be finite floats")),
     )
     return SystemParams(*(_shaped(v, shape) for v in (
         p1, p2, sigma2, eta, lam, epsilon, d1, ple, omega1, omega2)))

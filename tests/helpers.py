@@ -236,7 +236,8 @@ def cdf_z(z: float, a: float, b: float, c: float, omega1: float, omega2: float) 
     if omega1 <= 0 or omega2 <= 0:
         raise DomainError("fading means must be positive")
     d = analytic._direction(a, omega1, omega2, b, c)
-    value, check = analytic._clamp_probability(np.array([1.0 - analytic._survival(d, z)]), "cdf_z")
+    survival = analytic._survival(d.s * z, d.mu * z)
+    value, check = analytic._clamp_probability(np.array([1.0 - survival]), "cdf_z")
     raise_first(check)
     return float(value[0])
 

@@ -80,6 +80,20 @@ class TestCapacitySeries:
         with pytest.raises(ConvergenceError, match="cancels"):
             capacity_direction_integral(1e-4, 3e-3)
 
+    # point 1 holds one direction that runs out of terms (mu/s = 100) and one
+    # that cancels (mu/s = 30); its error is its first failing direction's,
+    # whatever the kind
+    @pytest.mark.parametrize("s, mu, named", [
+        ([1e-3, 1e-4], [0.1, 3e-3],
+         rf"did not converge within {SERIES_MAX_TERMS} terms \(s=0\.001, mu=0\.1;"),
+        ([1e-4, 1e-3], [3e-3, 0.1], r"cancels: .* \(s=0\.0001, mu=0\.003, mu/s=30\)"),
+    ], ids=["runs-out-then-cancels", "cancels-then-runs-out"])
+    def test_point_names_its_first_failing_direction(self, s, mu, named):
+        with pytest.raises(ConvergenceError, match=named) as info:
+            capacity_direction_integral(np.array([[0.5, 0.5], s, [0.5, 0.5]]),
+                                        np.array([[0.1, 0.1], mu, [0.1, 0.1]]))
+        assert info.value.point == 1
+
     def test_zero_bessel_scale_collapses_to_base_term(self):
         # with the harvest-inverse coefficient forced to zero every series
         # term vanishes and only the hypergeometric base survives

@@ -1,5 +1,6 @@
 """The batched closed forms: frozen sweep values, a batch of columns against
-one-point calls (Monte Carlo too), and the first failing point of a batch."""
+one-point calls (Monte Carlo too), and the first failing point of a batch,
+with the rule ``errors.raise_first`` finds it by."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from twrelay import analytic, mc
 from twrelay.config import ExperimentConfig
-from twrelay.errors import ConvergenceError, DegenerateCaseError, DomainError
+from twrelay.errors import ConvergenceError, DegenerateCaseError, DomainError, raise_first
 from twrelay.model import TargetRates, build_params
 from twrelay.sweep import run_sweep
 
@@ -300,3 +301,38 @@ class TestFirstFailingPoint:
         direction = analytic.directions(make_params(lam=0.02, d1=d1))[failing]
         assert f"s={direction.s:.3g}, mu={direction.mu:.3g}" in str(info.value)
 
+
+class TestRaiseFirst:
+    """A check holds one entry or one row of entries per point, and a point
+    fails it where any entry of its row fails; the first failing point
+    raises, with the error of the first check it fails."""
+
+    @staticmethod
+    def _raised(*checks):
+        with pytest.raises(DomainError) as info:
+            raise_first(*checks)
+        return info.value.point, str(info.value)
+
+    def test_one_entry_per_point(self):
+        bad = np.array([False, False, True, True])
+        assert self._raised((bad, lambda i: DomainError(f"point {i}"))) == (2, "point 2")
+
+    def test_a_row_fails_where_any_of_its_entries_fails(self):
+        bad = np.array([[False, False, False], [False, False, True], [True, True, False]])
+        assert self._raised((bad, lambda i: DomainError(
+            f"point {i}, entry {bad[i].argmax()}"))) == (1, "point 1, entry 2")
+
+    def test_an_empty_batch_of_rows_passes(self):
+        raise_first((np.zeros((0, 2), dtype=bool), lambda i: DomainError("no point")))
+
+    @pytest.mark.parametrize("rows_first", [True, False])
+    def test_rows_and_entries_share_the_point_order(self, rows_first):
+        rows = (np.array([[False, False], [False, True], [True, True]]),
+                lambda i: DomainError(f"rows at {i}"))
+        entries = (np.array([False, True, True]), lambda i: DomainError(f"entries at {i}"))
+        checks = (rows, entries) if rows_first else (entries, rows)
+        # point 1 fails both: its error is that of the check it runs first
+        assert self._raised(*checks) == (1, "rows at 1" if rows_first else "entries at 1")
+        # a check run first that fails only a later point does not outrank it
+        later = (np.array([False, False, True]), entries[1])
+        assert self._raised(later, rows) == (1, "rows at 1")

@@ -1,9 +1,13 @@
 """Monte Carlo estimators: correctness, determinism, and error scaling."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,6 @@ from twrelay.mc import (
 )
 from twrelay.model import (
     TargetRates,
-    as_columns,
     build_params,
     derived_coeffs,
     end_to_end_snrs,
@@ -205,8 +208,11 @@ class TestEstimateDiversityFd:
 
     def test_snr_past_the_float_range_is_a_domain_error(self):
         # P/sigma2 overflows to inf: the stencil names its SNR, where it once
-        # blamed target rates that the caller never gave
-        params = build_params(1e300, 1e300, 1e-300, 1, 0.5, 0.5, 0.5, 3)
+        # blamed target rates that the caller never gave.  build_params
+        # rejects these powers, so the stencil's own guard is reached by
+        # parameters built around it
+        params = replace(build_params(1, 1, 1, 1, 0.5, 0.5, 0.5, 3),
+                         p1=1e300, p2=1e300, sigma2=1e-300)
         with pytest.raises(DomainError, match=r"gamma_db=inf \(r=0.5\)"):
             estimate_diversity_fd(params, 0.5, n=2_000, seed=1)
 
@@ -519,21 +525,46 @@ class TestChunkWorkspace:
         not sys.platform.startswith("linux"), reason="counts Linux minor page faults"
     )
     def test_no_allocation_per_point(self):
-        # a fresh chunk-sized temporary is a fresh mapping, paid in page faults
+        # A fresh chunk-sized temporary is a fresh mapping, paid in page faults
         # on first touch; the workspace is touched once per call whatever the
-        # number of points
-        import resource
+        # number of points.  After its first large free, glibc raises its mmap
+        # threshold and serves such a temporary from the heap without new
+        # faults, so the count runs in a fresh interpreter that fixes the
+        # threshold (M_MMAP_THRESHOLD) at 64 KiB.  After one warm-up call
+        # each, 19 points must fault no more than one point plus the pages of
+        # one half-chunk buffer (64 of 4 KiB); a temporary per point would add
+        # that many per point per half chunk.
+        if not hasattr(ctypes.CDLL(None), "mallopt"):
+            pytest.skip("needs glibc's mallopt to fix the mmap threshold")
+        out = subprocess.run([sys.executable, "-c", _FAULTS_SCRIPT], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(Path(mc.__file__).parents[1])})
+        one, many = map(int, out.stdout.split())
+        assert many <= one + 64, (one, many)
 
-        def faults(params):
-            _, params, _ = as_columns(params)
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            mc._map_points(mc._rate_sums, np.zeros((2, params.p1.size)), params,
-                           [None] * params.p1.size, 5 * CHUNK_DRAWS, 3, 1)
-            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-        one = faults(make_params())
-        many = faults(build_params(100, 100, 1, 1, np.linspace(0.05, 0.95, 19), 0.5, 0.5, 3))
-        assert many <= 2 * one, (many, one)
+_FAULTS_SCRIPT = """
+import ctypes, resource
+libc = ctypes.CDLL(None)
+libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+if libc.mallopt(-3, 64 * 1024) != 1:  # M_MMAP_THRESHOLD, fixed so glibc never raises it
+    raise SystemExit("mallopt(M_MMAP_THRESHOLD) failed")
+import numpy as np
+from twrelay import mc
+from twrelay.model import as_columns, build_params
+
+def faults(params):
+    _, params, _ = as_columns(params)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    mc._map_points(mc._rate_sums, np.zeros((2, params.p1.size)), params,
+                   [None] * params.p1.size, 5 * mc.CHUNK_DRAWS, 3, 1)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+one = build_params(100, 100, 1, 1, 0.75, 0.5, 0.5, 3)
+many = build_params(100, 100, 1, 1, np.linspace(0.05, 0.95, 19), 0.5, 0.5, 3)
+faults(one), faults(many)
+print(faults(one), faults(many))
+"""
 
 
 STENCIL_PARAMS = stack([make_params(snr_db=20.0), make_params(snr_db=30.0)])
@@ -576,4 +607,16 @@ class TestDiversityStencilErrors:
         with pytest.raises(InsufficientSamplesError,
                            match="only 50 non-outage samples at gamma_db=30.2") as info:
             estimate_diversity_fd(STENCIL_PARAMS, 0.5, n=10_000, seed=0)
+        assert info.value.point == 1
+
+    def test_threshold_that_rounds_to_0_fails_before_sampling(self, monkeypatch):
+        # P/sigma2 = 1e-310: every stencil SNR is a positive float, but
+        # (1+gamma)^r rounds to 1, so tau = 0 at both stencil points
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the stencil sampled")
+
+        monkeypatch.setattr(mc, "estimate_outage", no_sampling)
+        params = stack([make_params(), build_params(1e-310, 1e-310, 1, 1, 0.5, 0.5, 0.5, 3)])
+        with pytest.raises(DomainError, match=r"gamma_db=-3099.75 \(r=0.5\): its SNR") as info:
+            estimate_diversity_fd(params, 0.5, n=10_000, seed=0)
         assert info.value.point == 1

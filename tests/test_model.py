@@ -54,6 +54,9 @@ class TestBuildParams:
             (dict(p1=0.0), "p1"),
             (dict(sigma2=-1.0), "sigma2"),
             (dict(epsilon=1.2), "epsilon"),
+            # each power is finite, but P/sigma2 is past the float range
+            (dict(p1=1e300, p2=1e300, sigma2=1e-300),
+             r"p1 = 1e\+300, p2 = 1e\+300 and sigma2 = 1e-300 give SNRs P/sigma2 = \(inf, inf\)"),
         ],
     )
     def test_validation_names_the_violated_range(self, kwargs, fragment):

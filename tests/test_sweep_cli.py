@@ -650,8 +650,12 @@ class TestCli:
         ("5e-324", "1e300", "mc, dmt",
          "method=mc: diversity stencil point gamma_db=-inf (r=0.5): its SNR, power or "
          "threshold is not a positive finite float"),
+        # the stencil's SNRs are positive, but tau = (1+gamma)^r - 1 rounds to 0
+        ("1e-310", "1", "mc, dmt",
+         "method=mc: diversity stencil point gamma_db=-3099.75 (r=0.5): its SNR, power or "
+         "threshold is not a positive finite float"),
     ], ids=["outage-zero", "outage-subnormal", "capacity-zero", "capacity-subnormal",
-            "mc-stencil-zero"])
+            "mc-stencil-zero", "mc-stencil-subnormal"])
     def test_snr_at_or_near_0_exits_3_without_warnings(self, tmp_path, capsys, power, sigma2,
                                                        methods, named):
         # P/sigma2 rounds to 0 or to a subnormal: the survival law's
@@ -666,6 +670,45 @@ class TestCli:
             warnings.simplefilter("error")
             assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == f"numerical failure: lambda=0.3, {named}\n"
+
+    @pytest.mark.parametrize("methods", [
+        "mc, exact_quadrature", "capacity_quadrature, mc", "capacity_series", "mc, dmt",
+    ])
+    def test_snr_past_the_float_range_exits_2_without_warnings(self, tmp_path, capsys, methods):
+        # each power is finite, but P/sigma2 = 1e600 is not
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "sweep = d1\nstart = 0.3\nstop = 0.7\nsteps = 3\np1 = 1e300\np2 = 1e300\n"
+            f"sigma2 = 1e-300\nmethods = {methods}\nmc_n = 2000\n"
+            f"output_path = {tmp_path / 'x.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: p1 = 1e+300, p2 = 1e+300 and sigma2 = 1e-300 give SNRs "
+            "P/sigma2 = (inf, inf); they must be finite floats\n"
+        )
+
+    @pytest.mark.parametrize("methods, failing", [
+        ("exact_quadrature", "exact_quadrature"), ("lower_bound, upper_bound", "lower_bound"),
+        ("high_snr", "high_snr"), ("non_coop", "non_coop"),
+        ("mc, exact_quadrature", "exact_quadrature"),
+    ])
+    def test_threshold_over_a_small_snr_exits_3_without_warnings(self, tmp_path, capsys,
+                                                                 methods, failing):
+        # tau1 = 2^(2*511.9) - 1 = 1.6e308 is finite, but tau1/a is not at -60 dB
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            f"sweep = snr_db\nstart = -60\nstop = 0\nsteps = 4\nt1 = 511.9\n"
+            f"methods = {methods}\nmc_n = 2000\noutput_path = {tmp_path / 'x.csv'}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            f"numerical failure: snr_db=-60, method={failing}: tau/a overflows at gamma=1e-06\n"
+        )
 
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "exp.cfg"
