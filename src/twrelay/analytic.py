@@ -37,9 +37,7 @@ direction axis.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +47,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
+    overflows,
     raise_first,
 )
 from .model import (
@@ -63,8 +62,6 @@ from .model import (
 )
 from .numerics import log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
-
-log = logging.getLogger(__name__)
 
 LN2 = math.log(2.0)
 
@@ -84,21 +81,9 @@ def _clamp_probability(values: np.ndarray, context: str) -> tuple[np.ndarray, Ch
     """``values`` clipped to [0, 1], and the check that fails a point whose
     value leaves [0, 1] by more than CLAMP_TOL."""
     excess = np.maximum(-values, values - 1.0)
-    if (excess > 0.0).any():
-        log.debug("%s clamped by up to %.3g", context, np.max(excess))
     return np.minimum(np.maximum(values, 0.0), 1.0), (excess > CLAMP_TOL, lambda i: DomainError(
         f"{context} produced {float(values[i])}, outside [0, 1] by {excess[i]:.3g}"
     ))
-
-
-def _overflows(what: str, value, gamma) -> Check:
-    """The check that fails a point whose ``value``, a product or quotient
-    formed under ``np.errstate``, is not finite.  ``value`` holds one entry
-    per point, or one row per point; the error names ``what`` and the SNR
-    ``gamma`` (shaped like ``value``) of the point's first overflowed entry."""
-    bad = ~np.isfinite(value)
-    gammas = np.broadcast_to(gamma, bad.shape)
-    return bad, lambda i: DomainError(f"{what} overflows at gamma={gammas[i][bad[i]][0]}")
 
 
 class Direction(NamedTuple):
@@ -125,8 +110,8 @@ def _direction(a, own, other, b, c) -> Direction:
     with np.errstate(over="ignore", divide="ignore"):
         scale, joint = a * other, a * (own * other)
         s, mu = b / scale, c / joint
-    raise_first(_overflows("a*omega_j", scale, a), _overflows("a*omega_i*omega_j", joint, a),
-                _overflows("b/(a*omega_j)", s, a), _overflows("c/(a*omega_i*omega_j)", mu, a))
+    raise_first(overflows("a*omega_j", scale, a), overflows("a*omega_i*omega_j", joint, a),
+                overflows("b/(a*omega_j)", s, a), overflows("c/(a*omega_i*omega_j)", mu, a))
     return Direction(a, own, other, s, mu)
 
 
@@ -165,8 +150,8 @@ def _thresholded(params: SystemParams, targets: TargetRates) -> tuple:
     d, taus = batch.d, np.stack((tau1, tau2), axis=1)
     with np.errstate(over="ignore"):
         eps, m, kappa = taus / d.a, d.s * taus, d.mu * taus
-    raise_first(_overflows("tau/a", eps, d.a), _overflows("s*tau", m, d.a),
-                _overflows("mu*tau", kappa, d.a))
+    raise_first(overflows("tau/a", eps, d.a), overflows("s*tau", m, d.a),
+                overflows("mu*tau", kappa, d.a))
     return batch, taus, eps, m, kappa
 
 
@@ -185,14 +170,19 @@ def _survival(m, kappa):
 
 
 def _positive_quadratic_root(quad, lin, const):
-    """Positive root of quad*x^2 + lin*x + const with quad > 0, const < 0.
+    """Positive root of quad*x^2 + lin*x + const with quad > 0, const < 0,
+    and the discriminant lin^2 - 4*quad*const.  The caller runs it under
+    ``np.errstate`` and checks the discriminant: past the float range, the
+    root reads 0 or inf.
 
     For lin > 0 the textbook form (-lin + disc)/(2*quad) cancels, so the root
     is taken from the product of the roots instead.
     """
-    disc = np.sqrt(lin * lin - 4.0 * quad * const)
+    square = lin * lin - 4.0 * quad * const
+    disc = np.sqrt(square)
     product = lin > 0.0  # one division per point: the form not taken may divide by 0
-    return np.where(product, 2.0 * const, -lin + disc) / np.where(product, -lin - disc, 2.0 * quad)
+    root = np.where(product, 2.0 * const, -lin + disc) / np.where(product, -lin - disc, 2.0 * quad)
+    return root, square
 
 
 def _corner_residual(b, c, eps1, eps2, x0, y0):
@@ -201,17 +191,24 @@ def _corner_residual(b, c, eps1, eps2, x0, y0):
     return np.maximum(np.abs(r1) / y0, np.abs(r2) / x0)
 
 
-def _corner_point(batch: _Batch, taus) -> tuple[np.ndarray, Check]:
+def _corner_point(batch: _Batch, taus, joint) -> tuple[np.ndarray, list[Check]]:
     """The corner of every point, for positive thresholds, as a (points, 2)
     array of X0 (on direction 1's own axis) and Y0 (on direction 2's), and
-    the check that it satisfies the boundary system to 1e-9 relative."""
-    b, c, eps = batch.b[:, None], batch.c[:, None], taus / batch.d.a
-    cross = eps[:, ::-1]
-    # X0 solves b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0 and Y0 the
-    # same with indices swapped: column i takes its own eps and the other's, cross.
-    corner = _positive_quadratic_root(b, c - cross * b * b - cross * c / eps, -cross * b * c)
-    (x0, y0), (eps1, eps2) = corner.T, eps.T
-    residual = _corner_residual(batch.b, batch.c, eps1, eps2, x0, y0)
+    the checks, in order, that its cross quotient eps_j*c/eps_i and its
+    discriminant are finite floats and that it satisfies the boundary system
+    to 1e-9 relative.  It is all formed under ``np.errstate``, and the checks
+    fail only points that are ``joint``, a (points,) mask: the others carry
+    the stand-in thresholds of :func:`_joint_thresholds`."""
+    b, c, a = batch.b[:, None], batch.c[:, None], batch.d.a
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        eps = taus / a
+        cross = eps[:, ::-1]
+        ratio = cross * c / eps
+        # X0 solves b*X^2 + (c - eps2*b^2 - eps2*c/eps1)*X - eps2*b*c = 0 and Y0 the
+        # same with indices swapped: column i takes its own eps and the other's, cross.
+        corner, square = _positive_quadratic_root(b, c - cross * b * b - ratio, -cross * b * c)
+        (x0, y0), (eps1, eps2) = corner.T, eps.T
+        residual = _corner_residual(batch.b, batch.c, eps1, eps2, x0, y0)
 
     def error(i: int) -> Exception:
         return DegenerateCaseError(
@@ -220,7 +217,10 @@ def _corner_point(batch: _Batch, taus) -> tuple[np.ndarray, Check]:
             f"b={batch.b[i]}, c={batch.c[i]}, eps=({eps1[i]}, {eps2[i]}))"
         )
 
-    return corner, (residual > 1e-9, error)
+    finite = (overflows("eps_j*c/eps_i", ratio, a),
+              overflows("the corner's discriminant", square, a))
+    return corner, [*((bad & joint[:, None], fail) for bad, fail in finite),
+                    (joint & (residual > 1e-9), error)]
 
 
 def _segment_integral(k, omega, v):
@@ -273,15 +273,16 @@ def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
     between the corner and the curve (see :func:`_segment_integral`); 0
     where a threshold is 0.  The strips of all points and both directions
     are one array pass.  Returns the values and the checks of the corner
-    residual and of the excursion from [0, 1].
+    (:func:`_corner_point`) and of the excursion from [0, 1].
     """
     joint, taus = _joint_thresholds(taus)
     d = batch.d
-    corner, residual = _corner_point(batch, taus)
+    corner, checks = _corner_point(batch, taus, joint)
     strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
     _, mass = _corner_mass(d, corner)
-    value, clamp = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1], "joint_outage")
-    return np.where(joint, value, 0.0), [(joint & bad, error) for bad, error in (residual, clamp)]
+    value, (bad, error) = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1],
+                                             "joint_outage")
+    return np.where(joint, value, 0.0), [*checks, (joint & bad, error)]
 
 
 def outage_exact(params, targets) -> float:
@@ -321,7 +322,7 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     survivals = _survival(m, kappa)
     exact, exact_check = _clamp_probability((1.0 - survivals).sum(axis=1), "outage_exact")
     joint, taus = _joint_thresholds(taus)
-    corner, residual = _corner_point(batch, taus)
+    corner, corner_checks = _corner_point(batch, taus, joint)
     shift, mass = _corner_mass(d, corner)
     lower, _ = _lower_bound(d, taus, shift, mass)
     attenuated = survivals * np.exp(-shift)
@@ -330,7 +331,8 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     upper, upper_check = _clamp_probability(np.minimum(1.0, upper), "outage upper bound")
     raise_first(
         (~joint & exact_check[0], exact_check[1]),
-        *((joint & bad, error) for bad, error in (residual, lower_check, upper_check)),
+        *corner_checks,
+        *((joint & bad, error) for bad, error in (lower_check, upper_check)),
     )
     return batch.shaped(np.where(joint, lower, exact)), batch.shaped(np.where(joint, upper, exact))
 
@@ -387,18 +389,26 @@ def _sum_rate(nats: np.ndarray) -> np.ndarray:
     return nats.sum(axis=1) / (2.0 * LN2)
 
 
-def _survival_integral(s, mu, xk1, kink: float | None = None):
-    """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz per element of s
-    and mu, for ``xk1`` equal to x*K1(x) or one of the bounds on it, each
-    taking an array.
+def _survival_integral(d: Direction, xk1, kink: float | None = None):
+    """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz per element of the
+    direction fields s and mu, for ``xk1`` equal to x*K1(x) or one of the
+    bounds on it, each taking an array.
 
     The rule runs in t = ln z on [1e-17*min(1, 1/s), min(745/s, 745^2/(4*mu))].
     The integrand is at most 1 and the value scales with the decay length
     min(1, 1/s), so the part dropped below is under 1e-17 of it; above,
     e^(-s*z) or xk1(x) <= (1+x)e^-x at x = 745 is under e^-738.  The
     window is split at z = 1, below the pole of 1/(1+z) at t = i*pi, and
-    at x = ``kink`` where ``xk1`` has one.
+    at x = ``kink`` where ``xk1`` has one.  The window is formed under
+    ``np.errstate``: a lower end that underflows to 0 (s above about 1e306)
+    or a 4*mu/745 past the float range raises DomainError naming it and
+    gamma = a.
     """
+    s, mu = d.s, d.mu
+    with np.errstate(over="ignore", divide="ignore"):
+        lo, reach = 1e-17 * np.minimum(1.0, 1.0 / s), 4.0 * mu / 745.0
+        ln_lo = np.log(lo)
+    raise_first(overflows("ln(1e-17*min(1, 1/s))", ln_lo, d.a), overflows("4*mu/745", reach, d.a))
 
     def integrand(z, s, mu):
         return np.exp(-s * z) * xk1(2.0 * np.sqrt(mu * z)) / (1.0 + z)
@@ -407,10 +417,7 @@ def _survival_integral(s, mu, xk1, kink: float | None = None):
     if kink is not None:
         at_kink = kink * kink / (4.0 * mu)
         splits = (np.minimum(1.0, at_kink), np.maximum(1.0, at_kink))
-    return log_integral(
-        integrand, 1e-17 * np.minimum(1.0, 1.0 / s), 745.0 / np.maximum(s, 4.0 * mu / 745.0),
-        splits, args=(s, mu),
-    )
+    return log_integral(integrand, lo, 745.0 / np.maximum(s, reach), splits, args=(s, mu))
 
 
 def capacity_quadrature(params) -> float:
@@ -418,8 +425,7 @@ def capacity_quadrature(params) -> float:
     each survival integral on the log-variable rule, all directions of all
     points in one pass."""
     (batch,) = _batch(params)
-    d = batch.d
-    return batch.shaped(_sum_rate(_survival_integral(d.s, d.mu, bessel_xk1)))
+    return batch.shaped(_sum_rate(_survival_integral(batch.d, bessel_xk1)))
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -484,8 +490,7 @@ def _scaled_series_factors(s: np.ndarray, terms: slice) -> tuple[np.ndarray, np.
     return psi_scaled, j_scaled
 
 
-@dataclass(frozen=True)
-class CapacitySeries:
+class CapacitySeries(NamedTuple):
     """Truncated-series capacity value with its truncation diagnostics: the
     value and the largest last |term| of a point's two directions, each a
     float or one per point, and the terms used by each direction of each
@@ -637,8 +642,8 @@ def capacity_bounds(params) -> CapacityBounds:
     """
     (batch,) = _batch(params)
     d = batch.d
-    lower = _survival_integral(d.s, d.mu, lambda x: np.exp(-x))
-    tight = _survival_integral(d.s, d.mu, _xk1_upper, _XK1_UPPER_KINK)
+    lower = _survival_integral(d, lambda x: np.exp(-x))
+    tight = _survival_integral(d, _xk1_upper, _XK1_UPPER_KINK)
     loose = tricomi_psi11(d.s)
     return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, loose)))
 
@@ -671,9 +676,9 @@ def _symmetric_corner(r, gamma, b, c):
         scaled, spread = 4.0 * c * gamma, b * b * tau
         square = np.square(gamma)
         numer = r * gamma * (1.0 + gamma) ** (r - 1.0) - grown + 1.0
-    raise_first(_overflows("4*c*gamma", scaled, gamma), _overflows("b*b*tau", spread, gamma))
-    raise_first(_overflows("gamma**2", square, gamma),
-                _overflows("r*gamma*(1+gamma)^(r-1)", numer, gamma))
+    raise_first(overflows("4*c*gamma", scaled, gamma), overflows("b*b*tau", spread, gamma))
+    raise_first(overflows("gamma**2", square, gamma),
+                overflows("r*gamma*(1+gamma)^(r-1)", numer, gamma))
     s_fac = np.sqrt(1.0 + scaled / spread)
     big_b = numer / square
     big_a = big_b * (0.5 * b * (1.0 + s_fac) - c * gamma / (b * tau * s_fac))

@@ -3,10 +3,14 @@
 The CLI maps these onto exit codes: configuration problems exit 2,
 numerical failures exit 3.  A batched call that fails at one of its points
 marks the error with that point's index (``failed_at``), so a sweep can name
-the axis value.
+the axis value: ``raise_first`` raises for the first point that fails any of
+its checks, and ``overflows`` is the one check of a product formed under
+``np.errstate``.
 """
 
 from typing import Callable
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -64,3 +68,14 @@ def raise_first(*checks: Check) -> None:
     if first is not None:
         point, error = first
         raise failed_at(point, error(point))
+
+
+def overflows(what: str, value, gamma) -> Check:
+    """The check that fails a point whose ``value``, a product or quotient
+    formed under ``np.errstate``, is not finite.  ``value`` holds one entry
+    per point, or one row per point; the error, a DomainError, names
+    ``what`` and the SNR ``gamma`` (shaped like ``value``) of the point's
+    first overflowed entry."""
+    bad = ~np.isfinite(value)
+    gammas = np.broadcast_to(gamma, bad.shape)
+    return bad, lambda i: DomainError(f"{what} overflows at gamma={gammas[i][bad[i]][0]}")

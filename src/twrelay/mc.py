@@ -55,17 +55,22 @@ call returns, so a chunk allocates no arrays whatever its number of points.
 The buffered kernels run the same ufuncs in the same order on the same
 values as the plain array expressions, so their results are bit-identical.
 
-A call with one lane runs it on the calling thread; more lanes run on a
-thread pool in this process: numpy releases the interpreter lock while it
-draws exponentials and evaluates ufuncs on whole chunks, so threads overlap
-the sampling without the start-up and pickling cost of worker processes.
+The calling thread runs lane 0, and each further lane runs on a plain
+``threading.Thread`` of this process: numpy releases the interpreter lock
+while it draws exponentials and evaluates ufuncs on whole chunks, so threads
+overlap the sampling without the start-up and pickling cost of worker
+processes.  A lane that raises keeps its error; once every lane has joined,
+the error of the lowest-numbered lane that raised is re-raised.  A point
+whose numerator scale a*omega1*omega2 is not finite raises DomainError
+before any draw.  Below that, a product of rare large draws may still pass
+the float range: each lane runs under one ``np.errstate`` that lets it
+overflow to inf, an SNR above every threshold.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +80,7 @@ from .errors import (
     InsufficientSamplesError,
     ParameterError,
     failed_at,
+    overflows,
     raise_first,
 )
 from .model import (
@@ -102,8 +108,7 @@ DIVERSITY_STEP_DB = 0.25
 LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(NamedTuple):
     """Monte Carlo means with their standard errors, each a float for one
     point or a list of one float per point, and their provenance: the
     samples drawn per point and the seed, shared by every point of a call."""
@@ -204,6 +209,15 @@ def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
     return float(np.sum(total)), float(np.sum(np.multiply(total, total, out=gammas[1])))
 
 
+def _numerators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's SNR scales (P2/sigma2, P1/sigma2) and the numerator
+    scales a*omega1*omega2 of its two directions, as (points, 2) arrays of
+    the (points,) columns ``params``; a scale past the float range is inf."""
+    with np.errstate(over="ignore"):
+        a = np.stack(snr_scales(params), axis=1)
+        return a, a * (params.omega1 * params.omega2)[:, None]
+
+
 def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
                 n: int, seed: int, workers: int, weaker: list | None = None) -> np.ndarray:
     """``total`` plus, per point of the (points,) columns ``params``, its
@@ -217,11 +231,15 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     ``_halves`` at a time, each point on its own floats.  Lane j of
     ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
     in workspace j.  The workspaces are made on the calling thread, which
-    also runs a lone lane; more run on a thread pool.
+    also runs lane 0; lanes 1, 2, ... run on threads named
+    ``twrelay-mc-lane-<j>``, all joined before this returns or raises.  A
+    point whose a*omega1*omega2 is not finite raises DomainError first.
     """
     if not extras:
         return total
-    points = [SystemParams(*row) for row in zip(*(v.tolist() for v in vars(params).values()))]
+    a, scales = _numerators(params)
+    raise_first(overflows("a*omega1*omega2", scales, a))
+    points = [SystemParams(*row) for row in zip(*(v.tolist() for v in params))]
     plan = []
     for i, (point, weak) in enumerate(zip(points, weaker or [False] * len(points))):
         a1, a2 = snr_scales(point)
@@ -255,20 +273,31 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
                                      num=ws.num if a1 == a2 else None, out=(ws.gamma1, ws.gamma2))
             results[i] = kernel(extras[i], gammas, ws)
 
-    def lane(j: int) -> None:
-        for chunk in range(j, len(sizes), lanes):
-            rng = _chunk_rng(seed, chunk)
-            rng.standard_exponential(sizes[chunk], out=workspaces[j].e1[:sizes[chunk]])
-            for results, (start, stop) in zip(chunks[chunk], _halves(sizes[chunk])):
-                ws = workspaces[j].cut(start, stop)
-                rng.standard_exponential(stop - start, out=ws.e2)
-                run_half(ws, results)
+    errors: list[BaseException | None] = [None] * lanes
 
-    if lanes == 1:
-        lane(0)
-    else:
-        with ThreadPoolExecutor(lanes) as pool:
-            list(pool.map(lane, range(lanes)))  # re-raises a lane's error
+    def lane(j: int) -> None:
+        try:
+            with np.errstate(over="ignore"):  # errstate is per thread
+                for chunk in range(j, len(sizes), lanes):
+                    rng = _chunk_rng(seed, chunk)
+                    rng.standard_exponential(sizes[chunk], out=workspaces[j].e1[:sizes[chunk]])
+                    for results, (start, stop) in zip(chunks[chunk], _halves(sizes[chunk])):
+                        ws = workspaces[j].cut(start, stop)
+                        rng.standard_exponential(stop - start, out=ws.e2)
+                        run_half(ws, results)
+        except BaseException as exc:  # re-raised once every lane has joined
+            errors[j] = exc
+
+    threads = [threading.Thread(target=lane, args=(j,), name=f"twrelay-mc-lane-{j}")
+               for j in range(1, lanes)]
+    for thread in threads:
+        thread.start()
+    lane(0)
+    for thread in threads:
+        thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
     for halves in chunks:
         # one or two addends: their sum is a + b in any order
         total = total + np.transpose(np.sum(halves, axis=0))
@@ -335,13 +364,14 @@ def estimate_diversity_fd(
     is that point's index.  So does one with fewer than 100 samples out of
     outage, where nearly every draw is an outage and the difference would
     read 0.  A stencil point whose SNR, power or threshold is not a positive
-    finite float raises ``DomainError`` the same way, before any sampling.
+    finite float, or whose a*omega1*omega2 is not finite, raises
+    ``DomainError`` the same way, before any sampling.
     """
     shape, base, (r,) = as_columns(params, r)
     check_symmetric_powers(base)
     check_multiplexing_gain(r)
     # every point twice, its higher stencil point first
-    twice = SystemParams(*(np.repeat(v, 2) for v in vars(base).values()))
+    twice = SystemParams(*(np.repeat(v, 2) for v in base))
     r = np.repeat(r, 2)
     with np.errstate(over="ignore"):
         snrs = (base.p1 / base.sigma2).tolist()
@@ -355,12 +385,14 @@ def estimate_diversity_fd(
     # one row per point, its higher stencil point first; tau = grown - 1 must be positive
     bad = ~((0.0 < power) & (power < math.inf) & (1.0 < grown) & (grown < math.inf)).reshape(-1, 2)
     rows_db = np.reshape(stencil_db, (-1, 2))
+    stencil = twice._replace(p1=power, p2=power)
+    a, scales = _numerators(stencil)  # a row of 4: both directions of both stencil points
     raise_first((bad, lambda i: DomainError(
         f"diversity stencil point gamma_db={rows_db[i][bad[i]][0]:.6g} (r={r[2 * i]:g}): its "
-        "SNR, power or threshold is not a positive finite float")))
+        "SNR, power or threshold is not a positive finite float")),
+        overflows("a*omega1*omega2", scales.reshape(-1, 4), a.reshape(-1, 4)))
     tau, rate = grown - 1.0, 0.5 * np.log2(grown)
-    outage = estimate_outage(replace(twice, p1=power, p2=power),
-                             TargetRates(rate, rate, tau, tau), n, seed, workers=workers)
+    outage = estimate_outage(stencil, TargetRates(rate, rate, tau, tau), n, seed, workers=workers)
     for k, (mean, point_db) in enumerate(zip(outage.mean, stencil_db)):
         for count, what in ((mean * n, "outage events"), ((1.0 - mean) * n, "non-outage samples")):
             if count < 100:

@@ -4,12 +4,14 @@ one evaluator per metric family it serves, and its CSV rows with how
 r)``, a sweep's points as the columns of one ``SystemParams`` with their
 targets and multiplexing gains, to the tuple of its outputs, by one batched
 call of an ``analytic.*`` or ``mc.*`` function over all points.  An output
-is a list of one float per point, or an ``mc.Estimate`` of such lists; a
-failure is marked with the index of its first failing point
-(``errors.failed_at``).  Methods that share an evaluator share its outputs,
-each taking its rows from output ``first`` on, so a sweep runs each closed
-form once.  Evaluators look up ``analytic.*`` and ``mc.*`` when called, so a
-function rebound there is the one that runs.
+is a list of one float per point, or an ``mc.Estimate`` of such lists.  An
+Estimate, like every record of the package, is a NamedTuple, yet it is one
+output: its evaluator returns it in a 1-tuple, and the sweep tells it from
+a list by its type.  A failure is marked with the index of its first
+failing point (``errors.failed_at``).  Methods that share an evaluator
+share its outputs, each taking its rows from output ``first`` on, so a
+sweep runs each closed form once.  Evaluators look up ``analytic.*`` and
+``mc.*`` when called, so a function rebound there is the one that runs.
 """
 
 from __future__ import annotations

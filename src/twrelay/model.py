@@ -28,7 +28,6 @@ the one (1+gamma)^r of the config, the closed-form diversity and its stencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,8 +40,7 @@ from .errors import ParameterError, raise_first
 _pow = np.frompyfunc(pow, 2, 1)
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(NamedTuple):
     """Full protocol parameterization (linear scale throughout); each field
     is a float or a column of one value per point."""
 
@@ -82,8 +80,7 @@ def _shaped(values: np.ndarray, shape: tuple):
     return values.reshape(shape) if shape else values.item()
 
 
-@dataclass(frozen=True)
-class TargetRates:
+class TargetRates(NamedTuple):
     """Target rates (bit/s/Hz) and their SNR thresholds tau = 2^(2T) - 1;
     each field is a float or a column of one value per point."""
 
@@ -108,7 +105,7 @@ def as_columns(params: SystemParams, *more) -> tuple[tuple, SystemParams, list[n
     ``more`` (thresholds, multiplexing gains): () for one point, (points,)
     for a batch; and ``params`` and ``more`` with every value a (points,)
     array, one point for a call of floats."""
-    values = _broadcast(*vars(params).values(), *more)
+    values = _broadcast(*params, *more)
     flat = [v.reshape(-1) for v in values]
     return values[0].shape, SystemParams(*flat[:10]), flat[10:]
 

@@ -19,30 +19,54 @@ from typing import Callable
 import numpy as np
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Newton's method on the Legendre three-term recurrence, from the usual
-    cosine guesses; six steps reach full precision for n = 64 and 128.  It
-    avoids the eigenvalue solve of ``numpy.polynomial.legendre.leggauss``,
-    whose first LAPACK call adds about 1 MB to the resident size of every
-    process that imports this module.
-    """
-    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(6):
-        p_prev, p = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
 #: The one node count: 128 nodes hold every integral of the package to
 #: about 1e-13 relative on its window (64 nodes left survival integrals
 #: 3e-6 off mpmath).
 RULE_NODES = 128
-_NODES, _WEIGHTS = _gauss_legendre(RULE_NODES)
+
+# The 128-point Gauss-Legendre rule on [-1, 1], frozen from
+# ``tests/helpers._gauss_legendre(128)``: Newton's method on the Legendre
+# recurrence, which the tests rerun bit for bit.  The rule is symmetric, so
+# the table holds the 64 positive nodes, largest first, and their weights.
+_HALF_NODES = np.array((
+    0.9998248879471319, 0.999077459977376, 0.997733248625514, 0.9957927585349812,
+    0.9932571129002129, 0.9901278184917344, 0.9864067427245862, 0.9820961084357185,
+    0.9771984914639074, 0.9717168187471366, 0.9656543664319652, 0.9590147578536999,
+    0.9518019613412644, 0.9440202878302202, 0.9356743882779164, 0.9267692508789478,
+    0.9173101980809605, 0.9073028834017568, 0.8967532880491582, 0.8856677173453972,
+    0.8740527969580318, 0.8619154689395485, 0.8492629875779689, 0.8361029150609068,
+    0.8224431169556439, 0.8082917575079137, 0.7936572947621933, 0.7785484755064119,
+    0.7629743300440948, 0.746944166797062, 0.7304675667419088, 0.7135543776835874,
+    0.6962147083695144, 0.6784589224477192, 0.660297632272646, 0.6417416925623075,
+    0.6228021939105849, 0.6034904561585486, 0.5838180216287631, 0.5637966482266181,
+    0.5434383024128103, 0.5227551520511755, 0.5017595591361445, 0.48046407240417205,
+    0.4588814198335522, 0.43702450103710416, 0.414906379552275, 0.39254027503326744,
+    0.369939555349859, 0.3471177285976355, 0.32408843502441337, 0.3008654388776772,
+    0.2774626201779044, 0.2538939664226943, 0.23017356422666, 0.2063155909020792,
+    0.18233430598533718, 0.15824404271422493, 0.1340591994611878, 0.10979423112764375,
+    0.08546364050451549, 0.061081969604139565, 0.03666379096873349, 0.012223698960615766,
+))
+_HALF_WEIGHTS = np.array((
+    0.0004493809602922429, 0.001045812679340525, 0.0016425030186689989, 0.002238288430962617,
+    0.002832751471458051, 0.0034255260409102434, 0.004016254983738681, 0.004604584256702957,
+    0.005190161832676298, 0.0057726375428657165, 0.006351663161707208, 0.006926892566898786,
+    0.007497981925634747, 0.008064589890486031, 0.008626377798616726, 0.009183009871660921,
+    0.009734153415006837, 0.010279479015832201, 0.010818660739503069, 0.011351376324080427,
+    0.011877307372740255, 0.012396139543950892, 0.012907562739267322, 0.013411271288616322,
+    0.013906964132951978, 0.014394345004166845, 0.014873122602147298, 0.015343010768865132,
+    0.015803728659399323, 0.016255000909785173, 0.016696557801589202, 0.017128135423111392,
+    0.017549475827117723, 0.0179603271850087, 0.01836044393733136, 0.018749586940544703,
+    0.01912752360995098, 0.019494028058706543, 0.019848881232830885, 0.020191871042130025,
+    0.02052279248696013, 0.02084144778075112, 0.021147646468221322, 0.02144120553920844,
+    0.021721949538052107, 0.021989710668460474, 0.02224432889379978, 0.022485652032744982,
+    0.022713535850236433, 0.022927844143686843, 0.02312844882438705, 0.023315229994062762,
+    0.023488076016535932, 0.023646883584447633, 0.023791557781003354, 0.023922012136703495,
+    0.024038168681024038, 0.024139957989019255, 0.024227319222815253, 0.02430020016797183,
+    0.024358557264690682, 0.024402355633849585, 0.024431569097850044, 0.024446180196262525,
+))
+
+_NODES = np.concatenate((_HALF_NODES, -_HALF_NODES[::-1]))
+_WEIGHTS = np.concatenate((_HALF_WEIGHTS, _HALF_WEIGHTS[::-1]))
 
 
 def log_rule(ln_lo, ln_hi) -> tuple[np.ndarray, np.ndarray]:

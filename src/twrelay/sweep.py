@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +30,7 @@ class SweepRow(NamedTuple):
     std_err: float | None = None
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[SweepRow]
     metadata: dict[str, str]
     wall_time_s: float = 0.0
@@ -175,10 +173,9 @@ def write_plot_script(config: ExperimentConfig) -> str:
     return path
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     passed: bool
-    lines: list[str] = field(default_factory=list)
+    lines: list[str]
     report_path: str = ""
 
     def text(self) -> str:
@@ -234,8 +231,7 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
-class LambdaStar:
+class LambdaStar(NamedTuple):
     lambda_star: float
     value: float
     bracket: tuple[float, float]

@@ -8,6 +8,7 @@ from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params, sta
 
 from twrelay.analytic import (
     SERIES_MAX_TERMS,
+    Direction,
     _survival_integral,
     _xk1_upper,
     capacity_bounds,
@@ -187,7 +188,7 @@ class TestGoldenValues:
         # the first point is one where adaptive QUADPACK returned 0.4707
         # instead of 0.8256 without raising
         errors = [
-            abs(_survival_integral(s, mu, bessel_xk1) - ref) / ref
+            abs(_survival_integral(Direction(1.0, 1.0, 1.0, s, mu), bessel_xk1) - ref) / ref
             for s, mu, ref in GOLDEN_INTEGRALS["survival"]
         ]
         assert max(errors) <= 1e-12, errors

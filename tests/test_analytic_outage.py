@@ -1,12 +1,14 @@
 """Closed-form outage machinery: CDF, corner point, exact value, bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from helpers import (
     GOLDEN_INTEGRALS,
+    _gauss_legendre,
     cdf_z,
     corner_point,
     corner_point_root_solve,
@@ -28,6 +30,7 @@ from twrelay.analytic import (
 from twrelay.errors import DomainError
 from twrelay.model import (
     TargetRates,
+    build_params,
     derived_coeffs,
     end_to_end_snrs,
 )
@@ -167,6 +170,18 @@ class TestCornerPoint:
         with pytest.raises(DomainError):
             corner_point(params20, 0.0, 1.0)
 
+    @pytest.mark.parametrize("form", [outage_exact, outage_bounds])
+    def test_discriminant_past_the_float_range_is_a_domain_error(self, form):
+        # eta = 1e-200 puts c at 2e200 and, with P2 = 2*P1, |lin| near c:
+        # lin*lin overflows, and the corner would read 0 or inf (the lower
+        # bound once read 0.43 where the exact outage is 1)
+        params = build_params(1.0, 2.0, 1.0, 1e-200, 0.5, 0.5, 0.5, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError,
+                               match="the corner's discriminant overflows at gamma=2.0"):
+                form(params, TargetRates.from_rates(1.0, 1.0))
+
     def test_cross_term_free_variant_fails_the_system(self):
         # the y-root variant whose linear coefficient self-cancels cannot
         # satisfy the boundary system once the traffic is asymmetric
@@ -207,10 +222,15 @@ class TestJointOutage:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_strip_rule_is_gauss_legendre(self, n):
+        # the Newton oracle is within 1e-14 of leggauss, and at the rule's
+        # node count the table frozen in numerics is the oracle's, bit for bit
         nodes, weights = np.polynomial.legendre.leggauss(n)
-        ours, our_weights = numerics._gauss_legendre(n)
+        ours, our_weights = _gauss_legendre(n)
         assert np.allclose(ours[::-1], nodes, rtol=0, atol=1e-14)
         assert np.allclose(our_weights[::-1], weights, rtol=0, atol=1e-14)
+        if n == numerics.RULE_NODES:
+            assert numerics._NODES.tobytes() == ours.tobytes()
+            assert numerics._WEIGHTS.tobytes() == our_weights.tobytes()
 
     def test_strip_integrals_match_mpmath(self):
         # the second strip is one where adaptive QUADPACK misses by 6.9e-11

@@ -94,7 +94,7 @@ def by_point(outputs, points: int) -> list:
 class TestBatchEqualsOnePointCalls:
     def test_columns_are_the_stacked_points(self):
         for batch, points in ((PARAMS, ONE), (TARGETS, ONE_TARGETS)):
-            for got, want in zip(vars(batch).values(), vars(stack(points)).values()):
+            for got, want in zip(batch, stack(points)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("name", [

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,7 @@ from twrelay.mc import (
 )
 from twrelay.model import (
     TargetRates,
+    as_columns,
     build_params,
     derived_coeffs,
     end_to_end_snrs,
@@ -211,8 +211,8 @@ class TestEstimateDiversityFd:
         # blamed target rates that the caller never gave.  build_params
         # rejects these powers, so the stencil's own guard is reached by
         # parameters built around it
-        params = replace(build_params(1, 1, 1, 1, 0.5, 0.5, 0.5, 3),
-                         p1=1e300, p2=1e300, sigma2=1e-300)
+        params = build_params(1, 1, 1, 1, 0.5, 0.5, 0.5, 3)._replace(
+            p1=1e300, p2=1e300, sigma2=1e-300)
         with pytest.raises(DomainError, match=r"gamma_db=inf \(r=0.5\)"):
             estimate_diversity_fd(params, 0.5, n=2_000, seed=1)
 
@@ -299,6 +299,32 @@ class TestDeterminismContract:
         assert workspaces == [threading.get_ident()] * lanes
         assert len(kernels) == 2 * chunks and len(set(kernels)) <= lanes
 
+    @pytest.mark.parametrize("workers, raised", [(1, "chunk 1"), (2, "chunk 2"), (3, "chunk 1")])
+    def test_lowest_lane_error_is_raised_after_every_lane_joins(self, monkeypatch, workers,
+                                                                raised):
+        # chunks 1 and 2 fail; lane j runs chunks j, j+lanes, ...: one lane
+        # meets chunk 1 first, two lanes put chunk 2 on lane 0, and three
+        # put chunk 1 on lane 1 and chunk 2 on lane 2
+        running = threading.local()
+        chunk_rng = mc._chunk_rng
+
+        def tagged(seed, chunk):
+            running.chunk = chunk
+            return chunk_rng(seed, chunk)
+
+        def kernel(extra, gammas, ws):
+            if running.chunk in (1, 2):
+                raise ValueError(f"chunk {running.chunk}")
+            return 0
+
+        monkeypatch.setattr(mc, "_chunk_rng", tagged)
+        _, params, _ = as_columns(make_params())
+        alive = threading.enumerate()
+        with pytest.raises(ValueError, match=f"^{raised}$"):
+            mc._map_points(kernel, np.zeros(1, dtype=np.int64), params, [None],
+                           4 * CHUNK_DRAWS, 3, workers)
+        assert threading.enumerate() == alive
+
     # n spans one partial chunk, whole chunks and a remainder chunk
     @seed(20171)
     @settings(max_examples=8, deadline=None, database=None)
@@ -319,6 +345,38 @@ class TestDeterminismContract:
         assert estimate_capacity(params, n, seed, workers) == estimate_capacity(
             params, n, seed
         )
+
+
+class TestNumeratorRange:
+    """a*omega1*omega2 past the float range fails before any draw, for the
+    first such point; Monte Carlo forms a*g1*g2 from it."""
+
+    # point 1: a = 1e247 on fading means 1.3e104 and 4.4e30
+    PARAMS = build_params(1e300, 1e300, 1e53, 1.0, 0.75, 0.5, [0.5, 0.3], [3.0, 200.0])
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(mc, "_chunk_rng", no_sampling)
+
+    @pytest.mark.parametrize("estimate", [
+        lambda params: estimate_outage(params, TargetRates.from_rates(1.0, 1.0), 2_000, 1),
+        lambda params: estimate_capacity(params, 2_000, 1, workers=2),
+    ], ids=["outage", "capacity"])
+    def test_estimates_name_the_point(self, estimate):
+        named = r"^a\*omega1\*omega2 overflows at gamma=1.0000000000000001e\+247$"
+        with pytest.raises(DomainError, match=named) as info:
+            estimate(self.PARAMS)
+        assert info.value.point == 1
+
+    def test_stencil_names_the_point_and_its_higher_snr(self, monkeypatch):
+        monkeypatch.setattr(mc, "estimate_outage", None)  # never reached
+        named = r"^a\*omega1\*omega2 overflows at gamma=1.0592537251773028e\+247$"
+        with pytest.raises(DomainError, match=named) as info:
+            estimate_diversity_fd(self.PARAMS, 0.5, 2_000, 1)
+        assert info.value.point == 1
 
 
 class TestBatchedDraws:

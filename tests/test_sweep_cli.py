@@ -710,6 +710,68 @@ class TestCli:
             f"numerical failure: snr_db=-60, method={failing}: tau/a overflows at gamma=1e-06\n"
         )
 
+    @pytest.mark.parametrize("keys, named", [
+        # P1/sigma2 = 1 and P2/sigma2 = 1e10 with c = 1.3e300: X0's quotient
+        # eps2*c/eps1 is past the float range, where the corner read inf
+        ("sweep = d1\nstart = 1e-9\nstop = 0.7\np1 = 1e-310\np2 = 1e-300\n"
+         "sigma2 = 1e-310\neta = 1e-300\npath_loss_exp = 1e-9\nmethods = exact_quadrature",
+         "d1=1e-09, method=exact_quadrature: eps_j*c/eps_i overflows at gamma=10000000000.00003"),
+        # lambda = 1e-300 puts mu at 1.3e309, and the window's 4*mu/745 past the float range
+        ("sweep = lambda\nstart = 1e-300\nstop = 0.5\np1 = 1\np2 = 3.8e-149\n"
+         "sigma2 = 4.3e-139\nmethods = capacity_quadrature",
+         "lambda=1e-300, method=capacity_quadrature: 4*mu/745 overflows at "
+         "gamma=8.837209302325581e-11"),
+        ("sweep = lambda\nstart = 1e-300\nstop = 0.5\np1 = 1\np2 = 3.8e-149\n"
+         "sigma2 = 4.3e-139\nmethods = capacity_bounds",
+         "lambda=1e-300, method=capacity_bounds: 4*mu/745 overflows at "
+         "gamma=8.837209302325581e-11"),
+        # P2/sigma2 = 5.9e-309 puts s at 2.1e307: the window's lower end
+        # 1e-17/s underflows to 0, and its log is -inf
+        ("sweep = lambda\nstart = 0.3\nstop = 0.7\np1 = 1.7e308\np2 = 1\n"
+         "sigma2 = 1.7e308\nepsilon = 1e-300\nmethods = capacity_quadrature",
+         "lambda=0.3, method=capacity_quadrature: ln(1e-17*min(1, 1/s)) overflows at "
+         "gamma=5.88235294117647e-309"),
+        ("sweep = lambda\nstart = 0.3\nstop = 0.7\np1 = 1.7e308\np2 = 1\n"
+         "sigma2 = 1.7e308\nepsilon = 1e-300\nmethods = capacity_bounds",
+         "lambda=0.3, method=capacity_bounds: ln(1e-17*min(1, 1/s)) overflows at "
+         "gamma=5.88235294117647e-309"),
+        # a = 1e247 on fading means 1.3e104 and 4.4e30: Monte Carlo's numerator
+        # scale a*omega1*omega2 is past the float range, before any draw
+        ("sweep = d1\nstart = 0.3\nstop = 0.7\np1 = 1e300\np2 = 1e300\nsigma2 = 1e53\n"
+         "path_loss_exp = 200\nmethods = mc, exact_quadrature",
+         "d1=0.3, method=mc: a*omega1*omega2 overflows at gamma=1.0000000000000001e+247"),
+        ("sweep = d1\nstart = 0.3\nstop = 0.7\np1 = 1e300\np2 = 1e300\nsigma2 = 1e53\n"
+         "path_loss_exp = 200\nmethods = mc, dmt",
+         "d1=0.3, method=mc: a*omega1*omega2 overflows at gamma=1.0592537251773028e+247"),
+    ], ids=["corner-cross-quotient", "survival-reach", "bounds-reach", "survival-lower-end",
+            "bounds-lower-end", "mc-numerator", "mc-stencil-numerator"])
+    def test_extreme_valid_config_exits_3_without_warnings(self, tmp_path, capsys, keys, named):
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"{keys}\nsteps = 3\nmc_n = 2000\noutput_path = {tmp_path / 'x.csv'}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--config", str(path)]) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"numerical failure: {named}\n"
+
+    def test_corner_overflow_off_the_joint_points_is_silent(self, tmp_path):
+        # t1 = 0: no point has a corner, so the corner lanes, whose lin*lin
+        # is past the float range, are stand-ins that no output reads, and
+        # each bound is the exact outage
+        rows = {}
+        for methods in ("lower_bound, upper_bound", "exact_quadrature"):
+            path = tmp_path / "exp.cfg"
+            path.write_text(
+                "sweep = lambda\nstart = 1e-9\nstop = 0.7\nsteps = 3\np1 = 1e-300\n"
+                f"p2 = 1e-300\nsigma2 = 1e-40\nt1 = 0\nmethods = {methods}\n"
+                f"output_path = {tmp_path / 'x.csv'}\n"
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+            for row in read_csv(str(tmp_path / "x.csv")).rows:
+                rows.setdefault(row.method, []).append(row.value)
+        assert rows["lower_bound"] == rows["upper_bound"] == rows["exact_quadrature"]
+
     def test_numerical_failure_exit_code(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
@@ -846,6 +908,12 @@ class TestImports:
         # scipy.integrate, which pulls in scipy.optimize, cost about 0.2 s of
         # every fresh process; the package integrates on its own fixed rule
         selected = "m in ('scipy.integrate', 'scipy.optimize')"
+        assert self._modules_after_cli_import(selected) == "[]"
+
+    def test_cli_import_leaves_out_logging_and_concurrent_futures(self):
+        # Monte Carlo lanes run on plain threads and no module logs, so
+        # neither import (about 7 ms together) runs in a fresh process
+        selected = "m in ('logging', 'concurrent.futures')"
         assert self._modules_after_cli_import(selected) == "[]"
 
     def test_cli_import_leaves_out_scipy(self):
