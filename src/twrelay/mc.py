@@ -34,8 +34,16 @@ An outage point whose two thresholds are also equal is ``weaker``: it
 divides that numerator by ``model.larger_denominator`` alone, which gives
 min(gamma1, gamma2) bit for bit and so the same count.  That maximum
 overwrites den1, so the sort runs it after its (b, c)'s two-direction
-points.  The last fading means scale the draws in place, as no later
-point reads them.  A point's own work is its quotients and its kernel.
+points.  A part gets a buffer of its own only where two or more points
+read it.  The denominators of a (b, c) that several points on the same
+gains share (an SNR sweep's) go in den1 and den2; a point alone on its
+(b, c) with a1 = a2 (each point of a lambda sweep) has ``end_to_end_snrs``
+form them in its SNR buffers and divide the numerator into them in place,
+and if it is weaker, their maximum goes in gamma1 the same way.  A point
+with P1 != P2 forms its two numerators in its SNR buffers, so its
+denominators go in den1 and den2 whoever reads them.  The last fading
+means scale the draws in place, as no later point reads them.  A point's
+own work is its quotients and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
@@ -46,12 +54,15 @@ rates and of their squares as ``s_lo + s_hi``, which is how ``np.sum`` over
 the whole chunk adds them, so every bit is as for the whole chunk.
 
 A chunk runs in a workspace: a chunk-sized buffer for e1, and half-sized
-buffers for e2, the scaled gains, the product, the numerator, the
+buffers for e2, the scaled gains, the product, the numerator, the shared
 denominators, the SNR pair and the outage masks, which every ufunc writes
-into with ``out=``.  A
-call runs its chunks in ``min(workers, chunks)`` lanes, each owning one
-workspace that it reuses for its every chunk and that is dropped when the
-call returns, so a chunk allocates no arrays whatever its number of points.
+into with ``out=``.  The float buffers are carved from one block, each
+starting on a 64-byte cache line with its length rounded up to 8 floats:
+numpy aligns its own arrays to 16 bytes only, so the vector loads of its
+ufunc loops would split cache lines.  A call runs its chunks in
+``min(workers, chunks)`` lanes, each owning one workspace that it reuses
+for its every chunk and that is dropped when the call returns, so a chunk
+allocates no arrays whatever its number of points.
 The buffered kernels run the same ufuncs in the same order on the same
 values as the plain array expressions, so their results are bit-identical.
 
@@ -71,6 +82,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -156,10 +168,12 @@ def _halves(size: int) -> list[tuple[int, int]]:
 class _Workspace(NamedTuple):
     """The buffers one chunk runs in, as the module's plan uses them: its
     unit draws, the gains scaled for one pair of fading means, their
-    product, the numerator of the scale held on those gains, the
+    product, the numerator of the scale held on those gains, the shared
     denominators (den1 also their maximum), the SNR pair (gamma1 also the
-    weaker SNR), and the two per-direction outage masks; e1 holds a chunk,
-    the rest one of its ``_halves``."""
+    weaker SNR, and both a lone point's denominators), and the two
+    per-direction outage masks; e1 holds a chunk, the rest one of its
+    ``_halves``.  The float buffers are carved from one block, each at a
+    cache-line boundary."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -178,11 +192,16 @@ class _Workspace(NamedTuple):
     def empty(cls, size: int) -> "_Workspace":
         # the larger of the _halves of n > 128 draws is at most ceil(n/2) + 7
         half = min(size, max(_PAIRWISE_BLOCK, (size + 1) // 2 + 7))
-        return cls(*(
-            np.empty(size if name == "e1" else half,
-                     dtype=bool if name.startswith("miss") else float)
-            for name in cls._fields
-        ))
+        line = 8  # floats per 64-byte cache line
+        halves = len(cls._fields) - 3  # the float buffers but e1
+        strides = [-(-length // line) * line for length in (size, half)]
+        block = np.empty(strides[0] + halves * strides[1] + line)
+        start = -(block.ctypes.data // 8) % line
+        floats = [block[start:start + size]]
+        for k in range(halves):
+            at = start + strides[0] + k * strides[1]
+            floats.append(block[at:at + half])
+        return cls(*floats, np.empty(half, dtype=bool), np.empty(half, dtype=bool))
 
     def cut(self, start: int, stop: int) -> "_Workspace":
         """e1's draws ``start:stop`` and the first ``stop - start`` elements
@@ -206,7 +225,8 @@ def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
     for gamma in gammas:
         np.multiply(0.5 / LN2, np.log1p(gamma, out=gamma), out=gamma)
     total = np.add(*gammas, out=gammas[0])
-    return float(np.sum(total)), float(np.sum(np.multiply(total, total, out=gammas[1])))
+    square = np.multiply(total, total, out=gammas[1])
+    return float(np.add.reduce(total)), float(np.add.reduce(square))
 
 
 def _numerators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +248,8 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     a point that ``weaker`` marks and whose two scales are equal.
 
     A chunk runs the call's plan (see the module docstring) one of its
-    ``_halves`` at a time, each point on its own floats.  Lane j of
+    ``_halves`` at a time, each point on its own floats, with a buffer for
+    a part only where two or more points read it.  Lane j of
     ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
     in workspace j.  The workspaces are made on the calling thread, which
     also runs lane 0; lanes 1, 2, ... run on threads named
@@ -240,12 +261,13 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     a, scales = _numerators(params)
     raise_first(overflows("a*omega1*omega2", scales, a))
     points = [SystemParams(*row) for row in zip(*(v.tolist() for v in params))]
-    plan = []
-    for i, (point, weak) in enumerate(zip(points, weaker or [False] * len(points))):
-        a1, a2 = snr_scales(point)
-        plan.append(((point.omega1, point.omega2), derived_coeffs(point), weak and a1 == a2,
-                     (a1, a2), i))
-    plan.sort()
+    keys = sorted(
+        ((point.omega1, point.omega2), derived_coeffs(point), weak and a1 == a2, a1, a2, i)
+        for i, (point, weak, (a1, a2)) in enumerate(zip(
+            points, weaker or [False] * len(points), map(snr_scales, points))))
+    readers = Counter(key[:2] for key in keys)
+    # lone: alone on its (b, c) with a1 = a2, so its denominators go in its SNR buffers
+    plan = [(*key, readers[key[:2]] == 1 and key[3] == key[4], points[key[-1]]) for key in keys]
     last_means = plan[-1][0]
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
@@ -253,24 +275,30 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     chunks = [[[None] * len(points) for _ in _halves(size)] for size in sizes]
 
     def run_half(ws: _Workspace, results: list) -> None:
-        means = coeffs = held = larger = None
-        for point_means, point_coeffs, weak, (a1, a2), i in plan:
+        snrs, shared = (ws.gamma1, ws.gamma2), (ws.den1, ws.den2)
+        means = coeffs = held = None
+        for point_means, point_coeffs, weak, a1, a2, i, lone, point in plan:
             if point_means != means:
                 means, coeffs, held = point_means, None, None
                 g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
                 np.multiply(means[0], ws.e1, out=g1)
                 np.multiply(means[1], ws.e2, out=g2)
                 prod = gain_product(g1, g2, out=ws.prod)
-            if point_coeffs != coeffs:
-                coeffs, larger = point_coeffs, None
-                dens = snr_denominators(coeffs, g1, g2, out=(ws.den1, ws.den2))
             if a1 == a2 and a1 != held:
                 held = a1
                 snr_numerator(a1, prod, out=ws.num)
-            if weak and larger is None:
-                larger = (larger_denominator(dens, out=ws.den1),)
-            gammas = end_to_end_snrs(points[i], g1, g2, prod=prod, dens=larger if weak else dens,
-                                     num=ws.num if a1 == a2 else None, out=(ws.gamma1, ws.gamma2))
+            if lone:
+                dens = (larger_denominator(snr_denominators(point_coeffs, g1, g2, out=snrs),
+                                           out=ws.gamma1),) if weak else None
+            else:
+                if point_coeffs != coeffs:
+                    coeffs, larger = point_coeffs, None
+                    pair = snr_denominators(coeffs, g1, g2, out=shared)
+                if weak and larger is None:
+                    larger = (larger_denominator(pair, out=ws.den1),)
+                dens = larger if weak else pair
+            gammas = end_to_end_snrs(point, g1, g2, prod=prod, dens=dens,
+                                     num=ws.num if a1 == a2 else None, out=snrs)
             results[i] = kernel(extras[i], gammas, ws)
 
     errors: list[BaseException | None] = [None] * lanes

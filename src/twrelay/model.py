@@ -247,12 +247,15 @@ def end_to_end_snrs(
     point with P1 = P2, which both directions divide, and ``out`` is a pair
     of arrays to write gamma1 and gamma2 into.  With ``num``, ``dens`` may
     instead be the one ``larger_denominator``: the result is then the one
-    SNR min(gamma1, gamma2), in ``out``'s first array.  Each part runs the
-    same ufuncs in the same order whether it is passed or computed here, so
-    the bits do not depend on which are given.
+    SNR min(gamma1, gamma2), in ``out``'s first array.  With ``num`` and
+    no ``dens``, the denominators are formed in ``out`` and each quotient
+    overwrites its own, so a point that alone reads them needs no buffer
+    for them.  Each part runs the same ufuncs in the same order whether it
+    is passed or computed here, so the bits do not depend on which are given.
     """
     if dens is None:
-        dens = snr_denominators(derived_coeffs(params), g1, g2)
+        dens = snr_denominators(derived_coeffs(params), g1, g2,
+                                out=(None, None) if num is None else out)
     if num is not None:
         return tuple(np.divide(num, den, out=o) for den, o in zip(dens, out))
     if prod is None:

@@ -1,4 +1,4 @@
-"""Regenerate golden_mc.json: the Monte Carlo rows of six sweeps, frozen bit
+"""Regenerate golden_mc.json: the Monte Carlo rows of nine sweeps, frozen bit
 for bit.
 
 Each entry holds the sweep's config (every field but ``workers`` and
@@ -8,9 +8,13 @@ vs lambda), an outage sweep over the relay position d1 (so the fading means
 change from point to point), the fig3 dmt SNR sweep with ``mc`` added, and
 an outage and a capacity sweep over lambda with P1 != P2 (the outage one
 also with t1 != t2), the only points whose two directions differ in scale
-or threshold.  All use n = 200_000, three full chunks of 2^16 and a partial
-one, at 1 worker.  Rerun this only for a change meant to alter Monte Carlo
-output:
+or threshold.  Three more cover the rest of the Monte Carlo plan's shapes:
+a capacity sweep over SNR (one pair of SNR denominators shared by every
+point, a numerator of its own per point), a capacity sweep over d1 (new
+gains at every point), and an outage sweep over lambda with P1 = P2 and
+t1 = t2 (the weaker SNR over denominators no other point reads).  All use
+n = 200_000, three full chunks of 2^16 and a partial one, at 1 worker.
+Rerun this only for a change meant to alter Monte Carlo output:
 
     PYTHONPATH=src python tests/data/make_golden_mc.py
 """
@@ -41,6 +45,18 @@ def golden_configs() -> dict[str, ExperimentConfig]:
         "asym_capacity": ExperimentConfig(
             p1=100.0, p2=40.0, sweep="lambda", start=0.05, stop=0.95, steps=7,
             methods=("mc", "capacity_quadrature"), mc_n=N, seed=1007,
+        ),
+        "snr_capacity": ExperimentConfig(
+            lam=0.5, sweep="snr_db", start=0.0, stop=30.0, steps=7,
+            methods=("mc", "capacity_quadrature"), mc_n=N, seed=1008,
+        ),
+        "d1_capacity": ExperimentConfig(
+            sweep="d1", start=0.2, stop=0.8, steps=7,
+            methods=("mc", "capacity_quadrature"), mc_n=N, seed=1009,
+        ),
+        "lambda_outage": ExperimentConfig(
+            sweep="lambda", start=0.2, stop=0.8, steps=7,
+            methods=("mc", "exact_quadrature"), mc_n=N, seed=1010,
         ),
     }
 

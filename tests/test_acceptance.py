@@ -353,7 +353,7 @@ def test_c12_preset_determinism_across_workers():
                     figure, n=n_multi_chunk, out_dir=td, workers=workers
                 )
                 run_sweep(config)
-                blobs.append(open(config.output_path, "rb").read())
+                blobs.append(Path(config.output_path).read_bytes())
             identical = blobs[0] == blobs[1] == blobs[2]
             frozen = blobs[0] == (frozen_dir / f"fig{figure}.csv").read_bytes()
             all_ok &= identical and frozen
@@ -377,7 +377,7 @@ def test_c12_dense_sweeps_frozen():
         for name in DENSE:
             config = dense_config(name, td)
             run_sweep(config)
-            if open(config.output_path, "rb").read() != (frozen_dir / f"{name}.csv").read_bytes():
+            if Path(config.output_path).read_bytes() != (frozen_dir / f"{name}.csv").read_bytes():
                 differ.append(name)
     assert report(
         "C12 dense sweeps frozen", not differ,

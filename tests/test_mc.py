@@ -44,7 +44,7 @@ from twrelay.model import (
 )
 from twrelay.sweep import figure_preset, run_sweep
 
-#: MC rows of four sweeps, frozen by data/make_golden_mc.py.
+#: MC rows of nine sweeps, frozen by data/make_golden_mc.py.
 GOLDEN_MC = json.loads(
     (Path(__file__).parent / "data" / "golden_mc.json").read_text(encoding="utf-8")
 )
@@ -552,6 +552,49 @@ class TestChunkWorkspace:
         # a chunk of at most 128 draws runs whole, in buffers of its size
         assert mc._halves(128) == [(0, 128)]
         assert [len(buf) for buf in mc._Workspace.empty(100)] == [100] * len(ws)
+
+    @pytest.mark.parametrize("n", [1, 128, 129, 4321, CHUNK_DRAWS - 1, CHUNK_DRAWS])
+    def test_float_buffers_are_cache_line_aligned_and_disjoint(self, n):
+        ws = mc._Workspace.empty(n)
+        half = min(n, max(128, (n + 1) // 2 + 7))
+        spans = []
+        for name, buf in zip(ws._fields, ws):
+            if buf.dtype != np.float64:
+                continue
+            assert len(buf) == (n if name == "e1" else half), name
+            assert buf.ctypes.data % 64 == 0, name
+            spans.append((buf.ctypes.data, buf.ctypes.data + buf.nbytes))
+        assert len(spans) == 10
+        spans.sort()
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    # lambda points read their (b, c) alone, SNR points share one, d1 points
+    # move the gains, and p2_scale != 1 takes the two-direction path
+    @seed(2611)
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(
+        points=st.lists(st.tuples(
+            st.sampled_from([0.3, 0.5, 0.75]), st.sampled_from([10.0, 20.0]),
+            st.sampled_from([0.3, 0.5]), st.sampled_from([1.0, 1.0, 0.4]),
+            st.sampled_from([(1.0, 1.0), (0.5, 1.0)]),
+        ), min_size=1, max_size=6),
+        workers=st.integers(1, 3),
+    )
+    @example(points=[(0.3, 20.0, 0.5, 1.0, (1.0, 1.0)), (0.5, 20.0, 0.5, 1.0, (1.0, 1.0)),
+                     (0.75, 10.0, 0.5, 1.0, (1.0, 1.0)), (0.75, 20.0, 0.5, 1.0, (1.0, 1.0)),
+                     (0.75, 20.0, 0.3, 0.4, (0.5, 1.0)), (0.5, 10.0, 0.3, 1.0, (1.0, 1.0))],
+             workers=3)
+    def test_a_point_alone_matches_it_in_a_mixed_plan(self, points, workers):
+        params = [make_params(lam=lam, snr_db=snr, d1=d1, p2_scale=p2)
+                  for lam, snr, d1, p2, _ in points]
+        targets = [TargetRates.from_rates(*t) for *_, t in points]
+        outage = estimate_outage(stack(params), stack(targets), N_PARTIAL, 35, workers)
+        capacity = estimate_capacity(stack(params), N_PARTIAL, 36, workers)
+        for k, (p, t) in enumerate(zip(params, targets)):
+            alone = estimate_outage(p, t, N_PARTIAL, 35)
+            assert (outage.mean[k], outage.std_err[k]) == (alone.mean, alone.std_err)
+            alone = estimate_capacity(p, N_PARTIAL, 36)
+            assert (capacity.mean[k], capacity.std_err[k]) == (alone.mean, alone.std_err)
 
     # numpy's pairwise np.sum splits n > 128 floats at h, a multiple of 8
     # near n/2, and sums each side alone: a half's sum is a sum of numpy's own

@@ -177,7 +177,11 @@ class TestEndToEndSnrs:
             # P1 = P2: both directions divide one numerator
             num = snr_numerator(params.p1 / params.sigma2, prod, out=np.empty_like(g1))
             one_num = end_to_end_snrs(params, g1, g2, dens=dens, num=num)
-            for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num):
+            # no dens: they are formed in out, and each quotient overwrites its own
+            in_out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
+            own = end_to_end_snrs(params, g1, g2, num=num, out=in_out)
+            assert own[0] is in_out[0] and own[1] is in_out[1]
+            for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num, own):
                 for got, want in zip(gammas, written_out):
                     assert got.tobytes() == want.tobytes()
             assert not np.any(shared[0][:6]) and not np.any(shared[1][:6])

@@ -125,7 +125,7 @@ class TestSweepEngine:
         assert os.path.exists(config.output_path)
         plot = plot_script_path(config)
         assert os.path.exists(plot)
-        content = open(plot).read()
+        content = Path(plot).read_text()
         assert os.path.basename(config.output_path) in content
 
     def test_csv_round_trip_is_exact(self, tmp_path):
@@ -149,14 +149,14 @@ class TestSweepEngine:
         # writing the parsed result back reproduces the bytes
         copy_path = str(tmp_path / "copy.csv")
         write_csv(parsed, copy_path)
-        assert open(copy_path, "rb").read() == open(config.output_path, "rb").read()
+        assert Path(copy_path).read_bytes() == Path(config.output_path).read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = figure_preset(1, n=20_000, out_dir=str(tmp_path))
         run_sweep(config)
-        first = open(config.output_path, "rb").read()
+        first = Path(config.output_path).read_bytes()
         run_sweep(config)
-        assert open(config.output_path, "rb").read() == first
+        assert Path(config.output_path).read_bytes() == first
 
     def test_outage_preset_bounds_bracket_exact_in_csv(self, tmp_path):
         config = figure_preset(1, n=20_000, out_dir=str(tmp_path))
