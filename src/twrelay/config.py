@@ -6,24 +6,23 @@ point is given either as explicit powers (``p1``/``p2``) or as a symmetric
 ``snr_db`` = 10*log10(P/sigma2); supplying both is rejected, and so is an
 ``snr_db`` sweep with explicit powers.  dB-to-linear conversion happens
 here, at the boundary; everything below works in linear scale.  A config is
-validated when it is made, so none exists invalid: validating resolves the
-sweep's whole grid, once, into the columns of one ``SystemParams``, which
-the config keeps (``grid``, ``points``) and the sweep evaluates.
+a NamedTuple of its fields, validated when it is made, so none exists
+invalid: ``plan`` checks it and binds the sweep's whole grid, once, into
+the columns of one ``SystemParams``.  The config keeps that ``Plan``
+(``config.plan``), and the sweep evaluates it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+import os
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ParameterError, raise_first
 from .methods import FAMILIES, METHODS
 from .model import SystemParams, TargetRates, build_params, check_symmetric_powers, db_to_linear
-
-SWEEP_AXES = ("snr_db", "lambda", "r", "d1")
 
 
 def _snr_power(sigma2: float, snr_db: float) -> float:
@@ -39,8 +38,41 @@ def _snr_power(sigma2: float, snr_db: float) -> float:
     return power
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+def _gains(values) -> np.ndarray:
+    """The multiplexing gains ``values`` as a column; the first outside
+    (0, 2] raises ParameterError."""
+    gains = np.array(values)
+    raise_first((~((0.0 < gains) & (gains <= 2.0)),
+                 lambda i: ParameterError(f"r must lie in (0, 2]; got {gains[i]}")))
+    return gains
+
+
+#: The point fields each sweep axis sets, and the column it sets them to
+#: from ``(config, values)``: an snr_db value sets p1 = p2 to its power.
+_AXES = {
+    "snr_db": (("p1", "p2"), lambda c, values: [_snr_power(c.sigma2, v) for v in values]),
+    "lambda": (("lam",), lambda c, values: values),
+    "r": (("r",), lambda c, values: _gains(values)),
+    "d1": (("d1",), lambda c, values: values),
+}
+SWEEP_AXES = tuple(_AXES)
+
+
+class Plan(NamedTuple):
+    """A valid config's sweep: its metric family, the values of its axis,
+    and the points they bind, as the columns of one ``SystemParams`` (a
+    column per swept field), the targets (set by t1 and t2) and the
+    multiplexing gain r, a float or, under an r sweep, a column, from which
+    the dmt evaluators derive their own thresholds at each SNR they use."""
+
+    family: str
+    grid: list[float]
+    params: SystemParams
+    targets: TargetRates
+    r: object
+
+
+class _Fields(NamedTuple):
     # Base operating point (§ defaults: midpoint relay, unit rates, eta=1).
     p1: float | None = None
     p2: float | None = None
@@ -65,139 +97,106 @@ class ExperimentConfig:
     workers: int = 1
     output_path: str = "sweep.csv"
 
-    def __post_init__(self) -> None:
-        self.validate()
 
-    @property
-    def metric_family(self) -> str:
-        """outage / capacity / dmt, inferred from the analytic methods."""
-        specs = [METHODS[m] for m in self.methods if m in METHODS]
-        families = {f for spec in specs if spec.analytic for f in spec.evaluators}
-        if len(families) > 1:
-            raise ConfigError(
-                f"methods mix metric families {sorted(families)}; "
-                "one sweep evaluates one metric"
-            )
-        return families.pop() if families else "outage"
+class ExperimentConfig(_Fields):
+    """The fields of one experiment.  Making one, by name or by ``_make``
+    and so ``_replace``, runs ``plan`` and keeps its Plan as ``plan``
+    (a subclass, as ``typing.NamedTuple`` forbids ``__new__`` in its body)."""
 
-    # The parts of a point that no axis value changes are worked out once
-    # per config; cached_property stores them past the frozen __setattr__.
-    @cached_property
-    def base_powers(self) -> tuple[float, float]:
-        if self.p1 is not None:
-            return float(self.p1), float(self.p2)
-        p = _snr_power(self.sigma2, self.snr_db)
-        return p, p
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        config.plan = plan(config)
+        return config
 
-    @cached_property
-    def targets(self) -> TargetRates:
-        """The targets of every point, set by t1 and t2."""
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def plan(config: ExperimentConfig) -> Plan:
+    """Check ``config`` and bind its sweep: the one binding of swept values.
+    The first fault raises ConfigError; a value out of its key's range
+    raises it with the model's message."""
+    if config.sweep not in SWEEP_AXES:
+        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}; got {config.sweep!r}")
+    if config.steps < 2:
+        raise ConfigError(f"steps must be >= 2; got {config.steps}")
+    if not (math.isfinite(config.start) and math.isfinite(config.stop)
+            and config.start < config.stop):
+        raise ConfigError(f"sweep range must be finite and increasing; "
+                          f"got start={config.start}, stop={config.stop}")
+    if not config.methods:
+        raise ConfigError("methods must be nonempty")
+    unknown = sorted(set(config.methods) - METHODS.keys())
+    if unknown:
+        raise ConfigError(f"unknown methods {unknown}; valid: {sorted(METHODS)}")
+    if len(set(config.methods)) != len(config.methods):
+        raise ConfigError("methods contains duplicates")
+    # the metric is inferred from the analytic methods; mc and non_coop serve several
+    families = {f for m in config.methods if METHODS[m].analytic for f in METHODS[m].evaluators}
+    if len(families) > 1:
+        raise ConfigError(
+            f"methods mix metric families {sorted(families)}; one sweep evaluates one metric"
+        )
+    family = families.pop() if families else "outage"
+    for m in config.methods:
+        if family not in METHODS[m].evaluators:
+            raise ConfigError(f"{m} has no {FAMILIES[family].noun} interpretation")
+    if config.sweep == "r" and family != "dmt":
+        raise ConfigError("an r sweep only applies to the dmt metric")
+    if config.mc_n < 1:
+        raise ConfigError(f"mc_n must be >= 1; got {config.mc_n}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0; got {config.seed}")
+    if config.workers < 1:
+        raise ConfigError(f"workers must be >= 1; got {config.workers}")
+    if (config.p1 is None) != (config.p2 is None):
+        raise ConfigError("p1 and p2 must be given together")
+    if config.sweep == "snr_db" and config.p1 is not None:
+        raise ConfigError(
+            "an snr_db sweep sets p1 = p2 from each axis value; "
+            "give either the snr_db sweep or explicit p1/p2, not both"
+        )
+    if not config.output_path:
+        raise ConfigError("output_path must be set")
+    p1, p2 = ((_snr_power(config.sigma2, config.snr_db),) * 2 if config.p1 is None
+              else (float(config.p1), float(config.p2)))
+    grid = [float(v) for v in np.linspace(config.start, config.stop, config.steps)]
+    # The base point, and the base r, are checked even where the axis
+    # replaces their values; binding the grid checks every point.
+    try:
+        base = build_params(p1, p2, config.sigma2, config.eta, config.lam, config.epsilon,
+                            config.d1, config.path_loss_exp)
+        if family == "dmt":
+            check_symmetric_powers(base)
+        _gains([config.r])
+        point = dict(p1=p1, p2=p2, lam=config.lam, d1=config.d1, r=config.r)
+        for key, values in ((config.sweep, grid),):
+            names, column = _AXES[key]
+            point.update(dict.fromkeys(names, column(config, values)))
+        params = build_params(point["p1"], point["p2"], config.sigma2, config.eta, point["lam"],
+                              config.epsilon, point["d1"], config.path_loss_exp)
         try:
-            return TargetRates.from_rates(self.t1, self.t2)
+            targets = TargetRates.from_rates(config.t1, config.t2)
         except OverflowError:  # of tau = 2^(2t) - 1
             raise ParameterError(
-                f"target rates ({self.t1}, {self.t2}) give thresholds 2^(2t) - 1 "
+                f"target rates ({config.t1}, {config.t2}) give thresholds 2^(2t) - 1 "
                 "past the float range"
             ) from None
-
-    @cached_property
-    def grid(self) -> list[float]:
-        return [float(v) for v in np.linspace(self.start, self.stop, self.steps)]
-
-    @cached_property
-    def points(self) -> tuple[SystemParams, TargetRates, object]:
-        """The grid bound by ``resolve_points``, once, when validating."""
-        return resolve_points(self, self.grid)
-
-    def validate(self) -> None:
-        if self.sweep not in SWEEP_AXES:
-            raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}; got {self.sweep!r}")
-        if self.steps < 2:
-            raise ConfigError(f"steps must be >= 2; got {self.steps}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop) and self.start < self.stop):
-            raise ConfigError(f"sweep range must be finite and increasing; "
-                              f"got start={self.start}, stop={self.stop}")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
-        unknown = sorted(set(self.methods) - METHODS.keys())
-        if unknown:
-            raise ConfigError(f"unknown methods {unknown}; valid: {sorted(METHODS)}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("methods contains duplicates")
-        family = self.metric_family
-        for m in self.methods:
-            if family not in METHODS[m].evaluators:
-                raise ConfigError(f"{m} has no {FAMILIES[family].noun} interpretation")
-        if self.sweep == "r" and family != "dmt":
-            raise ConfigError("an r sweep only applies to the dmt metric")
-        if self.mc_n < 1:
-            raise ConfigError(f"mc_n must be >= 1; got {self.mc_n}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0; got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1; got {self.workers}")
-        if (self.p1 is None) != (self.p2 is None):
-            raise ConfigError("p1 and p2 must be given together")
-        if self.sweep == "snr_db" and self.p1 is not None:
-            raise ConfigError(
-                "an snr_db sweep sets p1 = p2 from each axis value; "
-                "give either the snr_db sweep or explicit p1/p2, not both"
-            )
-        if not self.output_path:
-            raise ConfigError("output_path must be set")
-        # The base point is checked even where the axis replaces its value;
-        # resolving the grid checks every point and the targets.
-        try:
-            base = build_params(*self.base_powers, self.sigma2, self.eta, self.lam,
-                                self.epsilon, self.d1, self.path_loss_exp)
-            if family == "dmt":
-                check_symmetric_powers(base)
-            self.points  # kept for the sweep
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
-
-
-def resolve_points(config: ExperimentConfig, values: list[float]):
-    """Bind the ``values`` of ``config``'s sweep axis to its config key: the
-    one binding of swept values, which gives a config its ``points``.
-    Returns ``(params, targets, r)``: the system parameters, one column per
-    swept field, the targets (set by t1 and t2) and the multiplexing gain r,
-    from which the dmt evaluators derive their own thresholds at each SNR
-    they use.  The first value outside its key's range raises ParameterError
-    (ConfigError for a power out of range)."""
-    r = np.array(values) if config.sweep == "r" else config.r
-    # the base r is checked even where the axis replaces it
-    gains = np.append(config.r, r)
-    raise_first((~((0.0 < gains) & (gains <= 2.0)),
-                 lambda i: ParameterError(f"r must lie in (0, 2]; got {gains[i]}")))
-    p1, p2 = config.base_powers
-    lam, d1 = config.lam, config.d1
-    if config.sweep == "snr_db":
-        p1 = p2 = [_snr_power(config.sigma2, value) for value in values]
-    elif config.sweep == "lambda":
-        lam = values
-    elif config.sweep == "d1":
-        d1 = values
-    params = build_params(
-        p1, p2, config.sigma2, config.eta, lam, config.epsilon, d1,
-        config.path_loss_exp,
-    )
-    return params, config.targets, r
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    return Plan(family, grid, params, targets, point["r"])
 
 
 #: The one config key that is not its field's name: a Python keyword cannot be one.
 _FIELD_TO_KEY = {"lam": "lambda"}
-_KEY_TO_FIELD = {_FIELD_TO_KEY.get(f.name, f.name): f.name for f in fields(ExperimentConfig)}
+_KEY_TO_FIELD = {_FIELD_TO_KEY.get(name, name): name for name in ExperimentConfig._fields}
 
-#: How a value is read, by the annotation of its field.
-_PARSERS = {
-    "float": float,
-    "float | None": float,
-    "int": int,
-    "str": str,
-    "tuple[str, ...]": lambda value: tuple(m.strip() for m in value.split(",") if m.strip()),
-}
-_PARSE = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+#: How a value is read, by the type of its field's default (p1 and p2 default to None).
+_PARSERS = {float: float, type(None): float, int: int, str: str,
+            tuple: lambda value: tuple(m.strip() for m in value.split(",") if m.strip())}
+_PARSE = {name: _PARSERS[type(default)]
+          for name, default in ExperimentConfig._field_defaults.items()}
 
 
 def parse_config_text(text: str, **overrides) -> ExperimentConfig:
@@ -246,17 +245,12 @@ def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     output directory) are excluded so identical experiments emit identical
     bytes regardless of where and how parallel they ran.
     """
-    import os
-
     out = []
-    for f in fields(ExperimentConfig):
-        if f.name == "workers":
+    for name, value in config._asdict().items():
+        if name == "workers" or value is None:
             continue
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        if f.name == "output_path":
+        key = _FIELD_TO_KEY.get(name, name)
+        if name == "output_path":
             rendered = os.path.basename(str(value))
         elif isinstance(value, tuple):
             rendered = ",".join(value)

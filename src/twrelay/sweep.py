@@ -39,9 +39,9 @@ class SweepResult(NamedTuple):
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
-    The config's points, resolved once when it was validated, are one
-    batch; each method's evaluator runs once over it (methods sharing one
-    share its run), and each method's rows are columns of its evaluator's
+    The points of the config's Plan, bound when it was made, are one batch;
+    each method's evaluator runs once over it (methods sharing one share
+    its run), and each method's rows are columns of its evaluator's
     outputs; the rows are emitted point by point in method order.
     Deterministic given the seed; writes the CSV and a matplotlib script
     referencing it (unless ``write=False``).  The output paths are checked
@@ -50,15 +50,14 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     if write:
         _require_writable(config.output_path, plot_script_path(config))
     started = time.perf_counter()
-    family = config.metric_family
-    grid, points = config.grid, config.points
+    family, grid, params, targets, r = config.plan
     outputs: dict = {}  # evaluator -> its outputs
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
         if evaluate in outputs:
             continue
         try:
-            outputs[evaluate] = evaluate(config, *points)
+            outputs[evaluate] = evaluate(config, params, targets, r)
         except (NumericalError, DomainError) as exc:
             # an error raised inside an array pass may not know its point
             point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
@@ -148,7 +147,7 @@ def plot_script_path(config: ExperimentConfig) -> str:
 
 
 def write_plot_script(config: ExperimentConfig) -> str:
-    family = config.metric_family
+    family = config.plan.family
     ylabel = {
         "outage": "outage probability",
         "capacity": "ergodic capacity (bit/s/Hz)",
@@ -202,7 +201,7 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     by_axis: dict[float, dict[str, SweepRow]] = {}
     for row in result.rows:
         by_axis.setdefault(row.axis_value, {})[row.method] = row
-    lines = [f"validation of {config.output_path} ({config.metric_family} sweep)"]
+    lines = [f"validation of {config.output_path} ({config.plan.family} sweep)"]
     all_passed = True
     for value in sorted(by_axis):
         point = by_axis[value]
@@ -256,7 +255,7 @@ def find_lambda_star(config: ExperimentConfig) -> LambdaStar:
     rows = run_sweep(config).rows
     grid, values = [r.axis_value for r in rows], [r.value for r in rows]
     flat = max(values) == min(values)
-    pick = np.argmax if FAMILIES[config.metric_family].maximise else np.argmin
+    pick = np.argmax if FAMILIES[config.plan.family].maximise else np.argmin
     best = 0 if flat else int(pick(values))
     bracket = (grid[max(0, best - 1)], grid[min(len(grid) - 1, best + 1)])
     return LambdaStar(

@@ -19,7 +19,6 @@ Rerun this only for a change meant to alter Monte Carlo output:
     PYTHONPATH=src python tests/data/make_golden_mc.py
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -65,7 +64,7 @@ def main() -> None:
     data = {}
     for name, config in golden_configs().items():
         rows = run_sweep(config, write=False).rows
-        fields = dataclasses.asdict(config)
+        fields = config._asdict()
         del fields["workers"], fields["output_path"]
         data[name] = {
             "config": fields,

@@ -12,7 +12,6 @@ Rerun this only for a change meant to alter closed-form output:
     PYTHONPATH=src python tests/data/make_golden_sweeps.py
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -28,8 +27,8 @@ def golden_configs() -> dict[str, ExperimentConfig]:
     configs = {}
     for figure in (1, 2, 3, 4):
         preset = figure_preset(figure)
-        configs[f"fig{figure}"] = dataclasses.replace(
-            preset, methods=tuple(m for m in preset.methods if m != "mc")
+        configs[f"fig{figure}"] = preset._replace(
+            methods=tuple(m for m in preset.methods if m != "mc")
         )
     configs.update({
         "cap_lambda_20db": ExperimentConfig(
@@ -53,7 +52,7 @@ def golden_configs() -> dict[str, ExperimentConfig]:
 def main() -> None:
     data = {}
     for name, config in golden_configs().items():
-        fields = dataclasses.asdict(config)
+        fields = config._asdict()
         del fields["workers"], fields["output_path"]
         data[name] = {
             "config": fields,

@@ -38,7 +38,7 @@ class TestFrozenSweeps:
         assert [(r.axis_value.hex(), r.method) for r in rows] == [
             (axis, method) for axis, method, _ in entry["rows"]
         ]
-        floor = 1e-15 if config.metric_family == "outage" else 0.0
+        floor = 1e-15 if config.plan.family == "outage" else 0.0
         off = [
             (r.axis_value, r.method, r.value, float.fromhex(value))
             for r, (_, _, value) in zip(rows, entry["rows"])

@@ -54,7 +54,7 @@ class TestConfigParsing:
         assert config.steps == 3
         assert config.lam == 0.75
         assert config.methods == ("mc", "exact_quadrature", "lower_bound", "upper_bound")
-        assert config.metric_family == "outage"
+        assert config.plan.family == "outage"
 
     @pytest.mark.parametrize(
         "mutation, fragment",
@@ -106,6 +106,17 @@ class TestConfigParsing:
             parse_config_text(
                 f"{lines}\nsteps = 5\nmethods = exact_quadrature\noutput_path = x.csv"
             )
+
+    def test_changed_copy_is_validated_and_planned_again(self):
+        config = ExperimentConfig(methods=("exact_quadrature",))
+        copy = config._replace(seed=2)
+        assert type(copy) is ExperimentConfig and copy.seed == 2
+        assert copy.plan is not config.plan and copy.plan.grid == config.plan.grid
+        with pytest.raises(ConfigError, match="^steps must be >= 2; got 1$"):
+            config._replace(steps=1)
+        lam_1 = [*config[:5], 1.0, *config[6:]]
+        with pytest.raises(ConfigError, match=r"^lambda must lie strictly inside \(0, 1\); got 1"):
+            ExperimentConfig._make(lam_1)
 
     def test_r_sweep_is_dmt_only(self):
         with pytest.raises(ConfigError, match="dmt"):
@@ -483,6 +494,105 @@ class TestCli:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command, lines, message", [
+        ("run", "sweep snr_db", "line 1: expected 'key = value'; got 'sweep snr_db'"),
+        ("run", "bogus_key = 1", "line 1: unknown key 'bogus_key'"),
+        ("run", "seed = 1\nseed = 2", "line 2: duplicate key 'seed'"),
+        ("run", "steps = 2.5", "line 1: cannot parse steps = '2.5'"),
+        ("run", "mc_n = 1e6", "line 1: cannot parse mc_n = '1e6'"),
+        ("run", "seed = 1.5", "line 1: cannot parse seed = '1.5'"),
+        ("run", "snr_db = 20\np1 = 10\np2 = 10", "give either snr_db or explicit p1/p2, not both"),
+        ("run", "sweep = eta",
+         "sweep axis must be one of ('snr_db', 'lambda', 'r', 'd1'); got 'eta'"),
+        ("run", "steps = 1", "steps must be >= 2; got 1"),
+        ("run", "start = inf",
+         "sweep range must be finite and increasing; got start=inf, stop=30.0"),
+        ("run", "start = 30\nstop = 0",
+         "sweep range must be finite and increasing; got start=30.0, stop=0.0"),
+        ("run", "methods = ,", "methods must be nonempty"),
+        ("run", "methods = mc, teleport",
+         "unknown methods ['teleport']; valid: ['capacity_bounds', 'capacity_quadrature', "
+         "'capacity_series', 'dmt', 'exact_quadrature', 'exact_taylor', 'high_snr', "
+         "'lower_bound', 'mc', 'non_coop', 'upper_bound']"),
+        ("run", "methods = mc, mc", "methods contains duplicates"),
+        ("run", "methods = exact_quadrature, capacity_series",
+         "methods mix metric families ['capacity', 'outage']; one sweep evaluates one metric"),
+        ("run", "methods = dmt, non_coop", "non_coop has no diversity-gain interpretation"),
+        ("run", "sweep = r\nstart = 0.2\nstop = 1", "an r sweep only applies to the dmt metric"),
+        ("run", "mc_n = 0", "mc_n must be >= 1; got 0"),
+        ("run", "seed = -1", "seed must be >= 0; got -1"),
+        ("run", "workers = 0", "workers must be >= 1; got 0"),
+        ("run", "sweep = lambda\nstart = 0.1\nstop = 0.9\np1 = 10",
+         "p1 and p2 must be given together"),
+        ("run", "p1 = 10\np2 = 10",
+         "an snr_db sweep sets p1 = p2 from each axis value; "
+         "give either the snr_db sweep or explicit p1/p2, not both"),
+        ("run", "output_path =", "output_path must be set"),
+        ("run", "lambda = 0", "lambda must lie strictly inside (0, 1); got 0.0"),
+        ("run", "lambda = 1", "lambda must lie strictly inside (0, 1); got 1.0"),
+        ("run", "d1 = 1.0", "d1 must lie strictly inside (0, 1); got 1.0"),
+        ("run", "eta = 2", "eta must lie in (0, 1]; got 2.0"),
+        ("run", "epsilon = -1", "epsilon must lie in [0, 1]; got -1.0"),
+        ("run", "path_loss_exp = 0", "path_loss_exp must be positive; got 0.0"),
+        ("run", "r = 3", "r must lie in (0, 2]; got 3.0"),
+        # the base r is checked before the swept SNRs are
+        ("run", "r = 3\nstop = 4000", "r must lie in (0, 2]; got 3.0"),
+        ("run", "t1 = -1", "target rates must be finite and >= 0; got (-1.0, 1.0)"),
+        ("run", "t2 = 600",
+         "target rates (1.0, 600.0) give thresholds 2^(2t) - 1 past the float range"),
+        ("run", "sweep = lambda\nstart = 0.1\nstop = 0.9\nsnr_db = nan",
+         "snr_db = nan at sigma2 = 1 gives power nan; it must be a positive finite float"),
+        ("run", "sweep = lambda\nstart = 0.1\nstop = 0.9\nsigma2 = 0",
+         "snr_db = 20 at sigma2 = 0 gives power 0; it must be a positive finite float"),
+        ("run", "sweep = lambda\nstart = 0.1\nstop = 0.9\np1 = 1\np2 = 1\nsigma2 = 0",
+         "p1, p2 and sigma2 must be positive finite floats; got (1.0, 1.0, 0.0)"),
+        ("run", "stop = 4000",
+         "snr_db = 4000 at sigma2 = 1 gives power inf; it must be a positive finite float"),
+        ("run", "sweep = lambda\nstart = 0\nstop = 0.9",
+         "lambda must lie strictly inside (0, 1); got 0.0"),
+        ("run", "sweep = d1\nstart = 0.1\nstop = 1",
+         "d1 must lie strictly inside (0, 1); got 1.0"),
+        ("run", "sweep = r\nstart = 0.5\nstop = 2.5\nmethods = dmt",
+         "r must lie in (0, 2]; got 2.5"),
+        ("run", "sweep = lambda\nstart = 0.1\nstop = 0.9\np1 = 10\np2 = 20\nmethods = dmt",
+         "the diversity metric assumes symmetric powers; got (10.0, 20.0)"),
+        ("run", "sweep = d1\nstart = 0.1\nstop = 0.9\np1 = 10\np2 = 20\nmethods = dmt",
+         "the diversity metric assumes symmetric powers; got (10.0, 20.0)"),
+        ("validate", "",
+         "validate needs the mc method and an exact or bound method to judge against it; "
+         "got ('exact_quadrature',)"),
+        ("lambda-star", "", "lambda-star needs a lambda sweep; got 'snr_db'"),
+        ("lambda-star",
+         "sweep = lambda\nstart = 0.1\nstop = 0.9\nmethods = exact_quadrature, lower_bound",
+         "lambda-star needs exactly one single-valued analytic method; "
+         "got ('exact_quadrature', 'lower_bound')"),
+    ], ids=[
+        "no-equals", "unknown-key", "duplicate-key", "steps-not-int", "mc_n-not-int",
+        "seed-not-int", "snr-with-powers", "unknown-axis", "steps-1", "start-inf",
+        "start-after-stop", "no-methods", "unknown-method", "duplicate-method",
+        "mixed-families", "dmt-with-non_coop", "r-sweep-not-dmt", "mc_n-0", "negative-seed",
+        "workers-0", "p1-without-p2", "snr-sweep-with-powers", "no-output-path", "lambda-0",
+        "lambda-1", "d1-1", "eta-2", "epsilon-negative", "path-loss-0", "r-3",
+        "r-3-before-snr-to-4000", "t1-negative",
+        "t2-threshold-overflow", "snr-nan", "sigma2-0-by-snr", "sigma2-0-by-powers",
+        "snr-sweep-to-4000", "lambda-sweep-from-0", "d1-sweep-to-1", "r-sweep-past-2",
+        "dmt-unequal-powers", "dmt-unequal-powers-under-d1-sweep", "validate-without-mc",
+        "lambda-star-on-snr-sweep", "lambda-star-two-methods",
+    ])
+    def test_config_error_message_is_pinned(self, tmp_path, capsys, command, lines, message):
+        # the given lines first, then each default key they leave unset
+        given = {line.split("=")[0].strip() for line in lines.splitlines()}
+        defaults = {"sweep": "snr_db", "start": "0", "stop": "30", "steps": "3",
+                    "methods": "exact_quadrature", "output_path": str(tmp_path / "out.csv")}
+        text = "".join(f"{line}\n" for line in lines.splitlines())
+        text += "".join(f"{key} = {value}\n" for key, value in defaults.items()
+                        if key not in given)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
         argv = ["reproduce", "--figure", "1", "--seed", "-3", "--out", str(tmp_path)]
         assert cli.main(argv) == cli.EXIT_CONFIG
@@ -493,17 +603,17 @@ class TestCli:
         # a run validates its config once, and the sweep resolves its grid in
         # one batch: the number of build_params calls does not grow with steps
         calls = {"validate": 0, "build_params": 0}
-        true_validate, true_build = ExperimentConfig.validate, config_module.build_params
+        true_plan, true_build = config_module.plan, config_module.build_params
 
-        def validate(config):
+        def plan(config):
             calls["validate"] += 1
-            return true_validate(config)
+            return true_plan(config)
 
         def build(*args, **kwargs):
             calls["build_params"] += 1
             return true_build(*args, **kwargs)
 
-        monkeypatch.setattr(ExperimentConfig, "validate", validate)
+        monkeypatch.setattr(config_module, "plan", plan)
         monkeypatch.setattr(config_module, "build_params", build)
         argvs = []
         for steps in (5, 50):
@@ -544,7 +654,7 @@ class TestCli:
         monkeypatch.setattr(analytic, "outage_exact", exact)
         run_sweep(config, write=False)
         assert builds == []
-        assert len(seen) == 1 and seen[0] is config.points[0]
+        assert len(seen) == 1 and seen[0] is config.plan.params
 
     def test_in_process_calls_share_no_state(self, tmp_path, monkeypatch):
         # the parser is built once per process: a flag given to one call
@@ -911,9 +1021,9 @@ class TestImports:
         assert self._modules_after_cli_import(selected) == "[]"
 
     def test_cli_import_leaves_out_logging_and_concurrent_futures(self):
-        # Monte Carlo lanes run on plain threads and no module logs, so
-        # neither import (about 7 ms together) runs in a fresh process
-        selected = "m in ('logging', 'concurrent.futures')"
+        # Monte Carlo lanes run on plain threads, no module logs and the
+        # config is a NamedTuple, so none of these imports runs in a fresh process
+        selected = "m in ('logging', 'concurrent.futures', 'dataclasses', 'copy')"
         assert self._modules_after_cli_import(selected) == "[]"
 
     def test_cli_import_leaves_out_scipy(self):
