@@ -176,13 +176,7 @@ def plan(config: ExperimentConfig) -> Plan:
             point.update(dict.fromkeys(names, column(config, values)))
         params = build_params(point["p1"], point["p2"], config.sigma2, config.eta, point["lam"],
                               config.epsilon, point["d1"], config.path_loss_exp)
-        try:
-            targets = TargetRates.from_rates(config.t1, config.t2)
-        except OverflowError:  # of tau = 2^(2t) - 1
-            raise ParameterError(
-                f"target rates ({config.t1}, {config.t2}) give thresholds 2^(2t) - 1 "
-                "past the float range"
-            ) from None
+        targets = TargetRates.from_rates(config.t1, config.t2)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     return Plan(family, grid, params, targets, point["r"])

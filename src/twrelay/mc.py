@@ -31,19 +31,26 @@ and (b, c) the SNR denominators ``b*g_i + c``.  A point with a = P1/sigma2
 = P2/sigma2 (every preset's) divides one numerator a*g1*g2 by both, shared
 by consecutive points on the same gains with the same a (a lambda sweep's).
 An outage point whose two thresholds are also equal is ``weaker``: it
-divides that numerator by ``model.larger_denominator`` alone, which gives
-min(gamma1, gamma2) bit for bit and so the same count.  That maximum
-overwrites den1, so the sort runs it after its (b, c)'s two-direction
-points.  A part gets a buffer of its own only where two or more points
-read it.  The denominators of a (b, c) that several points on the same
-gains share (an SNR sweep's) go in den1 and den2; a point alone on its
-(b, c) with a1 = a2 (each point of a lambda sweep) has ``end_to_end_snrs``
-form them in its SNR buffers and divide the numerator into them in place,
-and if it is weaker, their maximum goes in gamma1 the same way.  A point
-with P1 != P2 forms its two numerators in its SNR buffers, so its
-denominators go in den1 and den2 whoever reads them.  The last fading
-means scale the draws in place, as no later point reads them.  A point's
-own work is its quotients and its kernel.
+divides that numerator by max(den1, den2) alone, which gives the same
+count.  Correctly rounded division is monotone in the divisor, so the
+quotient by the larger denominator is min(gamma1, gamma2) bit for bit.
+The denominators are at least c > 0, so an SNR is NaN only where num is
+NaN, or where num = inf meets an infinite denominator; max(den1, den2) is
+then inf, and that quotient is NaN too, as ``np.minimum`` gives.  So
+``num / max(den1, den2) < tau`` is ``(gamma1 < tau) | (gamma2 < tau)``
+element by element.  That maximum overwrites den1, so the sort runs it
+after its (b, c)'s two-direction points.
+
+A part gets a buffer of its own only where two or more points read it.
+Each point forms its (b, c)'s denominator pair in one step, where (b, c)
+changes.  The pair goes in den1 and den2 where several points on the same
+gains share it (an SNR sweep's), or where the point has P1 != P2, as it
+forms its two numerators in its SNR buffers.  A point alone on its (b, c)
+with a1 = a2 (each point of a lambda sweep) forms the pair in its SNR
+buffers and divides the numerator into them in place.  Either way a
+weaker point's maximum overwrites the pair's first array.  The last
+fading means scale the draws in place, as no later point reads them.  A
+point's own work is its quotients and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
@@ -105,7 +112,6 @@ from .model import (
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
-    larger_denominator,
     snr_denominators,
     snr_numerator,
     snr_scales,
@@ -287,17 +293,13 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
             if a1 == a2 and a1 != held:
                 held = a1
                 snr_numerator(a1, prod, out=ws.num)
-            if lone:
-                dens = (larger_denominator(snr_denominators(point_coeffs, g1, g2, out=snrs),
-                                           out=ws.gamma1),) if weak else None
-            else:
-                if point_coeffs != coeffs:
-                    coeffs, larger = point_coeffs, None
-                    pair = snr_denominators(coeffs, g1, g2, out=shared)
-                if weak and larger is None:
-                    larger = (larger_denominator(pair, out=ws.den1),)
-                dens = larger if weak else pair
-            gammas = end_to_end_snrs(point, g1, g2, prod=prod, dens=dens,
+            if point_coeffs != coeffs:  # always at a lone point, the one reader of its key
+                coeffs, larger = point_coeffs, False
+                pair = snr_denominators(coeffs, g1, g2, out=snrs if lone else shared)
+            if weak and not larger:
+                larger = True
+                np.maximum(*pair, out=pair[0])
+            gammas = end_to_end_snrs(point, g1, g2, prod=prod, dens=pair[:1] if weak else pair,
                                      num=ws.num if a1 == a2 else None, out=snrs)
             results[i] = kernel(extras[i], gammas, ws)
 

@@ -1,5 +1,9 @@
-"""Regenerate golden_sweeps.json: every closed-form row of ten sweeps, frozen
-bit for bit.
+"""Regenerate golden_sweeps.json: every closed-form row of ten sweeps.
+
+The committed file was written by an earlier version of the closed forms,
+and is kept as it is.  Rerunning this writes 581 of its 1,923 values
+differently, by at most 6.8e-13 relative; ``tests/test_batch.py`` compares
+at 1e-12 relative, so the file still checks today's values.
 
 The sweeps are the four figure presets without their ``mc`` rows and six
 dense closed-form sweeps: capacity against lambda at 20 dB and at 2 dB,

@@ -23,7 +23,6 @@ from twrelay.model import (
     derived_coeffs,
     end_to_end_snrs,
     gain_product,
-    larger_denominator,
     snr_denominators,
     snr_numerator,
     snr_scales,
@@ -177,9 +176,11 @@ class TestEndToEndSnrs:
             # P1 = P2: both directions divide one numerator
             num = snr_numerator(params.p1 / params.sigma2, prod, out=np.empty_like(g1))
             one_num = end_to_end_snrs(params, g1, g2, dens=dens, num=num)
-            # no dens: they are formed in out, and each quotient overwrites its own
+            # dens formed in out, as a lone Monte Carlo point forms them: each
+            # quotient overwrites its own
             in_out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
-            own = end_to_end_snrs(params, g1, g2, num=num, out=in_out)
+            in_dens = snr_denominators(derived_coeffs(params), g1, g2, out=in_out)
+            own = end_to_end_snrs(params, g1, g2, num=num, dens=in_dens, out=in_out)
             assert own[0] is in_out[0] and own[1] is in_out[1]
             for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num, own):
                 for got, want in zip(gammas, written_out):
@@ -254,7 +255,7 @@ class TestWeakerSnr:
         with np.errstate(all="ignore"):
             gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
             num = snr_numerator(snr_scales(params)[0], gain_product(g1, g2))
-            larger = larger_denominator(snr_denominators(derived_coeffs(params), g1, g2))
+            larger = np.maximum(*snr_denominators(derived_coeffs(params), g1, g2))
             (weak,) = end_to_end_snrs(params, g1, g2, num=num, dens=(larger,))
         smaller = np.minimum(gamma1, gamma2)
         assert np.array_equal(weak, smaller, equal_nan=True)
@@ -325,3 +326,16 @@ class TestTargetRates:
             TargetRates.from_rates(-0.5, 1.0)
         with pytest.raises(ParameterError):
             from_multiplexing_gain(0.0, 100.0)
+
+    @pytest.mark.parametrize("t1, t2, point, got", [
+        (512.0, 1.0, 0, "(512.0, 1.0)"),
+        ([1.0, 600.0], 0.5, 1, "(600.0, 0.5)"),
+    ], ids=["one-point", "second-of-two"])
+    def test_threshold_past_the_float_range_is_a_parameter_error(self, t1, t2, point, got):
+        # Python's 2.0 ** (2t) overflows from t = 512 on
+        with pytest.raises(ParameterError) as info:
+            TargetRates.from_rates(t1, t2)
+        assert str(info.value) == (
+            f"target rates {got} give thresholds 2^(2t) - 1 past the float range")
+        assert info.value.point == point
+        assert TargetRates.from_rates(math.nextafter(512.0, 0.0), 1.0).tau1 < math.inf
