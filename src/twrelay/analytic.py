@@ -53,6 +53,7 @@ from .errors import (
 from .model import (
     SystemParams,
     TargetRates,
+    _broadcast,
     as_columns,
     check_multiplexing_gain,
     check_symmetric_powers,
@@ -526,12 +527,13 @@ def capacity_direction_integral(s, mu):
     s = 1 and about 29 at s = 1e-8), or that does not stop within
     SERIES_MAX_TERMS terms.  For mu = 0 every series term carries a factor
     mu and the integral collapses to Psi(1, 1; s).  Returns ``(value,
-    terms_used, |last term|)``, each shaped like ``s``.  A point is an
-    element of ``s``, or a row of (points, 2) arrays; the one error is the
-    first failing point's, marked with its index, and names that point's
-    first failing direction.
+    terms_used, |last term|)``, each shaped like ``s``; an ``s`` and ``mu``
+    of unequal lengths raise ParameterError.  A point is an element of
+    ``s``, or a row of (points, 2) arrays; the one error is the first
+    failing point's, marked with its index, and names that point's first
+    failing direction.
     """
-    s, mu = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(mu, dtype=float))
+    s, mu = _broadcast(s, mu)
     shape, s, mu = s.shape, s.ravel(), mu.ravel()
     raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
     value = tricomi_psi11(s)

@@ -91,16 +91,15 @@ def main(argv=None) -> int:
             print(report.text(), end="")
             _print_written(config.output_path, plot_script_path(config), report.report_path)
             return EXIT_OK if report.passed else EXIT_VALIDATION
-        if args.command == "lambda-star":
-            best = find_lambda_star(config)
-            flat_note = " (flat grid; returning the first point)" if best.flat else ""
-            print(
-                f"lambda_star = {best.lambda_star:.6g}  value = {best.value:.6g}  "
-                f"bracket = [{best.bracket[0]:.6g}, {best.bracket[1]:.6g}]{flat_note}"
-            )
-            _print_written(config.output_path, plot_script_path(config))
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+        # lambda-star: the parser admits no other command
+        best = find_lambda_star(config)
+        flat_note = " (flat grid; returning the first point)" if best.flat else ""
+        print(
+            f"lambda_star = {best.lambda_star:.6g}  value = {best.value:.6g}  "
+            f"bracket = [{best.bracket[0]:.6g}, {best.bracket[1]:.6g}]{flat_note}"
+        )
+        _print_written(config.output_path, plot_script_path(config))
+        return EXIT_OK
     except (ConfigError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,14 +9,17 @@ here, at the boundary; everything below works in linear scale.  A config is
 a NamedTuple of its fields, validated when it is made, so none exists
 invalid: ``plan`` checks it and binds the sweep's whole grid, once, into
 the columns of one ``SystemParams``.  The config keeps that ``Plan``
-(``config.plan``), and the sweep evaluates it.
+(``config.plan``), and the sweep evaluates it.  Each sweep axis is named
+once, in ``AXES``: the point fields it sets, the column it sets them to,
+and its plot's x label.  ``parse_config_text`` is the one way a config
+file, or a figure preset (``sweep.PRESETS``), becomes a config.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,15 +50,20 @@ def _gains(values) -> np.ndarray:
     return gains
 
 
-#: The point fields each sweep axis sets, and the column it sets them to
-#: from ``(config, values)``: an snr_db value sets p1 = p2 to its power.
-_AXES = {
-    "snr_db": (("p1", "p2"), lambda c, values: [_snr_power(c.sigma2, v) for v in values]),
-    "lambda": (("lam",), lambda c, values: values),
-    "r": (("r",), lambda c, values: _gains(values)),
-    "d1": (("d1",), lambda c, values: values),
+class Axis(NamedTuple):
+    fields: tuple[str, ...]  # the point fields the axis sets
+    column: Callable  # (config, values) -> the column it sets them to
+    label: str  # the plot's x label
+
+
+#: The sweep axes, by config name: an snr_db value sets p1 = p2 to its power.
+AXES = {
+    "snr_db": Axis(("p1", "p2"), lambda c, values: [_snr_power(c.sigma2, v) for v in values],
+                   "SNR (dB)"),
+    "lambda": Axis(("lam",), lambda c, values: values, "power splitting ratio"),
+    "r": Axis(("r",), lambda c, values: _gains(values), "multiplexing gain"),
+    "d1": Axis(("d1",), lambda c, values: values, "relay position"),
 }
-SWEEP_AXES = tuple(_AXES)
 
 
 class Plan(NamedTuple):
@@ -117,8 +125,8 @@ def plan(config: ExperimentConfig) -> Plan:
     """Check ``config`` and bind its sweep: the one binding of swept values.
     The first fault raises ConfigError; a value out of its key's range
     raises it with the model's message."""
-    if config.sweep not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}; got {config.sweep!r}")
+    if config.sweep not in AXES:
+        raise ConfigError(f"sweep axis must be one of {tuple(AXES)}; got {config.sweep!r}")
     if config.steps < 2:
         raise ConfigError(f"steps must be >= 2; got {config.steps}")
     if not (math.isfinite(config.start) and math.isfinite(config.stop)
@@ -171,9 +179,8 @@ def plan(config: ExperimentConfig) -> Plan:
             check_symmetric_powers(base)
         _gains([config.r])
         point = dict(p1=p1, p2=p2, lam=config.lam, d1=config.d1, r=config.r)
-        for key, values in ((config.sweep, grid),):
-            names, column = _AXES[key]
-            point.update(dict.fromkeys(names, column(config, values)))
+        axis = AXES[config.sweep]
+        point.update(dict.fromkeys(axis.fields, axis.column(config, grid)))
         params = build_params(point["p1"], point["p2"], config.sigma2, config.eta, point["lam"],
                               config.epsilon, point["d1"], config.path_loss_exp)
         targets = TargetRates.from_rates(config.t1, config.t2)

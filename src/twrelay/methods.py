@@ -12,6 +12,9 @@ failing point (``errors.failed_at``).  Methods that share an evaluator
 share its outputs, each taking its rows from output ``first`` on, so a
 sweep runs each closed form once.  Evaluators look up ``analytic.*`` and
 ``mc.*`` when called, so a function rebound there is the one that runs.
+The metric families are one table too, ``FAMILIES``: how config errors
+name each metric, whether lambda-star maximises it, and its plot's y label
+and scale.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ EXACT, LOWER, UPPER, REFERENCE = "exact", "lower", "upper", "reference"
 class Family(NamedTuple):
     noun: str  # names the metric in config errors
     maximise: bool  # lambda-star is the grid maximum of the metric, else the minimum
+    label: str  # the plot's y label
+    log_scale: bool  # the plot's y axis is logarithmic
 
 
 FAMILIES = {
-    "outage": Family("outage-probability", False),
-    "capacity": Family("ergodic-capacity", True),
-    "dmt": Family("diversity-gain", True),
+    "outage": Family("outage-probability", False, "outage probability", True),
+    "capacity": Family("ergodic-capacity", True, "ergodic capacity (bit/s/Hz)", False),
+    "dmt": Family("diversity-gain", True, "diversity gain", False),
 }
 
 

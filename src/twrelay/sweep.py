@@ -1,6 +1,9 @@
 """Sweep engine: evaluates requested methods over a parameter grid,
 emits deterministic CSV plus a companion plot script, cross-validates
 analytic values against Monte Carlo, and grid-searches the power split.
+The four figure presets are config texts (``PRESETS``), parsed as ``run``
+parses a config file; the plot script takes its labels from the axis and
+family tables (``config.AXES``, ``methods.FAMILIES``).
 
 CSV layout: '#'-prefixed metadata comment lines (config echo, seed,
 version), then ``axis,method,value,std_err`` rows with 12 significant
@@ -17,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, canonical_items
+from .config import AXES, ExperimentConfig, canonical_items, parse_config_text
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
@@ -147,23 +150,12 @@ def plot_script_path(config: ExperimentConfig) -> str:
 
 
 def write_plot_script(config: ExperimentConfig) -> str:
-    family = config.plan.family
-    ylabel = {
-        "outage": "outage probability",
-        "capacity": "ergodic capacity (bit/s/Hz)",
-        "dmt": "diversity gain",
-    }[family]
-    xlabel = {
-        "snr_db": "SNR (dB)",
-        "lambda": "power splitting ratio",
-        "r": "multiplexing gain",
-        "d1": "relay position",
-    }[config.sweep]
+    family = FAMILIES[config.plan.family]
     script = _PLOT_TEMPLATE.format(
         csv_name=os.path.basename(config.output_path),
-        xlabel=xlabel,
-        ylabel=ylabel,
-        yscale='ax.set_yscale("log")\n' if family == "outage" else "",
+        xlabel=AXES[config.sweep].label,
+        ylabel=family.label,
+        yscale='ax.set_yscale("log")\n' if family.log_scale else "",
         stem=os.path.basename(_stem(config)),
     )
     path = plot_script_path(config)
@@ -263,6 +255,25 @@ def find_lambda_star(config: ExperimentConfig) -> LambdaStar:
     )
 
 
+#: The four figure presets, the paper's own figures, as config texts:
+#: ``reproduce --figure N`` is ``run`` on ``PRESETS[N]`` with
+#: ``output_path = DIR/figN.csv``.
+PRESETS = {
+    1: "# fig1: outage vs SNR at lambda = 3/4, with the bounds and the baseline\n"
+       "sweep = snr_db\nstart = 0\nstop = 30\nsteps = 7\nlambda = 0.75\nseed = 1001\n"
+       "methods = mc, exact_quadrature, lower_bound, upper_bound, non_coop\n",
+    2: "# fig2: ergodic capacity vs lambda at 20 dB, with the bounds and the baseline\n"
+       "sweep = lambda\nstart = 0.05\nstop = 0.95\nsteps = 19\nsnr_db = 20\nseed = 1002\n"
+       "methods = mc, capacity_quadrature, capacity_series, capacity_bounds, non_coop\n",
+    3: "# fig3: diversity gain vs SNR at r = 0.5, lambda = 3/4\n"
+       "sweep = snr_db\nstart = 5\nstop = 20\nsteps = 4\nlambda = 0.75\nr = 0.5\n"
+       "seed = 1003\nmethods = dmt\n",
+    4: "# fig4: diversity gain vs lambda at r = 0.5, 20 dB\n"
+       "sweep = lambda\nstart = 0.05\nstop = 0.95\nsteps = 19\nsnr_db = 20\nr = 0.5\n"
+       "seed = 1004\nmethods = dmt\n",
+}
+
+
 def figure_preset(
     figure: int,
     n: int | None = None,
@@ -270,46 +281,14 @@ def figure_preset(
     out_dir: str = ".",
     **overrides,
 ) -> ExperimentConfig:
-    """Frozen experiment presets reproducing the four reference figures.
-
-    fig1: outage vs SNR (0-30 dB, lambda = 3/4) with bounds and baseline.
-    fig2: ergodic capacity vs lambda at 20 dB with bounds and baseline.
-    fig3: diversity gain vs SNR at r = 0.5, lambda = 3/4.
-    fig4: diversity gain vs lambda at r = 0.5, 20 dB.
+    """The config of figure preset ``figure``: ``PRESETS[figure]`` parsed
+    by ``config.parse_config_text``, writing ``<out_dir>/fig<figure>.csv``.
 
     ``n`` (the MC sample count), ``seed`` and ``overrides`` (field values)
-    replace the preset's, where not None, in the one config made.
+    are that function's overrides: they replace the preset's where not None.
     """
-    presets = {
-        1: dict(
-            sweep="snr_db", start=0.0, stop=30.0, steps=7,
-            lam=0.75,
-            methods=("mc", "exact_quadrature", "lower_bound", "upper_bound", "non_coop"),
-            seed=1001,
-        ),
-        2: dict(
-            sweep="lambda", start=0.05, stop=0.95, steps=19,
-            snr_db=20.0,
-            methods=("mc", "capacity_quadrature", "capacity_series",
-                     "capacity_bounds", "non_coop"),
-            seed=1002,
-        ),
-        3: dict(
-            sweep="snr_db", start=5.0, stop=20.0, steps=4,
-            lam=0.75, r=0.5,
-            methods=("dmt",),
-            seed=1003,
-        ),
-        4: dict(
-            sweep="lambda", start=0.05, stop=0.95, steps=19,
-            snr_db=20.0, r=0.5,
-            methods=("dmt",),
-            seed=1004,
-        ),
-    }
-    if figure not in presets:
+    if figure not in PRESETS:
         raise ConfigError(f"figure must be 1..4; got {figure}")
-    fields_ = dict(presets[figure], output_path=os.path.join(out_dir, f"fig{figure}.csv"))
-    picked = dict(mc_n=n, seed=seed, **overrides)
-    fields_.update((field, value) for field, value in picked.items() if value is not None)
-    return ExperimentConfig(**fields_)
+    return parse_config_text(
+        PRESETS[figure], output_path=os.path.join(out_dir, f"fig{figure}.csv"),
+        mc_n=n, seed=seed, **overrides)

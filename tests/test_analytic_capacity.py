@@ -18,7 +18,7 @@ from twrelay.analytic import (
     directions,
 )
 from twrelay.config import ExperimentConfig
-from twrelay.errors import ConvergenceError
+from twrelay.errors import ConvergenceError, ParameterError
 from twrelay.mc import estimate_capacity
 from twrelay.model import snr_scales
 from twrelay.specfun import bessel_xk1, tricomi_psi11
@@ -94,6 +94,11 @@ class TestCapacitySeries:
             capacity_direction_integral(np.array([[0.5, 0.5], s, [0.5, 0.5]]),
                                         np.array([[0.1, 0.1], mu, [0.1, 0.1]]))
         assert info.value.point == 1
+
+    def test_unequal_columns_are_a_parameter_error(self):
+        with pytest.raises(ParameterError,
+                           match=r"^per-point columns differ in length: \[2, 3\]$"):
+            capacity_direction_integral([1.0, 2.0], [0.1, 0.2, 0.3])
 
     def test_zero_bessel_scale_collapses_to_base_term(self):
         # with the harvest-inverse coefficient forced to zero every series

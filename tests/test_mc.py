@@ -66,6 +66,11 @@ class TestEstimateOutage:
         )
         assert est.mean == 1.0
 
+    def test_zero_samples_is_a_parameter_error(self):
+        targets = TargetRates.from_rates(1.0, 1.0)
+        with pytest.raises(ParameterError, match=r"^sample count must be >= 1; got 0$"):
+            estimate_outage(make_params(), targets, n=0, seed=1)
+
     def test_matches_closed_form(self):
         params = make_params()
         targets = TargetRates.from_rates(1.0, 1.0)

@@ -14,22 +14,27 @@ from helpers import read_csv
 from twrelay import analytic, cli, mc
 from twrelay import config as config_module
 from twrelay.config import (
+    AXES,
     ExperimentConfig,
     canonical_items,
     load_config,
     parse_config_text,
 )
 from twrelay.errors import ConfigError, ConvergenceError, InsufficientSamplesError
-from twrelay.methods import METHODS
+from twrelay.methods import FAMILIES, METHODS
 from twrelay.model import DerivedCoeffs
 from twrelay.sweep import (
+    PRESETS,
     figure_preset,
     find_lambda_star,
     plot_script_path,
     run_sweep,
     validate_sweep,
     write_csv,
+    write_plot_script,
 )
+
+GOLDEN_PRESETS = Path(__file__).parent / "data" / "golden_presets"
 
 GOOD_CONFIG = """
 # outage sweep against simulation
@@ -277,6 +282,68 @@ class TestSweepEngine:
         assert calls == dict.fromkeys(names, 1)
 
 
+#: The plot labels, written out here so that a label moved or lost in the
+#: axis and family tables fails; each family's sweep runs one method.
+XLABELS = {"snr_db": "SNR (dB)", "lambda": "power splitting ratio",
+           "r": "multiplexing gain", "d1": "relay position"}
+YLABELS = {"outage": ("exact_quadrature", "outage probability"),
+           "capacity": ("capacity_quadrature", "ergodic capacity (bit/s/Hz)"),
+           "dmt": ("dmt", "diversity gain")}
+# an r sweep is dmt only
+PLOT_CASES = [(axis, family) for axis in XLABELS for family in YLABELS
+              if axis != "r" or family == "dmt"]
+
+
+def _plot_config(axis, family, tmp_path):
+    start, stop = (0.0, 30.0) if axis == "snr_db" else (0.2, 0.8)
+    return ExperimentConfig(sweep=axis, start=start, stop=stop, steps=2,
+                            methods=(YLABELS[family][0],), output_path=str(tmp_path / "x.csv"))
+
+
+class TestPlotScript:
+    @pytest.mark.parametrize("axis, family", PLOT_CASES)
+    def test_labels_and_scale(self, tmp_path, axis, family):
+        path = write_plot_script(_plot_config(axis, family, tmp_path))
+        lines = Path(path).read_text().splitlines()
+        assert f'ax.set_xlabel("{XLABELS[axis]}")' in lines
+        assert f'ax.set_ylabel("{YLABELS[family][1]}")' in lines
+        log_scale = ['ax.set_yscale("log")'] if family == "outage" else []
+        assert [line for line in lines if "set_yscale" in line] == log_scale
+
+    def test_cases_are_every_pair_a_config_accepts(self, tmp_path):
+        accepted = []
+        for axis in AXES:
+            for family in FAMILIES:
+                try:
+                    _plot_config(axis, family, tmp_path)
+                except ConfigError:
+                    continue
+                accepted.append((axis, family))
+        assert sorted(accepted) == sorted(PLOT_CASES)
+
+
+class TestPresets:
+    @pytest.mark.parametrize("figure", [1, 2, 3, 4])
+    def test_run_on_the_preset_text_writes_what_reproduce_writes(self, tmp_path, figure):
+        by_run, by_reproduce = tmp_path / "run", tmp_path / "reproduce"
+        by_run.mkdir()
+        by_reproduce.mkdir()
+        path = tmp_path / "preset.cfg"
+        path.write_text(PRESETS[figure]
+                        + f"mc_n = 200000\noutput_path = {by_run / f'fig{figure}.csv'}\n")
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        argv = ["reproduce", "--figure", str(figure), "--n", "200000", "--out", str(by_reproduce)]
+        assert cli.main(argv) == cli.EXIT_OK
+        for name in (f"fig{figure}.csv", f"fig{figure}_plot.py"):
+            assert (by_run / name).read_bytes() == (by_reproduce / name).read_bytes()
+        golden = (GOLDEN_PRESETS / f"fig{figure}.csv").read_bytes()
+        assert (by_run / f"fig{figure}.csv").read_bytes() == golden
+
+    def test_unknown_figure_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=r"^figure must be 1\.\.4; got 5$"):
+            figure_preset(5)
+
+
 class TestValidate:
     def test_passes_on_healthy_sweep(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -325,6 +392,29 @@ class TestValidate:
         assert report.passed
         result = read_csv(config.output_path)
         assert all(row.value == 0.0 for row in result.rows)
+
+    def test_reference_curves_are_reported_not_judged(self, tmp_path, monkeypatch):
+        # the reference curves are moved 1 above their values, far past the
+        # mc row's slack: the verdict follows the judged rows alone
+        for name in ("outage_high_snr", "non_coop_outage"):
+            def shifted(params, targets, _fn=getattr(analytic, name)):
+                return [value + 1.0 for value in _fn(params, targets)]
+
+            monkeypatch.setattr(analytic, name, shifted)
+        config = ExperimentConfig(
+            sweep="snr_db", start=10.0, stop=20.0, steps=3,
+            methods=("mc", "exact_quadrature", "high_snr", "non_coop"),
+            mc_n=20_000, seed=7, output_path=str(tmp_path / "ref.csv"),
+        )
+        report = validate_sweep(config)
+        judged = [line for line in report.lines if " -> " in line]
+        assert [line.split(":")[0] for line in judged] == [
+            f"snr_db={value} exact_quadrature" for value in (10, 15, 20)]
+        assert all(line.endswith(" -> PASS") for line in judged)
+        assert [line for line in report.lines if "reference curve" in line] == [
+            f"snr_db={value} {method}: reference curve (not judged)"
+            for value in (10, 15, 20) for method in ("high_snr", "non_coop")]
+        assert report.passed and report.lines[-1] == "overall: PASS"
 
     @pytest.mark.parametrize(
         "methods",
