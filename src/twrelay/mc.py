@@ -23,9 +23,12 @@ scaled to ``g1 = omega1*e1`` and ``g2 = omega2*e2`` once per distinct pair of
 fading means, and every point is evaluated on it before the next chunk.
 Scaling a unit draw is how numpy's ``exponential(omega)`` makes its samples,
 so each point's estimate is bit-identical to a call for that point alone.
-The plan: a call sorts its points once by ``((omega1, omega2),
-derived_coeffs, weaker, snr_scales, index)``, and each chunk runs them in
-that order, forming a shared part again only where the key it rests on
+:mod:`twrelay.model` forms the SNR parts; how the points share them is
+this module's plan, and each point divides its numerators by its
+denominators itself, as ``model.end_to_end_snrs`` does for one point.  The
+plan: a call sorts its points once by ``((omega1, omega2), (b, c), weaker,
+(a1, a2), index)``, read off the batch's columns, and each chunk runs them
+in that order, forming a shared part again only where the key it rests on
 changes.  The fading means set the scaled gains and their product g1*g2,
 and (b, c) the SNR denominators ``b*g_i + c``.  A point with a = P1/sigma2
 = P2/sigma2 (every preset's) divides one numerator a*g1*g2 by both, shared
@@ -46,7 +49,8 @@ Each point forms its (b, c)'s denominator pair in one step, where (b, c)
 changes.  The pair goes in den1 and den2 where several points on the same
 gains share it (an SNR sweep's), or where the point has P1 != P2, as it
 forms its two numerators in its SNR buffers.  A point alone on its (b, c)
-with a1 = a2 (each point of a lambda sweep) forms the pair in its SNR
+(neither neighbour in the sorted plan shares its fading means and (b, c))
+with a1 = a2, as each point of a lambda sweep is, forms the pair in its SNR
 buffers and divides the numerator into them in place.  Either way a
 weaker point's maximum overwrites the pair's first array.  The last
 fading means scale the draws in place, as no later point reads them.  A
@@ -89,7 +93,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
@@ -110,7 +113,6 @@ from .model import (
     check_symmetric_powers,
     db_to_linear,
     derived_coeffs,
-    end_to_end_snrs,
     gain_product,
     snr_denominators,
     snr_numerator,
@@ -245,13 +247,14 @@ def _numerators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
-                n: int, seed: int, workers: int, weaker: list | None = None) -> np.ndarray:
+                n: int, seed: int, workers: int, weaker=False) -> np.ndarray:
     """``total`` plus, per point of the (points,) columns ``params``, its
     ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
     entry, summed over the chunks in chunk order.  The points run along
     ``total``'s last axis, and the parts of a kernel result that is a tuple
     along its first.  ``gammas`` is the SNR pair, or the one weaker SNR for
-    a point that ``weaker`` marks and whose two scales are equal.
+    a point that the bool column ``weaker`` marks and whose two scales are
+    equal.
 
     A chunk runs the call's plan (see the module docstring) one of its
     ``_halves`` at a time, each point on its own floats, with a buffer for
@@ -266,24 +269,24 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
         return total
     a, scales = _numerators(params)
     raise_first(overflows("a*omega1*omega2", scales, a))
-    points = [SystemParams(*row) for row in zip(*(v.tolist() for v in params))]
-    keys = sorted(
-        ((point.omega1, point.omega2), derived_coeffs(point), weak and a1 == a2, a1, a2, i)
-        for i, (point, weak, (a1, a2)) in enumerate(zip(
-            points, weaker or [False] * len(points), map(snr_scales, points))))
-    readers = Counter(key[:2] for key in keys)
+    b, c = derived_coeffs(params)
+    keys = sorted(zip(zip(params.omega1.tolist(), params.omega2.tolist()),
+                      zip(b.tolist(), c.tolist()),
+                      (weaker & (a[:, 0] == a[:, 1])).tolist(), *a.T.tolist(), range(len(a))))
     # lone: alone on its (b, c) with a1 = a2, so its denominators go in its SNR buffers
-    plan = [(*key, readers[key[:2]] == 1 and key[3] == key[4], points[key[-1]]) for key in keys]
+    parts = [None, *(key[:2] for key in keys), None]
+    plan = [(*key, key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2])
+            for j, key in enumerate(keys)]
     last_means = plan[-1][0]
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
     workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
-    chunks = [[[None] * len(points) for _ in _halves(size)] for size in sizes]
+    chunks = [[[None] * len(plan) for _ in _halves(size)] for size in sizes]
 
     def run_half(ws: _Workspace, results: list) -> None:
         snrs, shared = (ws.gamma1, ws.gamma2), (ws.den1, ws.den2)
         means = coeffs = held = None
-        for point_means, point_coeffs, weak, a1, a2, i, lone, point in plan:
+        for point_means, point_coeffs, weak, a1, a2, i, lone in plan:
             if point_means != means:
                 means, coeffs, held = point_means, None, None
                 g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
@@ -299,8 +302,11 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
             if weak and not larger:
                 larger = True
                 np.maximum(*pair, out=pair[0])
-            gammas = end_to_end_snrs(point, g1, g2, prod=prod, dens=pair[:1] if weak else pair,
-                                     num=ws.num if a1 == a2 else None, out=snrs)
+            # a1 != a2: each direction's numerator goes in its SNR buffer
+            nums = (ws.num, ws.num) if a1 == a2 else [
+                snr_numerator(scale, prod, out=gamma) for scale, gamma in zip((a1, a2), snrs)]
+            gammas = tuple(np.divide(num, den, out=gamma)
+                           for num, den, gamma in zip(nums, pair[:1] if weak else pair, snrs))
             results[i] = kernel(extras[i], gammas, ws)
 
     errors: list[BaseException | None] = [None] * lanes
@@ -349,7 +355,7 @@ def estimate_outage(
     shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
     taus = list(zip(tau1.tolist(), tau2.tolist()))
     counts = _map_points(_outage_count, np.zeros(len(taus), dtype=np.int64), params, taus,
-                         n, seed, workers, weaker=[t1 == t2 for t1, t2 in taus])
+                         n, seed, workers, weaker=tau1 == tau2)
     p = counts / n
     var = p * (1.0 - p) * n / (n - 1) if n > 1 else np.zeros_like(p)
     return Estimate.shaped(p, np.sqrt(var / n), shape, n, seed)

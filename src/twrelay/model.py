@@ -10,11 +10,11 @@ the end-to-end SNR seen at source i reduces to
     gamma_i = (P_j / sigma2) * g1 * g2 / (b * g_i + c),
 
 with b = 1 + epsilon*lam/(1 - lam) and c = 1/(eta*lam).  That rational
-form is computed only here, by ``end_to_end_snrs`` from its shared parts
-``gain_product``, ``snr_numerator`` and ``snr_denominators``; the tests
-check it against the algebraically identical harvest-division form.  Where
-P1 = P2, it also forms min(gamma1, gamma2) as one quotient, when its
-``dens`` is the one max(den1, den2) (see :mod:`twrelay.mc`).
+form has one implementation of each part: ``gain_product`` g1*g2,
+``snr_numerator`` (P_j/sigma2)*g1*g2 and ``snr_denominators`` b*g_i + c.
+``end_to_end_snrs`` is their quotient for one point; the tests check it
+against the algebraically identical harvest-division form.  How points on
+the same gains share the parts is :mod:`twrelay.mc`'s own plan.
 
 The model takes one point or a batch in the same form: each field of a
 ``SystemParams`` or ``TargetRates`` is either a float, which holds at every
@@ -66,14 +66,18 @@ class DerivedCoeffs(NamedTuple):
 
 
 def _broadcast(*values) -> list[np.ndarray]:
-    """``values`` as float arrays of one shape; columns whose lengths differ
-    raise ParameterError."""
+    """``values`` as float arrays of one shape; values that do not broadcast
+    raise ParameterError naming their lengths, or their shapes where the
+    lengths agree."""
     arrays = [np.asarray(v, dtype=float) for v in values]
     try:
         return np.broadcast_arrays(*arrays)
     except ValueError:
         lengths = sorted({len(v) for v in arrays if v.ndim})
-        raise ParameterError(f"per-point columns differ in length: {lengths}") from None
+        if len(lengths) > 1:
+            raise ParameterError(f"per-point columns differ in length: {lengths}") from None
+        shapes = sorted({v.shape for v in arrays if v.ndim})
+        raise ParameterError(f"per-point values differ in shape: {shapes}") from None
 
 
 def _shaped(values: np.ndarray, shape: tuple):
@@ -243,28 +247,11 @@ def snr_denominators(coeffs: DerivedCoeffs, g1, g2, out=(None, None)):
     return tuple(np.add(np.multiply(b, g, out=o), c, out=o) for g, o in zip((g1, g2), out))
 
 
-def end_to_end_snrs(
-    params: SystemParams, g1, g2, *, prod=None, dens=None, num=None, out=(None, None)
-) -> tuple:
-    """End-to-end SNR pair (gamma1, gamma2) after the two-stage round.
+def end_to_end_snrs(params: SystemParams, g1, g2) -> tuple:
+    """End-to-end SNR pair (gamma1, gamma2) after the two-stage round: each
+    direction's ``snr_numerator`` over its ``snr_denominators`` entry.
 
-    Takes scalar or array gains; zero gains give zero SNR.  Points that share
-    their gains can share the work: ``prod`` is their ``gain_product``,
-    ``dens`` their ``snr_denominators``, ``num`` the ``snr_numerator`` of a
-    point with P1 = P2, which both directions divide, and ``out`` is a pair
-    of arrays to write gamma1 and gamma2 into.  With ``num``, ``dens`` may
-    instead be the one max(den1, den2): the result is then the one SNR
-    min(gamma1, gamma2), in ``out``'s first array.  Each part runs the same
-    ufuncs in the same order whether it is passed or computed here, so the
-    bits do not depend on which are given.
+    Takes scalar or array gains; zero gains give zero SNR.
     """
-    if dens is None:
-        dens = snr_denominators(derived_coeffs(params), g1, g2)
-    if num is not None:
-        return tuple(np.divide(num, den, out=o) for den, o in zip(dens, out))
-    if prod is None:
-        prod = gain_product(g1, g2)
-    return tuple(
-        np.divide(snr_numerator(a, prod, out=o), den, out=o)
-        for a, den, o in zip(snr_scales(params), dens, out)
-    )
+    prod, dens = gain_product(g1, g2), snr_denominators(derived_coeffs(params), g1, g2)
+    return tuple(np.divide(snr_numerator(a, prod), den) for a, den in zip(snr_scales(params), dens))

@@ -140,6 +140,11 @@ print("wrote {stem}.png")
 '''
 
 
+#: What a name needs escaped inside the plot script's double-quoted string
+#: literals and its docstring; every other character is written as is.
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def _stem(config: ExperimentConfig) -> str:
     """The output path without its .csv suffix; the plot files share it."""
     return config.output_path.removesuffix(".csv")
@@ -152,11 +157,11 @@ def plot_script_path(config: ExperimentConfig) -> str:
 def write_plot_script(config: ExperimentConfig) -> str:
     family = FAMILIES[config.plan.family]
     script = _PLOT_TEMPLATE.format(
-        csv_name=os.path.basename(config.output_path),
+        csv_name=os.path.basename(config.output_path).translate(_ESCAPES),
         xlabel=AXES[config.sweep].label,
         ylabel=family.label,
         yscale='ax.set_yscale("log")\n' if family.log_scale else "",
-        stem=os.path.basename(_stem(config)),
+        stem=os.path.basename(_stem(config)).translate(_ESCAPES),
     )
     path = plot_script_path(config)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

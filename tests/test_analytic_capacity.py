@@ -100,6 +100,12 @@ class TestCapacitySeries:
                            match=r"^per-point columns differ in length: \[2, 3\]$"):
             capacity_direction_integral([1.0, 2.0], [0.1, 0.2, 0.3])
 
+    def test_a_pair_array_against_a_column_names_the_shapes(self):
+        # both have 3 points: the fault is a (points, 2) array meeting a 1-D column
+        with pytest.raises(ParameterError,
+                           match=r"^per-point values differ in shape: \[\(3,\), \(3, 2\)\]$"):
+            capacity_direction_integral(np.ones((3, 2)), np.ones(3))
+
     def test_zero_bessel_scale_collapses_to_base_term(self):
         # with the harvest-inverse coefficient forced to zero every series
         # term vanishes and only the hypergeometric base survives

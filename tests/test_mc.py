@@ -470,7 +470,8 @@ class TestBatchedDraws:
 
 #: A batch that exercises every share of a chunk's work: d1 0.3 and 0.5 give
 #: two pairs of fading means; within d1 = 0.5, three SNRs share one (b, c)
-#: and lambda 0.4 gives another.
+#: and lambda 0.4 gives another, which a point with P1 != P2 and tied
+#: targets shares: its outage takes both directions, not the weaker SNR.
 SHARED_BATCH = [
     make_params(d1=0.3),
     make_params(d1=0.5),
@@ -478,8 +479,10 @@ SHARED_BATCH = [
     make_params(d1=0.5, snr_db=25.0),
     make_params(d1=0.5, lam=0.4),
     make_params(d1=0.3, lam=0.4, snr_db=5.0),
+    make_params(d1=0.5, lam=0.4, p2_scale=0.4),
 ]
-SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t) for t in (1.0, 0.5, 1.0, 1.5, 0.8, 1.2)]
+SHARED_TARGETS = [TargetRates.from_rates(t, 2.0 - t)
+                  for t in (1.0, 0.5, 1.0, 1.5, 0.8, 1.2, 1.0)]
 # two whole chunks and a partial one, split in halves
 N_PARTIAL = 2 * CHUNK_DRAWS + 4321
 

@@ -154,7 +154,8 @@ class TestEndToEndSnrs:
         assert end_to_end_snrs(params, 1.0, 0.0) == (0.0, 0.0)
 
     def test_shared_parts_and_out_give_the_same_bits(self):
-        # three SNRs share one (b, c); zero gains included
+        # three SNRs share one (b, c); zero gains included; the parts composed
+        # as the Monte Carlo plan composes them give end_to_end_snrs' bits
         rng = np.random.default_rng(29)
         g1 = rng.exponential(8.0, 5000)
         g2 = rng.exponential(3.0, 5000)
@@ -170,17 +171,19 @@ class TestEndToEndSnrs:
                 (params.p2 / params.sigma2) * (g1 * g2) / (b * g1 + c),
                 (params.p1 / params.sigma2) * (g1 * g2) / (b * g2 + c),
             )
+            # shared denominators, each direction's numerator formed in its out
             out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
-            shared = end_to_end_snrs(params, g1, g2, prod=prod, dens=dens, out=out)
+            shared = tuple(np.divide(snr_numerator(a, prod, out=o), den, out=o)
+                           for a, den, o in zip(snr_scales(params), dens, out))
             assert shared[0] is out[0] and shared[1] is out[1]
             # P1 = P2: both directions divide one numerator
             num = snr_numerator(params.p1 / params.sigma2, prod, out=np.empty_like(g1))
-            one_num = end_to_end_snrs(params, g1, g2, dens=dens, num=num)
+            one_num = tuple(np.divide(num, den) for den in dens)
             # dens formed in out, as a lone Monte Carlo point forms them: each
             # quotient overwrites its own
             in_out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
             in_dens = snr_denominators(derived_coeffs(params), g1, g2, out=in_out)
-            own = end_to_end_snrs(params, g1, g2, num=num, dens=in_dens, out=in_out)
+            own = tuple(np.divide(num, den, out=den) for den in in_dens)
             assert own[0] is in_out[0] and own[1] is in_out[1]
             for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num, own):
                 for got, want in zip(gammas, written_out):
@@ -255,8 +258,9 @@ class TestWeakerSnr:
         with np.errstate(all="ignore"):
             gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
             num = snr_numerator(snr_scales(params)[0], gain_product(g1, g2))
-            larger = np.maximum(*snr_denominators(derived_coeffs(params), g1, g2))
-            (weak,) = end_to_end_snrs(params, g1, g2, num=num, dens=(larger,))
+            pair = snr_denominators(derived_coeffs(params), g1, g2,
+                                    out=(np.empty_like(g1), np.empty_like(g1)))
+            weak = np.divide(num, np.maximum(*pair, out=pair[0]), out=pair[0])
         smaller = np.minimum(gamma1, gamma2)
         assert np.array_equal(weak, smaller, equal_nan=True)
         nan = np.isnan(smaller)

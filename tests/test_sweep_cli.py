@@ -1,11 +1,13 @@
 """Config parsing, sweep engine, CSV round-trips, CLI exit codes."""
 
+import hashlib
 import os
 import re
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -320,6 +322,50 @@ class TestPlotScript:
                     continue
                 accepted.append((axis, family))
         assert sorted(accepted) == sorted(PLOT_CASES)
+
+
+class TestPlotScriptNames:
+    #: sha256 of the plot script of each figure preset, as written before
+    #: names were escaped: a name without ", \\ or a line break is kept as is
+    PRESET_SCRIPTS = {
+        1: "bd8e83f0240a15959c27e7c3f478f1881897223ff074684085178347bf837aa9",
+        2: "32dc4fbb30ad1cca973f595fed08da294549901882336e82177a4965f1a4b29b",
+        3: "0f112f0bc323642d4c77bdbeca46d1f5b2b34b0d20a8b0219df34656444e1e37",
+        4: "31e3191bb64a0c7a9c4f56a2b30d23eb04bc7c975efcf2d3e249fcb0c245b5f6",
+    }
+
+    @pytest.mark.parametrize("figure", [1, 2, 3, 4])
+    def test_preset_scripts_keep_their_bytes(self, tmp_path, figure):
+        path = write_plot_script(figure_preset(figure, out_dir=str(tmp_path)))
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert digest == self.PRESET_SCRIPTS[figure]
+
+    def test_quote_and_backslash_in_the_name_parse_and_open_that_csv(
+            self, tmp_path, monkeypatch, capsys):
+        name = 'a"b\\c'
+        config = ExperimentConfig(sweep="snr_db", start=0.0, stop=30.0, steps=2,
+                                  methods=("exact_quadrature",),
+                                  output_path=str(tmp_path / f"{name}.csv"))
+        path = write_plot_script(config)
+        assert path == str(tmp_path / f"{name}_plot.py")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = compile(Path(path).read_text(encoding="utf-8"), path, "exec")
+        (tmp_path / f"{name}.csv").write_text(
+            "# seed = 1\naxis,method,value,std_err\n10,exact_quadrature,0.25,\n")
+        # a stand-in pyplot, so that the script runs without matplotlib
+        plt = mock.MagicMock()
+        fig = mock.MagicMock()
+        plt.subplots.return_value = (fig, mock.MagicMock())
+        monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=plt))
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+        monkeypatch.chdir(tmp_path)
+        namespace = {}
+        exec(code, namespace)
+        assert namespace["__doc__"].startswith(f"Plot {name}.csv ")
+        assert dict(namespace["series"]) == {"exact_quadrature": [(10.0, 0.25)]}
+        fig.savefig.assert_called_once_with(f"{name}.png", dpi=150)
+        assert capsys.readouterr().out == f"wrote {name}.png\n"
 
 
 class TestPresets:
