@@ -263,36 +263,47 @@ def _joint_thresholds(taus):
     return joint, np.where(joint[:, None], taus, 1.0)
 
 
-def _joint_outage(batch: _Batch, taus) -> tuple[np.ndarray, list[Check]]:
-    """P(gamma_1 < tau1, gamma_2 < tau2) via the corner-point decomposition:
+def _corner_parts(params, targets) -> tuple:
+    """What :func:`outage_exact` and :func:`outage_bounds` share: the batch,
+    each direction's survival P(gamma_i > tau_i), (points, 2), the joint
+    mask and thresholds of :func:`_joint_thresholds`, the corner and its
+    checks (:func:`_corner_point`) and the parts of :func:`_corner_mass`."""
+    batch, taus, _, m, kappa = _thresholded(params, targets)
+    joint, taus = _joint_thresholds(taus)
+    corner, checks = _corner_point(batch, taus, joint)
+    return (batch, _survival(m, kappa), joint, taus, corner, checks,
+            *_corner_mass(batch.d, corner))
+
+
+def _system_outage(survivals, joint_outage) -> tuple[np.ndarray, Check]:
+    """The system outage by inclusion-exclusion, the two marginal outages
+    1 - P(gamma_i > tau_i) less ``joint_outage``, clamped to [0, 1], and its
+    excursion check."""
+    return _clamp_probability((1.0 - survivals).sum(axis=1) - joint_outage, "outage_exact")
+
+
+def outage_exact(params, targets) -> float:
+    """System outage by inclusion-exclusion over the two directions.
+
+    The joint outage P(gamma_1 < tau1, gamma_2 < tau2) comes from the
+    corner-point decomposition:
 
         1 - exp(-X0/omega1 - Y0/omega2)
           - sum_i (1/own_i) exp(-s_i*tau_i) * I(tau_i*mu_i*own_i, own_i, V_i),
 
     where V_i is the corner coordinate on direction i's own axis (X0 for
     direction 1, Y0 for direction 2) and I integrates the boundary strip
-    between the corner and the curve (see :func:`_segment_integral`); 0
-    where a threshold is 0.  The strips of all points and both directions
-    are one array pass.  Returns the values and the checks of the corner
-    (:func:`_corner_point`) and of the excursion from [0, 1].
+    between the corner and the curve (see :func:`_segment_integral`); it is
+    0 where a threshold is 0.  The strips of all points and both directions
+    are one array pass.
     """
-    joint, taus = _joint_thresholds(taus)
+    batch, survivals, joint, taus, corner, checks, _, mass = _corner_parts(params, targets)
     d = batch.d
-    corner, checks = _corner_point(batch, taus, joint)
     strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
-    _, mass = _corner_mass(d, corner)
-    value, (bad, error) = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1],
-                                             "joint_outage")
-    return np.where(joint, value, 0.0), [*checks, (joint & bad, error)]
-
-
-def outage_exact(params, targets) -> float:
-    """System outage by inclusion-exclusion over the two directions."""
-    batch, taus, _, m, kappa = _thresholded(params, targets)
-    joint, checks = _joint_outage(batch, taus)
-    marginals = (1.0 - _survival(m, kappa)).sum(axis=1)
-    value, clamp = _clamp_probability(marginals - joint, "outage_exact")
-    raise_first(*checks, clamp)
+    both, (bad, error) = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1],
+                                            "joint_outage")
+    value, clamp = _system_outage(survivals, np.where(joint, both, 0.0))
+    raise_first(*checks, (joint & bad, error), clamp)
     return batch.shaped(value)
 
 
@@ -303,7 +314,7 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     exp(-k/z) on the tail yields the upper bound, shifting the full-line
     integral by exp(-V/omega) the lower one.  With the corner mass
     M = exp(-X0/omega1 - Y0/omega2) and V_i, own_i as in
-    :func:`_joint_outage`, the lower bound is Bessel-free:
+    :func:`outage_exact`, the lower bound is Bessel-free:
 
         P >= 1 + M - sum_i exp(-s_i*tau_i - V_i/own_i),
 
@@ -318,14 +329,9 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     The exact value and the lower bound keep the excursion check.  A point
     with a zero threshold has no corner: both bounds are its exact outage.
     """
-    batch, taus, _, m, kappa = _thresholded(params, targets)
-    d = batch.d
-    survivals = _survival(m, kappa)
-    exact, exact_check = _clamp_probability((1.0 - survivals).sum(axis=1), "outage_exact")
-    joint, taus = _joint_thresholds(taus)
-    corner, corner_checks = _corner_point(batch, taus, joint)
-    shift, mass = _corner_mass(d, corner)
-    lower, _ = _lower_bound(d, taus, shift, mass)
+    batch, survivals, joint, taus, _, corner_checks, shift, mass = _corner_parts(params, targets)
+    exact, exact_check = _system_outage(survivals, 0.0)
+    lower, _ = _lower_bound(batch.d, taus, shift, mass)
     attenuated = survivals * np.exp(-shift)
     upper = 1.0 + mass - attenuated[:, 0] - attenuated[:, 1]
     lower, lower_check = _clamp_probability(lower, "outage lower bound")

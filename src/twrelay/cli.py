@@ -82,7 +82,7 @@ def main(argv=None) -> int:
         config = _configured(args)
         if args.command in ("run", "reproduce"):
             result = run_sweep(config)
-            print(f"wrote {config.output_path} ({len(result.rows)} rows)")
+            print(f"wrote {config.output_path} ({len(result.grid) * len(result.columns)} rows)")
             print(f"wrote {plot_script_path(config)}")
             print(f"wall time: {result.wall_time_s:.2f} s", file=sys.stderr)
             return EXIT_OK

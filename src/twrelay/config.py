@@ -50,6 +50,11 @@ def _gains(values) -> np.ndarray:
     return gains
 
 
+#: What keeps a name on one line of a CSV comment or a report, escaped as in
+#: a Python string literal; every other character is written as is.
+ONE_LINE = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+
+
 class Axis(NamedTuple):
     fields: tuple[str, ...]  # the point fields the axis sets
     column: Callable  # (config, values) -> the column it sets them to
@@ -186,6 +191,12 @@ def plan(config: ExperimentConfig) -> Plan:
         targets = TargetRates.from_rates(config.t1, config.t2)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
+    # a bound grid ascends, so values that the CSV writes alike are neighbours
+    labels = [f"{v:.12g}" for v in grid]
+    for label, after in zip(labels, labels[1:]):
+        if label == after:
+            raise ConfigError(f"{config.steps} steps from {config.start!r} to {config.stop!r} "
+                              f"give the sweep value {label} twice at the CSV's 12 digits")
     return Plan(family, grid, params, targets, point["r"])
 
 
@@ -236,6 +247,9 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path!r}: not UTF-8 "
+                          f"({exc.reason} at byte {exc.start})") from exc
     return parse_config_text(text, **overrides)
 
 
@@ -252,7 +266,7 @@ def canonical_items(config: ExperimentConfig) -> list[tuple[str, str]]:
             continue
         key = _FIELD_TO_KEY.get(name, name)
         if name == "output_path":
-            rendered = os.path.basename(str(value))
+            rendered = os.path.basename(str(value)).translate(ONE_LINE)
         elif isinstance(value, tuple):
             rendered = ",".join(value)
         elif isinstance(value, float):

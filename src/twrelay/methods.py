@@ -7,10 +7,12 @@ call of an ``analytic.*`` or ``mc.*`` function over all points.  An output
 is a list of one float per point, or an ``mc.Estimate`` of such lists.  An
 Estimate, like every record of the package, is a NamedTuple, yet it is one
 output: its evaluator returns it in a 1-tuple, and the sweep tells it from
-a list by its type.  A failure is marked with the index of its first
-failing point (``errors.failed_at``).  Methods that share an evaluator
-share its outputs, each taking its rows from output ``first`` on, so a
-sweep runs each closed form once.  Evaluators look up ``analytic.*`` and
+a list by its type.  Each row of a method is one column of the sweep's
+result (``sweep.Column``): an output's values, with an Estimate's standard
+errors.  A failure is marked with the index of its first failing point
+(``errors.failed_at``).  Methods that share an evaluator share its
+outputs, each taking its rows from output ``first`` on, so a sweep runs
+each closed form once.  Evaluators look up ``analytic.*`` and
 ``mc.*`` when called, so a function rebound there is the one that runs.
 The metric families are one table too, ``FAMILIES``: how config errors
 name each metric, whether lambda-star maximises it, and its plot's y label

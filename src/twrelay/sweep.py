@@ -5,10 +5,16 @@ The four figure presets are config texts (``PRESETS``), parsed as ``run``
 parses a config file; the plot script takes its labels from the axis and
 family tables (``config.AXES``, ``methods.FAMILIES``).
 
+A sweep's result is its columns: the grid of axis values, and for each CSV
+row name one column of values, one per grid point, with the standard
+errors of a Monte Carlo column.  The CSV, ``validate`` and lambda-star all
+read those columns by grid index.
+
 CSV layout: '#'-prefixed metadata comment lines (config echo, seed,
 version), then ``axis,method,value,std_err`` rows with 12 significant
-digits.  Wall time is kept out of the file on purpose: re-running a preset
-with the same seed must reproduce the CSV byte for byte.
+digits, point by point in column order.  Wall time is kept out of the file
+on purpose: re-running a preset with the same seed must reproduce the CSV
+byte for byte.
 """
 
 from __future__ import annotations
@@ -20,21 +26,21 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import AXES, ExperimentConfig, canonical_items, parse_config_text
+from .config import AXES, ONE_LINE, ExperimentConfig, canonical_items, parse_config_text
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
 from .methods import EXACT, FAMILIES, LOWER, METHODS, REFERENCE, UPPER
 
 
-class SweepRow(NamedTuple):
-    axis_value: float
-    method: str
-    value: float
-    std_err: float | None = None
+class Column(NamedTuple):
+    method: str  # the CSV row name: the method, and its row's suffix
+    values: list[float]  # one per grid point
+    std_errs: list[float] | None  # one per grid point for Monte Carlo, else None
 
 
 class SweepResult(NamedTuple):
-    rows: list[SweepRow]
+    grid: list[float]
+    columns: list[Column]
     metadata: dict[str, str]
     wall_time_s: float = 0.0
 
@@ -44,11 +50,10 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
 
     The points of the config's Plan, bound when it was made, are one batch;
     each method's evaluator runs once over it (methods sharing one share
-    its run), and each method's rows are columns of its evaluator's
-    outputs; the rows are emitted point by point in method order.
-    Deterministic given the seed; writes the CSV and a matplotlib script
-    referencing it (unless ``write=False``).  The output paths are checked
-    before any evaluation, so a bad path fails fast.
+    its run), and each of the method's rows is a column of its evaluator's
+    outputs, in method order.  Deterministic given the seed; writes the CSV
+    and a matplotlib script referencing it (unless ``write=False``).  The
+    output paths are checked before any evaluation, so a bad path fails fast.
     """
     if write:
         _require_writable(config.output_path, plot_script_path(config))
@@ -65,21 +70,16 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
             # an error raised inside an array pass may not know its point
             point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
             raise type(exc)(f"{point}method={method}: {exc}") from exc
-    columns = []  # (row name, values, std_errs) of each row of a point, in order
-    no_errs = [None] * len(grid)
+    columns = []
     for method in config.methods:
         spec = METHODS[method]
         for (suffix, _), out in zip(spec.rows, outputs[spec.evaluators[family]][spec.first:]):
             # a Monte Carlo output is one Estimate of columns, a closed form's its values
-            values, errs = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, no_errs)
-            columns.append((method + suffix, values, errs))
-    rows = [SweepRow(value, name, values[i], errs[i])
-            for i, value in enumerate(grid) for name, values, errs in columns]
+            values, errs = (out.mean, out.std_err) if isinstance(out, Estimate) else (out, None)
+            columns.append(Column(method + suffix, values, errs))
     metadata = {f"config.{k}": v for k, v in canonical_items(config)}
     metadata["version"] = __version__
-    result = SweepResult(
-        rows=rows, metadata=metadata, wall_time_s=time.perf_counter() - started
-    )
+    result = SweepResult(grid, columns, metadata, time.perf_counter() - started)
     if write:
         write_csv(result, config.output_path)
         write_plot_script(config)
@@ -103,11 +103,10 @@ def _require_writable(*paths: str) -> None:
 def write_csv(result: SweepResult, path: str) -> None:
     lines = [f"# {k} = {v}" for k, v in sorted(result.metadata.items())]
     lines.append("axis,method,value,std_err")
-    axis_of = None  # the rows of a sweep point share one axis float: format it once
-    for axis, method, value, err in result.rows:
-        if axis is not axis_of:
-            axis_of, head = axis, f"{axis:.12g},"
-        lines.append(f"{head}{method},{value:.12g},{'' if err is None else f'{err:.12g}'}")
+    for i, axis in enumerate(result.grid):
+        head = f"{axis:.12g},"
+        lines.extend(f"{head}{method},{values[i]:.12g},{'' if errs is None else f'{errs[i]:.12g}'}"
+                     for method, values, errs in result.columns)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -141,8 +140,9 @@ print("wrote {stem}.png")
 
 
 #: What a name needs escaped inside the plot script's double-quoted string
-#: literals and its docstring; every other character is written as is.
-_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+#: literals and its docstring: a quote, and what keeps it on one line;
+#: every other character is written as is.
+_ESCAPES = {**ONE_LINE, ord('"'): '\\"'}
 
 
 def _stem(config: ExperimentConfig) -> str:
@@ -179,7 +179,8 @@ class ValidationReport(NamedTuple):
 
 
 def validate_sweep(config: ExperimentConfig) -> ValidationReport:
-    """Compare analytic methods against the Monte Carlo reference per point.
+    """Compare analytic methods against the Monte Carlo reference per point:
+    each column against the ``mc`` column at each grid index.
 
     Each row is judged as its method's table entry says: exact rows must
     sit within 3 standard errors of the MC mean; bound rows must bracket it
@@ -195,28 +196,26 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     report_path = config.output_path + ".validation.txt"
     _require_writable(report_path)
     result = run_sweep(config)
-    by_axis: dict[float, dict[str, SweepRow]] = {}
-    for row in result.rows:
-        by_axis.setdefault(row.axis_value, {})[row.method] = row
-    lines = [f"validation of {config.output_path} ({config.plan.family} sweep)"]
+    lines = [f"validation of {config.output_path.translate(ONE_LINE)} "
+             f"({config.plan.family} sweep)"]
     all_passed = True
-    for value in sorted(by_axis):
-        point = by_axis[value]
-        mc_row = point["mc"]
-        slack = 3.0 * (mc_row.std_err or 0.0)
-        for method, row in point.items():
+    mc_column = next(column for column in result.columns if column.method == "mc")
+    for i, value in enumerate(result.grid):
+        mc_value, slack = mc_column.values[i], 3.0 * mc_column.std_errs[i]
+        for method, values, _ in result.columns:
             if method == "mc":
                 continue
             head = f"{config.sweep}={value:.6g} {method}:"
             if judgments[method] == REFERENCE:
                 lines.append(f"{head} reference curve (not judged)")
                 continue
-            gap = abs(row.value - mc_row.value)
-            ceiling, floor = mc_row.value + slack, mc_row.value - slack
+            analytic = values[i]
+            gap = abs(analytic - mc_value)
+            ceiling, floor = mc_value + slack, mc_value - slack
             ok, claim = {
                 EXACT: (gap <= slack, f"|analytic-mc|={gap:.6g} vs 3*std_err={slack:.6g}"),
-                LOWER: (row.value <= ceiling, f"{row.value:.6g} <= mc+3se={ceiling:.6g}"),
-                UPPER: (row.value >= floor, f"{row.value:.6g} >= mc-3se={floor:.6g}"),
+                LOWER: (analytic <= ceiling, f"{analytic:.6g} <= mc+3se={ceiling:.6g}"),
+                UPPER: (analytic >= floor, f"{analytic:.6g} >= mc-3se={floor:.6g}"),
             }[judgments[method]]
             lines.append(f"{head} {claim} -> {'PASS' if ok else 'FAIL'}")
             all_passed = all_passed and ok
@@ -249,8 +248,8 @@ def find_lambda_star(config: ExperimentConfig) -> LambdaStar:
             "lambda-star needs exactly one single-valued analytic method; "
             f"got {config.methods}"
         )
-    rows = run_sweep(config).rows
-    grid, values = [r.axis_value for r in rows], [r.value for r in rows]
+    result = run_sweep(config)
+    grid, values = result.grid, result.columns[0].values
     flat = max(values) == min(values)
     pick = np.argmax if FAMILIES[config.plan.family].maximise else np.argmin
     best = 0 if flat else int(pick(values))

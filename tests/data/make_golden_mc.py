@@ -63,12 +63,13 @@ def golden_configs() -> dict[str, ExperimentConfig]:
 def main() -> None:
     data = {}
     for name, config in golden_configs().items():
-        rows = run_sweep(config, write=False).rows
+        columns = run_sweep(config, write=False).columns
+        mc = next(column for column in columns if column.method == "mc")
         fields = config._asdict()
         del fields["workers"], fields["output_path"]
         data[name] = {
             "config": fields,
-            "mc": [[r.value.hex(), r.std_err.hex()] for r in rows if r.method == "mc"],
+            "mc": [[value.hex(), err.hex()] for value, err in zip(mc.values, mc.std_errs)],
         }
     path = Path(__file__).parent / "golden_mc.json"
     path.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")

@@ -58,11 +58,12 @@ def main() -> None:
     for name, config in golden_configs().items():
         fields = config._asdict()
         del fields["workers"], fields["output_path"]
+        result = run_sweep(config, write=False)
         data[name] = {
             "config": fields,
             "rows": [
-                [r.axis_value.hex(), r.method, r.value.hex()]
-                for r in run_sweep(config, write=False).rows
+                [axis.hex(), method, values[i].hex()]
+                for i, axis in enumerate(result.grid) for method, values, _ in result.columns
             ],
         }
     path = Path(__file__).parent / "golden_sweeps.json"

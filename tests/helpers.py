@@ -30,7 +30,7 @@ from twrelay.model import (
     end_to_end_snrs,
 )
 from twrelay.specfun import EULER_GAMMA, exp_integral_e1
-from twrelay.sweep import SweepResult, SweepRow
+from twrelay.sweep import Column, SweepResult
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
@@ -290,12 +290,15 @@ def corner_point(params, tau1, tau2) -> CornerPoint:
     return CornerPoint(*map(batch.shaped, corner.T))
 
 
-def joint_outage(params, tau1, tau2) -> float:
-    """P(gamma_1 < tau1, gamma_2 < tau2) by ``analytic._joint_outage``."""
-    batch, taus = _thresholds(params, tau1, tau2)
-    value, checks = analytic._joint_outage(batch, taus)
-    raise_first(*checks)
-    return batch.shaped(value)
+def joint_outage(params, tau1: float, tau2: float) -> float:
+    """P(gamma_1 < tau1, gamma_2 < tau2) of one point by inclusion-exclusion
+    over ``analytic.outage_exact``: the two one-way outages less the system
+    outage at (tau1, tau2)."""
+    rates = (0.5 * math.log2(1.0 + tau) for tau in (tau1, tau2))
+    system = analytic.outage_exact(params, TargetRates(*rates, tau1, tau2))
+    one_ways = (analytic.outage_exact(params, one_way(tau1, 1))
+                + analytic.outage_exact(params, one_way(tau2, 2)))
+    return one_ways - system
 
 
 class SymmetricCorner(NamedTuple):
@@ -386,9 +389,27 @@ def empirical_cdf_z(
     return [(float(z), float(k) / n) for z, k in zip(z_grid, counts)]
 
 
+class Row(NamedTuple):
+    """One CSV row of a sweep."""
+
+    axis_value: float
+    method: str
+    value: float
+    std_err: float | None
+
+
+def rows_of(result: SweepResult) -> list[Row]:
+    """The rows of a sweep's columns, as the CSV holds them: point by point,
+    in column order."""
+    return [Row(axis, method, values[i], None if errs is None else errs[i])
+            for i, axis in enumerate(result.grid) for method, values, errs in result.columns]
+
+
 def read_csv(path: str) -> SweepResult:
-    """Parse a sweep CSV back into rows + metadata (round-trips exactly)."""
-    rows: list[SweepRow] = []
+    """Parse a sweep CSV back into its grid, columns and metadata (round-trips
+    exactly): the first point's rows name the columns, and each point holds
+    one row of each, in order."""
+    rows: list[Row] = []
     metadata: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
@@ -400,9 +421,17 @@ def read_csv(path: str) -> SweepResult:
                 metadata[key] = value
                 continue
             axis_s, method, value_s, err_s = line.split(",")
-            rows.append(SweepRow(float(axis_s), method, float(value_s),
-                                 float(err_s) if err_s else None))
-    return SweepResult(rows=rows, metadata=metadata)
+            rows.append(Row(float(axis_s), method, float(value_s),
+                            float(err_s) if err_s else None))
+    names = list(dict.fromkeys(row.method for row in rows))
+    columns = []
+    for k, name in enumerate(names):
+        own = rows[k::len(names)]
+        assert all(row.method == name for row in own), f"{path}: rows out of column order"
+        errs = [row.std_err for row in own]
+        columns.append(Column(name, [row.value for row in own],
+                              None if errs[0] is None else errs))
+    return SweepResult([row.axis_value for row in rows[::len(names)]], columns, metadata)
 
 
 def end_to_end_snrs_exact_beta(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params, stack
+from helpers import GOLDEN_INTEGRALS, capacity_series_approx_j, make_params, rows_of, stack
 
 from twrelay.analytic import (
     SERIES_MAX_TERMS,
@@ -287,7 +287,7 @@ class TestLowSnr:
                      "non_coop"),
             seed=83, output_path=str(tmp_path / "low.csv"),
         )
-        rows = run_sweep(config, write=False).rows
+        rows = rows_of(run_sweep(config, write=False))
         for snr_db in (-60.0, -50.0):
             point = {r.method: r for r in rows if r.axis_value == snr_db}
             mc, slack = point["mc"].value, 3.0 * point["mc"].std_err

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import make_params, stack
+from helpers import make_params, rows_of, stack
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -36,7 +36,7 @@ class TestFrozenSweeps:
         entry = GOLDEN_SWEEPS[name]
         fields = dict(entry["config"], methods=tuple(entry["config"]["methods"]))
         config = ExperimentConfig(**fields)
-        rows = run_sweep(config, write=False).rows
+        rows = rows_of(run_sweep(config, write=False))
         assert [(r.axis_value.hex(), r.method) for r in rows] == [
             (axis, method) for axis, method, _ in entry["rows"]
         ]

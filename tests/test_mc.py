@@ -21,6 +21,7 @@ from helpers import (
     end_to_end_snrs_exact_beta,
     estimate_rates,
     make_params,
+    rows_of,
     stack,
     symmetric_corner,
 )
@@ -398,7 +399,7 @@ class TestBatchedDraws:
         entry = GOLDEN_MC[name]
         fields = dict(entry["config"], methods=tuple(entry["config"]["methods"]))
         config = ExperimentConfig(**fields, workers=workers)
-        rows = run_sweep(config, write=False).rows
+        rows = rows_of(run_sweep(config, write=False))
         got = [[r.value.hex(), r.std_err.hex()] for r in rows if r.method == "mc"]
         assert got == entry["mc"]
 

@@ -11,7 +11,10 @@ from unittest import mock
 
 import pytest
 
-from helpers import read_csv
+from data.make_golden_validate import GOLDEN as GOLDEN_VALIDATE
+from data.make_golden_validate import NAMES as VALIDATE_NAMES
+from data.make_golden_validate import validate_config
+from helpers import read_csv, rows_of
 
 from twrelay import analytic, cli, mc
 from twrelay import config as config_module
@@ -137,9 +140,8 @@ class TestSweepEngine:
     def test_rows_cover_grid_in_order(self, tmp_path):
         config = figure_preset(3, out_dir=str(tmp_path))
         result = run_sweep(config)
-        axes = [row.axis_value for row in result.rows]
-        assert axes == sorted(axes)
-        assert len(result.rows) == 4
+        assert result.grid == sorted(result.grid)
+        assert len(rows_of(result)) == 4
         assert os.path.exists(config.output_path)
         plot = plot_script_path(config)
         assert os.path.exists(plot)
@@ -162,7 +164,7 @@ class TestSweepEngine:
                 for r in rows
             ]
 
-        assert normalized(parsed.rows) == normalized(result.rows)
+        assert normalized(rows_of(parsed)) == normalized(rows_of(result))
         assert parsed.metadata == result.metadata
         # writing the parsed result back reproduces the bytes
         copy_path = str(tmp_path / "copy.csv")
@@ -180,13 +182,12 @@ class TestSweepEngine:
         config = figure_preset(1, n=20_000, out_dir=str(tmp_path))
         run_sweep(config)
         result = read_csv(config.output_path)
-        by_axis = {}
-        for row in result.rows:
-            by_axis.setdefault(row.axis_value, {})[row.method] = row.value
-        assert len(by_axis) == 7
-        for point in by_axis.values():
-            assert point["lower_bound"] <= point["exact_quadrature"] + 1e-12
-            assert point["exact_quadrature"] <= point["upper_bound"] + 1e-12
+        columns = {method: values for method, values, _ in result.columns}
+        assert len(result.grid) == 7
+        for lower, exact, upper in zip(
+                *(columns[m] for m in ("lower_bound", "exact_quadrature", "upper_bound"))):
+            assert lower <= exact + 1e-12
+            assert exact <= upper + 1e-12
 
     def test_capacity_bounds_expand_to_three_rows(self, tmp_path):
         config = ExperimentConfig(
@@ -198,12 +199,12 @@ class TestSweepEngine:
             output_path=str(tmp_path / "cb.csv"),
         )
         result = run_sweep(config)
-        assert list(dict.fromkeys(row.method for row in result.rows)) == [
+        assert [column.method for column in result.columns] == [
             "capacity_bounds:lower",
             "capacity_bounds:tight_upper",
             "capacity_bounds:loose_upper",
         ]
-        assert len(result.rows) == 6
+        assert len(rows_of(result)) == 6
 
     def test_numerical_error_carries_axis_point(self, tmp_path):
         # too few outage events for the diversity stencil
@@ -271,7 +272,7 @@ class TestSweepEngine:
                      "high_snr", "non_coop"),
             output_path=str(tmp_path / "x.csv"),
         )
-        rows = run_sweep(config, write=False).rows
+        rows = rows_of(run_sweep(config, write=False))
         for i in range(config.steps):
             point = {r.method: r.value for r in rows[6 * i:6 * i + 6]}
             assert point["exact_quadrature"] == point["exact_taylor"]
@@ -353,19 +354,48 @@ class TestPlotScriptNames:
             code = compile(Path(path).read_text(encoding="utf-8"), path, "exec")
         (tmp_path / f"{name}.csv").write_text(
             "# seed = 1\naxis,method,value,std_err\n10,exact_quadrature,0.25,\n")
-        # a stand-in pyplot, so that the script runs without matplotlib
+        namespace, fig = self._run(code, tmp_path, monkeypatch)
+        assert namespace["__doc__"].startswith(f"Plot {name}.csv ")
+        assert dict(namespace["series"]) == {"exact_quadrature": [(10.0, 0.25)]}
+        fig.savefig.assert_called_once_with(f"{name}.png", dpi=150)
+        assert capsys.readouterr().out == f"wrote {name}.png\n"
+
+    def test_line_breaks_in_the_name_keep_the_csv_and_report_lines(
+            self, tmp_path, monkeypatch, capsys):
+        # the CSV echo and the report header escape \\, LF and CR as the script does
+        name, escaped = "a\nb\rc\\d", "a\\nb\\rc\\\\d"
+        config = ExperimentConfig(sweep="snr_db", start=0.0, stop=30.0, steps=2,
+                                  methods=("mc", "exact_quadrature"), mc_n=2000, seed=3,
+                                  output_path=str(tmp_path / f"{name}.csv"))
+        report = validate_sweep(config)
+        assert report.lines[0] == f"validation of {tmp_path}/{escaped}.csv (outage sweep)"
+        assert Path(report.report_path).read_text().count("\n") == len(report.lines)
+        result = read_csv(config.output_path)
+        assert result.metadata["config.output_path"] == f"{escaped}.csv"
+        assert result.grid == [0.0, 30.0]
+        assert [column.method for column in result.columns] == ["mc", "exact_quadrature"]
+        code = compile(Path(plot_script_path(config)).read_text(encoding="utf-8"),
+                       plot_script_path(config), "exec")
+        namespace, fig = self._run(code, tmp_path, monkeypatch)
+        assert sorted(namespace["series"]) == ["exact_quadrature", "mc"]
+        assert [x for x, _ in namespace["series"]["mc"]] == [0.0, 30.0]
+        fig.savefig.assert_called_once_with(f"{name}.png", dpi=150)
+        assert capsys.readouterr().out.endswith(f"wrote {name}.png\n")
+
+    @staticmethod
+    def _run(code, directory, monkeypatch):
+        """Run a plot script's ``code`` in ``directory`` with a stand-in
+        pyplot, so that it runs without matplotlib: its namespace, and the
+        figure it made."""
         plt = mock.MagicMock()
         fig = mock.MagicMock()
         plt.subplots.return_value = (fig, mock.MagicMock())
         monkeypatch.setitem(sys.modules, "matplotlib", mock.MagicMock(pyplot=plt))
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
-        monkeypatch.chdir(tmp_path)
+        monkeypatch.chdir(directory)
         namespace = {}
         exec(code, namespace)
-        assert namespace["__doc__"].startswith(f"Plot {name}.csv ")
-        assert dict(namespace["series"]) == {"exact_quadrature": [(10.0, 0.25)]}
-        fig.savefig.assert_called_once_with(f"{name}.png", dpi=150)
-        assert capsys.readouterr().out == f"wrote {name}.png\n"
+        return namespace, fig
 
 
 class TestPresets:
@@ -399,6 +429,18 @@ class TestValidate:
         assert report.passed
         assert os.path.exists(report.report_path)
         assert "overall: PASS" in report.text()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", VALIDATE_NAMES)
+    def test_configs_keep_their_frozen_csv_and_report(
+            self, tmp_path, monkeypatch, name, workers):
+        # written from inside the output directory, as make_golden_validate.py
+        # wrote them, so that the report's first line names no directory
+        monkeypatch.chdir(tmp_path)
+        report = validate_sweep(validate_config(name, workers=workers))
+        assert report.passed
+        for path in (f"{name}.csv", report.report_path):
+            assert (tmp_path / path).read_bytes() == (GOLDEN_VALIDATE / path).read_bytes()
 
     def test_detects_corrupted_coefficient(self, tmp_path, monkeypatch):
         # bias the amplification-noise coefficient used by the closed forms
@@ -437,7 +479,7 @@ class TestValidate:
         report = validate_sweep(config)
         assert report.passed
         result = read_csv(config.output_path)
-        assert all(row.value == 0.0 for row in result.rows)
+        assert all(row.value == 0.0 for row in rows_of(result))
 
     def test_reference_curves_are_reported_not_judged(self, tmp_path, monkeypatch):
         # the reference curves are moved 1 above their values, far past the
@@ -664,6 +706,11 @@ class TestCli:
          "an snr_db sweep sets p1 = p2 from each axis value; "
          "give either the snr_db sweep or explicit p1/p2, not both"),
         ("run", "output_path =", "output_path must be set"),
+        ("run", "sweep = lambda\nstart = 0.5\nstop = 0.5000000000000002\nsteps = 5",
+         "5 steps from 0.5 to 0.5000000000000002 give the sweep value 0.5 twice "
+         "at the CSV's 12 digits"),
+        ("run", "# caf\u00e9", "cannot read config {path!r}: not UTF-8 "
+         "(invalid continuation byte at byte 5)"),
         ("run", "lambda = 0", "lambda must lie strictly inside (0, 1); got 0.0"),
         ("run", "lambda = 1", "lambda must lie strictly inside (0, 1); got 1.0"),
         ("run", "d1 = 1.0", "d1 must lie strictly inside (0, 1); got 1.0"),
@@ -707,7 +754,8 @@ class TestCli:
         "seed-not-int", "snr-with-powers", "unknown-axis", "steps-1", "start-inf",
         "start-after-stop", "no-methods", "unknown-method", "duplicate-method",
         "mixed-families", "dmt-with-non_coop", "r-sweep-not-dmt", "mc_n-0", "negative-seed",
-        "workers-0", "p1-without-p2", "snr-sweep-with-powers", "no-output-path", "lambda-0",
+        "workers-0", "p1-without-p2", "snr-sweep-with-powers", "no-output-path",
+        "grid-values-alike", "not-utf8", "lambda-0",
         "lambda-1", "d1-1", "eta-2", "epsilon-negative", "path-loss-0", "r-3",
         "r-3-before-snr-to-4000", "t1-negative",
         "t2-threshold-overflow", "snr-nan", "sigma2-0-by-snr", "sigma2-0-by-powers",
@@ -724,9 +772,10 @@ class TestCli:
         text += "".join(f"{key} = {value}\n" for key, value in defaults.items()
                         if key not in given)
         path = tmp_path / "bad.cfg"
-        path.write_text(text)
+        # in Latin-1, which writes each case's text as UTF-8 would, but not-utf8's
+        path.write_text(text, encoding="latin-1")
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err == f"config error: {message.format(path=str(path))}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
 
     def test_negative_seed_override_exits_2(self, tmp_path, capsys):
@@ -1014,7 +1063,7 @@ class TestCli:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
-            for row in read_csv(str(tmp_path / "x.csv")).rows:
+            for row in rows_of(read_csv(str(tmp_path / "x.csv"))):
                 rows.setdefault(row.method, []).append(row.value)
         assert rows["lower_bound"] == rows["upper_bound"] == rows["exact_quadrature"]
 
@@ -1080,7 +1129,7 @@ class TestCli:
             f"output_path = {out}\n"
         )
         assert cli.main(["run", "--config", str(path)]) == 0
-        upper = [r.value for r in read_csv(out).rows if r.method == "upper_bound"]
+        upper = [r.value for r in rows_of(read_csv(out)) if r.method == "upper_bound"]
         assert upper[:2] == [1.0, 1.0] and upper[3] < 1.0
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
@@ -1121,6 +1170,17 @@ class TestCli:
         for name in ("ls.csv", "ls_plot.py"):
             assert (tmp_path / name).exists()
             assert f"wrote {tmp_path / name}\n" in out
+
+    def test_run_counts_points_times_columns(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "sweep = lambda\nstart = 0.4\nstop = 0.6\nsteps = 3\n"
+            "methods = capacity_quadrature, capacity_bounds\n"
+            f"output_path = {tmp_path / 'c.csv'}\n"
+        )
+        assert cli.main(["run", "--config", str(path)]) == 0
+        # 3 points of 4 columns: capacity_quadrature and the three bounds
+        assert capsys.readouterr().out.startswith(f"wrote {tmp_path / 'c.csv'} (12 rows)\n")
 
     def test_validate_command_names_every_file_it_writes(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
