@@ -94,9 +94,10 @@ def main(argv=None) -> int:
         # lambda-star: the parser admits no other command
         best = find_lambda_star(config)
         flat_note = " (flat grid; returning the first point)" if best.flat else ""
+        label = dict(zip(config.plan.grid, config.plan.labels))
         print(
-            f"lambda_star = {best.lambda_star:.6g}  value = {best.value:.6g}  "
-            f"bracket = [{best.bracket[0]:.6g}, {best.bracket[1]:.6g}]{flat_note}"
+            f"lambda_star = {label[best.lambda_star]}  value = {best.value:.6g}  "
+            f"bracket = [{label[best.bracket[0]]}, {label[best.bracket[1]]}]{flat_note}"
         )
         _print_written(config.output_path, plot_script_path(config))
         return EXIT_OK

@@ -72,14 +72,17 @@ AXES = {
 
 
 class Plan(NamedTuple):
-    """A valid config's sweep: its metric family, the values of its axis,
-    and the points they bind, as the columns of one ``SystemParams`` (a
+    """A valid config's sweep: its metric family, the values of its axis
+    and their labels, each written at the CSV's 12 significant digits and
+    unique, which name the points wherever a point is named, and the
+    points the values bind, as the columns of one ``SystemParams`` (a
     column per swept field), the targets (set by t1 and t2) and the
     multiplexing gain r, a float or, under an r sweep, a column, from which
     the dmt evaluators derive their own thresholds at each SNR they use."""
 
     family: str
     grid: list[float]
+    labels: list[str]
     params: SystemParams
     targets: TargetRates
     r: object
@@ -197,7 +200,7 @@ def plan(config: ExperimentConfig) -> Plan:
         if label == after:
             raise ConfigError(f"{config.steps} steps from {config.start!r} to {config.stop!r} "
                               f"give the sweep value {label} twice at the CSV's 12 digits")
-    return Plan(family, grid, params, targets, point["r"])
+    return Plan(family, grid, labels, params, targets, point["r"])
 
 
 #: The one config key that is not its field's name: a Python keyword cannot be one.

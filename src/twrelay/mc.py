@@ -44,16 +44,24 @@ then inf, and that quotient is NaN too, as ``np.minimum`` gives.  So
 element by element.  That maximum overwrites den1, so the sort runs it
 after its (b, c)'s two-direction points.
 
-A part gets a buffer of its own only where two or more points read it.
-Each point forms its (b, c)'s denominator pair in one step, where (b, c)
-changes.  The pair goes in den1 and den2 where several points on the same
-gains share it (an SNR sweep's), or where the point has P1 != P2, as it
-forms its two numerators in its SNR buffers.  A point alone on its (b, c)
-(neither neighbour in the sorted plan shares its fading means and (b, c))
-with a1 = a2, as each point of a lambda sweep is, forms the pair in its SNR
-buffers and divides the numerator into them in place.  Either way a
-weaker point's maximum overwrites the pair's first array.  The last
-fading means scale the draws in place, as no later point reads them.  A
+A part gets a buffer of its own only where two or more points read it; a
+buffer the plan does not need is never written, so its pages never become
+resident.  The last fading means scale the draws in place, as no later
+point reads them.  Where every point on the fading means divides one
+numerator (a1 = a2 with one a, as on a lambda sweep), g1*g2 is formed in
+num and scaled there in place (``one``).  Each point forms its (b, c)'s
+denominator pair in one step, where (b, c) changes.  If the first point of
+the (b, c) is weaker, all are, as the sort runs two-direction points
+first: den1 takes the first denominator and gamma1 the second, as scratch
+for the maximum, which overwrites den1.  Otherwise the pair goes in den1
+and den2 where several points on the same gains share it (an SNR sweep's),
+or where the point has P1 != P2, as it forms its two numerators in its SNR
+buffers.  A two-direction point alone on its (b, c) (neither neighbour in
+the sorted plan shares its fading means and (b, c)) with a1 = a2, as each
+point of a capacity lambda sweep is, forms the pair in its SNR buffers and
+divides the numerator into them in place (``lone``).  A weaker point that
+shares its numerator with neither neighbour on the same gains (each point
+of an SNR sweep) forms it in gamma1 and divides in place (``own``).  A
 point's own work is its quotients and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
@@ -93,6 +101,7 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -176,12 +185,14 @@ def _halves(size: int) -> list[tuple[int, int]]:
 class _Workspace(NamedTuple):
     """The buffers one chunk runs in, as the module's plan uses them: its
     unit draws, the gains scaled for one pair of fading means, their
-    product, the numerator of the scale held on those gains, the shared
-    denominators (den1 also their maximum), the SNR pair (gamma1 also the
-    weaker SNR, and both a lone point's denominators), and the two
-    per-direction outage masks; e1 holds a chunk, the rest one of its
-    ``_halves``.  The float buffers are carved from one block, each at a
-    cache-line boundary."""
+    product, the numerator of the scale held on those gains (also the
+    product, where it is the one numerator), the shared denominators (den1
+    also their maximum), the SNR pair (gamma1 also the weaker SNR, its own
+    numerator and the scratch second denominator, and both a lone point's
+    denominators), and the two per-direction outage masks; e1 holds a
+    chunk, the rest one of its ``_halves``.  The float buffers are carved
+    from one block, each at a cache-line boundary; a plan writes only those
+    it needs."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -233,7 +244,7 @@ def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
     for gamma in gammas:
         np.multiply(0.5 / LN2, np.log1p(gamma, out=gamma), out=gamma)
     total = np.add(*gammas, out=gammas[0])
-    square = np.multiply(total, total, out=gammas[1])
+    square = np.square(total, out=gammas[1])
     return float(np.add.reduce(total)), float(np.add.reduce(square))
 
 
@@ -273,10 +284,16 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     keys = sorted(zip(zip(params.omega1.tolist(), params.omega2.tolist()),
                       zip(b.tolist(), c.tolist()),
                       (weaker & (a[:, 0] == a[:, 1])).tolist(), *a.T.tolist(), range(len(a))))
-    # lone: alone on its (b, c) with a1 = a2, so its denominators go in its SNR buffers
+    # lone: alone on its (b, c) with a1 = a2, so unless weak its denominators go in its
+    # SNR buffers; own: weak, and no neighbour shares its numerator, so that goes in its
+    # SNR buffer; one: every point on its means divides one numerator, formed in num
     parts = [None, *(key[:2] for key in keys), None]
-    plan = [(*key, key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2])
-            for j, key in enumerate(keys)]
+    shares = [None, *((key[0], *key[3:5]) for key in keys), None]
+    on_means = {means: {key[3:5] for key in group}
+                for means, group in groupby(keys, lambda key: key[0])}
+    plan = [(*key, key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2],
+             key[2] and shares[j] != shares[j + 1] != shares[j + 2],
+             on_means[key[0]] == {(key[3], key[3])}) for j, key in enumerate(keys)]
     last_means = plan[-1][0]
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
@@ -286,27 +303,31 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     def run_half(ws: _Workspace, results: list) -> None:
         snrs, shared = (ws.gamma1, ws.gamma2), (ws.den1, ws.den2)
         means = coeffs = held = None
-        for point_means, point_coeffs, weak, a1, a2, i, lone in plan:
+        for point_means, point_coeffs, weak, a1, a2, i, lone, own, one in plan:
             if point_means != means:
                 means, coeffs, held = point_means, None, None
                 g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
                 np.multiply(means[0], ws.e1, out=g1)
                 np.multiply(means[1], ws.e2, out=g2)
-                prod = gain_product(g1, g2, out=ws.prod)
-            if a1 == a2 and a1 != held:
+                prod = gain_product(g1, g2, out=ws.num if one else ws.prod)
+            if a1 == a2 and a1 != held and not own:
                 held = a1
-                snr_numerator(a1, prod, out=ws.num)
+                snr_numerator(a1, prod, out=ws.num)  # in place where one
             if point_coeffs != coeffs:  # always at a lone point, the one reader of its key
                 coeffs, larger = point_coeffs, False
-                pair = snr_denominators(coeffs, g1, g2, out=snrs if lone else shared)
+                # a weak first point: all here are weak, and gamma1 is den2's scratch
+                pair = snr_denominators(coeffs, g1, g2, out=(
+                    (ws.den1, ws.gamma1) if weak else snrs if lone else shared))
             if weak and not larger:
                 larger = True
                 np.maximum(*pair, out=pair[0])
-            # a1 != a2: each direction's numerator goes in its SNR buffer
-            nums = (ws.num, ws.num) if a1 == a2 else [
-                snr_numerator(scale, prod, out=gamma) for scale, gamma in zip((a1, a2), snrs)]
+            dens = pair[:1] if weak else pair
+            # own, or a1 != a2: each quotient's numerator goes in its SNR buffer
+            nums = (ws.num, ws.num) if a1 == a2 and not own else [
+                snr_numerator(scale, prod, out=gamma)
+                for scale, gamma, _ in zip((a1, a2), snrs, dens)]
             gammas = tuple(np.divide(num, den, out=gamma)
-                           for num, den, gamma in zip(nums, pair[:1] if weak else pair, snrs))
+                           for num, den, gamma in zip(nums, dens, snrs))
             results[i] = kernel(extras[i], gammas, ws)
 
     errors: list[BaseException | None] = [None] * lanes

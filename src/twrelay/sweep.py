@@ -58,7 +58,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     if write:
         _require_writable(config.output_path, plot_script_path(config))
     started = time.perf_counter()
-    family, grid, params, targets, r = config.plan
+    family, grid, labels, params, targets, r = config.plan
     outputs: dict = {}  # evaluator -> its outputs
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
@@ -68,7 +68,7 @@ def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
             outputs[evaluate] = evaluate(config, params, targets, r)
         except (NumericalError, DomainError) as exc:
             # an error raised inside an array pass may not know its point
-            point = f"{config.sweep}={grid[exc.point]:.6g}, " if hasattr(exc, "point") else ""
+            point = f"{config.sweep}={labels[exc.point]}, " if hasattr(exc, "point") else ""
             raise type(exc)(f"{point}method={method}: {exc}") from exc
     columns = []
     for method in config.methods:
@@ -200,12 +200,12 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
              f"({config.plan.family} sweep)"]
     all_passed = True
     mc_column = next(column for column in result.columns if column.method == "mc")
-    for i, value in enumerate(result.grid):
+    for i, label in enumerate(config.plan.labels):
         mc_value, slack = mc_column.values[i], 3.0 * mc_column.std_errs[i]
         for method, values, _ in result.columns:
             if method == "mc":
                 continue
-            head = f"{config.sweep}={value:.6g} {method}:"
+            head = f"{config.sweep}={label} {method}:"
             if judgments[method] == REFERENCE:
                 lines.append(f"{head} reference curve (not judged)")
                 continue

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+from data.make_golden_validate import validate_config
 from helpers import (
     cdf_z,
     draw_exponentials,
@@ -576,6 +577,43 @@ class TestChunkWorkspace:
         assert len(spans) == 10
         spans.sort()
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    # sym is a weak SNR sweep, tied and asym take both directions (asym with
+    # P1 != P2), d1 scales new gains at every point, and fig2 is a lambda
+    # sweep of lone points on one numerator
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name, untouched", [pytest.param(name, set(fields), id=name)
+                                                 for name, fields in [
+        ("sym", ("g1", "g2", "num", "den2", "gamma2")),
+        ("tied", ("g1", "g2")),
+        ("asym", ("g1", "g2", "num")),
+        ("d1", ("prod", "den2", "gamma2")),
+        ("fig2", ("g1", "g2", "prod", "den1", "den2")),
+    ]])
+    def test_a_plan_writes_a_buffer_only_where_two_points_read_it(
+            self, monkeypatch, name, untouched, workers):
+        made = []
+        true_empty = mc._Workspace.empty
+
+        def nan_filled(size):
+            made.append(true_empty(size))
+            for buf in made[-1]:
+                if buf.dtype == np.float64:
+                    buf.fill(np.nan)
+            return made[-1]
+
+        monkeypatch.setattr(mc._Workspace, "empty", nan_filled)
+        n = CHUNK_DRAWS + 1000  # two chunks: a lane each at 2 workers
+        if name == "fig2":
+            plan = figure_preset(2).plan
+            estimate_capacity(plan.params, n, 1, workers)
+        else:
+            plan = validate_config(name).plan
+            estimate_outage(plan.params, plan.targets, n, 1, workers)
+        assert len(made) == workers
+        for ws in made:
+            assert {field for field, buf in zip(ws._fields, ws)
+                    if buf.dtype == np.float64 and np.isnan(buf).all()} == untouched
 
     # lambda points read their (b, c) alone, SNR points share one, d1 points
     # move the gains, and p2_scale != 1 takes the two-direction path

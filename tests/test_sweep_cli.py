@@ -252,6 +252,16 @@ class TestSweepEngine:
         with pytest.raises(ConvergenceError, match="^d1=0.9, method=capacity_series: "):
             run_sweep(config)
 
+    def test_failure_names_its_point_as_the_csv_does(self, tmp_path):
+        # the failing point differs from 0.9 only past the 6th digit
+        config = ExperimentConfig(
+            sweep="d1", start=0.5, stop=0.9000001, steps=2, lam=0.02,
+            methods=("capacity_quadrature", "capacity_series"),
+            output_path=str(tmp_path / "x.csv"),
+        )
+        with pytest.raises(ConvergenceError, match=r"^d1=0\.9000001, method=capacity_series: "):
+            run_sweep(config)
+
     def test_each_closed_form_runs_once_per_sweep(self, tmp_path, monkeypatch):
         names = (
             "outage_exact", "outage_bounds", "outage_high_snr", "non_coop_outage",
@@ -503,6 +513,17 @@ class TestValidate:
             f"snr_db={value} {method}: reference curve (not judged)"
             for value in (10, 15, 20) for method in ("high_snr", "non_coop")]
         assert report.passed and report.lines[-1] == "overall: PASS"
+
+    def test_points_past_the_sixth_digit_get_distinct_heads(self, tmp_path):
+        config = ExperimentConfig(sweep="lambda", start=0.5, stop=0.5000001, steps=3,
+                                  mc_n=2000, seed=1, output_path=str(tmp_path / "x.csv"))
+        report = validate_sweep(config)
+        heads = [line.split(" ")[0] for line in report.lines[1:-1]]
+        assert heads == ["lambda=0.5", "lambda=0.50000005", "lambda=0.5000001"]
+        # each names its point as the CSV's rows do
+        axes = [row.split(",")[0] for row in (tmp_path / "x.csv").read_text().splitlines()
+                if row[0].isdigit() and ",mc," in row]
+        assert heads == [f"lambda={axis}" for axis in axes]
 
     @pytest.mark.parametrize(
         "methods",
@@ -1170,6 +1191,17 @@ class TestCli:
         for name in ("ls.csv", "ls_plot.py"):
             assert (tmp_path / name).exists()
             assert f"wrote {tmp_path / name}\n" in out
+
+    def test_lambda_star_names_points_as_the_csv_does(self, tmp_path, capsys):
+        # outage falls with lambda here: the best point is the last, and the
+        # grid's values differ only past the 6th digit
+        path = tmp_path / "exp.cfg"
+        path.write_text("sweep = lambda\nstart = 0.3\nstop = 0.3000001\nsteps = 3\n"
+                        f"methods = exact_quadrature\noutput_path = {tmp_path / 'ls.csv'}\n")
+        assert cli.main(["lambda-star", "--config", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert re.fullmatch(r"lambda_star = 0\.3000001  value = \S+  "
+                            r"bracket = \[0\.30000005, 0\.3000001\]", first), first
 
     def test_run_counts_points_times_columns(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
