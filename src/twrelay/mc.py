@@ -24,45 +24,59 @@ fading means, and every point is evaluated on it before the next chunk.
 Scaling a unit draw is how numpy's ``exponential(omega)`` makes its samples,
 so each point's estimate is bit-identical to a call for that point alone.
 :mod:`twrelay.model` forms the SNR parts; how the points share them is
-this module's plan, and each point divides its numerators by its
-denominators itself, as ``model.end_to_end_snrs`` does for one point.  The
-plan: a call sorts its points once by ``((omega1, omega2), (b, c), weaker,
-(a1, a2), index)``, read off the batch's columns, and each chunk runs them
-in that order, forming a shared part again only where the key it rests on
-changes.  The fading means set the scaled gains and their product g1*g2,
-and (b, c) the SNR denominators ``b*g_i + c``.  A point with a = P1/sigma2
-= P2/sigma2 (every preset's) divides one numerator a*g1*g2 by both, shared
-by consecutive points on the same gains with the same a (a lambda sweep's).
-An outage point whose two thresholds are also equal is ``weaker``: it
-divides that numerator by max(den1, den2) alone, which gives the same
-count.  Correctly rounded division is monotone in the divisor, so the
-quotient by the larger denominator is min(gamma1, gamma2) bit for bit.
-The denominators are at least c > 0, so an SNR is NaN only where num is
-NaN, or where num = inf meets an infinite denominator; max(den1, den2) is
-then inf, and that quotient is NaN too, as ``np.minimum`` gives.  So
+this module's plan, and each point but a weaker one (below) divides its
+numerators by its denominators itself, as ``model.end_to_end_snrs`` does
+for one point.  The plan: a call sorts its points once by ``((omega1,
+omega2), (b, c), weaker, (a1, a2), index)``, read off the batch's columns,
+and each chunk runs them in that order, forming a shared part again only
+where the key it rests on changes.  The fading means set the scaled gains
+and their product g1*g2, and (b, c) the SNR denominators ``b*g_i + c``.
+A point with a = P1/sigma2 = P2/sigma2 (every preset's) divides one
+numerator a*g1*g2 by both, shared by consecutive points on the same gains
+with the same a (a lambda sweep's two-direction points).
+An outage point whose two thresholds are also equal is ``weaker``: its
+outage is where the weaker SNR a*g1*g2 / max(den1, den2) is below tau.
+Correctly rounded division is monotone in the divisor, so the quotient by
+the larger denominator is min(gamma1, gamma2) bit for bit.  The
+denominators are at least c > 0, so an SNR is NaN only where num is NaN,
+or where num = inf meets an infinite denominator; max(den1, den2) is then
+inf, and that quotient is NaN too, as ``np.minimum`` gives.  So
 ``num / max(den1, den2) < tau`` is ``(gamma1 < tau) | (gamma2 < tau)``
-element by element.  That maximum overwrites den1, so the sort runs it
-after its (b, c)'s two-direction points.
+element by element.  A weaker point forms no numerator: its (b, c) forms
+the quotient q = g1*g2 / max(den1, den2) once, shared by every weaker
+point there, and each counts its outage by two compares of q, with the
+ends of the band fl(tau/a)*(1 -/+ 16u), u = 2^-53.  Each compare crosses
+four roundings that the exact form does not share (the band's end,
+fl(tau/a), a*g1*g2, and q or the last quotient; monotone rounding makes
+the fifth free), so outside the band the two agree, with 12u to spare
+(``_Quotient`` gives the bound).  The guard keeps that relative bound
+valid: fl(tau/a) in [2^-1000, 2^1000], tau*min(c, 1) >= 2^-1000 and
+a*max(g1*g2) <= 2^1000 over the half.  Only the draws inside the band,
+and every draw of a point outside the guard, take the multiply, divide
+and compare above, so each count is that of ``a*g1*g2 / max(den1, den2)
+< tau`` bit for bit.  The maximum overwrites den1 and q goes in gamma1,
+so the sort runs weaker points after their (b, c)'s two-direction points.
 
 A part gets a buffer of its own only where two or more points read it; a
 buffer the plan does not need is never written, so its pages never become
 resident.  The last fading means scale the draws in place, as no later
-point reads them.  Where every point on the fading means divides one
-numerator (a1 = a2 with one a, as on a lambda sweep), g1*g2 is formed in
-num and scaled there in place (``one``).  Each point forms its (b, c)'s
+point reads them.  Where every point on the fading means has one key
+(weaker, a1, a2) with a1 = a2 (one a: a lambda sweep's, or a d1 sweep's
+single point per means), g1*g2 is formed in num, and a numerator, if one
+is held, is scaled there in place (``one``).  Each point forms its (b, c)'s
 denominator pair in one step, where (b, c) changes.  If the first point of
 the (b, c) is weaker, all are, as the sort runs two-direction points
 first: den1 takes the first denominator and gamma1 the second, as scratch
-for the maximum, which overwrites den1.  Otherwise the pair goes in den1
-and den2 where several points on the same gains share it (an SNR sweep's),
-or where the point has P1 != P2, as it forms its two numerators in its SNR
-buffers.  A two-direction point alone on its (b, c) (neither neighbour in
-the sorted plan shares its fading means and (b, c)) with a1 = a2, as each
-point of a capacity lambda sweep is, forms the pair in its SNR buffers and
-divides the numerator into them in place (``lone``).  A weaker point that
-shares its numerator with neither neighbour on the same gains (each point
-of an SNR sweep) forms it in gamma1 and divides in place (``own``).  A
-point's own work is its quotients and its kernel.
+for the maximum, which overwrites den1, and then q.  Otherwise the pair
+goes in den1 and den2 where several points on the same gains share it (an
+SNR sweep's), or where the point has P1 != P2, as it forms its two
+numerators in its SNR buffers.  A two-direction point alone on its (b, c)
+(neither neighbour in the sorted plan shares its fading means and (b, c))
+with a1 = a2, as each point of a capacity lambda sweep is, forms the pair
+in its SNR buffers and divides the numerator into them in place
+(``lone``).  A weaker point outside the certificate forms its SNR in
+gamma2.  A point's own work is its quotients, or its two compares, and
+its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
@@ -94,7 +108,8 @@ the error of the lowest-numbered lane that raised is re-raised.  A point
 whose numerator scale a*omega1*omega2 is not finite raises DomainError
 before any draw.  Below that, a product of rare large draws may still pass
 the float range: each lane runs under one ``np.errstate`` that lets it
-overflow to inf, an SNR above every threshold.
+overflow to inf, an SNR above every threshold, and lets inf meet inf as
+NaN, which is no outage.
 """
 
 from __future__ import annotations
@@ -186,13 +201,13 @@ class _Workspace(NamedTuple):
     """The buffers one chunk runs in, as the module's plan uses them: its
     unit draws, the gains scaled for one pair of fading means, their
     product, the numerator of the scale held on those gains (also the
-    product, where it is the one numerator), the shared denominators (den1
-    also their maximum), the SNR pair (gamma1 also the weaker SNR, its own
-    numerator and the scratch second denominator, and both a lone point's
-    denominators), and the two per-direction outage masks; e1 holds a
-    chunk, the rest one of its ``_halves``.  The float buffers are carved
-    from one block, each at a cache-line boundary; a plan writes only those
-    it needs."""
+    product, where the means' points have one key), the shared denominators
+    (den1 also their maximum), the SNR pair (gamma1 also the weaker points'
+    quotient and the scratch second denominator, gamma2 the SNR of a weaker
+    point outside the certificate, and both a lone point's denominators),
+    and the two per-direction outage masks; e1 holds a chunk, the rest one
+    of its ``_halves``.  The float buffers are carved from one block, each
+    at a cache-line boundary; a plan writes only those it needs."""
 
     e1: np.ndarray
     e2: np.ndarray
@@ -228,13 +243,85 @@ class _Workspace(NamedTuple):
         return _Workspace(self.e1[start:stop], *(buf[:stop - start] for buf in self[1:]))
 
 
+#: The certified compares' band around fl(tau/a), 16u = 2^-49 on either side;
+#: ``_Quotient`` says why it suffices.
+_BAND = 2.0 ** -49
+
+#: The range where fl(tau/a), tau*min(c, 1) and a*max(g1*g2) keep the
+#: certified compares clear of underflow and overflow.
+_TINY, _HUGE = 2.0 ** -1000, 2.0 ** 1000
+
+
+class _Quotient(NamedTuple):
+    """A weaker point's SNR a*g1*g2 / max(den1, den2), held as the quotient
+    ``q = g1*g2 / max(den1, den2)`` that every weaker point on its gains and
+    (b, c) shares, the parts it is formed from (``prod``, ``den`` and the
+    half's largest product ``top``) and the point's ``scale`` a.
+
+    The SNR is below tau where ``q < tau/a``, up to rounding.  In the
+    standard model (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 2), a rounded product or quotient is its exact
+    value times (1 + d), |d| <= u = 2^-53, plus at most 2^-1075 where it is
+    subnormal, and round to nearest is monotone.  With P = g1*g2 and
+    D = max(den1, den2), both floats, the SNR is fl(fl(a*P)/D).  If
+    fl(P/D) < lo = fl(fl(tau/a)*(1 - 16u)), then P/D < lo, so
+    fl(a*P)/D < tau*(1 + u)^3*(1 - 16u) + 2^-1075/D <= tau*(1 - u), which
+    rounds below tau.  If fl(P/D) >= hi = fl(fl(tau/a)*(1 + 16u)), then
+    P/D >= hi*(1 - u), so fl(a*P)/D >= tau*(1 - u)^4*(1 + 16u) - 2^-1075/D
+    >= tau, which rounds to tau or more.  Both steps need tau/a normal,
+    which fl(tau/a) in [2^-1000, 2^1000] gives; 12u*tau*D >= 2^-1075, which
+    tau*min(c, 1) >= 2^-1000 gives, as D >= c; and a*P finite, which
+    a*max(P) <= 2^1000 over the half (``top``) gives.  So where no draw
+    falls in [lo, hi), that is, where the counts below lo and below hi are
+    equal, the count below lo is the SNR's.  The draws in the band take the
+    exact SNR, and a point outside the guard (``band`` None, or a*top past
+    2^1000) forms it at every draw.
+    """
+
+    q: np.ndarray
+    prod: np.ndarray
+    den: np.ndarray
+    top: float
+    scale: float
+
+    def snr(self, at=..., out=None) -> np.ndarray:
+        """The weaker SNR a*g1*g2 / max(den1, den2) at the draws ``at``."""
+        return np.divide(snr_numerator(self.scale, self.prod[at], out=out), self.den[at],
+                         out=out)
+
+    def count_below(self, tau: float, band, ws: _Workspace) -> int:
+        """The draws whose weaker SNR is below ``tau``, certified by the
+        compares of ``q`` with ``band`` = (lo, hi) where it holds."""
+        if band is not None and self.scale * self.top <= _HUGE:
+            lo, hi = band
+            below = int(np.count_nonzero(np.less(self.q, lo, out=ws.miss1)))
+            if below == np.count_nonzero(np.less(self.q, hi, out=ws.miss1)):
+                return below
+            near = np.flatnonzero((lo <= self.q) & (self.q < hi))
+            return below + int(np.count_nonzero(self.snr(near) < tau))
+        return int(np.count_nonzero(np.less(self.snr(out=ws.gamma2), tau, out=ws.miss1)))
+
+
+def _bands(params: SystemParams, tau: np.ndarray) -> list:
+    """Per point of the (points,) columns, the band (lo, hi) of a weaker
+    point's certified compares, fl(tau/a)*(1 -/+ 16u) with a = P2/sigma2,
+    or None where ``_Quotient``'s certificate fails on tau/a or tau*c."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = tau / snr_scales(params)[0]
+        holds = ((_TINY <= t) & (t <= _HUGE)
+                 & (tau * np.minimum(derived_coeffs(params).c, 1.0) >= _TINY))
+    return [(lo, hi) if ok else None for lo, hi, ok in zip(
+        (t * (1.0 - _BAND)).tolist(), (t * (1.0 + _BAND)).tolist(), holds.tolist())]
+
+
 def _outage_count(taus, gammas, ws: _Workspace) -> int:
-    """The draws where an SNR of ``gammas`` is below its threshold in
-    ``taus``: the pair's, or the weaker SNR's alone, which meets the first
-    of two equal thresholds."""
+    """The draws in outage for thresholds ``taus`` = (tau1, tau2, band):
+    where either SNR of the pair ``gammas`` is below its threshold, or, for
+    a weaker point, where its ``_Quotient``'s SNR is below tau1."""
+    if isinstance(gammas, _Quotient):
+        return gammas.count_below(taus[0], taus[2], ws)
     miss = np.less(gammas[0], taus[0], out=ws.miss1)
-    if len(gammas) == 2:
-        np.logical_or(miss, np.less(gammas[1], taus[1], out=ws.miss2), out=miss)
+    np.logical_or(miss, np.less(gammas[1], taus[1], out=ws.miss2), out=miss)
     return int(np.count_nonzero(miss))
 
 
@@ -263,8 +350,8 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
     entry, summed over the chunks in chunk order.  The points run along
     ``total``'s last axis, and the parts of a kernel result that is a tuple
-    along its first.  ``gammas`` is the SNR pair, or the one weaker SNR for
-    a point that the bool column ``weaker`` marks and whose two scales are
+    along its first.  ``gammas`` is the SNR pair, or the ``_Quotient`` of a
+    point that the bool column ``weaker`` marks and whose two scales are
     equal.
 
     A chunk runs the call's plan (see the module docstring) one of its
@@ -285,15 +372,13 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
                       zip(b.tolist(), c.tolist()),
                       (weaker & (a[:, 0] == a[:, 1])).tolist(), *a.T.tolist(), range(len(a))))
     # lone: alone on its (b, c) with a1 = a2, so unless weak its denominators go in its
-    # SNR buffers; own: weak, and no neighbour shares its numerator, so that goes in its
-    # SNR buffer; one: every point on its means divides one numerator, formed in num
+    # SNR buffers; one: every point on its means has one (weak, a, a) key, so g1*g2
+    # goes in num, where a held numerator is formed in place
     parts = [None, *(key[:2] for key in keys), None]
-    shares = [None, *((key[0], *key[3:5]) for key in keys), None]
-    on_means = {means: {key[3:5] for key in group}
+    on_means = {means: {key[2:5] for key in group}
                 for means, group in groupby(keys, lambda key: key[0])}
     plan = [(*key, key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2],
-             key[2] and shares[j] != shares[j + 1] != shares[j + 2],
-             on_means[key[0]] == {(key[3], key[3])}) for j, key in enumerate(keys)]
+             key[3] == key[4] and len(on_means[key[0]]) == 1) for j, key in enumerate(keys)]
     last_means = plan[-1][0]
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
@@ -303,38 +388,39 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     def run_half(ws: _Workspace, results: list) -> None:
         snrs, shared = (ws.gamma1, ws.gamma2), (ws.den1, ws.den2)
         means = coeffs = held = None
-        for point_means, point_coeffs, weak, a1, a2, i, lone, own, one in plan:
+        for point_means, point_coeffs, weak, a1, a2, i, lone, one in plan:
             if point_means != means:
-                means, coeffs, held = point_means, None, None
+                means, coeffs, held, top = point_means, None, None, None
                 g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
                 np.multiply(means[0], ws.e1, out=g1)
                 np.multiply(means[1], ws.e2, out=g2)
                 prod = gain_product(g1, g2, out=ws.num if one else ws.prod)
-            if a1 == a2 and a1 != held and not own:
+            if a1 == a2 and a1 != held and not weak:
                 held = a1
                 snr_numerator(a1, prod, out=ws.num)  # in place where one
             if point_coeffs != coeffs:  # always at a lone point, the one reader of its key
-                coeffs, larger = point_coeffs, False
+                coeffs, quotient = point_coeffs, None
                 # a weak first point: all here are weak, and gamma1 is den2's scratch
                 pair = snr_denominators(coeffs, g1, g2, out=(
                     (ws.den1, ws.gamma1) if weak else snrs if lone else shared))
-            if weak and not larger:
-                larger = True
-                np.maximum(*pair, out=pair[0])
-            dens = pair[:1] if weak else pair
-            # own, or a1 != a2: each quotient's numerator goes in its SNR buffer
-            nums = (ws.num, ws.num) if a1 == a2 and not own else [
-                snr_numerator(scale, prod, out=gamma)
-                for scale, gamma, _ in zip((a1, a2), snrs, dens)]
+            if weak:
+                if quotient is None:  # the (b, c)'s first weak point forms its quotient
+                    top = float(np.maximum.reduce(prod)) if top is None else top
+                    den = np.maximum(*pair, out=pair[0])
+                    quotient = (np.divide(prod, den, out=ws.gamma1), prod, den, top)
+                results[i] = kernel(extras[i], _Quotient(*quotient, a1), ws)
+                continue
+            nums = (ws.num, ws.num) if a1 == a2 else [
+                snr_numerator(scale, prod, out=gamma) for scale, gamma in zip((a1, a2), snrs)]
             gammas = tuple(np.divide(num, den, out=gamma)
-                           for num, den, gamma in zip(nums, dens, snrs))
+                           for num, den, gamma in zip(nums, pair, snrs))
             results[i] = kernel(extras[i], gammas, ws)
 
     errors: list[BaseException | None] = [None] * lanes
 
     def lane(j: int) -> None:
         try:
-            with np.errstate(over="ignore"):  # errstate is per thread
+            with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
                 for chunk in range(j, len(sizes), lanes):
                     rng = _chunk_rng(seed, chunk)
                     rng.standard_exponential(sizes[chunk], out=workspaces[j].e1[:sizes[chunk]])
@@ -374,7 +460,7 @@ def estimate_outage(
     target rate."""
     n = _validate_n(n)
     shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
-    taus = list(zip(tau1.tolist(), tau2.tolist()))
+    taus = list(zip(tau1.tolist(), tau2.tolist(), _bands(params, tau1)))
     counts = _map_points(_outage_count, np.zeros(len(taus), dtype=np.int64), params, taus,
                          n, seed, workers, weaker=tau1 == tau2)
     p = counts / n

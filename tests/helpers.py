@@ -28,6 +28,10 @@ from twrelay.model import (
     check_multiplexing_gain,
     derived_coeffs,
     end_to_end_snrs,
+    gain_product,
+    snr_denominators,
+    snr_numerator,
+    snr_scales,
 )
 from twrelay.specfun import EULER_GAMMA, exp_integral_e1
 from twrelay.sweep import Column, SweepResult
@@ -355,6 +359,30 @@ def draw_exponentials(seed: int, chunk: int, size: int) -> tuple[np.ndarray, np.
     ``chunk`` of ``size`` samples, each as one whole block, in that order."""
     rng = mc._chunk_rng(seed, chunk)
     return rng.standard_exponential(size), rng.standard_exponential(size)
+
+
+def outage_counts(params: list, targets: list, n: int, seed: int) -> list[int]:
+    """Per one-point ``SystemParams`` and ``TargetRates``, the outage count
+    of ``twrelay.mc`` over ``n`` draws, formed draw by draw as its plan did
+    before it shared one quotient: a point with P1 = P2 and tau1 = tau2
+    multiplies a*g1*g2, divides it by max(den1, den2) and compares the
+    weaker SNR with tau; any other point compares both SNRs.  NaN, where inf
+    meets inf, is no outage."""
+    counts = [0] * len(params)
+    with np.errstate(all="ignore"):
+        for k, size in enumerate(mc._chunk_sizes(n)):
+            e1, e2 = draw_exponentials(seed, k, size)
+            for i, (p, t) in enumerate(zip(params, targets)):
+                g1, g2 = np.multiply(p.omega1, e1), np.multiply(p.omega2, e2)
+                prod, dens = gain_product(g1, g2), snr_denominators(derived_coeffs(p), g1, g2)
+                scales = snr_scales(p)
+                if scales[0] == scales[1] and t.tau1 == t.tau2:
+                    miss = np.divide(snr_numerator(scales[0], prod), np.maximum(*dens)) < t.tau1
+                else:
+                    miss = np.logical_or(*(np.divide(snr_numerator(a, prod), den) < tau for
+                                           a, den, tau in zip(scales, dens, t[2:])))
+                counts[i] += int(np.count_nonzero(miss))
+    return counts
 
 
 def empirical_cdf_z(

@@ -22,6 +22,7 @@ from helpers import (
     end_to_end_snrs_exact_beta,
     estimate_rates,
     make_params,
+    outage_counts,
     rows_of,
     stack,
     symmetric_corner,
@@ -43,6 +44,8 @@ from twrelay.model import (
     build_params,
     derived_coeffs,
     end_to_end_snrs,
+    snr_denominators,
+    snr_scales,
 )
 from twrelay.sweep import figure_preset, run_sweep
 
@@ -768,3 +771,123 @@ class TestDiversityStencilErrors:
         with pytest.raises(DomainError, match=r"gamma_db=-3099.75 \(r=0.5\): its SNR") as info:
             estimate_diversity_fd(params, 0.5, n=10_000, seed=0)
         assert info.value.point == 1
+
+
+def _extreme_points(count: int, seed: int) -> tuple[list, list]:
+    """``count`` random one-point ``SystemParams`` and ``TargetRates`` that
+    Monte Carlo takes, far past the presets: powers and noise from 1e-300 to
+    1e300, eta*lambda down to 1e-300, d1 and the path-loss exponent near
+    their ends, and thresholds of 0, from 1e-320 to 1e300, or of a rate
+    from 0 to 8; nine in ten have P1 = P2 and tau1 = tau2."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return 10.0 ** rng.uniform(lo, hi)
+
+    def one_of(*values):
+        return values[rng.integers(len(values))]
+
+    points, targets = [], []
+    while len(points) < count:
+        p1, sigma2 = log_uniform(-300, 300), log_uniform(-300, 300)
+        p2 = p1 if rng.random() < 0.9 else log_uniform(-300, 300)
+        eta = log_uniform(-150, 0)
+        lam = one_of(0.999 * log_uniform(-150, 0), rng.uniform(0.01, 0.99),
+                     1.0 - log_uniform(-15, -1))
+        epsilon = one_of(0.0, rng.uniform(), 1.0)
+        d1 = one_of(log_uniform(-12, -1), rng.uniform(0.05, 0.95), 1.0 - log_uniform(-12, -1))
+        ple = one_of(log_uniform(-3, -1), rng.uniform(2.0, 4.0), log_uniform(1, 2.5))
+        tau1 = one_of(0.0, log_uniform(-320, 300), 2.0 ** (2.0 * rng.uniform(0, 8)) - 1.0)
+        tau2 = tau1 if rng.random() < 0.9 else log_uniform(-320, 300)
+        try:
+            point = build_params(p1, p2, sigma2, eta, lam, epsilon, d1, ple)
+        except ParameterError:
+            continue
+        if all(math.isfinite(a * (point.omega1 * point.omega2)) for a in snr_scales(point)):
+            points.append(point)
+            targets.append(TargetRates(0.0, 0.0, tau1, tau2))
+    return points, targets
+
+
+class TestCertifiedOutageCount:
+    """A weaker point (P1 = P2, tau1 = tau2) counts its outage on the shared
+    quotient q = g1*g2 / max(den1, den2), by two compares with a band around
+    fl(tau/a); the draws in the band, and every draw of a point outside the
+    certificate, take the exact multiply-divide-compare.  Every count is
+    the oracle's, which takes that exact path at every draw."""
+
+    N = 4321  # one chunk, in two halves
+
+    @staticmethod
+    def _exact_draws(monkeypatch) -> list:
+        """The (scale, draws) of every exact SNR the count forms: ``...`` for
+        all of a half's draws, or the indices of the band's."""
+        calls = []
+        snr = mc._Quotient.snr
+
+        def spying(self, at=..., out=None):
+            calls.append((self.scale, at))
+            return snr(self, at, out)
+
+        monkeypatch.setattr(mc._Quotient, "snr", spying)
+        return calls
+
+    @staticmethod
+    def _assert_oracle_counts(got: Estimate, params: list, targets: list, n: int, seed: int):
+        counts = outage_counts(params, targets, n, seed)
+        assert [m.hex() for m in got.mean] == [(c / n).hex() for c in counts]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_threshold_on_a_drawn_snr_takes_the_band(self, monkeypatch, workers):
+        params = make_params()
+        a = snr_scales(params)[0]
+        e1, e2 = draw_exponentials(7, 0, self.N)
+        g1, g2 = params.omega1 * e1, params.omega2 * e2
+        prod, den = g1 * g2, np.maximum(*snr_denominators(derived_coeffs(params), g1, g2))
+        q, snr = prod / den, a * prod / den
+        # tau on one draw's SNR: no outage there, though q < fl(tau/a); and
+        # tau just above another's: an outage, though q >= fl(tau/a)
+        above = np.nextafter(snr, np.inf)
+        on, under = np.flatnonzero(q < snr / a)[0], np.flatnonzero(q >= above / a)[0]
+        targets = [TargetRates(1.0, 1.0, tau, tau) for tau in (snr[on], above[under])]
+        calls = self._exact_draws(monkeypatch)
+        got = estimate_outage(params, stack(targets), self.N, 7, workers)
+        self._assert_oracle_counts(got, [params] * 2, targets, self.N, 7)
+        banded = {(scale, int(i)) for scale, at in calls if at is not ... for i in at}
+        assert {(a, on), (a, under)} <= {(scale, i + start) for scale, i in banded
+                                         for start in (0, mc._halves(self.N)[1][0])}
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_points_outside_the_certificate_take_the_exact_path(self, monkeypatch, workers):
+        near_max = np.finfo(float).max / 4 / 64  # a*omega1*omega2 = max/4 at omega = 8
+        cases = [
+            (make_params(), 0.0),  # tau = 0
+            (make_params(snr_db=100.0), 1e-295),  # tau/a = 1e-305, below 2^-1000
+            (build_params(1e-300, 1e-300, 1.0, 1.0, 0.75, 0.5, 0.5, 3.0), 1e5),  # 1e305
+            (make_params(snr_db=-50.0)._replace(eta=1e20), 1e-290),  # tau*c below 2^-1000
+            (build_params(near_max, near_max, 1.0, 1.0, 0.75, 0.5, 0.5, 3.0), near_max),
+            # a*omega1*omega2 = 1e308, and b*g1 + c overflows too: inf/inf is NaN
+            (build_params(1e8, 1e8, 1.0, 1.0, 1.0 - 1e-8, 1.0, 1e-12, 25.0), 1.0),
+        ]
+        params = [p for p, _ in cases]
+        targets = [TargetRates(0.0, 0.0, tau, tau) for _, tau in cases]
+        calls = self._exact_draws(monkeypatch)
+        n = 2 * CHUNK_DRAWS + 300
+        got = estimate_outage(stack(params), stack(targets), n, 8, workers)
+        self._assert_oracle_counts(got, params, targets, n, 8)
+        halves = sum(len(mc._halves(size)) for size in mc._chunk_sizes(n))
+        assert len(calls) == halves * len(cases) and all(at is ... for _, at in calls)
+
+    def test_extreme_configs_count_as_the_oracle_at_any_worker_count(self, monkeypatch):
+        # chunks of 2^12 draws: four chunks, and three lanes at 3 workers,
+        # at a tenth of the draws of three whole chunks
+        monkeypatch.setattr(mc, "CHUNK_DRAWS", 1 << 12)
+        params, targets = _extreme_points(1200, seed=3301)
+        n = 3 * mc.CHUNK_DRAWS + 300
+        _, columns, (tau1, tau2) = as_columns(stack(params), *zip(*(t[2:] for t in targets)))
+        certified = [band is not None for band in mc._bands(columns, tau1)]
+        weak = (tau1 == tau2) & (columns.p1 == columns.p2)
+        assert sum(weak & certified) >= 300 and sum(weak & ~np.array(certified)) >= 300
+        for workers in (1, 3):
+            got = estimate_outage(stack(params), stack(targets), n, 12, workers)
+            self._assert_oracle_counts(got, params, targets, n, 12)

@@ -1,6 +1,7 @@
 """Config parsing, sweep engine, CSV round-trips, CLI exit codes."""
 
 import hashlib
+import math
 import os
 import re
 import subprocess
@@ -9,12 +10,14 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from scipy import stats
 
 from data.make_golden_validate import GOLDEN as GOLDEN_VALIDATE
 from data.make_golden_validate import NAMES as VALIDATE_NAMES
 from data.make_golden_validate import validate_config
-from helpers import read_csv, rows_of
+from helpers import make_params, read_csv, rows_of
 
 from twrelay import analytic, cli, mc
 from twrelay import config as config_module
@@ -26,15 +29,17 @@ from twrelay.config import (
     parse_config_text,
 )
 from twrelay.errors import ConfigError, ConvergenceError, InsufficientSamplesError
-from twrelay.methods import FAMILIES, METHODS
-from twrelay.model import DerivedCoeffs
+from twrelay.methods import EXACT, FAMILIES, LOWER, METHODS, UPPER
+from twrelay.model import DerivedCoeffs, TargetRates
 from twrelay.sweep import (
     PRESETS,
     figure_preset,
     find_lambda_star,
+    judge,
     plot_script_path,
     run_sweep,
     validate_sweep,
+    wilson_interval,
     write_csv,
     write_plot_script,
 )
@@ -524,6 +529,64 @@ class TestValidate:
         axes = [row.split(",")[0] for row in (tmp_path / "x.csv").read_text().splitlines()
                 if row[0].isdigit() and ",mc," in row]
         assert heads == [f"lambda={axis}" for axis in axes]
+
+    def test_zero_counts_pass_a_correct_closed_form(self, tmp_path):
+        # MC counts 0 of 20 000 at 50 and 60 dB, where the outage is 2.8e-5
+        # and 2.9e-6: the normal interval there is the point 0
+        path = tmp_path / "zero.cfg"
+        path.write_text("sweep = snr_db\nstart = 30\nstop = 60\nsteps = 4\nlambda = 0.75\n"
+                        "mc_n = 20000\nseed = 5\n"
+                        "methods = mc, exact_quadrature, lower_bound, upper_bound\n"
+                        f"output_path = {tmp_path / 'zero.csv'}\n")
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+        lines = (tmp_path / "zero.csv.validation.txt").read_text().splitlines()
+        assert lines[7:13] == [
+            "snr_db=50 exact_quadrature: 2.75669e-05 in wilson=[0, 0.000449798] -> PASS",
+            "snr_db=50 lower_bound: 1.9367e-05 <= wilson_hi=0.000449798 -> PASS",
+            "snr_db=50 upper_bound: 3.70166e-05 >= wilson_lo=0 -> PASS",
+            "snr_db=60 exact_quadrature: 2.90163e-06 in wilson=[0, 0.000449798] -> PASS",
+            "snr_db=60 lower_bound: 1.93725e-06 <= wilson_hi=0.000449798 -> PASS",
+            "snr_db=60 upper_bound: 3.99094e-06 >= wilson_lo=0 -> PASS",
+        ]
+        assert lines[-1] == "overall: PASS"
+        # the CSV keeps the estimate's standard error: 0 at a count of 0
+        assert [(row.value, row.std_err) for row in rows_of(read_csv(str(tmp_path / "zero.csv")))
+                if row.method == "mc"][2:] == [(0.0, 0.0), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("n", [1, 20_000, 4_000_000])
+    def test_wilson_interval_at_a_zero_count_reaches_9_over_n_plus_9(self, n):
+        assert wilson_interval(0.0, n) == (0.0, 9.0 / (n + 9))
+        assert wilson_interval(1.0, n)[1] == 1.0
+
+    @pytest.mark.parametrize("events", [0.1, 0.5, 1.0, 2.0, 5.0])
+    def test_a_correct_exact_row_fails_at_the_binomial_rate(self, events):
+        # the binomial chance that the count leaves the interval, |k - n*p| >
+        # 3*sqrt(n*p*(1-p)), is the rule's false-FAIL rate: at most 2% here
+        params, targets = make_params(snr_db=30.0), TargetRates.from_rates(1.0, 1.0)
+        p = analytic.outage_exact(params, targets)
+        n = round(events / p)
+        k = np.arange(n + 1)
+        outside = np.abs(k - n * p) > 3.0 * np.sqrt(n * p * (1.0 - p))
+        rate = float(stats.binom.pmf(k, n, p)[outside].sum())
+        assert rate <= 0.02
+        fails = 0
+        for seed in range(400):
+            estimate = mc.estimate_outage(params, targets, n, seed)
+            fails += not judge(EXACT, p, estimate.mean, estimate.std_err, n)[0]
+        assert fails <= 400 * rate + 3.0 * math.sqrt(400 * rate * (1.0 - rate))
+
+    def test_a_wrong_exact_value_still_fails(self):
+        # three times the true outage, at n*p = 50: every seed FAILs it, and
+        # a bound row on that side, but none the true value
+        params, targets = make_params(snr_db=30.0), TargetRates.from_rates(1.0, 1.0)
+        p = analytic.outage_exact(params, targets)
+        n = round(50 / p)
+        for seed in range(20):
+            estimate = mc.estimate_outage(params, targets, n, seed)
+            verdicts = [judge(judgment, value, estimate.mean, estimate.std_err, n)[0]
+                        for judgment, value in ((EXACT, 3 * p), (LOWER, 3 * p), (UPPER, p / 3),
+                                                (EXACT, p))]
+            assert verdicts == [False, False, False, True]
 
     @pytest.mark.parametrize(
         "methods",
