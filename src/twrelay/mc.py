@@ -16,7 +16,8 @@ outage count, or the sum and the sum of squares of the sum rates); these are
 added as one array over the points, onto zeros, chunk by chunk in index
 order, and each estimate's means and standard errors are array arithmetic on
 the totals.  Within a chunk, the unit-mean exponentials behind g1
-are drawn as one block, then those behind g2.
+are drawn first, then those behind g2, the values one whole draw of each
+would give.
 
 All points of a call share each chunk's draws: the chunk is drawn once,
 scaled to ``g1 = omega1*e1`` and ``g2 = omega2*e2`` once per distinct pair of
@@ -54,50 +55,62 @@ valid: fl(tau/a) in [2^-1000, 2^1000], tau*min(c, 1) >= 2^-1000 and
 a*max(g1*g2) <= 2^1000 over the half.  Only the draws inside the band,
 and every draw of a point outside the guard, take the multiply, divide
 and compare above, so each count is that of ``a*g1*g2 / max(den1, den2)
-< tau`` bit for bit.  The maximum overwrites den1 and q goes in gamma1,
-so the sort runs weaker points after their (b, c)'s two-direction points.
+< tau`` bit for bit.  The maximum overwrites the first denominator and q
+the second, so the sort runs weaker points after their (b, c)'s
+two-direction points.
 
-A part gets a buffer of its own only where two or more points read it; a
-buffer the plan does not need is never written, so its pages never become
-resident.  The last fading means scale the draws in place, as no later
-point reads them.  Where every point on the fading means has one key
-(weaker, a1, a2) with a1 = a2 (one a: a lambda sweep's, or a d1 sweep's
-single point per means), g1*g2 is formed in num, and a numerator, if one
-is held, is scaled there in place (``one``).  Each point forms its (b, c)'s
-denominator pair in one step, where (b, c) changes.  If the first point of
-the (b, c) is weaker, all are, as the sort runs two-direction points
-first: den1 takes the first denominator and gamma1 the second, as scratch
-for the maximum, which overwrites den1, and then q.  Otherwise the pair
-goes in den1 and den2 where several points on the same gains share it (an
-SNR sweep's), or where the point has P1 != P2, as it forms its two
-numerators in its SNR buffers.  A two-direction point alone on its (b, c)
-(neither neighbour in the sorted plan shares its fading means and (b, c))
-with a1 = a2, as each point of a capacity lambda sweep is, forms the pair
-in its SNR buffers and divides the numerator into them in place
+A part of both directions is one (2, half) pair of rows, (direction 1,
+direction 2), formed by one ufunc call over both, as the closed forms
+carry their (points, 2) axis: the gains ``g``, the draw pair (e1, e2)
+times a (2, 1) column of fading means; the denominators ``den = b*g + c``;
+and the SNRs ``snr``, the one numerator ``num`` divided by both rows of
+``den``, or, where P1 != P2, both numerators formed in ``snr`` against a
+(2, 1) column of the point's scales, then divided there.  A part gets
+rows of its own only where two or more points read it; a row the plan
+does not need is never written, so its pages never become resident.  The
+last fading means scale the draws in place, as no later point reads them.
+Where every point on the fading means has one key (weaker, a1, a2) with
+a1 = a2 (one a: a lambda sweep's, or a d1 sweep's single point per means),
+g1*g2 is formed in num, and a numerator, if one is held, is scaled there
+in place (``one``).  Each point forms its (b, c)'s denominator pair in one
+step, where (b, c) changes.  If the first point of the (b, c) is weaker,
+all are, as the sort runs two-direction points first: the pair goes in
+``den``, its maximum then overwrites ``den[0]``, and q ``den[1]``.
+Otherwise the pair goes in ``den`` where several points on the same gains
+share it (an SNR sweep's), or where the point has P1 != P2, as it forms
+its two numerators in its SNR rows.  A two-direction point alone on its
+(b, c) (neither neighbour in the sorted plan shares its fading means and
+(b, c)) with a1 = a2, as each point of a capacity lambda sweep is, forms
+the pair in its SNR rows and divides the numerator into them in place
 (``lone``).  A weaker point outside the certificate forms its SNR in
-gamma2.  A point's own work is its quotients, or its two compares, and
-its kernel.
+``snr[0]``.  A point's own work is its quotients, or its two compares,
+and its kernel.
 
 A chunk runs in two halves, the top split of numpy's pairwise ``np.sum``
 over its draws (``_halves``; a chunk of at most 128 draws runs whole):
-e1 is drawn whole, then e2 one half at a time from the same generator,
-which yields the same values as one whole draw, and every point runs on a
-half before the next.  A point's outage counts add as ints and its sums of
+e1 is drawn first, one half per call, then e2 one half at a time, just
+before its half runs, from the same generator, which yields the same
+values as one whole draw of each, and every point runs on a half before
+the next.  A point's outage counts add as ints and its sums of
 rates and of their squares as ``s_lo + s_hi``, which is how ``np.sum`` over
 the whole chunk adds them, so every bit is as for the whole chunk.
 
-A chunk runs in a workspace: a chunk-sized buffer for e1, and half-sized
-buffers for e2, the scaled gains, the product, the numerator, the shared
-denominators, the SNR pair and the outage masks, which every ufunc writes
-into with ``out=``.  The float buffers are carved from one block, each
-starting on a 64-byte cache line with its length rounded up to 8 floats:
-numpy aligns its own arrays to 16 bytes only, so the vector loads of its
-ufunc loops would split cache lines.  A call runs its chunks in
-``min(workers, chunks)`` lanes, each owning one workspace that it reuses
-for its every chunk and that is dropped when the call returns, so a chunk
-allocates no arrays whatever its number of points.
-The buffered kernels run the same ufuncs in the same order on the same
-values as the plain array expressions, so their results are bit-identical.
+A chunk runs in a workspace of rows as long as its larger half, which
+every ufunc writes into with ``out=`` (``_Workspace``): the draws in one
+3-row block, e1's halves in rows 0 and 2 and the running half's e2 in row
+1, so that the first half's (e1, e2) is rows 0-1 and the second's rows
+2-1, a view each with no fourth row; then the gains, the product, the
+numerator, the denominators, the SNRs and the outage masks.  The float
+rows are carved from one block, each starting on a 64-byte cache line
+with its length rounded up to 8 floats: numpy aligns its own arrays to
+16 bytes only, so the vector loads of its ufunc loops would split cache
+lines.  A call runs its chunks in ``min(workers, chunks)`` lanes, each
+owning one workspace that it reuses for its every chunk and that is
+dropped when the call returns, so a chunk allocates no arrays whatever
+its number of points.  The buffered kernels run the same ufuncs in the
+same order on the same values as the plain array expressions, and a
+ufunc over a pair of rows gives each element the bits it gives over one
+row, so their results are bit-identical.
 
 The calling thread runs lane 0, and each further lane runs on a plain
 ``threading.Thread`` of this process: numpy releases the interpreter lock
@@ -198,49 +211,54 @@ def _halves(size: int) -> list[tuple[int, int]]:
 
 
 class _Workspace(NamedTuple):
-    """The buffers one chunk runs in, as the module's plan uses them: its
-    unit draws, the gains scaled for one pair of fading means, their
-    product, the numerator of the scale held on those gains (also the
-    product, where the means' points have one key), the shared denominators
-    (den1 also their maximum), the SNR pair (gamma1 also the weaker points'
-    quotient and the scratch second denominator, gamma2 the SNR of a weaker
-    point outside the certificate, and both a lone point's denominators),
-    and the two per-direction outage masks; e1 holds a chunk, the rest one
-    of its ``_halves``.  The float buffers are carved from one block, each
-    at a cache-line boundary; a plan writes only those it needs."""
+    """The rows one chunk runs in, each as long as the larger of its
+    ``_halves``, as the module's plan uses them.  A part of both directions
+    is a (2, half) pair of rows: the gains ``g`` scaled for one pair of
+    fading means, the shared denominators ``den`` (a weaker point's maximum
+    and quotient) and the SNRs ``snr`` (the two numerators where P1 != P2, a
+    lone point's denominators, and in its first row the SNR of a weaker
+    point outside the certificate), with the outage masks ``miss``.
+    ``prod`` holds g1*g2 and ``num`` the numerator of the scale held on the
+    gains (also g1*g2, where the means' points have one key).  The unit
+    draws ``e`` are a 3-row block: e1's two halves in rows 0 and 2, and the
+    running half's e2 in row 1, so that a half's (e1, e2) is rows 0-1, or
+    rows 2-1 (``draw``).  The float rows are carved from one block, each at
+    a cache-line boundary; a plan writes only those it needs."""
 
-    e1: np.ndarray
-    e2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
+    e: np.ndarray
+    g: np.ndarray
     prod: np.ndarray
     num: np.ndarray
-    den1: np.ndarray
-    den2: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    miss1: np.ndarray
-    miss2: np.ndarray
+    den: np.ndarray
+    snr: np.ndarray
+    miss: np.ndarray
 
     @classmethod
     def empty(cls, size: int) -> "_Workspace":
         # the larger of the _halves of n > 128 draws is at most ceil(n/2) + 7
         half = min(size, max(_PAIRWISE_BLOCK, (size + 1) // 2 + 7))
         line = 8  # floats per 64-byte cache line
-        halves = len(cls._fields) - 3  # the float buffers but e1
-        strides = [-(-length // line) * line for length in (size, half)]
-        block = np.empty(strides[0] + halves * strides[1] + line)
+        stride = -(-half // line) * line
+        block = np.empty(11 * stride + line)
         start = -(block.ctypes.data // 8) % line
-        floats = [block[start:start + size]]
-        for k in range(halves):
-            at = start + strides[0] + k * strides[1]
-            floats.append(block[at:at + half])
-        return cls(*floats, np.empty(half, dtype=bool), np.empty(half, dtype=bool))
+        rows = block[start:start + 11 * stride].reshape(11, stride)[:, :half]
+        return cls(rows[0:3], rows[3:5], rows[5], rows[6], rows[7:9], rows[9:11],
+                   np.empty((2, half), dtype=bool))
 
-    def cut(self, start: int, stop: int) -> "_Workspace":
-        """e1's draws ``start:stop`` and the first ``stop - start`` elements
-        of every other buffer, as views."""
-        return _Workspace(self.e1[start:stop], *(buf[:stop - start] for buf in self[1:]))
+    def draw(self, rng: np.random.Generator, size: int):
+        """Draw a chunk of ``size`` samples from ``rng`` and yield, for each
+        of its ``_halves`` in turn, the first elements of every row as far
+        as the half runs, as views, with ``e`` its (e1, e2) rows: e1 is
+        drawn first, one half at a time, then e2 one half at a time, each
+        just before its half is yielded, which is the stream of one whole
+        draw of each."""
+        halves = [_Workspace(*(rows[..., :stop - start] for rows in (e, *self[1:])))
+                  for e, (start, stop) in zip((self.e[:2], self.e[:0:-1]), _halves(size))]
+        for ws in halves:
+            rng.standard_exponential(out=ws.e[0])
+        for ws in halves:
+            rng.standard_exponential(out=ws.e[1])
+            yield ws
 
 
 #: The certified compares' band around fl(tau/a), 16u = 2^-49 on either side;
@@ -292,14 +310,15 @@ class _Quotient(NamedTuple):
     def count_below(self, tau: float, band, ws: _Workspace) -> int:
         """The draws whose weaker SNR is below ``tau``, certified by the
         compares of ``q`` with ``band`` = (lo, hi) where it holds."""
+        miss = ws.miss[0]
         if band is not None and self.scale * self.top <= _HUGE:
             lo, hi = band
-            below = int(np.count_nonzero(np.less(self.q, lo, out=ws.miss1)))
-            if below == np.count_nonzero(np.less(self.q, hi, out=ws.miss1)):
+            below = int(np.count_nonzero(np.less(self.q, lo, out=miss)))
+            if below == np.count_nonzero(np.less(self.q, hi, out=miss)):
                 return below
             near = np.flatnonzero((lo <= self.q) & (self.q < hi))
             return below + int(np.count_nonzero(self.snr(near) < tau))
-        return int(np.count_nonzero(np.less(self.snr(out=ws.gamma2), tau, out=ws.miss1)))
+        return int(np.count_nonzero(np.less(self.snr(out=ws.snr[0]), tau, out=miss)))
 
 
 def _bands(params: SystemParams, tau: np.ndarray) -> list:
@@ -314,25 +333,24 @@ def _bands(params: SystemParams, tau: np.ndarray) -> list:
         (t * (1.0 - _BAND)).tolist(), (t * (1.0 + _BAND)).tolist(), holds.tolist())]
 
 
-def _outage_count(taus, gammas, ws: _Workspace) -> int:
-    """The draws in outage for thresholds ``taus`` = (tau1, tau2, band):
-    where either SNR of the pair ``gammas`` is below its threshold, or, for
-    a weaker point, where its ``_Quotient``'s SNR is below tau1."""
-    if isinstance(gammas, _Quotient):
-        return gammas.count_below(taus[0], taus[2], ws)
-    miss = np.less(gammas[0], taus[0], out=ws.miss1)
-    np.logical_or(miss, np.less(gammas[1], taus[1], out=ws.miss2), out=miss)
-    return int(np.count_nonzero(miss))
+def _outage_count(taus, snr, ws: _Workspace) -> int:
+    """The draws in outage for thresholds ``taus`` = (the (2, 1) column
+    (tau1, tau2), band): where either row of the SNR pair ``snr`` is below
+    its threshold, or, for a weaker point, where its ``_Quotient``'s SNR is
+    below tau1."""
+    tau, band = taus
+    if isinstance(snr, _Quotient):
+        return snr.count_below(tau[0, 0], band, ws)
+    miss = np.less(snr, tau, out=ws.miss)
+    return int(np.count_nonzero(np.logical_or(*miss, out=miss[0])))
 
 
-def _rate_sums(_, gammas, ws: _Workspace) -> tuple[float, float]:
-    """Sum and sum of squares of the chunk's sum rates R1 + R2; overwrites
-    the SNRs."""
-    for gamma in gammas:
-        np.multiply(0.5 / LN2, np.log1p(gamma, out=gamma), out=gamma)
-    total = np.add(*gammas, out=gammas[0])
-    square = np.square(total, out=gammas[1])
-    return float(np.add.reduce(total)), float(np.add.reduce(square))
+def _rate_sums(_, snr, ws: _Workspace) -> tuple[float, float]:
+    """Sum and sum of squares of the chunk's sum rates R1 + R2 from the SNR
+    pair ``snr``, which it overwrites."""
+    np.multiply(0.5 / LN2, np.log1p(snr, out=snr), out=snr)
+    total = np.add(*snr, out=snr[0])
+    return float(np.add.reduce(total)), float(np.add.reduce(np.square(total, out=snr[1])))
 
 
 def _numerators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
@@ -347,16 +365,16 @@ def _numerators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
                 n: int, seed: int, workers: int, weaker=False) -> np.ndarray:
     """``total`` plus, per point of the (points,) columns ``params``, its
-    ``kernel(extra, gammas, workspace)`` results, with the point's ``extras``
+    ``kernel(extra, snr, workspace)`` results, with the point's ``extras``
     entry, summed over the chunks in chunk order.  The points run along
     ``total``'s last axis, and the parts of a kernel result that is a tuple
-    along its first.  ``gammas`` is the SNR pair, or the ``_Quotient`` of a
-    point that the bool column ``weaker`` marks and whose two scales are
-    equal.
+    along its first.  ``snr`` is the (2, half) SNR pair, or the
+    ``_Quotient`` of a point that the bool column ``weaker`` marks and whose
+    two scales are equal.
 
     A chunk runs the call's plan (see the module docstring) one of its
-    ``_halves`` at a time, each point on its own floats, with a buffer for
-    a part only where two or more points read it.  Lane j of
+    ``_halves`` at a time, each point on its own floats, with rows for a
+    part only where two or more points read it.  Lane j of
     ``lanes = min(workers, chunks)`` runs chunks j, j+lanes, j+2*lanes, ...
     in workspace j.  The workspaces are made on the calling thread, which
     also runs lane 0; lanes 1, 2, ... run on threads named
@@ -371,50 +389,44 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
     keys = sorted(zip(zip(params.omega1.tolist(), params.omega2.tolist()),
                       zip(b.tolist(), c.tolist()),
                       (weaker & (a[:, 0] == a[:, 1])).tolist(), *a.T.tolist(), range(len(a))))
-    # lone: alone on its (b, c) with a1 = a2, so unless weak its denominators go in its
-    # SNR buffers; one: every point on its means has one (weak, a, a) key, so g1*g2
-    # goes in num, where a held numerator is formed in place
+    # lone: a two-direction point alone on its (b, c) with a1 = a2, so its denominators
+    # go in its SNR rows; one: every point on its means has one (weak, a, a) key, so
+    # g1*g2 goes in num, where a held numerator is formed in place
     parts = [None, *(key[:2] for key in keys), None]
     on_means = {means: {key[2:5] for key in group}
                 for means, group in groupby(keys, lambda key: key[0])}
-    plan = [(*key, key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2],
+    plan = [(*key, not key[2] and key[3] == key[4] and parts[j] != parts[j + 1] != parts[j + 2],
              key[3] == key[4] and len(on_means[key[0]]) == 1) for j, key in enumerate(keys)]
     last_means = plan[-1][0]
+    omegas = np.stack((params.omega1, params.omega2), axis=1)[:, :, None]  # (2, 1) per point
     sizes = _chunk_sizes(n)
     lanes = min(workers, len(sizes))
     workspaces = [_Workspace.empty(sizes[0]) for _ in range(lanes)]
     chunks = [[[None] * len(plan) for _ in _halves(size)] for size in sizes]
 
     def run_half(ws: _Workspace, results: list) -> None:
-        snrs, shared = (ws.gamma1, ws.gamma2), (ws.den1, ws.den2)
         means = coeffs = held = None
         for point_means, point_coeffs, weak, a1, a2, i, lone, one in plan:
             if point_means != means:
                 means, coeffs, held, top = point_means, None, None, None
-                g1, g2 = (ws.e1, ws.e2) if means == last_means else (ws.g1, ws.g2)
-                np.multiply(means[0], ws.e1, out=g1)
-                np.multiply(means[1], ws.e2, out=g2)
-                prod = gain_product(g1, g2, out=ws.num if one else ws.prod)
+                g = np.multiply(omegas[i], ws.e, out=ws.e if means == last_means else ws.g)
+                prod = gain_product(*g, out=ws.num if one else ws.prod)
             if a1 == a2 and a1 != held and not weak:
                 held = a1
                 snr_numerator(a1, prod, out=ws.num)  # in place where one
             if point_coeffs != coeffs:  # always at a lone point, the one reader of its key
                 coeffs, quotient = point_coeffs, None
-                # a weak first point: all here are weak, and gamma1 is den2's scratch
-                pair = snr_denominators(coeffs, g1, g2, out=(
-                    (ws.den1, ws.gamma1) if weak else snrs if lone else shared))
+                # a weak first point: all here are weak, and den ends as (max, quotient)
+                den = snr_denominators(coeffs, g, out=ws.snr if lone else ws.den)
             if weak:
                 if quotient is None:  # the (b, c)'s first weak point forms its quotient
                     top = float(np.maximum.reduce(prod)) if top is None else top
-                    den = np.maximum(*pair, out=pair[0])
-                    quotient = (np.divide(prod, den, out=ws.gamma1), prod, den, top)
+                    np.maximum(*den, out=den[0])
+                    quotient = (np.divide(prod, den[0], out=den[1]), prod, den[0], top)
                 results[i] = kernel(extras[i], _Quotient(*quotient, a1), ws)
                 continue
-            nums = (ws.num, ws.num) if a1 == a2 else [
-                snr_numerator(scale, prod, out=gamma) for scale, gamma in zip((a1, a2), snrs)]
-            gammas = tuple(np.divide(num, den, out=gamma)
-                           for num, den, gamma in zip(nums, pair, snrs))
-            results[i] = kernel(extras[i], gammas, ws)
+            num = ws.num if a1 == a2 else snr_numerator(a[i, :, None], prod, out=ws.snr)
+            results[i] = kernel(extras[i], np.divide(num, den, out=ws.snr), ws)
 
     errors: list[BaseException | None] = [None] * lanes
 
@@ -422,11 +434,8 @@ def _map_points(kernel, total: np.ndarray, params: SystemParams, extras: list,
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # errstate is per thread
                 for chunk in range(j, len(sizes), lanes):
-                    rng = _chunk_rng(seed, chunk)
-                    rng.standard_exponential(sizes[chunk], out=workspaces[j].e1[:sizes[chunk]])
-                    for results, (start, stop) in zip(chunks[chunk], _halves(sizes[chunk])):
-                        ws = workspaces[j].cut(start, stop)
-                        rng.standard_exponential(stop - start, out=ws.e2)
+                    halves = workspaces[j].draw(_chunk_rng(seed, chunk), sizes[chunk])
+                    for results, ws in zip(chunks[chunk], halves):
                         run_half(ws, results)
         except BaseException as exc:  # re-raised once every lane has joined
             errors[j] = exc
@@ -460,7 +469,7 @@ def estimate_outage(
     target rate."""
     n = _validate_n(n)
     shape, params, (tau1, tau2) = as_columns(params, targets.tau1, targets.tau2)
-    taus = list(zip(tau1.tolist(), tau2.tolist(), _bands(params, tau1)))
+    taus = list(zip(np.stack((tau1, tau2), axis=1)[:, :, None], _bands(params, tau1)))
     counts = _map_points(_outage_count, np.zeros(len(taus), dtype=np.int64), params, taus,
                          n, seed, workers, weaker=tau1 == tau2)
     p = counts / n

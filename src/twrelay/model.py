@@ -239,19 +239,22 @@ def snr_numerator(scale, prod, out=None):
     return np.multiply(scale, prod, out=out)
 
 
-def snr_denominators(coeffs: DerivedCoeffs, g1, g2, out=(None, None)):
-    """The SNR denominators (b*g1 + c, b*g2 + c): one pair for every point on
-    the same gains with the same ``derived_coeffs``.  ``out`` is a pair of
-    arrays to write them into."""
+def snr_denominators(coeffs: DerivedCoeffs, gains, out=None):
+    """The SNR denominators b*g_i + c of the gain pair ``gains`` = (g1, g2),
+    stacked on its leading axis: one pair for every point on the same gains
+    with the same ``derived_coeffs``.  ``out`` is an array of that shape to
+    write them into."""
     b, c = coeffs
-    return tuple(np.add(np.multiply(b, g, out=o), c, out=o) for g, o in zip((g1, g2), out))
+    return np.add(np.multiply(b, gains, out=out), c, out=out)
 
 
 def end_to_end_snrs(params: SystemParams, g1, g2) -> tuple:
     """End-to-end SNR pair (gamma1, gamma2) after the two-stage round: each
-    direction's ``snr_numerator`` over its ``snr_denominators`` entry.
+    direction's ``snr_numerator`` over its ``snr_denominators`` row.
 
     Takes scalar or array gains; zero gains give zero SNR.
     """
-    prod, dens = gain_product(g1, g2), snr_denominators(derived_coeffs(params), g1, g2)
+    coeffs = derived_coeffs(params)
+    gains = np.stack(np.broadcast_arrays(g1, g2, *coeffs)[:2])  # a batch's (2, points)
+    prod, dens = gain_product(*gains), snr_denominators(coeffs, gains)
     return tuple(np.divide(snr_numerator(a, prod), den) for a, den in zip(snr_scales(params), dens))

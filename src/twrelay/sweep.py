@@ -237,7 +237,10 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     rate is the binomial chance of a count outside the interval: at most
     1.1% where n*p >= 2, up to 4.0% (near n*p = 0.32) where n*p is 0.092
     to 2, and up to 8.8% just below n*p = 0.092, where a count of 1 puts
-    the lower end, 0.092/n, above p.
+    the lower end, 0.092/n, above p.  ``overall`` is the AND of the K
+    judged rows; the line before it gives K and the Bonferroni bound
+    K*0.27% on a false FAIL where n*p is large (or, off an outage sweep,
+    where the mean is near normal).
     """
     judgments = {m + sfx: j for m in config.methods for sfx, j in METHODS[m].rows}
     if "mc" not in config.methods or set(judgments.values()) == {REFERENCE}:
@@ -250,7 +253,7 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
     result = run_sweep(config)
     lines = [f"validation of {config.output_path.translate(ONE_LINE)} "
              f"({config.plan.family} sweep)"]
-    all_passed = True
+    all_passed, judged = True, 0
     mc_column = next(column for column in result.columns if column.method == "mc")
     draws = config.mc_n if config.plan.family == "outage" else None
     for i, label in enumerate(config.plan.labels):
@@ -264,7 +267,11 @@ def validate_sweep(config: ExperimentConfig) -> ValidationReport:
             ok, claim = judge(judgments[method], values[i], mc_column.values[i],
                               mc_column.std_errs[i], draws)
             lines.append(f"{head} {claim} -> {'PASS' if ok else 'FAIL'}")
-            all_passed = all_passed and ok
+            all_passed, judged = all_passed and ok, judged + 1
+    where = ("where n*p is large; for small counts see twrelay.sweep.validate_sweep's docstring"
+             if draws else "where the Monte Carlo mean is near normal")
+    lines.append(f"K = {judged} judged rows: P(a correct closed form FAILs any) "
+                 f"<= K*0.27% = {judged * 0.27:.3g}% (Bonferroni) {where}")
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
     report = ValidationReport(passed=all_passed, lines=lines, report_path=report_path)
     with open(report_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -374,7 +374,8 @@ def outage_counts(params: list, targets: list, n: int, seed: int) -> list[int]:
             e1, e2 = draw_exponentials(seed, k, size)
             for i, (p, t) in enumerate(zip(params, targets)):
                 g1, g2 = np.multiply(p.omega1, e1), np.multiply(p.omega2, e2)
-                prod, dens = gain_product(g1, g2), snr_denominators(derived_coeffs(p), g1, g2)
+                prod = gain_product(g1, g2)
+                dens = snr_denominators(derived_coeffs(p), np.stack((g1, g2)))
                 scales = snr_scales(p)
                 if scales[0] == scales[1] and t.tau1 == t.tau2:
                     miss = np.divide(snr_numerator(scales[0], prod), np.maximum(*dens)) < t.tau1

@@ -533,6 +533,13 @@ def _plain_chunk_sums(params, targets, n, seed):
     return counts, sums
 
 
+def _rows(ws) -> dict:
+    """The rows of a workspace by name: a field of one row by its own name,
+    row k of a field of several as ``field[k]``."""
+    return {name if rows.ndim == 1 else f"{name}[{k}]": row
+            for name, rows in zip(ws._fields, ws) for k, row in enumerate(np.atleast_2d(rows))}
+
+
 class TestChunkWorkspace:
     # a lone chunk shows its own sums' bits: 128 draws run whole, and 131
     # split at 64, below 131 // 2
@@ -551,9 +558,10 @@ class TestChunkWorkspace:
 
     def test_e1_holds_a_chunk_and_every_other_buffer_a_half(self):
         ws = mc._Workspace.empty(CHUNK_DRAWS)
-        half = len(ws.e2)
-        assert len(ws.e1) == CHUNK_DRAWS
-        assert all(len(buf) == half for buf in ws[1:])
+        half = len(ws.e[1])
+        # e1's two halves go in rows 0 and 2 of e, so they hold a chunk
+        assert len(ws.e[0]) + len(ws.e[2]) >= CHUNK_DRAWS
+        assert all(len(row) == half for row in _rows(ws).values())
         assert CHUNK_DRAWS // 2 <= half < CHUNK_DRAWS // 2 + 8
         # the halves of every chunk size tile the chunk and fit the workspace
         for n in range(1, CHUNK_DRAWS + 1):
@@ -564,22 +572,35 @@ class TestChunkWorkspace:
                 assert halves[0][1] == halves[1][0]
         # a chunk of at most 128 draws runs whole, in buffers of its size
         assert mc._halves(128) == [(0, 128)]
-        assert [len(buf) for buf in mc._Workspace.empty(100)] == [100] * len(ws)
+        assert [len(row) for row in _rows(mc._Workspace.empty(100)).values()] == [100] * 13
 
     @pytest.mark.parametrize("n", [1, 128, 129, 4321, CHUNK_DRAWS - 1, CHUNK_DRAWS])
     def test_float_buffers_are_cache_line_aligned_and_disjoint(self, n):
         ws = mc._Workspace.empty(n)
         half = min(n, max(128, (n + 1) // 2 + 7))
         spans = []
-        for name, buf in zip(ws._fields, ws):
-            if buf.dtype != np.float64:
+        for name, row in _rows(ws).items():
+            if row.dtype != np.float64:
                 continue
-            assert len(buf) == (n if name == "e1" else half), name
-            assert buf.ctypes.data % 64 == 0, name
-            spans.append((buf.ctypes.data, buf.ctypes.data + buf.nbytes))
-        assert len(spans) == 10
+            assert len(row) == half, name
+            assert row.ctypes.data % 64 == 0, name
+            spans.append((row.ctypes.data, row.ctypes.data + row.nbytes))
+        assert len(spans) == 11
         spans.sort()
         assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("n", [1, 128, 129, 4321, CHUNK_DRAWS - 1, CHUNK_DRAWS])
+    def test_each_half_draws_its_row_pair_of_the_whole_chunk(self, n):
+        # in a workspace of the chunk's size, and in a full chunk's, as a call's
+        # last chunk runs
+        whole = draw_exponentials(7, 2, n)
+        for ws in (mc._Workspace.empty(n), mc._Workspace.empty(CHUNK_DRAWS)):
+            halves = mc._halves(n)
+            drawn = ws.draw(mc._chunk_rng(7, 2), n)
+            for (start, stop), cut in zip(halves, drawn, strict=True):
+                assert cut.e.shape == (2, stop - start)
+                assert cut.e[0].tobytes() == whole[0][start:stop].tobytes()
+                assert cut.e[1].tobytes() == whole[1][start:stop].tobytes()
 
     # sym is a weak SNR sweep, tied and asym take both directions (asym with
     # P1 != P2), d1 scales new gains at every point, and fig2 is a lambda
@@ -587,11 +608,11 @@ class TestChunkWorkspace:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name, untouched", [pytest.param(name, set(fields), id=name)
                                                  for name, fields in [
-        ("sym", ("g1", "g2", "num", "den2", "gamma2")),
-        ("tied", ("g1", "g2")),
-        ("asym", ("g1", "g2", "num")),
-        ("d1", ("prod", "den2", "gamma2")),
-        ("fig2", ("g1", "g2", "prod", "den1", "den2")),
+        ("sym", ("g[0]", "g[1]", "num", "snr[0]", "snr[1]")),
+        ("tied", ("g[0]", "g[1]")),
+        ("asym", ("g[0]", "g[1]", "num")),
+        ("d1", ("prod", "snr[0]", "snr[1]")),
+        ("fig2", ("g[0]", "g[1]", "prod", "den[0]", "den[1]")),
     ]])
     def test_a_plan_writes_a_buffer_only_where_two_points_read_it(
             self, monkeypatch, name, untouched, workers):
@@ -615,8 +636,8 @@ class TestChunkWorkspace:
             estimate_outage(plan.params, plan.targets, n, 1, workers)
         assert len(made) == workers
         for ws in made:
-            assert {field for field, buf in zip(ws._fields, ws)
-                    if buf.dtype == np.float64 and np.isnan(buf).all()} == untouched
+            assert {name for name, row in _rows(ws).items()
+                    if row.dtype == np.float64 and np.isnan(row).all()} == untouched
 
     # lambda points read their (b, c) alone, SNR points share one, d1 points
     # move the gains, and p2_scale != 1 takes the two-direction path
@@ -843,7 +864,8 @@ class TestCertifiedOutageCount:
         a = snr_scales(params)[0]
         e1, e2 = draw_exponentials(7, 0, self.N)
         g1, g2 = params.omega1 * e1, params.omega2 * e2
-        prod, den = g1 * g2, np.maximum(*snr_denominators(derived_coeffs(params), g1, g2))
+        prod = g1 * g2
+        den = np.maximum(*snr_denominators(derived_coeffs(params), np.stack((g1, g2))))
         q, snr = prod / den, a * prod / den
         # tau on one draw's SNR: no outage there, though q < fl(tau/a); and
         # tau just above another's: an outage, though q >= fl(tau/a)

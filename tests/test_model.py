@@ -148,6 +148,15 @@ class TestEndToEndSnrs:
             assert s1 == pytest.approx(vec1[i], rel=1e-12)
             assert s2 == pytest.approx(vec2[i], rel=1e-12)
 
+    @pytest.mark.parametrize("points", [2, 3])
+    def test_a_batch_on_scalar_gains_is_each_point_alone(self, points):
+        # two points must not pair their columns with the gain pair's axis
+        lams = np.linspace(0.3, 0.7, points)
+        batch = end_to_end_snrs(make_params(lam=lams), 2.0, 3.0)
+        for k, lam in enumerate(lams):
+            alone = end_to_end_snrs(make_params(lam=float(lam)), 2.0, 3.0)
+            assert (batch[0][k], batch[1][k]) == alone
+
     def test_zero_gains_give_zero_snr(self):
         params = make_params()
         assert end_to_end_snrs(params, 0.0, 1.0) == (0.0, 0.0)
@@ -163,8 +172,8 @@ class TestEndToEndSnrs:
         g2[3:6] = 0.0
         points = [make_params(snr_db=db, lam=0.3, d1=0.35) for db in (-5.0, 7.0, 40.0)]
         prod = gain_product(g1, g2, out=np.empty_like(g1))
-        dens = snr_denominators(derived_coeffs(points[0]), g1, g2,
-                                out=(np.empty_like(g1), np.empty_like(g1)))
+        dens = snr_denominators(derived_coeffs(points[0]), np.stack((g1, g2)),
+                                out=np.empty((2, g1.size)))
         for params in points:
             b, c = derived_coeffs(params)
             written_out = (
@@ -181,10 +190,10 @@ class TestEndToEndSnrs:
             one_num = tuple(np.divide(num, den) for den in dens)
             # dens formed in out, as a lone Monte Carlo point forms them: each
             # quotient overwrites its own
-            in_out = (np.full_like(g1, np.nan), np.full_like(g1, np.nan))
-            in_dens = snr_denominators(derived_coeffs(params), g1, g2, out=in_out)
-            own = tuple(np.divide(num, den, out=den) for den in in_dens)
-            assert own[0] is in_out[0] and own[1] is in_out[1]
+            in_out = np.full((2, g1.size), np.nan)
+            in_dens = snr_denominators(derived_coeffs(params), np.stack((g1, g2)), out=in_out)
+            own = np.divide(num, in_dens, out=in_dens)
+            assert own is in_out
             for gammas in (end_to_end_snrs(params, g1, g2), shared, one_num, own):
                 for got, want in zip(gammas, written_out):
                     assert got.tobytes() == want.tobytes()
@@ -258,8 +267,8 @@ class TestWeakerSnr:
         with np.errstate(all="ignore"):
             gamma1, gamma2 = end_to_end_snrs(params, g1, g2)
             num = snr_numerator(snr_scales(params)[0], gain_product(g1, g2))
-            pair = snr_denominators(derived_coeffs(params), g1, g2,
-                                    out=(np.empty_like(g1), np.empty_like(g1)))
+            pair = snr_denominators(derived_coeffs(params), np.stack((g1, g2)),
+                                    out=np.empty((2, g1.size)))
             weak = np.divide(num, np.maximum(*pair, out=pair[0]), out=pair[0])
         smaller = np.minimum(gamma1, gamma2)
         assert np.array_equal(weak, smaller, equal_nan=True)

@@ -457,6 +457,16 @@ class TestValidate:
         for path in (f"{name}.csv", report.report_path):
             assert (tmp_path / path).read_bytes() == (GOLDEN_VALIDATE / path).read_bytes()
 
+    @pytest.mark.parametrize("name", VALIDATE_NAMES)
+    def test_frozen_report_counts_its_verdict_lines_as_k(self, name):
+        # the line before overall gives K and K*0.27%, and is not itself a
+        # verdict or the overall line, which the benchmark's report check reads
+        lines = (GOLDEN_VALIDATE / f"{name}.csv.validation.txt").read_text().splitlines()
+        k = sum(line.endswith((" -> PASS", " -> FAIL")) for line in lines)
+        assert lines[-2].startswith(f"K = {k} judged rows: ")
+        assert f" <= K*0.27% = {k * 0.27:.3g}% (Bonferroni) " in lines[-2]
+        assert lines[-1] == "overall: PASS"
+
     def test_detects_corrupted_coefficient(self, tmp_path, monkeypatch):
         # bias the amplification-noise coefficient used by the closed forms
         true_fn = analytic.derived_coeffs
@@ -523,7 +533,7 @@ class TestValidate:
         config = ExperimentConfig(sweep="lambda", start=0.5, stop=0.5000001, steps=3,
                                   mc_n=2000, seed=1, output_path=str(tmp_path / "x.csv"))
         report = validate_sweep(config)
-        heads = [line.split(" ")[0] for line in report.lines[1:-1]]
+        heads = [line.split(" ")[0] for line in report.lines[1:-2]]
         assert heads == ["lambda=0.5", "lambda=0.50000005", "lambda=0.5000001"]
         # each names its point as the CSV's rows do
         axes = [row.split(",")[0] for row in (tmp_path / "x.csv").read_text().splitlines()
