@@ -25,6 +25,25 @@ rows.  The series is summed as arrays, a block of orders at a time for every
 direction still running, from tables built at import; beyond its reach it
 raises ConvergenceError.
 
+One integral per distinct direction: a direction whose integral inputs
+repeat, bit for bit, those of the direction before it in raveled order
+reads that one's value (``numerics.distinct_rows``).  Both directions of a
+point follow one SNR law where P1 = P2 and omega1 = omega2, so the survival
+integrals and the series run once for such a point, and the strips too
+where also T1 = T2.  Measured shares of such points: every point of the
+presets that integrate (fig1 7/7, fig2 19/19) and of the ``analytic-dense``
+sweeps ``cap_lambda_20db``, ``cap_lambda_2db`` (37 each), ``cap_snr`` (31)
+and ``out_snr`` (81); none of ``out_d1`` (0/91).  fig3, fig4 and ``dmt_r``
+run no integral.
+
+One set of shared parts per family: a sweep hands every closed form one
+:class:`Shared`, whose parts are each formed by the first closed form that
+reads it.  The outage forms share the thresholds, and the exact value and
+the bounds one corner with its checks, mass and survivals; the capacity
+forms share the batch, one pass over the survival integral's nodes for
+x*K1(x) and the lower bound's exp(-x), and one Psi(1,1;s) for the series
+and the loose bound.  No output moves a bit.
+
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
 the rational SNR form gamma_i = (P_j/sigma2) * g1*g2 / (b*g_i + c), the
@@ -38,6 +57,7 @@ direction axis.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +67,7 @@ from .errors import (
     ConvergenceError,
     DegenerateCaseError,
     DomainError,
+    ParameterError,
     overflows,
     raise_first,
 )
@@ -61,7 +82,7 @@ from .model import (
     snr_scales,
     symmetric_growth,
 )
-from .numerics import log_integral, log_rule, slabs
+from .numerics import distinct_rows, log_integral, log_rule, slabs
 from .specfun import EULER_GAMMA, bessel_xk1, exp_integral_e1, tricomi_psi11
 
 LN2 = math.log(2.0)
@@ -263,16 +284,62 @@ def _joint_thresholds(taus):
     return joint, np.where(joint[:, None], taus, 1.0)
 
 
-def _corner_parts(params, targets) -> tuple:
-    """What :func:`outage_exact` and :func:`outage_bounds` share: the batch,
-    each direction's survival P(gamma_i > tau_i), (points, 2), the joint
-    mask and thresholds of :func:`_joint_thresholds`, the corner and its
-    checks (:func:`_corner_point`) and the parts of :func:`_corner_mass`."""
-    batch, taus, _, m, kappa = _thresholded(params, targets)
+def _corner_parts(batch: _Batch, taus, eps, m, kappa) -> tuple:
+    """What :func:`outage_exact` and :func:`outage_bounds` share, from the
+    parts of :func:`_thresholded`: the batch, each direction's survival
+    P(gamma_i > tau_i), (points, 2), the joint mask and thresholds of
+    :func:`_joint_thresholds`, the corner and its checks
+    (:func:`_corner_point`) and the parts of :func:`_corner_mass`."""
     joint, taus = _joint_thresholds(taus)
     corner, checks = _corner_point(batch, taus, joint)
     return (batch, _survival(m, kappa), joint, taus, corner, checks,
             *_corner_mass(batch.d, corner))
+
+
+class Shared:
+    """One batch, ``params`` with the ``targets`` of its outage forms, and
+    the parts that a family's closed forms share (the module docstring),
+    each formed once, by the first closed form that reads it.  Every closed
+    form but :func:`dmt` takes one in place of its ``params`` (an outage
+    form, with the Shared's own ``targets``); given plain ``params``, it
+    makes its own.  A lone call of capacity_quadrature or capacity_bounds,
+    or a sweep that runs only one of them, still forms both integrands on
+    their one pass.
+    """
+
+    def __init__(self, params, targets=None):
+        self.params, self.targets = params, targets
+
+    @cached_property
+    def batch(self) -> _Batch:  # of the params alone, as the capacity forms read it
+        return _batch(self.params)[0]
+
+    @cached_property
+    def thresholded(self) -> tuple:
+        return _thresholded(self.params, self.targets)
+
+    @cached_property
+    def corner(self) -> tuple:
+        return _corner_parts(*self.thresholded)
+
+    @cached_property
+    def integrals(self) -> np.ndarray:
+        """The survival integrals of x*K1(x) and of exp(-x), (2, points, 2)."""
+        return _survival_integral(self.batch.d, (bessel_xk1, _xk1_floor))
+
+    @cached_property
+    def psi11(self) -> np.ndarray:
+        """Psi(1, 1; s) of each direction, (points, 2)."""
+        return tricomi_psi11(self.batch.d.s)
+
+
+def _shared(params, *targets) -> Shared:
+    """``params`` if it is a Shared, else a new one of ``params`` and ``targets``."""
+    if not isinstance(params, Shared):
+        return Shared(params, *targets)
+    if targets and targets[0] is not params.targets:
+        raise ParameterError("a Shared's closed forms take its own targets")
+    return params
 
 
 def _system_outage(survivals, joint_outage) -> tuple[np.ndarray, Check]:
@@ -295,9 +362,10 @@ def outage_exact(params, targets) -> float:
     direction 1, Y0 for direction 2) and I integrates the boundary strip
     between the corner and the curve (see :func:`_segment_integral`); it is
     0 where a threshold is 0.  The strips of all points and both directions
-    are one array pass.
+    are one array pass, in which a point with equal powers, fading means and
+    thresholds integrates one strip for both directions.
     """
-    batch, survivals, joint, taus, corner, checks, _, mass = _corner_parts(params, targets)
+    batch, survivals, joint, taus, corner, checks, _, mass = _shared(params, targets).corner
     d = batch.d
     strips = np.exp(-d.s * taus) / d.own * _segment_integral(taus * d.mu * d.own, d.own, corner)
     both, (bad, error) = _clamp_probability(1.0 - mass - strips[:, 0] - strips[:, 1],
@@ -329,7 +397,7 @@ def outage_bounds(params, targets) -> tuple[float, float]:
     The exact value and the lower bound keep the excursion check.  A point
     with a zero threshold has no corner: both bounds are its exact outage.
     """
-    batch, survivals, joint, taus, _, corner_checks, shift, mass = _corner_parts(params, targets)
+    batch, survivals, joint, taus, _, corner_checks, shift, mass = _shared(params, targets).corner
     exact, exact_check = _system_outage(survivals, 0.0)
     lower, _ = _lower_bound(batch.d, taus, shift, mass)
     attenuated = survivals * np.exp(-shift)
@@ -373,7 +441,7 @@ def outage_high_snr(params, targets) -> float:
     At low SNR the expression exceeds 1, so the contract clamps rather
     than errors.
     """
-    batch, _, _, m, kappa = _thresholded(params, targets)
+    batch, _, _, m, kappa = _shared(params, targets).thresholded
     one_is_weak = kappa[:, 0] > kappa[:, 1]  # on a tie direction 2 is the weak one
     (m_s, m_w), (kappa_s, kappa_w) = (np.where(one_is_weak, v[:, ::-1].T, v.T) for v in (m, kappa))
     live = kappa_w > 0.0
@@ -396,10 +464,17 @@ def _sum_rate(nats: np.ndarray) -> np.ndarray:
     return nats.sum(axis=1) / (2.0 * LN2)
 
 
-def _survival_integral(d: Direction, xk1, kink: float | None = None):
+def _xk1_floor(x):
+    """exp(-x) <= x*K1(x), the lower capacity bound's stand-in for x*K1(x)."""
+    return np.exp(-x)
+
+
+def _survival_integral(d: Direction, xk1s: tuple, kink: float | None = None):
     """int_0^inf exp(-s*z) * xk1(2*sqrt(mu*z)) / (1+z) dz per element of the
-    direction fields s and mu, for ``xk1`` equal to x*K1(x) or one of the
-    bounds on it, each taking an array.
+    direction fields s and mu, for each ``xk1`` of ``xk1s``, x*K1(x) or a
+    bound on it, each taking an array: shape (len(xk1s), points, 2), every
+    integrand on the one table of nodes, and a point whose two directions
+    follow one law integrated once (``numerics.log_integral``).
 
     The rule runs in t = ln z on [1e-17*min(1, 1/s), min(745/s, 745^2/(4*mu))].
     The integrand is at most 1 and the value scales with the decay length
@@ -418,7 +493,8 @@ def _survival_integral(d: Direction, xk1, kink: float | None = None):
     raise_first(overflows("ln(1e-17*min(1, 1/s))", ln_lo, d.a), overflows("4*mu/745", reach, d.a))
 
     def integrand(z, s, mu):
-        return np.exp(-s * z) * xk1(2.0 * np.sqrt(mu * z)) / (1.0 + z)
+        decay, x, knee = np.exp(-s * z), 2.0 * np.sqrt(mu * z), 1.0 + z
+        return np.stack([decay * xk1(x) / knee for xk1 in xk1s])
 
     splits = (1.0,)
     if kink is not None:
@@ -430,9 +506,9 @@ def _survival_integral(d: Direction, xk1, kink: float | None = None):
 def capacity_quadrature(params) -> float:
     """Ergodic capacity: (1/(2 ln 2)) * sum_i int_0^inf (1 - F_i(z))/(1+z) dz,
     each survival integral on the log-variable rule, all directions of all
-    points in one pass."""
-    (batch,) = _batch(params)
-    return batch.shaped(_sum_rate(_survival_integral(batch.d, bessel_xk1)))
+    points in one pass (:attr:`Shared.integrals`)."""
+    shared = _shared(params)
+    return shared.batch.shaped(_sum_rate(shared.integrals[0]))
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -524,6 +600,8 @@ def capacity_direction_integral(s, mu):
     last of three consecutive |term| <= SERIES_REL_TOL * |partial sum| or at
     a term that is not finite.  Each direction's value, terms used, last
     |term| and sum|term| are then read off the table's sums in index order.
+    An element whose s and mu repeat the element before it, in raveled
+    order, reads that one's row (``numerics.distinct_rows``).
 
     The terms scale like (mu/s)^l / l!, so the sum cancels from a peak near
     e^(mu/s): the factors' 3e-14 relative error becomes an error of roughly
@@ -540,9 +618,46 @@ def capacity_direction_integral(s, mu):
     failing direction.
     """
     s, mu = _broadcast(s, mu)
+    flat = mu.ravel()
+    raise_first((flat < 0.0,
+                 lambda i: DomainError(f"Bessel scale mu must be >= 0; got {flat[i]}")))
+    return _series(s, mu, tricomi_psi11(s))
+
+
+def _series(s, mu, psi11):
+    """:func:`capacity_direction_integral` of arrays ``s`` and ``mu`` of one
+    shape with mu >= 0, from each element's Psi(1,1;s), ``psi11``."""
     shape, s, mu = s.shape, s.ravel(), mu.ravel()
-    raise_first((mu < 0.0, lambda i: DomainError(f"Bessel scale mu must be >= 0; got {mu[i]}")))
-    value = tricomi_psi11(s)
+    first, source = distinct_rows(s, mu)
+    value, used, running, last, magnitude = (
+        part[source] for part in _series_table(s[first], mu[first], np.ravel(psi11)[first]))
+    at = np.maximum(used - 1, 0)
+    blown = ~np.isfinite(last)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cancels = magnitude > SERIES_CANCELLATION_LIMIT * np.abs(value)
+    # one that never stops or blows up may read as cancelling too: error() names its kind
+    failed = (running | blown | cancels).reshape(shape or 1)
+    index = np.arange(s.size).reshape(failed.shape)
+
+    def error(i: int) -> Exception:
+        k = index[i][failed[i]][0]  # the point's first failing direction
+        where, m = f"s={s[k]:.3g}, mu={mu[k]:.3g}", magnitude[k]
+        if running[k]:
+            return ConvergenceError(f"capacity series did not converge within "
+                                    f"{SERIES_MAX_TERMS} terms ({where}; last term {last[k]:.3g})")
+        return ConvergenceError((
+            f"capacity series term {at[k]} is not finite" if blown[k] else
+            f"capacity series cancels: sum|term| = {m:.3g} is {m / abs(value[k]):.3g} times "
+            f"its value {value[k]:.6g}") + f" ({where}, mu/s={mu[k] / s[k]:.3g})")
+
+    raise_first((failed, error))
+    return value.reshape(shape), used.reshape(shape), last.reshape(shape)
+
+
+def _series_table(s, mu, psi11) -> tuple:
+    """The series of :func:`capacity_direction_integral` for 1-D ``s`` and
+    ``mu``, from ``psi11``: per element its value, terms used, whether it
+    is still running at SERIES_MAX_TERMS, its |last term| and sum|term|."""
     table = np.zeros((s.size, SERIES_MAX_TERMS), order="F")  # unwritten columns stay unmapped
     used = np.zeros(s.size, dtype=int)
     running = mu > 0.0
@@ -570,36 +685,19 @@ def capacity_direction_integral(s, mu):
     at = np.maximum(used - 1, 0)  # a direction with mu = 0 reads its zero column 0
     index, summed = np.arange(s.size), table[:, :at.max(initial=0) + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        value = value + np.cumsum(summed, axis=1)[index, at]
+        value = psi11 + np.cumsum(summed, axis=1)[index, at]
         magnitude = np.cumsum(np.abs(summed), axis=1)[index, at]
-        cancels = magnitude > SERIES_CANCELLATION_LIMIT * np.abs(value)
-    last = np.abs(table[index, at])
-    blown = ~np.isfinite(last)
-    # one that never stops or blows up may read as cancelling too: error() names its kind
-    failed = (running | blown | cancels).reshape(shape or 1)
-    first = index.reshape(failed.shape)
-
-    def error(i: int) -> Exception:
-        k = first[i][failed[i]][0]  # the point's first failing direction
-        where, m = f"s={s[k]:.3g}, mu={mu[k]:.3g}", magnitude[k]
-        if running[k]:
-            return ConvergenceError(f"capacity series did not converge within "
-                                    f"{SERIES_MAX_TERMS} terms ({where}; last term {last[k]:.3g})")
-        return ConvergenceError((
-            f"capacity series term {at[k]} is not finite" if blown[k] else
-            f"capacity series cancels: sum|term| = {m:.3g} is {m / abs(value[k]):.3g} times "
-            f"its value {value[k]:.6g}") + f" ({where}, mu/s={mu[k] / s[k]:.3g})")
-
-    raise_first((failed, error))
-    return value.reshape(shape), used.reshape(shape), last.reshape(shape)
+    return value, used, running, np.abs(table[index, at]), magnitude
 
 
 def capacity_series(params) -> CapacitySeries:
     """Ergodic capacity via the Bessel-series decomposition (both
-    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2))."""
-    (batch,) = _batch(params)
-    d = batch.d
-    value, used, last = capacity_direction_integral(d.s, d.mu)
+    directions of :func:`capacity_direction_integral`, scaled by 1/(2 ln 2)),
+    from the Psi(1,1;s) that the loose capacity bound reads too
+    (:attr:`Shared.psi11`)."""
+    shared = _shared(params)
+    batch = shared.batch
+    value, used, last = _series(batch.d.s, batch.d.mu, shared.psi11)
     return CapacitySeries(batch.shaped(_sum_rate(value)), tuple(used.ravel().tolist()),
                           batch.shaped(last.max(axis=1, initial=0.0)))
 
@@ -646,14 +744,14 @@ def capacity_bounds(params) -> CapacityBounds:
     (giving the bare Psi(1,1;.) sum).  Since exp(-x) <= x*K1(x) <=
     _xk1_upper(x) <= 1 pointwise and the rule's weights are positive,
     ``lower <= C_e <= tight_upper`` holds exactly on the shared nodes, and
-    ``tight_upper <= loose_upper`` to the rule's accuracy.
+    ``tight_upper <= loose_upper`` to the rule's accuracy.  The lower bound
+    rides the capacity's own pass over the nodes, and the loose one is the
+    series' Psi(1,1;s) (:class:`Shared`).
     """
-    (batch,) = _batch(params)
-    d = batch.d
-    lower = _survival_integral(d, lambda x: np.exp(-x))
-    tight = _survival_integral(d, _xk1_upper, _XK1_UPPER_KINK)
-    loose = tricomi_psi11(d.s)
-    return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, loose)))
+    shared = _shared(params)
+    batch, lower = shared.batch, shared.integrals[1]
+    tight = _survival_integral(batch.d, (_xk1_upper,), _XK1_UPPER_KINK)[0]
+    return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, shared.psi11)))
 
 
 def _symmetric_corner(r, gamma, b, c):
@@ -739,12 +837,12 @@ def non_coop_outage(params, targets) -> float:
     This time-sharing convention is a modelling choice, not a uniquely
     determined one.
     """
-    batch, _, eps, _, _ = _thresholded(params, targets)
+    batch, _, eps, _, _ = _shared(params, targets).thresholded
     return batch.shaped(-np.expm1(-eps.max(axis=1)))
 
 
 def non_coop_capacity(params) -> float:
     """Sum ergodic rate of the non-cooperative baseline: per direction
     E[ln(1 + a*g)] = e^(1/a) E1(1/a) = Psi(1, 1; 1/a), over 2 ln 2."""
-    (batch,) = _batch(params)
+    batch = _shared(params).batch
     return batch.shaped(_sum_rate(tricomi_psi11(1.0 / batch.d.a)))

@@ -1,9 +1,11 @@
 """The sweep methods in one table: for each method name a config may list,
 one evaluator per metric family it serves, and its CSV rows with how
-``validate`` judges each.  An evaluator maps ``(config, params, targets,
-r)``, a sweep's points as the columns of one ``SystemParams`` with their
-targets and multiplexing gains, to the tuple of its outputs, by one batched
-call of an ``analytic.*`` or ``mc.*`` function over all points.  An output
+``validate`` judges each.  An evaluator maps ``(config, points, r)`` to
+the tuple of its outputs, by one batched call of an ``analytic.*`` or
+``mc.*`` function over all points.  ``points`` is the sweep's one
+``analytic.Shared``: its ``params``, the columns of one ``SystemParams``,
+and their ``targets``, with the parts its family's closed forms share, which
+each closed form reads from it; ``r`` is the multiplexing gain.  An output
 is a list of one float per point, or an ``mc.Estimate`` of such lists.  An
 Estimate, like every record of the package, is a NamedTuple, yet it is one
 output: its evaluator returns it in a 1-tuple, and the sweep tells it from
@@ -59,26 +61,26 @@ def _one(family: str, judgment: str, evaluate: Callable, first: int = 0) -> Meth
     return Method({family: evaluate}, (("", judgment),), first)
 
 
-def _outage_exact(c, params, targets, r):
-    return (analytic.outage_exact(params, targets),)
+def _outage_exact(c, points, r):
+    return (analytic.outage_exact(points, points.targets),)
 
 
-def _outage_bounds(c, params, targets, r):
-    return analytic.outage_bounds(params, targets)
+def _outage_bounds(c, points, r):
+    return analytic.outage_bounds(points, points.targets)
 
 
 METHODS: dict[str, Method] = {
     "mc": Method({
-        "outage": lambda c, params, targets, r: (mc.estimate_outage(
-            params, targets, c.mc_n, c.seed, workers=c.workers),),
-        "capacity": lambda c, params, targets, r: (mc.estimate_capacity(
-            params, c.mc_n, c.seed, workers=c.workers),),
-        "dmt": lambda c, params, targets, r: (mc.estimate_diversity_fd(
-            params, r, c.mc_n, c.seed, workers=c.workers),),
+        "outage": lambda c, points, r: (mc.estimate_outage(
+            points.params, points.targets, c.mc_n, c.seed, workers=c.workers),),
+        "capacity": lambda c, points, r: (mc.estimate_capacity(
+            points.params, c.mc_n, c.seed, workers=c.workers),),
+        "dmt": lambda c, points, r: (mc.estimate_diversity_fd(
+            points.params, r, c.mc_n, c.seed, workers=c.workers),),
     }, (("", REFERENCE),)),
     "non_coop": Method({
-        "outage": lambda c, params, targets, r: (analytic.non_coop_outage(params, targets),),
-        "capacity": lambda c, params, targets, r: (analytic.non_coop_capacity(params),),
+        "outage": lambda c, points, r: (analytic.non_coop_outage(points, points.targets),),
+        "capacity": lambda c, points, r: (analytic.non_coop_capacity(points),),
     }, (("", REFERENCE),)),
     # Two names for the one exact outage, kept so existing configs still run.
     "exact_taylor": _one("outage", EXACT, _outage_exact),
@@ -86,16 +88,16 @@ METHODS: dict[str, Method] = {
     # The bounds come as one pair of outputs, (lower, upper).
     "lower_bound": _one("outage", LOWER, _outage_bounds),
     "upper_bound": _one("outage", UPPER, _outage_bounds, first=1),
-    "high_snr": _one("outage", REFERENCE, lambda c, params, targets, r: (
-        analytic.outage_high_snr(params, targets),)),
-    "capacity_quadrature": _one("capacity", EXACT, lambda c, params, targets, r: (
-        analytic.capacity_quadrature(params),)),
-    "capacity_series": _one("capacity", EXACT, lambda c, params, targets, r: (
-        analytic.capacity_series(params).value,)),
+    "high_snr": _one("outage", REFERENCE, lambda c, points, r: (
+        analytic.outage_high_snr(points, points.targets),)),
+    "capacity_quadrature": _one("capacity", EXACT, lambda c, points, r: (
+        analytic.capacity_quadrature(points),)),
+    "capacity_series": _one("capacity", EXACT, lambda c, points, r: (
+        analytic.capacity_series(points).value,)),
     # The bounds come as three outputs, (lower, tight_upper, loose_upper).
     "capacity_bounds": Method(
-        {"capacity": lambda c, params, targets, r: analytic.capacity_bounds(params)},
+        {"capacity": lambda c, points, r: analytic.capacity_bounds(points)},
         ((":lower", LOWER), (":tight_upper", UPPER), (":loose_upper", UPPER)),
     ),
-    "dmt": _one("dmt", EXACT, lambda c, params, targets, r: (analytic.dmt(params, r),)),
+    "dmt": _one("dmt", EXACT, lambda c, points, r: (analytic.dmt(points.params, r),)),
 }

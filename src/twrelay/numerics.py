@@ -8,7 +8,8 @@ boundary layer, a 1/(1+z) knee or a Gamma-shaped bulk, all of which are
 smooth on the log scale, so a fixed node set over a window that drops only
 negligible mass reaches about 1e-13 relative without adaptivity or error
 estimates.  :func:`log_integral` integrates one row of nodes per element of
-its bounds, all rows in array passes of a bounded size.  The adaptive
+its bounds, all rows in array passes of a bounded size, and a row that
+repeats the row before it once (:func:`distinct_rows`).  The adaptive
 QUADPACK reference the tests hold it against lives in ``tests/helpers.py``.
 """
 
@@ -94,6 +95,21 @@ def slabs(rows: int, row_elements: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, rows, step)]
 
 
+def distinct_rows(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """The rows to compute, and the row each row reads its value from: of
+    the rows of the equal-length 1-D float ``columns`` (row i holds their
+    i-th values), one that repeats the row before it bit for bit reads that
+    row's value.  For any f that maps each row on its own,
+    ``f(*(c[first] for c in columns))[source]`` is ``f(*columns)``.  A
+    point's two directions are consecutive rows of its batch's raveled
+    (points, 2) arrays, so a point whose directions follow one law
+    computes one of them."""
+    fresh = np.ones(columns[0].size, dtype=bool)
+    bits = [c.view(np.int64) for c in columns]
+    fresh[1:] = ~np.logical_and.reduce([b[1:] == b[:-1] for b in bits])
+    return np.flatnonzero(fresh), np.cumsum(fresh) - 1
+
+
 def log_integral(f: Callable[..., np.ndarray], lo, hi, splits=(), args=()):
     """Per element of the bounds, int_lo^hi f(z) dz for 0 < lo <= hi by
     :func:`log_rule`, one panel between each pair of consecutive ends among
@@ -103,19 +119,27 @@ def log_integral(f: Callable[..., np.ndarray], lo, hi, splits=(), args=()):
     split outside [lo, hi] is moved to the nearer end, where its panel is
     empty, and lo = hi gives 0.  ``f(z, *args)`` maps the nodes, shape
     ``(rows, panels, RULE_NODES)``, and each argument's values for those
-    rows, shape ``(rows, 1, 1)``, to integrand values.  A pole of f off the
-    real line, or a kink on it, next to the middle of a panel slows the rule
-    down; at a panel end it does not, so the callers split there.
+    rows, shape ``(rows, 1, 1)``, to integrand values, or to several
+    integrands stacked on a leading axis, one integral each on the same
+    nodes: the result then carries that axis first.  An element whose
+    bounds, splits and arguments repeat the element before it, in raveled
+    order, is integrated once (:func:`distinct_rows`).  A pole of f off
+    the real line, or a kink on it, next to the middle of a panel slows the
+    rule down; at a panel end it does not, so the callers split there.
     """
     lo, hi, *rest = np.broadcast_arrays(lo, hi, *splits, *args)
-    shape, lo, hi = lo.shape, np.ravel(lo), np.ravel(hi)
-    rest = [np.ravel(r) for r in rest]
+    shape, columns = lo.shape, [np.ravel(v) for v in (lo, hi, *rest)]
+    first, source = distinct_rows(*columns)
+    lo, hi, *rest = (c[first] for c in columns)
     cuts, args = rest[: len(splits)], rest[len(splits):]
     ends = np.log(np.stack([lo, *(np.clip(p, lo, hi) for p in cuts), hi], axis=-1))
-    out = np.empty(lo.size)
-    for rows in slabs(lo.size, ends.shape[-1] * RULE_NODES):
+    row_nodes = (ends.shape[-1] - 1) * RULE_NODES
+    sums = []
+    # an empty batch still maps its empty nodes once, for the shape of f's values
+    for rows in slabs(lo.size, ends.shape[-1] * RULE_NODES) or [slice(0, 0)]:
         t, w = log_rule(ends[rows, :-1], ends[rows, 1:])
         z = np.exp(t)
         values = w * z * f(z, *(a[rows, None, None] for a in args))
-        out[rows] = np.sum(values.reshape(len(z), -1), axis=-1)
-    return out.reshape(shape)[()]
+        sums.append(np.sum(values.reshape(values.shape[:-2] + (row_nodes,)), axis=-1))
+    out = np.concatenate(sums, axis=-1)[..., source]
+    return out.reshape(out.shape[:-1] + shape)[()]

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, analytic
 from .config import AXES, ONE_LINE, ExperimentConfig, canonical_items, parse_config_text
 from .errors import ConfigError, DomainError, NumericalError
 from .mc import Estimate
@@ -49,24 +49,28 @@ class SweepResult(NamedTuple):
 def run_sweep(config: ExperimentConfig, write: bool = True) -> SweepResult:
     """Evaluate every requested method at every axis point.
 
-    The points of the config's Plan, bound when it was made, are one batch;
-    each method's evaluator runs once over it (methods sharing one share
-    its run), and each of the method's rows is a column of its evaluator's
-    outputs, in method order.  Deterministic given the seed; writes the CSV
-    and a matplotlib script referencing it (unless ``write=False``).  The
-    output paths are checked before any evaluation, so a bad path fails fast.
+    The points of the config's Plan, bound when it was made, are one batch,
+    handed to every evaluator as one ``analytic.Shared``; each method's
+    evaluator runs once over it (methods sharing one share its run), each
+    part that closed forms of the family share is formed once, by the first
+    that reads it, and each of the method's rows is a column of its
+    evaluator's outputs, in method order.  Deterministic given the seed;
+    writes the CSV and a matplotlib script referencing it (unless
+    ``write=False``).  The output paths are checked before any evaluation,
+    so a bad path fails fast.
     """
     if write:
         _require_writable(config.output_path, plot_script_path(config))
     started = time.perf_counter()
     family, grid, labels, params, targets, r = config.plan
+    points = analytic.Shared(params, targets)
     outputs: dict = {}  # evaluator -> its outputs
     for method in config.methods:
         evaluate = METHODS[method].evaluators[family]
         if evaluate in outputs:
             continue
         try:
-            outputs[evaluate] = evaluate(config, params, targets, r)
+            outputs[evaluate] = evaluate(config, points, r)
         except (NumericalError, DomainError) as exc:
             # an error raised inside an array pass may not know its point
             point = f"{config.sweep}={labels[exc.point]}, " if hasattr(exc, "point") else ""

@@ -368,9 +368,11 @@ def test_c12_preset_determinism_across_workers():
 
 
 def test_c12_dense_sweeps_frozen():
-    """Two dense closed-form sweeps, every outage method against d1 and the
-    diversity gain against r, emit the bytes frozen in
-    ``tests/data/golden_presets`` (written by ``make_golden_presets.py``)."""
+    """The dense closed-form sweeps, every outage method against d1, the
+    diversity gain against r, and every capacity method against lambda with
+    both directions of each point on one SNR law and on two, emit the bytes
+    frozen in ``tests/data/golden_presets`` (written by
+    ``make_golden_presets.py``)."""
     frozen_dir = Path(__file__).parent / "data" / "golden_presets"
     differ = []
     with tempfile.TemporaryDirectory() as td:

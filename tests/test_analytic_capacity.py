@@ -88,7 +88,10 @@ class TestCapacitySeries:
         ([1e-3, 1e-4], [0.1, 3e-3],
          rf"did not converge within {SERIES_MAX_TERMS} terms \(s=0\.001, mu=0\.1;"),
         ([1e-4, 1e-3], [3e-3, 0.1], r"cancels: .* \(s=0\.0001, mu=0\.003, mu/s=30\)"),
-    ], ids=["runs-out-then-cancels", "cancels-then-runs-out"])
+        # both directions on one law: the second reads the first's row
+        ([1e-3, 1e-3], [0.1, 0.1],
+         rf"did not converge within {SERIES_MAX_TERMS} terms \(s=0\.001, mu=0\.1;"),
+    ], ids=["runs-out-then-cancels", "cancels-then-runs-out", "one-law-runs-out"])
     def test_point_names_its_first_failing_direction(self, s, mu, named):
         with pytest.raises(ConvergenceError, match=named) as info:
             capacity_direction_integral(np.array([[0.5, 0.5], s, [0.5, 0.5]]),
@@ -199,7 +202,7 @@ class TestGoldenValues:
         # the first point is one where adaptive QUADPACK returned 0.4707
         # instead of 0.8256 without raising
         errors = [
-            abs(_survival_integral(Direction(1.0, 1.0, 1.0, s, mu), bessel_xk1) - ref) / ref
+            abs(_survival_integral(Direction(1.0, 1.0, 1.0, s, mu), (bessel_xk1,))[0] - ref) / ref
             for s, mu, ref in GOLDEN_INTEGRALS["survival"]
         ]
         assert max(errors) <= 1e-12, errors

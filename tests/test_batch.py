@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from twrelay import analytic, mc
 from twrelay.config import ExperimentConfig
-from twrelay.errors import ConvergenceError, DegenerateCaseError, DomainError, raise_first
+from twrelay.errors import (
+    ConvergenceError,
+    DegenerateCaseError,
+    DomainError,
+    ParameterError,
+    raise_first,
+)
 from twrelay.model import TargetRates, build_params
 from twrelay.sweep import run_sweep
 
@@ -216,6 +222,62 @@ def test_every_batch_equals_its_one_point_calls(points):
     assert analytic.dmt(columns[0], columns[2]) == got
     r = batch[2][0]
     assert analytic.dmt(batch[0], r) == analytic.dmt(batch[0], [r] * m)
+
+
+def _bits(output):
+    """A closed form's output with every float as its hex: equal bits read equal."""
+    if isinstance(output, float):
+        return output.hex()
+    if isinstance(output, (list, tuple)):
+        return [_bits(v) for v in output]
+    return output  # a CapacitySeries' terms_used entry
+
+
+# A point of the box above, made symmetric (P1 = P2, d1 = 0.5, T1 = T2) when
+# its flag is set: both directions of a symmetric point follow one SNR law.
+mixed_point = st.tuples(st.booleans(), point)
+
+
+def _mixed(points: list):
+    """The points as one batch, and each as its one-point call's arguments."""
+    rows = [(10.0 ** (snr / 10.0), lam, 0.5 if same else d1, 1.0 if same else k,
+             t1, t1 if same else t2) for same, (snr, lam, d1, k, t1, t2, _) in points]
+    ones = [(build_params(p, p * k, 1.0, 1.0, lam, 0.5, d1, 3.0), TargetRates.from_rates(t1, t2))
+            for p, lam, d1, k, t1, t2 in rows]
+    p, lam, d1, k, t1, t2 = map(list, zip(*rows))
+    params = build_params(p, [a * b for a, b in zip(p, k)], 1.0, 1.0, lam, 0.5, d1, 3.0)
+    return params, TargetRates.from_rates(t1, t2), ones
+
+
+@seed(20163)
+@batch_settings
+@given(st.lists(mixed_point, min_size=1, max_size=6), st.permutations(OUTAGE_FORMS),
+       st.permutations(CAPACITY_FORMS))
+def test_a_family_on_one_shared_batch_keeps_every_bit(points, outage_order, capacity_order):
+    # a sweep hands every closed form of its family one Shared, in the order
+    # its methods list them: each output is the form's own call's, bit for
+    # bit, whichever form forms a shared part first; and each point of a
+    # batch that mixes symmetric and asymmetric points is its own call's
+    params, targets, ones = _mixed(points)
+    shared = analytic.Shared(params, targets)
+    for name in outage_order:
+        form = getattr(analytic, name)
+        alone = form(params, targets)
+        assert _bits(form(shared, targets)) == _bits(alone), name
+        assert _bits(by_point(alone, len(ones))) == _bits([form(p, t) for p, t in ones]), name
+    shared = analytic.Shared(params)
+    for name in capacity_order:
+        form = getattr(analytic, name)
+        alone = form(params)
+        assert _bits(form(shared)) == _bits(alone), name
+        assert _bits(by_point(alone, len(ones))) == _bits([form(p) for p, _ in ones]), name
+
+
+def test_a_shared_batch_takes_only_its_own_targets():
+    shared = analytic.Shared(PARAMS, TARGETS)
+    with pytest.raises(ParameterError, match="^a Shared's closed forms take its own targets$"):
+        analytic.outage_exact(shared, TargetRates.from_rates([t.t1 for t in ONE_TARGETS],
+                                                             [t.t2 for t in ONE_TARGETS]))
 
 
 @seed(20162)

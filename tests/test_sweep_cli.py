@@ -19,7 +19,7 @@ from data.make_golden_validate import NAMES as VALIDATE_NAMES
 from data.make_golden_validate import validate_config
 from helpers import make_params, read_csv, rows_of
 
-from twrelay import analytic, cli, mc
+from twrelay import analytic, cli, mc, numerics
 from twrelay import config as config_module
 from twrelay.config import (
     AXES,
@@ -298,6 +298,72 @@ class TestSweepEngine:
         ), write=False)
         run_sweep(ExperimentConfig(steps=4, methods=("dmt",)), write=False)
         assert calls == dict.fromkeys(names, 1)
+
+    def test_each_shared_part_is_formed_once_per_sweep(self, monkeypatch):
+        # the parts a family's closed forms share, counted where they are formed
+        names = ("_batch", "_thresholded", "_corner_parts", "_survival_integral", "tricomi_psi11")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(analytic, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(analytic, name, counted)
+        run_sweep(ExperimentConfig(methods=(
+            "exact_quadrature", "lower_bound", "upper_bound", "high_snr", "non_coop",
+        )), write=False)
+        # one batch and one set of thresholds, one corner for the exact value and the bounds
+        assert calls == {**dict.fromkeys(names, 0), "_batch": 1, "_thresholded": 1,
+                         "_corner_parts": 1}
+        calls.update(dict.fromkeys(names, 0))
+        run_sweep(ExperimentConfig(sweep="lambda", start=0.1, stop=0.9, steps=5, methods=(
+            "capacity_bounds", "capacity_series", "capacity_quadrature", "non_coop")), write=False)
+        # one batch; the capacity and its lower bound on one pass and the tight
+        # bound on its own; Psi(1,1;s) for the series and the loose bound, and
+        # Psi(1,1;1/a) for non_coop
+        assert calls == {**dict.fromkeys(names, 0), "_batch": 1, "_survival_integral": 2,
+                         "tricomi_psi11": 2}
+
+    @pytest.mark.parametrize("d1, rows_per_point", [(0.5, 1), (0.3, 2)],
+                             ids=["symmetric", "asymmetric"])
+    def test_a_symmetric_sweep_integrates_one_direction_per_point(
+            self, monkeypatch, d1, rows_per_point):
+        # at P1 = P2 and d1 = 0.5 (and T1 = T2) both directions of a point
+        # follow one SNR law: each integral and the series run one row for them
+        rows = {"bessel_xk1": 0, "_xk1_floor": 0, "_xk1_upper": 0, "series": 0, "strips": 0}
+        for name in ("bessel_xk1", "_xk1_floor", "_xk1_upper"):
+            def counted(x, _fn=getattr(analytic, name), _name=name):
+                rows[_name] += len(x)  # the integrand's nodes, one row per direction
+                return _fn(x)
+
+            monkeypatch.setattr(analytic, name, counted)
+        true_factors, true_rule = analytic._scaled_series_factors, numerics.log_rule
+
+        def factors(s, terms):
+            rows["series"] += len(s) if terms.start == 0 else 0
+            return true_factors(s, terms)
+
+        def rule(ln_lo, ln_hi):
+            rows["strips"] += len(ln_lo)
+            return true_rule(ln_lo, ln_hi)
+
+        monkeypatch.setattr(analytic, "_scaled_series_factors", factors)
+        n = 5
+        result = run_sweep(ExperimentConfig(
+            sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1,
+            methods=("capacity_quadrature", "capacity_series", "capacity_bounds")), write=False)
+        assert rows == {"bessel_xk1": n * rows_per_point, "_xk1_floor": n * rows_per_point,
+                        "_xk1_upper": n * rows_per_point, "series": n * rows_per_point,
+                        "strips": 0}
+        # terms_used keeps one entry per direction of each point
+        series = analytic.capacity_series(ExperimentConfig(
+            sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1).plan.params)
+        assert len(series.terms_used) == 2 * n
+        assert result.columns[1].values == series.value
+        monkeypatch.setattr(numerics, "log_rule", rule)
+        run_sweep(ExperimentConfig(sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1,
+                                   methods=("exact_quadrature",)), write=False)
+        assert rows["strips"] == n * rows_per_point
 
 
 #: The plot labels, written out here so that a label moved or lost in the
@@ -925,15 +991,18 @@ class TestCli:
             builds.append(args)
             return true_build(*args, **kwargs)
 
-        def exact(params, targets):
-            seen.append(params)
-            return true_exact(params, targets)
+        def exact(points, targets):
+            seen.append((points, targets))
+            return true_exact(points, targets)
 
         monkeypatch.setattr(config_module, "build_params", build)
         monkeypatch.setattr(analytic, "outage_exact", exact)
         run_sweep(config, write=False)
         assert builds == []
-        assert len(seen) == 1 and seen[0] is config.plan.params
+        # the sweep hands its closed forms one Shared of the plan's points
+        (points, targets), = seen
+        assert isinstance(points, analytic.Shared) and targets is points.targets
+        assert points.params is config.plan.params and points.targets is config.plan.targets
 
     def test_in_process_calls_share_no_state(self, tmp_path, monkeypatch):
         # the parser is built once per process: a flag given to one call
@@ -996,7 +1065,8 @@ class TestCli:
         def no_compute(*args, **kwargs):
             raise AssertionError("the sweep ran before the output paths were checked")
 
-        for name in ("dmt", "outage_exact", "outage_bounds"):
+        # the Shared is where a sweep's evaluation starts
+        for name in ("Shared", "dmt", "outage_exact", "outage_bounds"):
             monkeypatch.setattr(analytic, name, no_compute)
         monkeypatch.setattr(mc, "estimate_outage", no_compute)
         (tmp_path / taken).mkdir()
