@@ -40,9 +40,9 @@ One set of shared parts per family: a sweep hands every closed form one
 :class:`Shared`, whose parts are each formed by the first closed form that
 reads it.  The outage forms share the thresholds, and the exact value and
 the bounds one corner with its checks, mass and survivals; the capacity
-forms share the batch, one pass over the survival integral's nodes for
-x*K1(x) and the lower bound's exp(-x), and one Psi(1,1;s) for the series
-and the loose bound.  No output moves a bit.
+forms share the batch and one Psi(1,1;s) for the series and the loose
+bound.  Each capacity form integrates only its own integrands: x*K1(x)
+for the capacity, and both integral bounds on one pass of their own.
 
 Index convention used throughout: direction i is the traffic *into* source
 i, so it is powered by the opposite source j and thresholded by tau_i.  In
@@ -302,9 +302,7 @@ class Shared:
     each formed once, by the first closed form that reads it.  Every closed
     form but :func:`dmt` takes one in place of its ``params`` (an outage
     form, with the Shared's own ``targets``); given plain ``params``, it
-    makes its own.  A lone call of capacity_quadrature or capacity_bounds,
-    or a sweep that runs only one of them, still forms both integrands on
-    their one pass.
+    makes its own.
     """
 
     def __init__(self, params, targets=None):
@@ -321,11 +319,6 @@ class Shared:
     @cached_property
     def corner(self) -> tuple:
         return _corner_parts(*self.thresholded)
-
-    @cached_property
-    def integrals(self) -> np.ndarray:
-        """The survival integrals of x*K1(x) and of exp(-x), (2, points, 2)."""
-        return _survival_integral(self.batch.d, (bessel_xk1, _xk1_floor))
 
     @cached_property
     def psi11(self) -> np.ndarray:
@@ -506,9 +499,9 @@ def _survival_integral(d: Direction, xk1s: tuple, kink: float | None = None):
 def capacity_quadrature(params) -> float:
     """Ergodic capacity: (1/(2 ln 2)) * sum_i int_0^inf (1 - F_i(z))/(1+z) dz,
     each survival integral on the log-variable rule, all directions of all
-    points in one pass (:attr:`Shared.integrals`)."""
-    shared = _shared(params)
-    return shared.batch.shaped(_sum_rate(shared.integrals[0]))
+    points in one pass."""
+    batch = _shared(params).batch
+    return batch.shaped(_sum_rate(_survival_integral(batch.d, (bessel_xk1,))[0]))
 
 
 #: Term budget and stop tolerance of :func:`capacity_direction_integral`.
@@ -741,16 +734,20 @@ def capacity_bounds(params) -> CapacityBounds:
     Each bound replaces x*K1(x) inside the survival integral of
     :func:`capacity_quadrature` by a bound on it: the lower by its exp(-x)
     floor, the tight upper by :func:`_xk1_upper`, the loose upper by 1
-    (giving the bare Psi(1,1;.) sum).  Since exp(-x) <= x*K1(x) <=
-    _xk1_upper(x) <= 1 pointwise and the rule's weights are positive,
-    ``lower <= C_e <= tight_upper`` holds exactly on the shared nodes, and
-    ``tight_upper <= loose_upper`` to the rule's accuracy.  The lower bound
-    rides the capacity's own pass over the nodes, and the loose one is the
-    series' Psi(1,1;s) (:class:`Shared`).
+    (giving the bare Psi(1,1;.) sum), and exp(-x) <= x*K1(x) <=
+    _xk1_upper(x) <= 1 pointwise.  The two integral bounds run on one pass
+    over the tight bound's nodes, split at its kink, and the rule's weights
+    are positive, so ``lower <= tight_upper`` holds exactly.  ``C_e`` is
+    integrated on its own nodes and lies between them to the rule's
+    accuracy: on 60 000 random points of the tests' wide box, with P2/P1
+    from 0.01 to 100, the narrowest gaps were 1.8% below it and 1.0e-5
+    relative above, both at 40-60 dB.  ``tight_upper <= loose_upper`` holds
+    to the rule's accuracy; the loose bound is the series' Psi(1,1;s)
+    (:class:`Shared`).
     """
     shared = _shared(params)
-    batch, lower = shared.batch, shared.integrals[1]
-    tight = _survival_integral(batch.d, (_xk1_upper,), _XK1_UPPER_KINK)[0]
+    batch = shared.batch
+    lower, tight = _survival_integral(batch.d, (_xk1_floor, _xk1_upper), _XK1_UPPER_KINK)
     return CapacityBounds(*(batch.shaped(_sum_rate(v)) for v in (lower, tight, shared.psi11)))
 
 

@@ -73,6 +73,9 @@ def test_capacity_bound_chain(snr, point):
     assert bounds.lower <= exact * (1.0 + REL_SLACK)
     assert exact <= bounds.tight_upper * (1.0 + REL_SLACK)
     assert bounds.tight_upper <= bounds.loose_upper * (1.0 + REL_SLACK)
+    # both integral bounds sum on one table of nodes with positive weights,
+    # and exp(-x) <= _xk1_upper(x) at every node: rounding keeps the order
+    assert bounds.lower <= bounds.tight_upper
 
 
 def _probabilities(params, rates):

@@ -318,18 +318,23 @@ class TestSweepEngine:
         calls.update(dict.fromkeys(names, 0))
         run_sweep(ExperimentConfig(sweep="lambda", start=0.1, stop=0.9, steps=5, methods=(
             "capacity_bounds", "capacity_series", "capacity_quadrature", "non_coop")), write=False)
-        # one batch; the capacity and its lower bound on one pass and the tight
-        # bound on its own; Psi(1,1;s) for the series and the loose bound, and
-        # Psi(1,1;1/a) for non_coop
+        # one batch; the capacity on its own pass and both integral bounds on
+        # one; Psi(1,1;s) for the series and the loose bound, and Psi(1,1;1/a)
+        # for non_coop
         assert calls == {**dict.fromkeys(names, 0), "_batch": 1, "_survival_integral": 2,
                          "tricomi_psi11": 2}
 
-    @pytest.mark.parametrize("d1, rows_per_point", [(0.5, 1), (0.3, 2)],
-                             ids=["symmetric", "asymmetric"])
+    @pytest.mark.parametrize("d1, rows_per_point, methods", [
+        pytest.param(d1, rows_per_point, methods, id=shape + suffix)
+        for suffix, methods in (
+            ("", ("capacity_quadrature", "capacity_series", "capacity_bounds")),
+            ("-quadrature", ("capacity_quadrature",)), ("-bounds", ("capacity_bounds",)))
+        for shape, d1, rows_per_point in (("symmetric", 0.5, 1), ("asymmetric", 0.3, 2))])
     def test_a_symmetric_sweep_integrates_one_direction_per_point(
-            self, monkeypatch, d1, rows_per_point):
+            self, monkeypatch, d1, rows_per_point, methods):
         # at P1 = P2 and d1 = 0.5 (and T1 = T2) both directions of a point
-        # follow one SNR law: each integral and the series run one row for them
+        # follow one SNR law: each integral and the series run one row for
+        # them; and each integrand is formed only where its closed form runs
         rows = {"bessel_xk1": 0, "_xk1_floor": 0, "_xk1_upper": 0, "series": 0, "strips": 0}
         for name in ("bessel_xk1", "_xk1_floor", "_xk1_upper"):
             def counted(x, _fn=getattr(analytic, name), _name=name):
@@ -350,16 +355,17 @@ class TestSweepEngine:
         monkeypatch.setattr(analytic, "_scaled_series_factors", factors)
         n = 5
         result = run_sweep(ExperimentConfig(
-            sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1,
-            methods=("capacity_quadrature", "capacity_series", "capacity_bounds")), write=False)
-        assert rows == {"bessel_xk1": n * rows_per_point, "_xk1_floor": n * rows_per_point,
-                        "_xk1_upper": n * rows_per_point, "series": n * rows_per_point,
-                        "strips": 0}
+            sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1, methods=methods), write=False)
+        readers = {"bessel_xk1": "capacity_quadrature", "_xk1_floor": "capacity_bounds",
+                   "_xk1_upper": "capacity_bounds", "series": "capacity_series"}
+        assert rows == {**{name: n * rows_per_point if reader in methods else 0
+                           for name, reader in readers.items()}, "strips": 0}
         # terms_used keeps one entry per direction of each point
         series = analytic.capacity_series(ExperimentConfig(
             sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1).plan.params)
         assert len(series.terms_used) == 2 * n
-        assert result.columns[1].values == series.value
+        if "capacity_series" in methods:
+            assert result.columns[1].values == series.value
         monkeypatch.setattr(numerics, "log_rule", rule)
         run_sweep(ExperimentConfig(sweep="lambda", start=0.1, stop=0.9, steps=n, d1=d1,
                                    methods=("exact_quadrature",)), write=False)
